@@ -670,6 +670,30 @@ func BenchmarkDetectorAdvance(b *testing.B) {
 	}
 }
 
+// BenchmarkPathSampler measures the Fig 1d path-length estimator on its
+// own: the paper's 100 sampled sources (two lane batches of the
+// bit-parallel BFS) on the final SmallConfig graph, at one and two
+// workers. Each op draws a fresh sample from the same rng stream.
+func BenchmarkPathSampler(b *testing.B) {
+	st, err := trace.Replay(benchTrace(b).Events, trace.Hooks{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			p := metrics.PathSampler{Workers: workers}
+			rng := stats.NewRand(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Sample(st.Graph, 100, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSubstrateGenerate(b *testing.B) {
 	cfg := gen.SmallConfig()
 	b.ResetTimer()

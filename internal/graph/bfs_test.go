@@ -54,30 +54,6 @@ func TestBFSBadSource(t *testing.T) {
 	}
 }
 
-func TestBFSWithinPredicate(t *testing.T) {
-	// 0-1-2 and 0-3-2: blocking node 1 forces the longer route.
-	g := New(0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 3)
-	g.AddEdge(3, 2)
-	d := g.BFSWithin(0, func(v NodeID) bool { return v != 1 })
-	if d[1] != Unreachable {
-		t.Fatalf("blocked node reached: %v", d)
-	}
-	if d[2] != 2 {
-		t.Fatalf("dist[2] = %d, want 2 via 3", d[2])
-	}
-	// nil predicate behaves like BFS.
-	d2 := g.BFSWithin(0, nil)
-	d3 := g.BFS(0)
-	for i := range d2 {
-		if d2[i] != d3[i] {
-			t.Fatalf("nil predicate mismatch at %d", i)
-		}
-	}
-}
-
 func TestShortestToSet(t *testing.T) {
 	g := path(6)
 	target := func(v NodeID) bool { return v == 4 || v == 5 }
@@ -120,17 +96,6 @@ func TestShortestToSetMatchesBFS(t *testing.T) {
 	}
 }
 
-func TestComponentOf(t *testing.T) {
-	g := New(0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(4, 5)
-	comp := g.ComponentOf(1)
-	if len(comp) != 3 {
-		t.Fatalf("component = %v", comp)
-	}
-}
-
 func TestBFSTriangleInequality(t *testing.T) {
 	// Property: for edge (u,v), |dist(s,u) - dist(s,v)| <= 1 when both reachable.
 	rng := stats.NewRand(9)
@@ -151,5 +116,114 @@ func TestBFSTriangleInequality(t *testing.T) {
 	})
 	if bad {
 		t.Fatal("BFS distances violate edge Lipschitz property")
+	}
+}
+
+// componentsOf lists g's connected components, each in ascending node order.
+func componentsOf(g *Graph) [][]NodeID {
+	uf := NewUnionFind(g.NumNodes())
+	g.ForEachEdge(func(u, v NodeID) { uf.Union(u, v) })
+	byRoot := map[int32][]NodeID{}
+	var roots []int32
+	for v := 0; v < g.NumNodes(); v++ {
+		r := uf.Find(int32(v))
+		if byRoot[r] == nil {
+			roots = append(roots, r)
+		}
+		byRoot[r] = append(byRoot[r], NodeID(v))
+	}
+	out := make([][]NodeID, len(roots))
+	for i, r := range roots {
+		out[i] = byRoot[r]
+	}
+	return out
+}
+
+// TestDistanceSumsMatchesBFS holds the bit-parallel kernel to a per-source
+// BFS loop on random graphs with several components and isolated
+// nodes: for source counts on both sides of the lane width (run in batches
+// of at most Lanes, with one scratch reused throughout), and for every
+// node of a component as a source, the distance total and the pair count
+// must be equal.
+func TestDistanceSumsMatchesBFS(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := stats.NewRand(seed)
+		g := New(0)
+		// Three components of 300, 150 and 40 nodes (random trees plus
+		// chords, so distances vary), then 20 isolated nodes.
+		base := 0
+		for _, size := range []int{300, 150, 40} {
+			for i := 1; i < size; i++ {
+				g.AddEdge(NodeID(base+rng.Intn(i)), NodeID(base+i))
+			}
+			for i := 0; i < size/3; i++ {
+				g.AddEdge(NodeID(base+rng.Intn(size)), NodeID(base+rng.Intn(size)))
+			}
+			base += size
+		}
+		g.EnsureNode(NodeID(base + 19))
+
+		var sc LaneScratch
+		for _, comp := range componentsOf(g) {
+			for _, k := range []int{1, 63, 64, 65, 100, 129, len(comp)} {
+				if k > len(comp) {
+					continue
+				}
+				sources := make([]NodeID, k)
+				for i, j := range rng.Perm(len(comp))[:k] {
+					sources[i] = comp[j]
+				}
+				var wantTotal, wantPairs int64
+				for _, s := range sources {
+					for _, d := range g.BFS(s) {
+						if d > 0 {
+							wantTotal += int64(d)
+							wantPairs++
+						}
+					}
+				}
+				var total, pairs int64
+				for lo := 0; lo < k; lo += Lanes {
+					bt, bp := g.DistanceSums(sources[lo:min(lo+Lanes, k)], comp, &sc)
+					total += bt
+					pairs += bp
+				}
+				if total != wantTotal || pairs != wantPairs {
+					t.Fatalf("seed %d, component of %d, k=%d: total %d pairs %d, want %d %d",
+						seed, len(comp), k, total, pairs, wantTotal, wantPairs)
+				}
+			}
+		}
+	}
+}
+
+func TestDistanceSumsTooManySources(t *testing.T) {
+	g := path(Lanes + 1)
+	comp := g.LargestComponent()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("more than Lanes sources must panic")
+		}
+	}()
+	g.DistanceSums(comp, comp, &LaneScratch{})
+}
+
+// TestLaneScratchGrowsGeometrically: on a graph that gains a node between
+// traversals, as the live graph does between path-length days, the
+// scratch columns are reallocated O(log n) times, not on every call.
+func TestLaneScratchGrowsGeometrically(t *testing.T) {
+	g := path(100)
+	nodes := g.LargestComponent()
+	sources := nodes[:Lanes]
+	var sc LaneScratch
+	g.DistanceSums(sources, nodes, &sc)
+	allocs := testing.AllocsPerRun(200, func() {
+		v := NodeID(g.NumNodes())
+		g.AddEdge(v-1, v)
+		nodes = append(nodes, v)
+		g.DistanceSums(sources, nodes, &sc)
+	})
+	if allocs >= 1 {
+		t.Fatalf("%v allocations per traversal on a growing graph", allocs)
 	}
 }

@@ -175,31 +175,28 @@ func SampledPathLength(g *graph.Graph, k int, rng *rand.Rand) (float64, error) {
 	return ps.Sample(g, k, rng)
 }
 
-// PathSampler is SampledPathLength with reusable BFS scratch buffers, for
-// callers (the streaming metrics stage) that measure many snapshots: the
-// per-source distance and queue slices are allocated once and reused.
+// PathSampler is SampledPathLength with reusable scratch, for callers (the
+// streaming metrics stage) that measure many snapshots.
 //
-// With Workers > 1 the BFS sources fan out across that many goroutines,
-// each with private scratch. The estimate is bit-identical to the
-// sequential one: source selection happens before the fan-out (the rng
-// draw sequence is unchanged), sources are split into contiguous chunks,
-// and each chunk's distance sum and pair count — integer-valued, far
-// below 2^53 — are reduced in chunk order, so no float rounding can
-// depend on scheduling.
+// The sources run in batches of graph.Lanes through the bit-parallel
+// multi-source BFS (graph.DistanceSums), which walks the component once
+// per batch instead of once per source. With Workers > 1 the batches fan
+// out across at most that many goroutines, each with private scratch. The
+// estimate is bit-identical at any width: sources are drawn before the
+// fan-out (the rng draw sequence is unchanged), and every batch's distance
+// total and pair count are exact int64 sums, divided once at the end.
 type PathSampler struct {
-	// Workers is the fan-out width for the per-source BFS sweep; <= 1
-	// runs sequentially.
+	// Workers is the fan-out width over lane batches; <= 1 runs
+	// sequentially.
 	Workers int
 
-	dist    []int32
-	queue   []graph.NodeID
-	scratch []pathScratch
+	workers []laneWorker
 }
 
-// pathScratch is one worker's private BFS buffers.
-type pathScratch struct {
-	dist  []int32
-	queue []graph.NodeID
+// laneWorker is one worker's private BFS scratch and its partial sums.
+type laneWorker struct {
+	bfs          graph.LaneScratch
+	total, pairs int64
 }
 
 // Sample estimates the average shortest-path length exactly as
@@ -209,83 +206,52 @@ func (p *PathSampler) Sample(g *graph.Graph, k int, rng *rand.Rand) (float64, er
 	if len(comp) < 2 {
 		return 0, ErrNoSample
 	}
-	var sources []graph.NodeID
-	if k >= len(comp) {
-		sources = comp
-	} else {
-		for _, i := range stats.SampleWithoutReplacement(len(comp), k, rng) {
-			sources = append(sources, comp[i])
+	sources := comp
+	if k < len(comp) {
+		idx := stats.SampleWithoutReplacement(len(comp), k, rng)
+		sources = make([]graph.NodeID, len(idx))
+		for j, i := range idx {
+			sources[j] = comp[i]
 		}
 	}
-	total, count := p.sweep(g, sources)
-	if count == 0 {
+	if len(sources) == 0 {
 		return 0, ErrNoSample
 	}
-	return total / float64(count), nil
-}
-
-// sweep runs BFS from every source and accumulates the distance total and
-// reachable-pair count, sequentially or fanned out per Workers.
-func (p *PathSampler) sweep(g *graph.Graph, sources []graph.NodeID) (float64, int64) {
-	workers := p.Workers
-	if workers > len(sources) {
-		workers = len(sources)
+	batches := (len(sources) + graph.Lanes - 1) / graph.Lanes
+	workers := min(max(p.Workers, 1), batches)
+	if len(p.workers) < workers {
+		p.workers = append(p.workers, make([]laneWorker, workers-len(p.workers))...)
 	}
-	if workers <= 1 {
-		var total float64
-		var count int64
-		for _, s := range sources {
-			p.dist, p.queue = g.BFSInto(s, p.dist, p.queue)
-			for v, d := range p.dist {
-				if d > 0 && graph.NodeID(v) != s {
-					total += float64(d)
-					count++
-				}
-			}
+	// Worker w takes batches w, w+workers, …; the caller runs worker 0.
+	run := func(w int) {
+		lw := &p.workers[w]
+		lw.total, lw.pairs = 0, 0
+		for b := w; b < batches; b += workers {
+			lo := b * graph.Lanes
+			t, c := g.DistanceSums(sources[lo:min(lo+graph.Lanes, len(sources))], comp, &lw.bfs)
+			lw.total += t
+			lw.pairs += c
 		}
-		return total, count
 	}
-	if len(p.scratch) < workers {
-		p.scratch = append(p.scratch, make([]pathScratch, workers-len(p.scratch))...)
-	}
-	totals := make([]float64, workers)
-	counts := make([]int64, workers)
-	chunk := (len(sources) + workers - 1) / workers
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := i*chunk, (i+1)*chunk
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		if lo >= hi {
-			continue
-		}
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
-		go func(i, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			sc := &p.scratch[i]
-			var total float64
-			var count int64
-			for _, s := range sources[lo:hi] {
-				sc.dist, sc.queue = g.BFSInto(s, sc.dist, sc.queue)
-				for v, d := range sc.dist {
-					if d > 0 && graph.NodeID(v) != s {
-						total += float64(d)
-						count++
-					}
-				}
-			}
-			totals[i], counts[i] = total, count
-		}(i, lo, hi)
+			run(w)
+		}()
 	}
+	run(0)
 	wg.Wait()
-	var total float64
-	var count int64
-	for i := 0; i < workers; i++ {
-		total += totals[i]
-		count += counts[i]
+	var total, pairs int64
+	for _, lw := range p.workers[:workers] {
+		total += lw.total
+		pairs += lw.pairs
 	}
-	return total, count
+	if pairs == 0 {
+		return 0, ErrNoSample
+	}
+	return float64(total) / float64(pairs), nil
 }
 
 // DegreeHistogram returns counts of nodes by degree.

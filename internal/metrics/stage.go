@@ -35,8 +35,8 @@ type StageOptions struct {
 	ClusteringSamples int
 	// Seed drives the sampled estimators.
 	Seed int64
-	// Workers is the fan-out width of the sampled-BFS path-length sweep
-	// (<= 1 sequential). A throughput knob only: the estimate is
+	// Workers is the fan-out width of the path-length estimator's lane
+	// batches (<= 1 sequential). A throughput knob only: the estimate is
 	// bit-identical at any width (see PathSampler), so it is deliberately
 	// not part of the checkpoint config fingerprint.
 	Workers int
