@@ -105,7 +105,7 @@ func main() {
 
 	var src trace.MetaSource
 	if *tracePath != "" {
-		fs, err := trace.OpenFileSource(*tracePath)
+		fs, err := trace.OpenTrace(*tracePath)
 		if err != nil {
 			log.Fatalf("open trace: %v", err)
 		}

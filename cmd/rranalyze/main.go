@@ -235,13 +235,12 @@ func main() {
 // printInfo renders the -info report: trace identity, storage shape
 // (segment and compression figures when the trace is segmented), and the
 // checkpoint inventory when -checkpoint-dir names one.
-func printInfo(src trace.MetaSource, path, ckptDir string) {
+func printInfo(src *trace.FileSource, path, ckptDir string) {
 	meta := src.Meta()
 	fmt.Printf("trace %s\n", path)
 	fmt.Printf("  days %d, nodes %d (%d xiaonei / %d 5q / %d new), edges %d, merge day %d, seed %d\n",
 		meta.Days, meta.Nodes, meta.Xiaonei, meta.FiveQ, meta.NewUsers, meta.Edges, meta.MergeDay, meta.Seed)
-	if sf, ok := src.(interface{ Stats() trace.SegStats }); ok {
-		s := sf.Stats()
+	if s := src.Stats(); s.Segmented {
 		ratio := 0.0
 		if s.RawBytes > 0 {
 			ratio = 100 * float64(s.CompressedBytes) / float64(s.RawBytes)

@@ -1,0 +1,111 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/trace"
+)
+
+// cliArg, as the first argument, makes the test binary run as the
+// rranalyze command, so the smoke test drives the shipped flag parsing
+// and report.
+const cliArg = "-run-as-rranalyze"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == cliArg {
+		os.Args = append([]string{"rranalyze"}, os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// fixtureEvents is a small deterministic trace: three nodes a day over
+// six days, each new node befriending its two predecessors.
+func fixtureEvents() []trace.Event {
+	var evs []trace.Event
+	for u := int32(0); u < 18; u++ {
+		day := u / 3
+		evs = append(evs, trace.Event{Kind: trace.AddNode, Day: day, U: u, Origin: trace.OriginXiaonei})
+		for v := max(0, u-2); v < u; v++ {
+			evs = append(evs, trace.Event{Kind: trace.AddEdge, Day: day, U: u, V: v})
+		}
+	}
+	return evs
+}
+
+// writeTrace writes events to path, flat or segmented (one frame per
+// day).
+func writeTrace(t *testing.T, path string, events []trace.Event, segmented bool) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	type sink interface {
+		Write(trace.Event) error
+		Flush() error
+		Close() error
+	}
+	var enc sink
+	if segmented {
+		enc, err = trace.NewSegEncoder(f)
+	} else {
+		enc, err = trace.NewEncoder(f)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ev := range events {
+		if i > 0 && ev.Day > events[i-1].Day {
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInfoFormatLine pins the -info storage line for a flat, a
+// segmented and an empty segmented trace — an empty segmented trace has
+// zero segments and must still report as segmented.
+func TestInfoFormatLine(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name      string
+		events    []trace.Event
+		segmented bool
+		want      string
+	}{
+		{"flat.trace", fixtureEvents(), false, "  format flat"},
+		{"seg.rrs", fixtureEvents(), true, "  format segmented: 6 segments, 51 events, 204 bytes raw -> 188 compressed (92.2%), day index true"},
+		{"empty.rrs", nil, true, "  format segmented: 0 segments, 0 events, 0 bytes raw -> 0 compressed (0.0%), day index true"},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(dir, tc.name)
+		writeTrace(t, path, tc.events, tc.segmented)
+		out, err := exec.Command(os.Args[0], cliArg, "-trace", path, "-info").CombinedOutput()
+		if err != nil {
+			t.Fatalf("rranalyze -info %s: %v\n%s", tc.name, err, out)
+		}
+		var got string
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "  format ") {
+				got = line
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s: format line %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

@@ -140,7 +140,7 @@ func TestEngineMatchesBatch(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := trace.OpenFileSource(path)
+	fs, err := trace.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func encodeTrace(t *testing.T, tr *trace.Trace, path string) *trace.FileSource {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := trace.OpenFileSource(path)
+	fs, err := trace.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}

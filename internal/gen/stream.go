@@ -59,7 +59,7 @@ func GenerateStream(cfg Config, emit func(trace.Event) error) (trace.Meta, error
 // format at path — the out-of-core companion to Generate: neither the
 // event slice nor the encoded bytes are ever resident, so a million-node
 // trace costs generator-state memory and one disk file. The written file
-// replays through trace.OpenFileSource. On error the partial file is
+// replays through trace.OpenTrace. On error the partial file is
 // removed.
 func GenerateToFile(cfg Config, path string) (trace.Meta, error) {
 	f, err := os.Create(path)
@@ -80,7 +80,7 @@ func GenerateToFile(cfg Config, path string) (trace.Meta, error) {
 // GenerateToSegFile is GenerateToFile writing the compressed segmented
 // container instead of the flat format: frames of flate-compressed
 // day-runs with an embedded day index (trace.SegEncoder). The written
-// file replays through trace.OpenTrace (or trace.OpenSegFileSource) and
+// file replays through trace.OpenTrace, like a flat one, and
 // is typically well under half the flat encoding's size. Segmented files
 // are immutable once finalized — they cannot be extended with
 // AppendToFile — so this is the archival/serving form, not the

@@ -162,7 +162,7 @@ func TestLiveFollowLoop(t *testing.T) {
 	// The bar: every served panel is bit-identical to a from-zero batch
 	// run over the final file — the live path added nothing and lost
 	// nothing.
-	refSrc, err := trace.OpenFileSource(path)
+	refSrc, err := trace.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func serveTestConfig() core.Config {
 // response is compared against.
 func fromZero(t testing.TB, path string) *core.Result {
 	t.Helper()
-	src, err := trace.OpenFileSource(path)
+	src, err := trace.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,16 +184,16 @@ func NewServer(ctx context.Context, opt Options) (*Server, error) {
 	s.RegisterStatz("memory", memoryStats)
 	s.open = opt.Open
 	if s.open == nil {
-		// Frozen: the snapshot's source must keep replaying the days the
-		// snapshot was computed from even while a writer grows the file.
-		// OpenTrace sniffs the magic, so the daemon serves flat and
-		// compressed segmented traces alike.
+		// OpenTrace's source is count-bounded at open, so the snapshot's
+		// source keeps replaying the days the snapshot was computed from
+		// even while a writer grows the file. It sniffs the magic, so the
+		// daemon serves flat and compressed segmented traces alike.
 		s.open = func() (trace.MetaSource, error) {
-			tf, err := trace.OpenTrace(opt.TracePath)
+			src, err := trace.OpenTrace(opt.TracePath)
 			if err != nil {
 				return nil, err
 			}
-			return tf.Frozen(), nil
+			return src, nil
 		}
 	}
 	src, err := s.open()
@@ -593,8 +593,8 @@ func memoryStats() any {
 func (s *Server) storageStats() any {
 	out := map[string]any{}
 	if snap := s.snap.Load(); snap != nil {
-		if sf, ok := snap.Src.(interface{ Stats() trace.SegStats }); ok {
-			st := sf.Stats()
+		if fs, ok := snap.Src.(*trace.FileSource); ok && fs.Stats().Segmented {
+			st := fs.Stats()
 			ratio := 0.0
 			if st.RawBytes > 0 {
 				ratio = float64(st.CompressedBytes) / float64(st.RawBytes)

@@ -71,7 +71,7 @@ func TestCloseDrainsInFlightRefresh(t *testing.T) {
 	if _, _, err := srv.Refresh(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Refresh after Close: err = %v, want ErrClosed", err)
 	}
-	src, err := trace.OpenFileSource(live)
+	src, err := trace.OpenTrace(live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestColdComputeUsesSnapshotSource(t *testing.T) {
 
 	cfg := serveTestConfig()
 	cfg.DeltaSweep = []float64{0.05}
-	src, err := trace.OpenFileSource(fxBase)
+	src, err := trace.OpenTrace(fxBase)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"path/filepath"
 	"testing"
 )
 
@@ -10,8 +11,13 @@ import (
 // per event: over a 20k-event stream the whole run — decoder construction
 // included — must stay within a small fixed budget, which is only possible
 // if Next itself never allocates. A regression that adds even one
-// allocation per event blows the bound by four orders of magnitude.
+// allocation per event blows the bound by four orders of magnitude. The
+// same budget holds through the FileSource seam — a flat and a segmented
+// file (one frame per day, frame cache warm) each opened and drained — so
+// the reader layer under the decoder can allocate neither per event nor
+// per frame.
 func TestDecodeAllocsPerEvent(t *testing.T) {
+	resetFrameCache(t, DefaultFrameCacheBytes)
 	tr := synthTrace(10000)
 	var buf bytes.Buffer
 	if err := Encode(&buf, tr); err != nil {
@@ -19,38 +25,71 @@ func TestDecodeAllocsPerEvent(t *testing.T) {
 	}
 	data := buf.Bytes()
 	nEvents := len(tr.Events)
+	dir := t.TempDir()
+	flat, seg := filepath.Join(dir, "flat.trace"), filepath.Join(dir, "seg.rrs")
+	encodeToFile(t, tr, flat)
+	encodeSegToFile(t, tr, seg, true)
+	flatSrc, err := OpenTrace(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segSrc, err := OpenTrace(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, segSrc) // warm the frame cache
 
 	rd := bytes.NewReader(data)
 	br := bufio.NewReader(rd)
-	allocs := testing.AllocsPerRun(5, func() {
-		rd.Reset(data)
-		br.Reset(rd)
-		d, err := NewDecoder(br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for {
-			_, ok, err := d.Next()
+	for _, in := range []struct {
+		name string
+		open func() (Cursor, error)
+	}{
+		{"decoder", func() (Cursor, error) {
+			rd.Reset(data)
+			br.Reset(rd)
+			d, err := NewDecoder(br)
+			return decoderCursor{d}, err
+		}},
+		{"flat file", flatSrc.Open},
+		{"segmented file", segSrc.Open},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			cur, err := in.open()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				break
+			n := 0
+			for {
+				_, ok, err := cur.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				n++
 			}
-			n++
+			cur.Close()
+			if n != nEvents {
+				t.Fatalf("%s: decoded %d events, want %d", in.name, n, nEvents)
+			}
+		})
+		// Construction allocates the meta buffer, the parsed Meta, and the
+		// Decoder itself (for a file, also the handle, buffer and cursor);
+		// the per-event loop must contribute nothing.
+		const setupBudget = 16
+		if allocs > setupBudget {
+			t.Fatalf("%s: decode pass allocated %.0f times for %d events (budget %d): the pass is allocating per event", in.name, allocs, nEvents, setupBudget)
 		}
-		if n != nEvents {
-			t.Fatalf("decoded %d events, want %d", n, nEvents)
-		}
-	})
-	// Construction allocates the meta buffer, the parsed Meta, and the
-	// Decoder itself; the per-event loop must contribute nothing.
-	const setupBudget = 16
-	if allocs > setupBudget {
-		t.Fatalf("decode pass allocated %.0f times for %d events (budget %d): Decoder.Next is allocating per event", allocs, nEvents, setupBudget)
+		t.Logf("%s: %.0f allocations per pass", in.name, allocs)
 	}
 }
+
+// decoderCursor adapts a bare Decoder to Cursor.
+type decoderCursor struct{ *Decoder }
+
+func (decoderCursor) Close() error { return nil }
 
 // TestApplyAllocsPerEvent pins State.Apply to amortized near-zero
 // allocations: growth must come from capacity-doubling reservations

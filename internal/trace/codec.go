@@ -189,8 +189,9 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // resumeDecoder returns a decoder positioned mid-stream: br must be
 // positioned at the first byte of an event boundary, remaining is the
 // number of events from there to the end of the stream, and day the
-// day-delta watermark in force at that boundary. FileSource.OpenAt builds
-// these from the trace file's day index.
+// day-delta watermark in force at that boundary. Every FileSource cursor
+// is one: Open's at the first event, OpenAt's at a day index entry, with
+// remaining taken from the count bound fixed at open.
 func resumeDecoder(br *bufio.Reader, meta Meta, remaining uint64, day int32) *Decoder {
 	return &Decoder{br: br, meta: meta, count: remaining, day: day}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,7 +55,7 @@ func TestFileSourceOpenAt(t *testing.T) {
 	tr := synthTrace(400)
 	path := filepath.Join(t.TempDir(), "idx.trace")
 	encodeToFile(t, tr, path)
-	fs, err := OpenFileSource(path)
+	fs, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +100,52 @@ func TestFileSourceOpenAt(t *testing.T) {
 	}
 }
 
+// TestFileSourceCountBoundAtOpen pins the contract snapshots rely on: a
+// source replays exactly the events counted when it was opened. After
+// the file is extended in place (OpenAppend, whose Close back-patches a
+// larger count into the header), the old source's Open, OpenAt and
+// EventsThrough still answer for the open-time prefix and Meta.
+func TestFileSourceCountBoundAtOpen(t *testing.T) {
+	tr := synthTrace(300)
+	evs := tr.Events
+	k := sealedUpTo(evs, evs[len(evs)-1].Day/2)
+	path := filepath.Join(t.TempDir(), "grow.trace")
+	encodePrefixToFile(t, evs[:k], tr.Meta.Seed, tr.Meta.MergeDay, path)
+	src, err := OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := src.Meta()
+	appendToFile(t, evs[k:], path)
+
+	grown, err := OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.Events() != uint64(len(evs)) {
+		t.Fatalf("re-open after append: %d events, want %d", grown.Events(), len(evs))
+	}
+	if src.Meta() != meta {
+		t.Fatalf("meta moved: %+v, opened with %+v", src.Meta(), meta)
+	}
+	prefix := SliceSource(evs[:k])
+	sameEvents(t, "Open", drain(t, src), prefix)
+	for day := int32(0); day <= tr.Meta.Days+1; day++ {
+		cur, err := src.OpenAt(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainCursor(t, cur)
+		cur.Close()
+		sameEvents(t, fmt.Sprintf("OpenAt(%d)", day), got, suffixFrom(prefix, day))
+		n, ok := EventsThrough(src, day)
+		want, _ := EventsThrough(prefix, day)
+		if !ok || n != want {
+			t.Fatalf("EventsThrough(%d) = (%d,%v), want (%d,true)", day, n, ok, want)
+		}
+	}
+}
+
 // TestOpenAtIndexless covers the tolerated-if-absent contract: a file
 // written by the one-shot Encode has no index footer, still decodes, and
 // OpenAt falls back to decode-and-discard with identical results.
@@ -115,7 +162,7 @@ func TestOpenAtIndexless(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenFileSource(path)
+	fs, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +210,7 @@ func TestCorruptIndexReadsAsAbsent(t *testing.T) {
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fs, err := OpenFileSource(path)
+		fs, err := OpenTrace(path)
 		if err != nil {
 			t.Fatalf("offset %d: corrupt index broke open: %v", off, err)
 		}
@@ -184,7 +231,7 @@ func TestEventsThrough(t *testing.T) {
 	tr := synthTrace(120)
 	path := filepath.Join(t.TempDir(), "n.trace")
 	encodeToFile(t, tr, path)
-	fs, err := OpenFileSource(path)
+	fs, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestPrefetchMatchesSequential(t *testing.T) {
 	tr := gapTrace()
 	path := filepath.Join(t.TempDir(), "gap.trace")
 	encodeToFile(t, tr, path)
-	fs, err := OpenFileSource(path)
+	fs, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPrefetchBatchCapSplit(t *testing.T) {
 	tr.Meta = Summarize(events)
 	path := filepath.Join(t.TempDir(), "dense.trace")
 	encodeToFile(t, tr, path)
-	fs, err := OpenFileSource(path)
+	fs, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestPrefetchOpenAt(t *testing.T) {
 	tr := synthTrace(200)
 	path := filepath.Join(t.TempDir(), "idx.trace")
 	encodeToFile(t, tr, path)
-	fs, err := OpenFileSource(path)
+	fs, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}

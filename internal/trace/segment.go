@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
@@ -11,8 +10,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"sort"
 
 	"repro/internal/storage"
 )
@@ -673,110 +670,6 @@ func parseSegFooter(b []byte) ([]segEntry, []DayIndexEntry, error) {
 	return segs, idx, nil
 }
 
-// segBlob abstracts where a segmented trace's bytes live: a local file,
-// a storage backend object, or an in-memory buffer (tests, fuzzing).
-type segBlob interface {
-	open() (*segHandle, error)
-	size() (int64, error)
-}
-
-// segHandle is one reader over a blob. It counts the bytes actually
-// fetched — the observable that holds prefix-skipping accountable, the
-// segmented analogue of countingReader.
-type segHandle struct {
-	ra io.ReaderAt
-	c  io.Closer
-	n  int64
-}
-
-func (h *segHandle) readAt(p []byte, off int64) error {
-	n, err := h.ra.ReadAt(p, off)
-	h.n += int64(n)
-	if n == len(p) {
-		return nil
-	}
-	if err == nil || err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-func (h *segHandle) Close() error {
-	if h.c != nil {
-		return h.c.Close()
-	}
-	return nil
-}
-
-type fileSegBlob struct{ path string }
-
-func (b fileSegBlob) open() (*segHandle, error) {
-	f, err := os.Open(b.path)
-	if err != nil {
-		return nil, err
-	}
-	return &segHandle{ra: f, c: f}, nil
-}
-
-func (b fileSegBlob) size() (int64, error) {
-	fi, err := os.Stat(b.path)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
-
-type bytesSegBlob struct{ data []byte }
-
-func (b bytesSegBlob) open() (*segHandle, error) {
-	return &segHandle{ra: bytes.NewReader(b.data)}, nil
-}
-
-func (b bytesSegBlob) size() (int64, error) { return int64(len(b.data)), nil }
-
-// backendSegBlob serves a segmented trace out of a storage backend: each
-// frame is one ranged read, so replaying a day range from an object
-// store fetches only that range's segments.
-type backendSegBlob struct {
-	b    storage.Backend
-	name string
-}
-
-func (b backendSegBlob) open() (*segHandle, error) {
-	return &segHandle{ra: backendReaderAt{b: b.b, name: b.name}}, nil
-}
-
-func (b backendSegBlob) size() (int64, error) {
-	infos, err := b.b.List(b.name)
-	if err != nil {
-		return 0, err
-	}
-	for _, info := range infos {
-		if info.Name == b.name {
-			return info.Size, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: %s: %w", b.name, storage.ErrNotExist)
-}
-
-type backendReaderAt struct {
-	b    storage.Backend
-	name string
-}
-
-func (r backendReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	rc, err := r.b.OpenRange(r.name, off, int64(len(p)))
-	if err != nil {
-		return 0, err
-	}
-	defer rc.Close()
-	n, err := io.ReadFull(rc, p)
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		err = io.EOF
-	}
-	return n, err
-}
-
 // parseSegHeader decodes the fixed header of a segmented trace.
 // finalized=false (with nil err) means the count slot is still poisoned:
 // the writer has not closed, which TailProbe tolerates and open rejects.
@@ -808,69 +701,56 @@ func parseSegHeader(hdr []byte) (meta Meta, count uint64, finalized bool, err er
 	return meta, count, true, nil
 }
 
-// SegFileSource replays a segmented (compressed) trace: the same
-// out-of-core data plane as FileSource, with frames decompressed lazily
-// as a cursor crosses them. OpenAt maps a day through the day index into
-// (segment, raw offset) and decompresses nothing before that segment.
-// A SegFileSource describes a finalized, immutable container, so Frozen
-// returns the source itself.
-type SegFileSource struct {
-	Path string // "" when backend- or memory-backed
-
-	blob   segBlob
-	meta   Meta
-	events uint64
-	segs   []segEntry
-	index  []DayIndexEntry // raw-stream offsets; nil when footer absent
-
-	// cacheID keys this container's frames in the process-wide inflated-
-	// frame cache; "" (backend/memory blobs) disables caching for this
-	// source. See framecache.go for the identity rules.
-	cacheID string
-}
-
-// OpenSegFileSource validates the header and footer of a segmented
-// trace file and returns its source. Only finalized files open; a file
-// whose writer is still running (or crashed) is rejected with
-// ErrNotFinalized. A missing or damaged footer is tolerated by scanning
-// the frame headers (the day index then reads as absent, exactly like a
-// flat file with a damaged index footer).
-func OpenSegFileSource(path string) (*SegFileSource, error) {
-	s, err := openSegBlob(fileSegBlob{path: path}, path)
-	if err != nil {
-		return nil, err
-	}
-	s.Path = path
-	return s, nil
-}
-
 // OpenSegBackend opens a segmented trace stored as an object in a
 // storage backend. Cursors fetch one ranged read per frame, so a replay
 // from day D touches only the bytes of the segments holding days >= D.
-func OpenSegBackend(b storage.Backend, name string) (*SegFileSource, error) {
-	return openSegBlob(backendSegBlob{b: b, name: name}, name)
+func OpenSegBackend(b storage.Backend, name string) (*FileSource, error) {
+	infos, err := b.List(name)
+	if err != nil {
+		return nil, err
+	}
+	for _, info := range infos {
+		if info.Name == name {
+			return openSegBlob(backendBlob{b: b, name: name}, info.Size, name)
+		}
+	}
+	return nil, fmt.Errorf("trace: %s: %w", name, storage.ErrNotExist)
 }
 
 // openSegBytes opens a segmented trace held in memory (tests, fuzzing).
-func openSegBytes(data []byte) (*SegFileSource, error) {
-	return openSegBlob(bytesSegBlob{data: data}, "segmented bytes")
+func openSegBytes(data []byte) (*FileSource, error) {
+	return openSegBlob(bytesBlob{data: data}, int64(len(data)), "segmented bytes")
 }
 
-func openSegBlob(blob segBlob, label string) (*SegFileSource, error) {
+// openSegBlob opens a segmented container of size bytes held in blob,
+// served uncached: a backend or memory blob carries no process-stable
+// identity for the frame cache to key on.
+func openSegBlob(blob traceBlob, size int64, label string) (*FileSource, error) {
 	h, err := blob.open()
 	if err != nil {
 		return nil, err
 	}
 	defer h.Close()
-	size, err := blob.size()
+	s, err := openFramed(h, size, label)
 	if err != nil {
 		return nil, err
 	}
+	s.blob = blob
+	return s, nil
+}
+
+// openFramed validates the header and footer of a segmented container
+// of size bytes read through h, and returns its source without a blob.
+// Only finalized containers open; one whose writer is still running (or
+// crashed) is rejected with ErrNotFinalized. A missing or damaged footer
+// is tolerated by scanning the frame headers (the day index then reads
+// as absent, exactly like a flat file with a damaged index footer).
+func openFramed(h *blobHandle, size int64, label string) (*FileSource, error) {
 	hdr := make([]byte, fixedHeaderLen)
 	if size < int64(fixedHeaderLen) {
 		hdr = hdr[:size]
 	}
-	if err := h.readAt(hdr, 0); err != nil {
+	if err := h.readFull(hdr, 0); err != nil {
 		return nil, fmt.Errorf("trace: %s: header: %w", label, err)
 	}
 	meta, count, finalized, err := parseSegHeader(hdr)
@@ -906,37 +786,15 @@ func openSegBlob(blob segBlob, label string) (*SegFileSource, error) {
 			idx = nil
 		}
 	}
-	src := &SegFileSource{blob: blob, meta: meta, events: count, segs: segs, index: idx}
-	if fb, ok := blob.(fileSegBlob); ok {
-		// Path plus size plus event count: stable across re-opens of the
-		// same finalized container, distinct the moment the file grows or
-		// is rewritten in place (live-ingest tails), so stale frames are
-		// never served — they just age out of the LRU under a dead key.
-		src.cacheID = fmt.Sprintf("file:%s|%d|%d", fb.path, size, count)
-	}
-	return src, nil
+	return &FileSource{meta: meta, events: count, index: idx, framed: true, segs: segs}, nil
 }
 
 // readSegFooter locates and parses the footer via the fixed trailer at
 // the end of the blob. ok=false means absent-or-invalid, never an error:
 // the frame scan is the fallback.
-func readSegFooter(h *segHandle, size int64) ([]segEntry, []DayIndexEntry, bool) {
-	if size < int64(fixedHeaderLen)+indexTrailerLen {
-		return nil, nil, false
-	}
-	var trailer [indexTrailerLen]byte
-	if h.readAt(trailer[:], size-indexTrailerLen) != nil {
-		return nil, nil, false
-	}
-	if [4]byte(trailer[8:12]) != indexEndMagic {
-		return nil, nil, false
-	}
-	n := int64(binary.LittleEndian.Uint64(trailer[:8]))
-	if n <= 0 || n > size-indexTrailerLen-int64(fixedHeaderLen) || n > maxIndexFooterBytes {
-		return nil, nil, false
-	}
-	buf := make([]byte, n)
-	if h.readAt(buf, size-indexTrailerLen-n) != nil {
+func readSegFooter(h *blobHandle, size int64) ([]segEntry, []DayIndexEntry, bool) {
+	buf, _, ok := readFooter(h, size, int64(fixedHeaderLen))
+	if !ok {
 		return nil, nil, false
 	}
 	segs, idx, err := parseSegFooter(buf)
@@ -946,36 +804,43 @@ func readSegFooter(h *segHandle, size int64) ([]segEntry, []DayIndexEntry, bool)
 	return segs, idx, true
 }
 
+// parseFrameHeader decodes the frame header hdr found at file offset
+// off. The frame's raw-stream position — rawStart and firstEvent, which
+// the header does not store — comes from the frames before it.
+func parseFrameHeader(hdr []byte, off, rawStart int64, firstEvent uint64) segEntry {
+	return segEntry{
+		fileOff:    off,
+		compLen:    int64(binary.LittleEndian.Uint32(hdr[4:])),
+		rawLen:     int64(binary.LittleEndian.Uint32(hdr[8:])),
+		rawStart:   rawStart,
+		events:     uint64(binary.LittleEndian.Uint32(hdr[12:])),
+		firstEvent: firstEvent,
+		firstDay:   int32(binary.LittleEndian.Uint32(hdr[16:])),
+		lastDay:    int32(binary.LittleEndian.Uint32(hdr[20:])),
+		prevDay:    int32(binary.LittleEndian.Uint32(hdr[24:])),
+	}
+}
+
 // scanSegFrames rebuilds the segment table by walking the frame headers
 // (32 bytes per ~1 MiB frame — payloads are not read; a cursor's CRC
 // check still guards them). The walk stops at the first thing that is
 // not a frame header: the footer, a torn tail, or garbage. The caller's
 // event-count cross-check decides whether what was found is the whole
 // stream.
-func scanSegFrames(h *segHandle, size int64) ([]segEntry, error) {
+func scanSegFrames(h *blobHandle, size int64) ([]segEntry, error) {
 	var segs []segEntry
 	off := int64(fixedHeaderLen)
 	rawStart, firstEvent := int64(0), uint64(0)
 	prevLast := int32(0)
 	for off+segFrameHdrLen <= size {
 		var hdr [segFrameHdrLen]byte
-		if err := h.readAt(hdr[:], off); err != nil {
+		if err := h.readFull(hdr[:], off); err != nil {
 			return nil, err
 		}
 		if [4]byte(hdr[:4]) != segFrameMagic {
 			break
 		}
-		s := segEntry{
-			fileOff:    off,
-			compLen:    int64(binary.LittleEndian.Uint32(hdr[4:])),
-			rawLen:     int64(binary.LittleEndian.Uint32(hdr[8:])),
-			rawStart:   rawStart,
-			events:     uint64(binary.LittleEndian.Uint32(hdr[12:])),
-			firstEvent: firstEvent,
-			firstDay:   int32(binary.LittleEndian.Uint32(hdr[16:])),
-			lastDay:    int32(binary.LittleEndian.Uint32(hdr[20:])),
-			prevDay:    int32(binary.LittleEndian.Uint32(hdr[24:])),
-		}
+		s := parseFrameHeader(hdr[:], off, rawStart, firstEvent)
 		if s.compLen == 0 || s.rawLen == 0 || s.events == 0 || int64(s.events) > s.rawLen ||
 			s.firstDay < s.prevDay || s.lastDay < s.firstDay || s.prevDay != prevLast ||
 			s.fileEnd() > size {
@@ -990,133 +855,22 @@ func scanSegFrames(h *segHandle, size int64) ([]segEntry, error) {
 	return segs, nil
 }
 
-// Meta implements MetaSource with the header's metadata.
-func (s *SegFileSource) Meta() Meta { return s.meta }
-
-// Events returns the event count the header declares.
-func (s *SegFileSource) Events() uint64 { return s.events }
-
-// Index returns the day index (raw-stream offsets), nil when absent.
-// The slice is shared and must not be modified.
-func (s *SegFileSource) Index() []DayIndexEntry { return s.index }
-
-// Frozen implements the freezing contract trivially: a finalized
-// segmented container is immutable, so the source is its own frozen
-// view.
-func (s *SegFileSource) Frozen() MetaSource { return s }
-
-// SegStats summarizes the container for observability surfaces
-// (rranalyze -info, the /statz storage section).
-type SegStats struct {
-	// Segments is the number of compressed frames.
-	Segments int
-	// RawBytes is the uncompressed event-stream size the frames decode
-	// to (the flat format's event-stream size, headers excluded).
-	RawBytes int64
-	// CompressedBytes is the total compressed payload size.
-	CompressedBytes int64
-	// Events is the event count.
-	Events uint64
-	// Indexed reports whether the day index is present.
-	Indexed bool
-}
-
-// Stats reports the container's compression accounting.
-func (s *SegFileSource) Stats() SegStats {
-	st := SegStats{Segments: len(s.segs), Events: s.events, Indexed: s.index != nil}
-	for _, e := range s.segs {
-		st.RawBytes += e.rawLen
-		st.CompressedBytes += e.compLen
-	}
-	return st
-}
-
-// Open implements Source: a fresh handle and decompression state per
-// pass, so concurrent passes never share position.
-func (s *SegFileSource) Open() (Cursor, error) { return s.openFrom(0, 0, 0, 0) }
-
-// OpenAt implements DaySeeker: the day index gives the raw-stream
-// offset, the segment table maps it to a frame, and the cursor
-// decompresses from that frame on — the prefix segments are never read,
-// let alone decompressed.
-func (s *SegFileSource) OpenAt(day int32) (Cursor, error) {
-	if day <= 0 {
-		return s.Open()
-	}
-	if s.index == nil {
-		cur, err := s.Open()
-		if err != nil {
-			return nil, err
-		}
-		skipped, err := skipToDay(cur, day)
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
-		return skipped, nil
-	}
-	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].Day >= day })
-	if i == len(s.index) {
-		// Past the last day with events: an exhausted cursor.
-		return &sliceCursor{}, nil
-	}
-	e := s.index[i]
-	k := sort.Search(len(s.segs), func(k int) bool { return s.segs[k].rawEnd() > e.Offset })
-	if k == len(s.segs) {
-		return nil, fmt.Errorf("%w: day index points past the segment table", ErrSegmentCorrupt)
-	}
-	return s.openFrom(k, e.Offset-s.segs[k].rawStart, e.Event, e.PrevDay)
-}
-
-// openFrom opens a cursor at segment k, discarding discard decompressed
-// bytes to reach an event boundary with skipped events before it and
-// day watermark prevDay in force.
-func (s *SegFileSource) openFrom(k int, discard int64, skipped uint64, prevDay int32) (Cursor, error) {
-	h, err := s.blob.open()
-	if err != nil {
-		return nil, err
-	}
-	sr := &segStreamReader{h: h, segs: s.segs, next: k, cacheID: s.cacheID}
-	if discard > 0 {
-		if _, err := io.CopyN(io.Discard, sr, discard); err != nil {
-			h.Close()
-			return nil, err
-		}
-	}
-	dec := resumeDecoder(bufio.NewReader(sr), s.meta, s.events-skipped, prevDay)
-	return &segCursor{h: h, dec: dec}, nil
-}
-
 // segStreamReader presents a run of frames as one contiguous raw event
 // stream: each frame is fetched whole, checksum-verified, inflated and
 // un-transposed, then served from memory. Corruption surfaces as
 // ErrSegmentCorrupt pinned to the segment ordinal and file byte offset.
 type segStreamReader struct {
-	h       *segHandle
+	h       *blobHandle
 	segs    []segEntry
 	next    int    // next frame to load
 	cacheID string // frame-cache identity; "" = uncached
 
-	raw   *bytes.Reader // current frame's raw bytes, nil between frames
-	frame []byte        // scratch: current frame's compressed payload
+	raw   []byte // unread rest of the current frame's raw bytes
+	frame []byte // scratch: current frame's compressed payload
 }
 
 func (r *segStreamReader) Read(p []byte) (int, error) {
-	for {
-		if r.raw != nil {
-			n, err := r.raw.Read(p)
-			if err == io.EOF {
-				r.raw = nil
-				if n > 0 {
-					return n, nil
-				}
-				continue
-			}
-			if n > 0 || err != nil {
-				return n, err
-			}
-			continue
-		}
+	for len(r.raw) == 0 {
 		if r.next >= len(r.segs) {
 			return 0, io.EOF
 		}
@@ -1124,6 +878,9 @@ func (r *segStreamReader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 	}
+	n := copy(p, r.raw)
+	r.raw = r.raw[n:]
+	return n, nil
 }
 
 // loadFrame fetches frame r.next whole, verifies its header against the
@@ -1136,7 +893,7 @@ func (r *segStreamReader) loadFrame() error {
 		// Cache hit: the frame was fetched, CRC-verified, and inflated
 		// by an earlier cursor; serve the shared read-only bytes without
 		// touching the blob at all.
-		r.raw = bytes.NewReader(raw)
+		r.raw = raw
 		r.next++
 		return nil
 	}
@@ -1145,7 +902,7 @@ func (r *segStreamReader) loadFrame() error {
 		r.frame = make([]byte, need)
 	}
 	r.frame = r.frame[:need]
-	if err := r.h.readAt(r.frame, seg.fileOff); err != nil {
+	if err := r.h.readFull(r.frame, seg.fileOff); err != nil {
 		return fmt.Errorf("%w: segment %d at byte %d: %v", ErrSegmentCorrupt, r.next, seg.fileOff, err)
 	}
 	hdr, payload := r.frame[:segFrameHdrLen], r.frame[segFrameHdrLen:]
@@ -1163,49 +920,7 @@ func (r *segStreamReader) loadFrame() error {
 	}
 	segFrameCache.countMiss(seg.rawLen)
 	segFrameCache.put(key, raw)
-	r.raw = bytes.NewReader(raw)
+	r.raw = raw
 	r.next++
 	return nil
-}
-
-type segCursor struct {
-	h   *segHandle
-	dec *Decoder
-}
-
-func (c *segCursor) Next() (Event, bool, error) { return c.dec.Next() }
-
-func (c *segCursor) Close() error { return c.h.Close() }
-
-// bytesRead reports how many bytes this cursor has fetched off the blob
-// — compressed bytes, so prefix-skip accounting observes that skipped
-// segments are not even read.
-func (c *segCursor) bytesRead() int64 { return c.h.n }
-
-// TraceFile is what a trace file on disk offers regardless of container
-// format: the full data plane (Source, Meta, day-addressable OpenAt)
-// plus a Frozen view for snapshot publication. *FileSource and
-// *SegFileSource both satisfy it.
-type TraceFile interface {
-	MetaSource
-	DaySeeker
-	Frozen() MetaSource
-}
-
-// OpenTrace opens a trace file of either container format, sniffing the
-// magic: "RRT1" opens flat (OpenFileSource), "RRS1" segmented
-// (OpenSegFileSource). This is the open every consumer that accepts
-// user-supplied paths should use.
-func OpenTrace(path string) (TraceFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var mag [4]byte
-	_, rerr := io.ReadFull(f, mag[:])
-	f.Close()
-	if rerr == nil && mag == segMagic {
-		return OpenSegFileSource(path)
-	}
-	return OpenFileSource(path)
 }

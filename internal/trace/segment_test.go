@@ -87,11 +87,11 @@ func TestSegRoundtripMatchesFlat(t *testing.T) {
 	encodeToFile(t, tr, flatPath)
 	encodeSegToFile(t, tr, segPath, true)
 
-	flat, err := OpenFileSource(flatPath)
+	flat, err := OpenTrace(flatPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := OpenSegFileSource(segPath)
+	seg, err := OpenTrace(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSegOpenAt(t *testing.T) {
 	tr := synthTrace(513)
 	path := filepath.Join(t.TempDir(), "seg.trace")
 	encodeSegToFile(t, tr, path, true)
-	s, err := OpenSegFileSource(path)
+	s, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSegOpenAt(t *testing.T) {
 			break
 		}
 	}
-	fullBytes := full.(*segCursor).bytesRead()
+	fullBytes := full.(*fileCursor).bytesRead()
 	full.Close()
 
 	lastDay := tr.Meta.Days - 1
@@ -180,7 +180,7 @@ func TestSegOpenAt(t *testing.T) {
 				t.Fatalf("OpenAt(%d) event %d: %+v, want %+v", day, i, got[i], want[i])
 			}
 		}
-		if sc, ok := cur.(*segCursor); ok && day >= lastDay/2 && day <= lastDay {
+		if sc, ok := cur.(*fileCursor); ok && day >= lastDay/2 && day <= lastDay {
 			if n := sc.bytesRead(); n >= fullBytes {
 				t.Fatalf("OpenAt(%d) fetched %d bytes, full pass fetched %d: prefix segments were read", day, n, fullBytes)
 			}
@@ -261,7 +261,7 @@ func TestSegCorruptionTypedError(t *testing.T) {
 	tr := synthTrace(257)
 	path := filepath.Join(t.TempDir(), "seg.trace")
 	encodeSegToFile(t, tr, path, true)
-	s, err := OpenSegFileSource(path)
+	s, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestSegCorruptionTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenSegFileSource(path) // header+footer untouched: opens
+	s2, err := OpenTrace(path) // header+footer untouched: opens
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestSegFooterStrippedRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := OpenSegFileSource(path)
+	s, err := OpenTrace(path)
 	if err != nil {
 		t.Fatalf("footer-less open: %v", err)
 	}
@@ -389,7 +389,7 @@ func TestSegNotFinalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close() // no enc.Close: simulated crash
-	if _, err := OpenSegFileSource(path); !errors.Is(err, ErrNotFinalized) {
+	if _, err := OpenTrace(path); !errors.Is(err, ErrNotFinalized) {
 		t.Fatalf("open = %v, want ErrNotFinalized", err)
 	}
 }
@@ -450,15 +450,15 @@ func TestOpenTraceSniffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ff.(*FileSource); !ok {
-		t.Fatalf("flat OpenTrace = %T", ff)
+	if ff.Stats().Segmented {
+		t.Fatal("flat OpenTrace opened as segmented")
 	}
 	sf, err := OpenTrace(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sf.(*SegFileSource); !ok {
-		t.Fatalf("seg OpenTrace = %T", sf)
+	if !sf.Stats().Segmented {
+		t.Fatal("seg OpenTrace opened as flat")
 	}
 	if ff.Meta() != sf.Meta() {
 		t.Fatalf("meta: flat %+v, seg %+v", ff.Meta(), sf.Meta())

@@ -2,11 +2,15 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
+
+	"repro/internal/storage"
 )
 
 // Cursor is one forward pass over a trace's events.
@@ -22,10 +26,8 @@ type Cursor interface {
 
 // Source is a re-openable stream of trace events — the data-plane
 // abstraction every analysis layer consumes (see DESIGN.md §4). Open
-// returns a fresh Cursor positioned at the first event; multi-pass
-// consumers (the δ-sweep, RunBatch) call Open once per pass, and
-// concurrent passes each own their cursor, so Open must be safe for
-// concurrent use.
+// returns a fresh Cursor positioned at the first event; concurrent
+// passes each own their cursor, so Open must be safe for concurrent use.
 type Source interface {
 	Open() (Cursor, error)
 }
@@ -58,16 +60,7 @@ func OpenSourceAt(src Source, day int32) (Cursor, error) {
 	if ds, ok := src.(DaySeeker); ok {
 		return ds.OpenAt(day)
 	}
-	cur, err := src.Open()
-	if err != nil {
-		return nil, err
-	}
-	skipped, err := skipToDay(cur, day)
-	if err != nil {
-		cur.Close()
-		return nil, err
-	}
-	return skipped, nil
+	return openSkipping(src, day)
 }
 
 // EventsThrough returns how many events in the source have Day <= day,
@@ -89,31 +82,27 @@ func EventsThrough(src Source, day int32) (int64, bool) {
 			return int64(s.events), true
 		}
 		return int64(s.index[i].Event), true
-	case *SegFileSource:
-		if s.index == nil {
-			return 0, false
-		}
-		i := sort.Search(len(s.index), func(i int) bool { return s.index[i].Day > day })
-		if i == len(s.index) {
-			return int64(s.events), true
-		}
-		return int64(s.index[i].Event), true
 	case SliceSource:
 		return int64(sort.Search(len(s), func(i int) bool { return s[i].Day > day })), true
 	case TraceSource:
 		return EventsThrough(SliceSource(s.Trace.Events), day)
-	case *tailSource:
-		return s.eventsThrough(day)
 	}
 	return 0, false
 }
 
-// skipToDay advances cur past every event with Day < day and returns a
-// cursor that yields the remainder (the boundary event is buffered).
-func skipToDay(cur Cursor, day int32) (Cursor, error) {
+// openSkipping opens src and advances past every event with Day < day,
+// returning a cursor that yields the remainder (the boundary event is
+// buffered): the decode-and-discard fallback for sources that cannot
+// seek.
+func openSkipping(src Source, day int32) (Cursor, error) {
+	cur, err := src.Open()
+	if err != nil {
+		return nil, err
+	}
 	for {
 		ev, ok, err := cur.Next()
 		if err != nil {
+			cur.Close()
 			return nil, err
 		}
 		if !ok {
@@ -188,93 +177,104 @@ func (s TraceSource) Meta() Meta { return s.Trace.Meta }
 // Source returns the trace as a re-openable MetaSource.
 func (tr *Trace) Source() MetaSource { return TraceSource{Trace: tr} }
 
-// FileSource replays a binary trace file straight off disk: every Open
-// decodes the stream incrementally through a Decoder, so a pass holds
-// O(1) memory regardless of event count — the out-of-core data plane.
-// When the file carries a day-index footer (written by the streaming
-// Encoder), OpenAt seeks straight to a day's first event; index-less
-// files (e.g. the one-shot Encode's output) still decode and OpenAt
-// falls back to decode-and-discard.
+// FileSource replays a trace container straight off its bytes: every
+// Open decodes the stream incrementally through a Decoder, so a pass
+// holds O(1) memory regardless of event count — the out-of-core data
+// plane. One type reads every container (DESIGN.md §10): a flat (RRT1)
+// and a segmented (RRS1) trace decode to the same raw event stream, the
+// source addresses that stream in raw offsets (start, and the day
+// index's entries), and the two formats differ only in how a raw offset
+// maps to bytes (rawReader).
+//
+// A FileSource is count-bounded at open: every cursor decodes exactly
+// the events counted then, so a writer appending days in place — or
+// atomically replacing the file with a prefix-stable extension — never
+// changes what a pass reads. A TailSnapshot's sealed prefix is the same
+// type with a smaller count, its sealed Meta and an index prefix.
 type FileSource struct {
-	Path   string
+	Path string // "" when backend- or memory-backed
+
+	blob   traceBlob
 	meta   Meta
-	events uint64
-	start  int64           // byte offset of the first event (end of header)
-	index  []DayIndexEntry // nil when the file has no (valid) index footer
+	events uint64          // the count bound: events every pass replays
+	start  int64           // raw offset of the first event
+	index  []DayIndexEntry // raw offsets; nil when absent or invalid
+
+	// Segmented containers only: the frame table mapping raw offsets to
+	// frames, and the container's key in the process-wide inflated-frame
+	// cache ("" serves it uncached; see framecache.go).
+	framed  bool
+	segs    []segEntry
+	cacheID string
 }
 
-// OpenFileSource validates the file's header once and returns a
-// FileSource carrying its Meta and, when present, its day index. The
-// events are not read.
-func OpenFileSource(path string) (*FileSource, error) {
+// OpenTrace opens a trace file of either container format, sniffing the
+// magic. It reads the header and the footer (a flat file's day index, a
+// segmented file's segment table), never the events. A flat index-less
+// file still opens, and OpenAt then decodes and discards the prefix; a
+// segmented file must be finalized (ErrNotFinalized otherwise), and a
+// missing or damaged footer is rebuilt by scanning the frame headers
+// without its day index. This is the open every consumer of a trace
+// path uses.
+func OpenTrace(path string) (*FileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	var mag [4]byte
+	if _, err := f.ReadAt(mag[:], 0); err == nil && mag == segMagic {
+		fi, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		s, err := openFramed(&blobHandle{ra: f}, fi.Size(), path)
+		if err != nil {
+			return nil, err
+		}
+		s.Path, s.blob = path, fileBlob{path: path}
+		// Path plus size plus event count: stable across re-opens of the
+		// same finalized container, distinct the moment the file grows or
+		// is rewritten in place (live-ingest tails), so stale frames are
+		// never served — they just age out of the LRU under a dead key.
+		s.cacheID = fmt.Sprintf("file:%s|%d|%d", path, fi.Size(), s.events)
+		return s, nil
+	}
 	meta, events, start, err := parseStreamHeader(f)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	s := &FileSource{Path: path, meta: meta, events: events, start: start}
-	s.index = readDayIndex(f, events) // best effort; nil means "no index"
-	return s, nil
+	index, _ := readDayIndexOff(f, events) // best effort; nil means "no index"
+	return &FileSource{
+		Path:   path,
+		blob:   fileBlob{path: path},
+		meta:   meta,
+		events: events,
+		start:  start,
+		index:  index,
+	}, nil
 }
 
-// Frozen returns a count-bounded view of the file's content as of open
-// time: cursors decode exactly the events the header declared, so a
-// writer appending days in place — or atomically replacing the file with
-// a prefix-stable extension — never changes what an open pass reads. The
-// serving layer hands these to snapshots so a published generation's
-// data plane cannot drift under it.
-func (s *FileSource) Frozen() MetaSource {
-	return &tailSource{
-		path:   s.Path,
-		meta:   s.meta,
-		start:  s.start,
-		events: s.events,
-		index:  s.index,
-	}
-}
-
-// readDayIndex reads the day-index footer from the end of the file. Any
-// failure — no trailer, short file, checksum mismatch, entries that
-// point outside the file or past the header's event count — yields nil:
-// an index is an accelerator, never a correctness requirement.
-func readDayIndex(f *os.File, events uint64) []DayIndexEntry {
-	idx, _ := readDayIndexOff(f, events)
-	return idx
-}
-
-// readDayIndexOff is readDayIndex plus the byte offset the footer starts
-// at — equivalently, where the event stream ends. Appenders truncate the
-// file there before extending it; the tail prober uses it to bound its
-// decode. off is -1 when the index is absent or invalid.
+// readDayIndexOff reads the day-index footer from the end of the file,
+// and the byte offset the footer starts at — equivalently, where the
+// event stream ends. Appenders truncate the file there before extending
+// it; the tail prober uses it to bound its decode. Any failure — no
+// trailer, short file, checksum mismatch, entries that point outside
+// the file or past events — yields (nil, -1): an index is an
+// accelerator, never a correctness requirement.
 func readDayIndexOff(f *os.File, events uint64) ([]DayIndexEntry, int64) {
 	fi, err := f.Stat()
-	if err != nil || fi.Size() < indexTrailerLen {
+	if err != nil {
 		return nil, -1
 	}
-	var trailer [indexTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], fi.Size()-indexTrailerLen); err != nil {
-		return nil, -1
-	}
-	if [4]byte(trailer[8:12]) != indexEndMagic {
-		return nil, -1
-	}
-	n := int64(binary.LittleEndian.Uint64(trailer[:8]))
-	if n <= 0 || n > fi.Size()-indexTrailerLen || n > maxIndexFooterBytes {
-		return nil, -1
-	}
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, fi.Size()-indexTrailerLen-n); err != nil {
+	buf, off, ok := readFooter(&blobHandle{ra: f}, fi.Size(), 0)
+	if !ok {
 		return nil, -1
 	}
 	idx, err := parseDayIndex(buf)
 	if err != nil {
 		return nil, -1
 	}
-	off := fi.Size() - indexTrailerLen - n
 	if len(idx) > 0 {
 		last := idx[len(idx)-1]
 		if last.Event >= events || last.Offset >= off {
@@ -284,72 +284,236 @@ func readDayIndexOff(f *os.File, events uint64) ([]DayIndexEntry, int64) {
 	return idx, off
 }
 
-// maxIndexFooterBytes bounds how large a footer readDayIndex will load.
+// readFooter returns the footer that the fixed trailer at the end of a
+// size-byte container points at, and the offset the footer starts at —
+// the one trailer discovery both container formats use. The footer must
+// start at or past minOff. ok=false means absent or implausible.
+func readFooter(h *blobHandle, size, minOff int64) (footer []byte, off int64, ok bool) {
+	if size < minOff+indexTrailerLen {
+		return nil, -1, false
+	}
+	var trailer [indexTrailerLen]byte
+	if h.readFull(trailer[:], size-indexTrailerLen) != nil || [4]byte(trailer[8:12]) != indexEndMagic {
+		return nil, -1, false
+	}
+	n := int64(binary.LittleEndian.Uint64(trailer[:8]))
+	if n <= 0 || n > size-indexTrailerLen-minOff || n > maxIndexFooterBytes {
+		return nil, -1, false
+	}
+	off = size - indexTrailerLen - n
+	footer = make([]byte, n)
+	if h.readFull(footer, off) != nil {
+		return nil, -1, false
+	}
+	return footer, off, true
+}
+
+// maxIndexFooterBytes bounds how large a footer readFooter will load.
 const maxIndexFooterBytes = 1 << 28
 
-// Meta implements MetaSource with the header's metadata.
+// Meta implements MetaSource with the metadata counted at open.
 func (s *FileSource) Meta() Meta { return s.meta }
 
-// Index returns the file's day index, nil when absent. The slice is
-// shared and must not be modified.
+// Events returns the count bound: how many events every pass replays.
+func (s *FileSource) Events() uint64 { return s.events }
+
+// Index returns the day index (raw-stream offsets), nil when absent.
+// The slice is shared and must not be modified.
 func (s *FileSource) Index() []DayIndexEntry { return s.index }
 
-// Open implements Source: each pass opens its own file handle and
-// decoder, so concurrent passes (the δ-sweep fan-out) never share
+// Open implements Source: each pass opens its own handle and decoder, so
+// concurrent passes (the parallel pass's reference replays) never share
 // position state.
-func (s *FileSource) Open() (Cursor, error) {
-	f, err := os.Open(s.Path)
-	if err != nil {
-		return nil, err
-	}
-	cr := &countingReader{r: f}
-	dec, err := NewDecoder(bufio.NewReader(cr))
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("trace: %s: %w", s.Path, err)
-	}
-	return &fileCursor{f: f, cr: cr, dec: dec}, nil
-}
+func (s *FileSource) Open() (Cursor, error) { return s.openAt(s.start, 0, 0) }
 
-// OpenAt implements DaySeeker. With a day index the cursor seeks to the
-// first event of the requested day and decodes nothing before it; without
-// one it decodes and discards the prefix.
+// OpenAt implements DaySeeker. With a day index the cursor starts at the
+// first event of the requested day and reads nothing before it — for a
+// segmented container not even the prefix frames; without one it
+// decodes and discards the prefix.
 func (s *FileSource) OpenAt(day int32) (Cursor, error) {
-	if day <= 0 || s.index == nil {
-		cur, err := s.Open()
-		if err != nil || day <= 0 {
-			return cur, err
-		}
-		skipped, err := skipToDay(cur, day)
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
-		return skipped, nil
+	if day <= 0 {
+		return s.Open()
+	}
+	if s.index == nil {
+		return openSkipping(s, day)
 	}
 	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].Day >= day })
-	f, err := os.Open(s.Path)
+	if i == len(s.index) {
+		// Past the last day with events: an exhausted cursor.
+		return s.openAt(s.start, s.events, 0)
+	}
+	e := s.index[i]
+	return s.openAt(e.Offset, e.Event, e.PrevDay)
+}
+
+// openAt opens a cursor at an event boundary: raw offset off, with
+// skipped events before it and day watermark prevDay in force. The
+// decoder stops after the count bound's remaining events, so bytes past
+// them are never decoded.
+func (s *FileSource) openAt(off int64, skipped uint64, prevDay int32) (Cursor, error) {
+	h, err := s.blob.open()
 	if err != nil {
 		return nil, err
 	}
-	if i == len(s.index) {
-		// Past the last day with events: an exhausted cursor.
-		cr := &countingReader{r: f}
-		dec := resumeDecoder(bufio.NewReader(cr), s.meta, 0, 0)
-		return &fileCursor{f: f, cr: cr, dec: dec}, nil
-	}
-	e := s.index[i]
-	if _, err := f.Seek(e.Offset, io.SeekStart); err != nil {
-		f.Close()
+	r, err := s.rawReader(h, off)
+	if err != nil {
+		h.Close()
 		return nil, err
 	}
-	cr := &countingReader{r: f}
-	dec := resumeDecoder(bufio.NewReader(cr), s.meta, s.events-e.Event, e.PrevDay)
-	return &fileCursor{f: f, cr: cr, dec: dec}, nil
+	dec := resumeDecoder(bufio.NewReader(r), s.meta, s.events-skipped, prevDay)
+	return &fileCursor{h: h, dec: dec}, nil
 }
 
-// countingReader counts the bytes a cursor actually reads off disk — the
-// observable that the OpenAt tests hold prefix-skipping accountable with.
+// rawReader maps the raw event stream from raw offset off onto the
+// container's bytes, read through h. In a flat container a raw offset
+// is a file offset. In a segmented one the frame table maps it to a
+// frame, and segStreamReader fetches, verifies and inflates each frame
+// (or takes it from the frame cache) as the decoder crosses it; the
+// bytes before off inside the first frame are discarded.
+func (s *FileSource) rawReader(h *blobHandle, off int64) (io.Reader, error) {
+	if !s.framed {
+		return io.NewSectionReader(h, off, math.MaxInt64-off), nil
+	}
+	k := sort.Search(len(s.segs), func(k int) bool { return s.segs[k].rawEnd() > off })
+	if k == len(s.segs) && off > 0 {
+		return nil, fmt.Errorf("%w: raw offset %d points past the segment table", ErrSegmentCorrupt, off)
+	}
+	sr := &segStreamReader{h: h, segs: s.segs, next: k, cacheID: s.cacheID}
+	if k < len(s.segs) && off > s.segs[k].rawStart {
+		if _, err := io.CopyN(io.Discard, sr, off-s.segs[k].rawStart); err != nil {
+			return nil, err
+		}
+	}
+	return sr, nil
+}
+
+// ContainerStats summarizes a trace container for observability
+// surfaces (rranalyze -info, the /statz storage section).
+type ContainerStats struct {
+	// Segmented reports an RRS1 container. The frame figures below are
+	// zero for a flat one — and for an empty segmented one, so a zero
+	// Segments does not mean flat.
+	Segmented bool
+	// Segments is the number of compressed frames.
+	Segments int
+	// RawBytes is the uncompressed event-stream size the frames decode
+	// to (the flat format's event-stream size, headers excluded).
+	RawBytes int64
+	// CompressedBytes is the total compressed payload size.
+	CompressedBytes int64
+	// Events is the event count.
+	Events uint64
+	// Indexed reports whether the day index is present.
+	Indexed bool
+}
+
+// Stats reports the container's shape and compression accounting.
+func (s *FileSource) Stats() ContainerStats {
+	st := ContainerStats{Segmented: s.framed, Segments: len(s.segs), Events: s.events, Indexed: s.index != nil}
+	for _, e := range s.segs {
+		st.RawBytes += e.rawLen
+		st.CompressedBytes += e.compLen
+	}
+	return st
+}
+
+// fileCursor is one pass over a FileSource: the blob handle it reads
+// through and the decoder over the raw stream.
+type fileCursor struct {
+	h   *blobHandle
+	dec *Decoder
+}
+
+func (c *fileCursor) Next() (Event, bool, error) { return c.dec.Next() }
+
+func (c *fileCursor) Close() error { return c.h.Close() }
+
+// bytesRead reports how many bytes this cursor has fetched off its blob
+// — compressed bytes for a segmented container, so prefix-skip
+// accounting observes that skipped frames are not even read.
+func (c *fileCursor) bytesRead() int64 { return c.h.n }
+
+// traceBlob abstracts where a container's bytes live: a local file, a
+// storage backend object, or an in-memory buffer (tests, fuzzing).
+type traceBlob interface {
+	open() (*blobHandle, error)
+}
+
+// blobHandle is one reader over a blob. It counts the bytes actually
+// fetched — the observable that holds prefix-skipping accountable.
+type blobHandle struct {
+	ra io.ReaderAt
+	c  io.Closer
+	n  int64
+}
+
+// ReadAt implements io.ReaderAt, counting the bytes fetched.
+func (h *blobHandle) ReadAt(p []byte, off int64) (int, error) {
+	n, err := h.ra.ReadAt(p, off)
+	h.n += int64(n)
+	return n, err
+}
+
+// readFull reads exactly len(p) bytes at off.
+func (h *blobHandle) readFull(p []byte, off int64) error {
+	n, err := h.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+func (h *blobHandle) Close() error {
+	if h.c != nil {
+		return h.c.Close()
+	}
+	return nil
+}
+
+type fileBlob struct{ path string }
+
+func (b fileBlob) open() (*blobHandle, error) {
+	f, err := os.Open(b.path)
+	if err != nil {
+		return nil, err
+	}
+	return &blobHandle{ra: f, c: f}, nil
+}
+
+type bytesBlob struct{ data []byte }
+
+func (b bytesBlob) open() (*blobHandle, error) {
+	return &blobHandle{ra: bytes.NewReader(b.data)}, nil
+}
+
+// backendBlob serves a container out of a storage backend: each frame
+// is one ranged read, so replaying a day range from an object store
+// fetches only that range's segments.
+type backendBlob struct {
+	b    storage.Backend
+	name string
+}
+
+func (b backendBlob) open() (*blobHandle, error) { return &blobHandle{ra: b}, nil }
+
+func (b backendBlob) ReadAt(p []byte, off int64) (int, error) {
+	rc, err := b.b.OpenRange(b.name, off, int64(len(p)))
+	if err != nil {
+		return 0, err
+	}
+	defer rc.Close()
+	n, err := io.ReadFull(rc, p)
+	if err == io.ErrUnexpectedEOF || err == io.EOF {
+		err = io.EOF
+	}
+	return n, err
+}
+
+// countingReader counts the bytes read through it — the tail probe and
+// the appender use it to locate event boundaries in the stream.
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -360,16 +524,3 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	c.n += int64(n)
 	return n, err
 }
-
-type fileCursor struct {
-	f   *os.File
-	cr  *countingReader
-	dec *Decoder
-}
-
-func (c *fileCursor) Next() (Event, bool, error) { return c.dec.Next() }
-
-func (c *fileCursor) Close() error { return c.f.Close() }
-
-// bytesRead reports how many bytes this cursor has read off disk.
-func (c *fileCursor) bytesRead() int64 { return c.cr.n }

@@ -87,7 +87,7 @@ func TestSliceFileCursorEquivalence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "synth.trace")
 	encodeToFile(t, tr, path)
 
-	fs, err := OpenFileSource(path)
+	fs, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestEncoderMetaAccumulates(t *testing.T) {
 	tr := synthTrace(32)
 	path := filepath.Join(t.TempDir(), "meta.trace")
 	encodeToFile(t, tr, path)
-	fs, err := OpenFileSource(path)
+	fs, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestEncoderUnclosedFileIsInvalid(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileSource(path); err == nil {
+	if _, err := OpenTrace(path); err == nil {
 		t.Fatal("unclosed encoder file opened as a valid trace")
 	}
 	raw, err := os.ReadFile(path)
@@ -249,7 +249,7 @@ func TestFileSourceTruncated(t *testing.T) {
 	if err := os.WriteFile(cut, raw[:footer-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenFileSource(cut) // header is intact
+	fs, err := OpenTrace(cut) // header is intact
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 )
 
 // TailProbe incrementally tracks a trace file that a writer may still be
@@ -46,7 +45,7 @@ import (
 //
 // Probes are incremental: each call decodes only the bytes appended
 // since the previous call (the first probe of an already-finalized file
-// trusts its header and footer outright, like OpenFileSource). A
+// trusts its header and footer outright, like OpenTrace). A
 // TailProbe is not safe for concurrent use; callers serialize Probe.
 type TailProbe struct {
 	path string
@@ -158,24 +157,16 @@ func (p *TailProbe) Probe() (*TailSnapshot, error) {
 		p.start = start
 		p.cur.off = start
 		// A finalized file on a clean slate: trust header and footer the
-		// way OpenFileSource does, skipping the O(events) decode. The
-		// sealed state is deliberately left unset (sealedValid=false) —
-		// if the file is later reopened for append, the first new day
-		// barrier re-derives it, and cheaper than a full decode.
+		// way OpenTrace does, skipping the O(events) decode.
 		trust := footOff >= 0 && idx != nil &&
 			(count == 0) == (len(idx) == 0) &&
 			(len(idx) == 0 || (idx[len(idx)-1].Event < count && idx[len(idx)-1].Offset < footOff))
 		if trust {
-			p.fi = fi
-			p.headerMeta, p.headerCount = meta, count
-			p.cur = tailPos{off: eventsEnd, count: count}
-			p.curMeta = meta
+			lastDay := int32(0)
 			if len(idx) > 0 {
-				p.curDay = idx[len(idx)-1].Day
+				lastDay = idx[len(idx)-1].Day
 			}
-			p.sealedValid = false
-			p.index = idx
-			return p.snapshot(true, nil), nil
+			return p.trustFinalized(fi, meta, count, eventsEnd, lastDay, idx), nil
 		}
 	}
 	p.fi = fi
@@ -207,26 +198,12 @@ func (p *TailProbe) Probe() (*TailSnapshot, error) {
 			if !ok {
 				break
 			}
-			if !p.sealedValid && ev.Day <= p.curDay {
+			if !p.observe(ev, base+cr.n-int64(br.Buffered())) {
 				// Appended events continue the trusted file's final day:
-				// the sealed boundary now lies inside a prefix we never
-				// decoded. Rescan from scratch to re-derive it exactly.
+				// rescan from scratch to re-derive the sealed boundary.
 				p.reset()
 				return p.Probe()
 			}
-			if p.cur.count == 0 || ev.Day > p.curDay {
-				p.sealed = p.cur
-				p.sealedMeta = p.curMeta
-				p.trailingDay = ev.Day
-				p.sealedValid = true
-				p.index = append(p.index, DayIndexEntry{
-					Day: ev.Day, Offset: p.cur.off, Event: p.cur.count, PrevDay: p.curDay,
-				})
-			}
-			p.curMeta.Accumulate(ev)
-			p.cur.count++
-			p.curDay = ev.Day
-			p.cur.off = base + cr.n - int64(br.Buffered())
 		}
 	}
 
@@ -259,7 +236,7 @@ func (p *TailProbe) probeSeg(f *os.File, fi os.FileInfo) (*TailSnapshot, error) 
 	if !hdrFinal {
 		count = 0
 	}
-	h := &segHandle{ra: f}
+	h := &blobHandle{ra: f}
 
 	fresh := p.fi == nil || !os.SameFile(p.fi, fi) || p.seg == nil || fi.Size() < p.seg.frameOff
 	if fresh {
@@ -268,29 +245,18 @@ func (p *TailProbe) probeSeg(f *os.File, fi os.FileInfo) (*TailSnapshot, error) 
 		p.seg = &segProbe{frameOff: int64(fixedHeaderLen)}
 		if hdrFinal {
 			// Finalized file on a clean slate: trust header and footer the
-			// way OpenSegFileSource does, skipping the O(events) decode.
+			// way OpenTrace does, skipping the O(events) decode.
 			if segs, idx, ok := readSegFooter(h, fi.Size()); ok {
 				var total uint64
-				rawEnd, frameEnd := int64(0), int64(fixedHeaderLen)
+				end := segProbe{frameOff: int64(fixedHeaderLen), segs: segs}
+				lastDay := int32(0)
 				for _, s := range segs {
 					total += s.events
-					rawEnd = s.rawEnd()
-					frameEnd = s.fileEnd()
+					end.frameOff, end.rawOff, lastDay = s.fileEnd(), s.rawEnd(), s.lastDay
 				}
 				if total == count {
-					p.fi = fi
-					p.headerMeta, p.headerCount = meta, count
-					p.seg.segs = segs
-					p.seg.frameOff = frameEnd
-					p.seg.rawOff = rawEnd
-					p.cur = tailPos{off: rawEnd, count: count}
-					p.curMeta = meta
-					if len(segs) > 0 {
-						p.curDay = segs[len(segs)-1].lastDay
-					}
-					p.sealedValid = false
-					p.index = idx
-					return p.snapshot(true, nil), nil
+					*p.seg = end
+					return p.trustFinalized(fi, meta, count, end.rawOff, lastDay, idx), nil
 				}
 			}
 		}
@@ -306,24 +272,14 @@ scan:
 			break // no complete frame header yet: wait
 		}
 		var fh [segFrameHdrLen]byte
-		if err := h.readAt(fh[:], sp.frameOff); err != nil {
+		if err := h.readFull(fh[:], sp.frameOff); err != nil {
 			anomaly = err
 			break
 		}
 		if [4]byte(fh[:4]) != segFrameMagic {
 			break // the footer (or trailing garbage) starts here
 		}
-		seg := segEntry{
-			fileOff:    sp.frameOff,
-			compLen:    int64(binary.LittleEndian.Uint32(fh[4:])),
-			rawLen:     int64(binary.LittleEndian.Uint32(fh[8:])),
-			rawStart:   sp.rawOff,
-			events:     uint64(binary.LittleEndian.Uint32(fh[12:])),
-			firstEvent: p.cur.count,
-			firstDay:   int32(binary.LittleEndian.Uint32(fh[16:])),
-			lastDay:    int32(binary.LittleEndian.Uint32(fh[20:])),
-			prevDay:    int32(binary.LittleEndian.Uint32(fh[24:])),
-		}
+		seg := parseFrameHeader(fh[:], sp.frameOff, sp.rawOff, p.cur.count)
 		ordinal := len(sp.segs)
 		if seg.compLen == 0 || seg.compLen > maxSegFrameLen || seg.rawLen == 0 || seg.rawLen > maxSegFrameLen ||
 			seg.events == 0 || int64(seg.events) > seg.rawLen || seg.prevDay != p.curDay {
@@ -334,7 +290,7 @@ scan:
 			break // torn frame write: wait for the rest
 		}
 		payload := make([]byte, seg.compLen)
-		if err := h.readAt(payload, sp.frameOff+segFrameHdrLen); err != nil {
+		if err := h.readFull(payload, sp.frameOff+segFrameHdrLen); err != nil {
 			anomaly = err
 			break
 		}
@@ -371,25 +327,12 @@ scan:
 			break
 		}
 		for i, ev := range evs {
-			if !p.sealedValid && ev.Day <= p.curDay {
+			if !p.observe(ev, offs[i]) {
 				// Events continued past a trusted-finalized load (the file
 				// was rebuilt in place): rescan from scratch.
 				p.reset()
 				return p.Probe()
 			}
-			if p.cur.count == 0 || ev.Day > p.curDay {
-				p.sealed = p.cur
-				p.sealedMeta = p.curMeta
-				p.trailingDay = ev.Day
-				p.sealedValid = true
-				p.index = append(p.index, DayIndexEntry{
-					Day: ev.Day, Offset: p.cur.off, Event: p.cur.count, PrevDay: p.curDay,
-				})
-			}
-			p.curMeta.Accumulate(ev)
-			p.cur.count++
-			p.curDay = ev.Day
-			p.cur.off = offs[i]
 		}
 		sp.segs = append(sp.segs, seg)
 		sp.frameOff = seg.fileEnd()
@@ -401,6 +344,48 @@ scan:
 		_, _, finalized = readSegFooter(h, fi.Size())
 	}
 	return p.snapshot(finalized, anomaly), nil
+}
+
+// trustFinalized loads a finalized file on a clean slate from its header
+// and footer alone, skipping the O(events) decode: the frontier is the
+// stream's end, raw offset end, on the final day lastDay. The sealed
+// state is deliberately left unset (sealedValid=false) — if the file is
+// later reopened for append, the first new day barrier re-derives it,
+// cheaper than a full decode.
+func (p *TailProbe) trustFinalized(fi os.FileInfo, meta Meta, count uint64, end int64, lastDay int32, idx []DayIndexEntry) *TailSnapshot {
+	p.fi = fi
+	p.headerMeta, p.headerCount = meta, count
+	p.cur = tailPos{off: end, count: count}
+	p.curMeta = meta
+	p.curDay = lastDay
+	p.sealedValid = false
+	p.index = idx
+	return p.snapshot(true, nil)
+}
+
+// observe runs one decoded event through the day-barrier sealing
+// machine; end is the raw offset just past the event. It reports false,
+// changing nothing, when the event continues the final day of a
+// trusted-finalized load: the sealed boundary then lies inside a prefix
+// never decoded, and the caller must rescan from scratch.
+func (p *TailProbe) observe(ev Event, end int64) bool {
+	if !p.sealedValid && ev.Day <= p.curDay {
+		return false
+	}
+	if p.cur.count == 0 || ev.Day > p.curDay {
+		p.sealed = p.cur
+		p.sealedMeta = p.curMeta
+		p.trailingDay = ev.Day
+		p.sealedValid = true
+		p.index = append(p.index, DayIndexEntry{
+			Day: ev.Day, Offset: p.cur.off, Event: p.cur.count, PrevDay: p.curDay,
+		})
+	}
+	p.curMeta.Accumulate(ev)
+	p.cur.count++
+	p.curDay = ev.Day
+	p.cur.off = end
+	return true
 }
 
 // snapshot renders the probe's current state.
@@ -519,110 +504,25 @@ type TailSnapshot struct {
 	segs  []segEntry // non-nil for a segmented file; offsets above are raw-stream
 }
 
-// Source adapts the sealed prefix to a MetaSource. Cursors decode the
-// underlying file bounded by the snapshot's event count, so a writer
-// appending past the sealed prefix — or finalizing the file — never
-// perturbs an open pass. Returns nil when the snapshot holds no sealed
-// events.
+// Source adapts the sealed prefix to a MetaSource: a FileSource over
+// the probed file, count-bounded by the snapshot's event count, so a
+// writer appending past the sealed prefix — or finalizing the file —
+// never perturbs an open pass, and for a segmented file the frames past
+// the sealed boundary are never fetched. Frames are served uncached: a
+// growing file has no stable frame-cache identity. Returns nil when the
+// snapshot holds no sealed events.
 func (s *TailSnapshot) Source() MetaSource {
 	if s.Events <= 0 {
 		return nil
 	}
-	if s.segs != nil {
-		// Sealed prefix of a segmented file: the count bound stops the
-		// decoder mid-stream, so frames past the sealed boundary are never
-		// fetched, let alone decompressed.
-		return &SegFileSource{
-			Path:   s.Path,
-			blob:   fileSegBlob{path: s.Path},
-			meta:   s.Meta,
-			events: uint64(s.Events),
-			segs:   s.segs,
-			index:  s.index,
-		}
-	}
-	return &tailSource{
-		path:   s.Path,
+	return &FileSource{
+		Path:   s.Path,
+		blob:   fileBlob{path: s.Path},
 		meta:   s.Meta,
-		start:  s.start,
 		events: uint64(s.Events),
+		start:  s.start,
 		index:  s.index,
+		framed: s.segs != nil, // a sealed event lives in some frame
+		segs:   s.segs,
 	}
-}
-
-// tailSource replays the sealed prefix of a (possibly still growing)
-// trace file. It is the same out-of-core data plane as FileSource with
-// two differences: the meta and event count come from the tail probe's
-// sealed snapshot rather than the file header, and every cursor is
-// count-bounded so bytes past the sealed prefix are never decoded.
-type tailSource struct {
-	path   string
-	meta   Meta
-	start  int64
-	events uint64
-	index  []DayIndexEntry
-}
-
-// Meta implements MetaSource with the sealed-prefix metadata.
-func (s *tailSource) Meta() Meta { return s.meta }
-
-// Open implements Source.
-func (s *tailSource) Open() (Cursor, error) { return s.openFrom(s.start, 0, 0) }
-
-// OpenAt implements DaySeeker via the snapshot's observed day index. A
-// nil index (a Frozen view of an index-less file) falls back to
-// decode-and-discard of the prefix, like FileSource.
-func (s *tailSource) OpenAt(day int32) (Cursor, error) {
-	if day <= 0 {
-		return s.Open()
-	}
-	if s.index == nil {
-		cur, err := s.Open()
-		if err != nil {
-			return nil, err
-		}
-		skipped, err := skipToDay(cur, day)
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
-		return skipped, nil
-	}
-	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].Day >= day })
-	if i == len(s.index) {
-		// Past the last sealed day with events: an exhausted cursor.
-		return &sliceCursor{}, nil
-	}
-	e := s.index[i]
-	return s.openFrom(e.Offset, e.Event, e.PrevDay)
-}
-
-// openFrom opens a cursor at an event boundary: byte offset off, with
-// skipped events before it and day watermark prevDay in force.
-func (s *tailSource) openFrom(off int64, skipped uint64, prevDay int32) (Cursor, error) {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	cr := &countingReader{r: f}
-	dec := resumeDecoder(bufio.NewReader(cr), s.meta, s.events-skipped, prevDay)
-	return &fileCursor{f: f, cr: cr, dec: dec}, nil
-}
-
-// eventsThrough counts sealed events with Day <= day; the EventsThrough
-// dispatch in source.go routes here, which is what lets the checkpoint
-// plane's consistency probe work against a sealed tail.
-func (s *tailSource) eventsThrough(day int32) (int64, bool) {
-	if s.index == nil {
-		return 0, false
-	}
-	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].Day > day })
-	if i == len(s.index) {
-		return int64(s.events), true
-	}
-	return int64(s.index[i].Event), true
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -339,48 +341,114 @@ func TestTailProbeTruncatedFinalDay(t *testing.T) {
 	sameEvents(t, "truncated sealed replay", got, evs[:s.Events])
 }
 
-// TestTailSourceMatchesFileSource: on a finalized file the sealed tail
-// source and FileSource are the same data plane — same meta, same full
-// pass, same day-addressed cursors, same EventsThrough answers.
+// TestTailSourceMatchesFileSource: every view of every container is the
+// same data plane. For a flat file with and without its day index, and a
+// segmented file with and without its footer, three views — the opened
+// source, a tail snapshot of the finished file, and a snapshot of the
+// file cut inside its event stream the way a writer mid-append leaves
+// it — must replay, seek and count exactly like an in-memory slice of
+// the events they cover, at every day.
 func TestTailSourceMatchesFileSource(t *testing.T) {
 	tr := synthTrace(400)
-	path := filepath.Join(t.TempDir(), "fin.trace")
-	encodeToFile(t, tr, path)
+	evs := tr.Events
+	containers := []struct {
+		name      string
+		write     func(t *testing.T, path string)
+		indexed   bool // the opened source has a day index
+		finalized bool // a probe of the finished file reports Finalized
+	}{
+		{"flat", func(t *testing.T, path string) { encodeToFile(t, tr, path) }, true, true},
+		{"flat-indexless", func(t *testing.T, path string) {
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := Encode(f, tr); err != nil {
+				t.Fatal(err)
+			}
+		}, false, false},
+		{"segmented", func(t *testing.T, path string) { encodeSegToFile(t, tr, path, true) }, true, true},
+		{"segmented-footerless", func(t *testing.T, path string) {
+			encodeSegToFile(t, tr, path, true)
+			data := readAll(t, path)
+			footLen := int64(binary.LittleEndian.Uint64(data[len(data)-indexTrailerLen:]))
+			if err := os.WriteFile(path, data[:int64(len(data))-indexTrailerLen-footLen], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, false, false},
+	}
+	for _, c := range containers {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path, cut := filepath.Join(dir, "full"), filepath.Join(dir, "cut")
+			c.write(t, path)
+			data := readAll(t, path)
+			if err := os.WriteFile(cut, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s, err := NewTailProbe(path).Probe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Finalized {
-		t.Fatalf("fresh probe of finalized file: %+v", s)
-	}
-	ts := s.Source()
-	fs, err := OpenFileSource(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts.Meta() != fs.Meta() {
-		t.Fatalf("meta: tail %+v, file %+v", ts.Meta(), fs.Meta())
-	}
-	for _, day := range []int32{0, 1, 7, 23, tr.Meta.Days - 1, tr.Meta.Days + 5} {
-		tc, err := OpenSourceAt(ts, day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc, err := OpenSourceAt(fs, day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := drainCursor(t, tc), drainCursor(t, fc)
-		tc.Close()
-		fc.Close()
-		sameEvents(t, "OpenAt", got, want)
+			opened, err := OpenTrace(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opened.Meta() != tr.Meta || opened.Events() != uint64(len(evs)) {
+				t.Fatalf("opened: meta %+v, %d events", opened.Meta(), opened.Events())
+			}
+			if (opened.Index() != nil) != c.indexed {
+				t.Fatalf("opened: indexed = %v, want %v", opened.Index() != nil, c.indexed)
+			}
+			full, err := NewTailProbe(path).Probe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Finalized != c.finalized || full.Anomaly != nil {
+				t.Fatalf("finished-file snapshot: %+v", full)
+			}
+			if full.Finalized && full.Source().Meta() != opened.Meta() {
+				t.Fatalf("meta: tail %+v, file %+v", full.Source().Meta(), opened.Meta())
+			}
+			mid, err := NewTailProbe(cut).Probe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mid.Finalized || mid.Events <= 0 || mid.Events >= int64(len(evs)) {
+				t.Fatalf("mid-write snapshot: %+v", mid)
+			}
 
-		tn, tok := EventsThrough(ts, day)
-		fn, fok := EventsThrough(fs, day)
-		if tn != fn || tok != fok {
-			t.Fatalf("EventsThrough(%d): tail (%d,%v), file (%d,%v)", day, tn, tok, fn, fok)
-		}
+			views := []struct {
+				name    string
+				src     MetaSource
+				n       int64
+				indexed bool
+			}{
+				{"opened", opened, int64(len(evs)), c.indexed},
+				{"finished-tail", full.Source(), full.Events, true},
+				{"mid-write-tail", mid.Source(), mid.Events, true},
+			}
+			for _, v := range views {
+				if v.name != "opened" && int(v.n) != sealedUpTo(evs, v.src.Meta().Days) {
+					t.Fatalf("%s: %d events do not end at a sealed day barrier", v.name, v.n)
+				}
+				ref := SliceSource(evs[:v.n])
+				sameEvents(t, v.name+" Open", drain(t, v.src), ref)
+				for day := int32(0); day <= tr.Meta.Days+1; day++ {
+					cur, err := OpenSourceAt(v.src, day)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := drainCursor(t, cur)
+					cur.Close()
+					sameEvents(t, fmt.Sprintf("%s OpenAt(%d)", v.name, day), got, suffixFrom(ref, day))
+
+					n, ok := EventsThrough(v.src, day)
+					want, _ := EventsThrough(ref, day)
+					if ok != v.indexed || (ok && n != want) {
+						t.Fatalf("%s EventsThrough(%d) = (%d,%v), want (%d,%v)", v.name, day, n, ok, want, v.indexed)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -130,7 +130,7 @@ func writeTraceFile(t *testing.T, events []Event) string {
 // the event slice is never materialized — and catches invariant
 // violations the same way the in-memory path does.
 func TestValidateSourceFile(t *testing.T) {
-	fs, err := OpenFileSource(writeTraceFile(t, tinyTrace()))
+	fs, err := OpenTrace(writeTraceFile(t, tinyTrace()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestValidateSourceFile(t *testing.T) {
 		{Kind: AddNode, Day: 0, U: 0},
 		{Kind: AddEdge, Day: 0, U: 0, V: 7},
 	}
-	fs, err = OpenFileSource(writeTraceFile(t, bad))
+	fs, err = OpenTrace(writeTraceFile(t, bad))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,10 +85,11 @@ func GenerateToFile(cfg GenConfig, path string) (Meta, error) {
 	return gen.GenerateToFile(cfg, path)
 }
 
-// OpenTraceFile validates a trace file's header and returns a re-openable
-// source that replays it off disk with O(state) memory.
+// OpenTraceFile validates a trace file's header — flat or segmented —
+// and returns a re-openable source that replays it off disk with
+// O(state) memory.
 func OpenTraceFile(path string) (MetaSource, error) {
-	fs, err := trace.OpenFileSource(path)
+	fs, err := trace.OpenTrace(path)
 	if err != nil {
 		return nil, err
 	}

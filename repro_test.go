@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -183,6 +184,45 @@ func TestValidateSourceFacade(t *testing.T) {
 	}
 	if err := ValidateSource(src); err == nil {
 		t.Fatal("truncated trace validated clean")
+	}
+}
+
+// TestOpenTraceFileSegmented: the facade's open reads a segmented
+// (rrgen -compress) trace as well as a flat one, and the figures from
+// both containers are the same table.
+func TestOpenTraceFileSegmented(t *testing.T) {
+	cfg := SmallGenConfig()
+	dir := t.TempDir()
+	flat, seg := filepath.Join(dir, "small.trace"), filepath.Join(dir, "small.rrs")
+	if _, err := GenerateToFile(cfg, flat); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.GenerateToSegFile(cfg, seg); err != nil {
+		t.Fatal(err)
+	}
+	fig1a := func(path string) string {
+		t.Helper()
+		src, err := OpenTraceFile(path)
+		if err != nil {
+			t.Fatalf("open %s: %v", path, err)
+		}
+		res, err := RunFigures(context.Background(), src, DefaultPipeline(), "fig1a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := res.Figure("fig1a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := tab.WriteTSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := fig1a(flat)
+	if got := fig1a(seg); got != want {
+		t.Fatalf("segmented fig1a differs from flat:\n%s\nwant:\n%s", got, want)
 	}
 }
 
