@@ -18,7 +18,7 @@
 package checkpoint
 
 import (
-	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -57,48 +57,61 @@ const (
 )
 
 // Encoder writes the checkpoint primitive types to an underlying writer.
-// Errors are sticky: the first failure is kept and every later call is a
-// no-op, so call sites stay linear and check Err (or Flush) once.
+// Primitives are appended to an in-memory buffer (varints through
+// binary.AppendUvarint/AppendVarint) that is written out on Flush, or
+// whenever it outgrows encoderSpill, so a whole-state encoding never holds
+// a second full copy of its output. Errors are sticky: the first failure
+// is kept and every later call is a no-op, so call sites stay linear and
+// check Err (or Flush) once.
 type Encoder struct {
-	bw  *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
+	w   io.Writer
+	buf []byte
 	err error
 }
 
+// encoderSpill is the buffered size at which an Encoder writes its
+// buffer out instead of growing it further.
+const encoderSpill = 64 << 10
+
 // NewEncoder returns an Encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{bw: bufio.NewWriter(w)}
+	return &Encoder{w: w}
 }
 
 // Err returns the first write failure, nil if none.
 func (e *Encoder) Err() error { return e.err }
 
-// Flush flushes buffered output and returns the first failure.
+// Flush writes buffered output and returns the first failure.
 func (e *Encoder) Flush() error {
-	if e.err != nil {
-		return e.err
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
 	}
-	e.err = e.bw.Flush()
+	e.buf = e.buf[:0]
 	return e.err
 }
 
-func (e *Encoder) write(p []byte) {
-	if e.err != nil {
-		return
+// spill writes the buffer out once it has outgrown encoderSpill.
+func (e *Encoder) spill() {
+	if len(e.buf) >= encoderSpill {
+		e.Flush()
 	}
-	_, e.err = e.bw.Write(p)
+}
+
+func (e *Encoder) write(p []byte) {
+	e.buf = append(e.buf, p...)
+	e.spill()
 }
 
 // U64 writes an unsigned varint.
 func (e *Encoder) U64(v uint64) {
-	n := binary.PutUvarint(e.buf[:], v)
-	e.write(e.buf[:n])
+	e.buf = binary.AppendUvarint(e.buf, v)
+	e.spill()
 }
 
 // I64 writes a signed (zigzag) varint.
 func (e *Encoder) I64(v int64) {
-	n := binary.PutVarint(e.buf[:], v)
-	e.write(e.buf[:n])
+	e.buf = binary.AppendVarint(e.buf, v)
+	e.spill()
 }
 
 // I32 writes a signed varint constrained to the int32 range on decode.
@@ -113,14 +126,14 @@ func (e *Encoder) Bool(v bool) {
 	if v {
 		b = 1
 	}
-	e.write([]byte{b})
+	e.buf = append(e.buf, b)
+	e.spill()
 }
 
 // F64 writes the value's exact IEEE-754 bits (8 bytes, little endian).
 func (e *Encoder) F64(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	e.write(b[:])
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+	e.spill()
 }
 
 // Bytes writes a length-prefixed byte blob.
@@ -132,7 +145,8 @@ func (e *Encoder) Bytes(b []byte) {
 // String writes a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.U64(uint64(len(s)))
-	e.write([]byte(s))
+	e.buf = append(e.buf, s...)
+	e.spill()
 }
 
 // I32s writes a length-prefixed []int32.
@@ -159,34 +173,78 @@ func (e *Encoder) F64s(v []float64) {
 	}
 }
 
-// Decoder reads the checkpoint primitive types. Like the Encoder, its
-// error is sticky; reads after a failure return zero values.
+// Decoder reads the checkpoint primitive types from a byte slice. Like
+// the Encoder, its error is sticky; reads after a failure return zero
+// values. Decoded slices and strings never alias the input.
 type Decoder struct {
-	br  *bufio.Reader
+	buf []byte
+	off int
 	err error
 }
 
-// NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+// NewDecoder returns a Decoder reading b.
+func NewDecoder(b []byte) *Decoder {
+	return &Decoder{buf: b}
+}
+
+// readAll is how the io.Reader entry points (Read, ReadDelta and the
+// header probes) take their input: every caller holds the object, or a
+// bounded prefix of it, in memory already, so decoding works on one slice
+// instead of reading byte by byte.
+func readAll(r io.Reader) ([]byte, error) {
+	if br, ok := r.(*bytes.Reader); ok {
+		b := make([]byte, br.Len())
+		_, err := io.ReadFull(br, b)
+		return b, err
 	}
-	return &Decoder{br: br}
+	return io.ReadAll(r)
 }
 
 // Err returns the first decode failure, nil if none.
 func (d *Decoder) Err() error { return d.err }
 
+// errShort is the failure of every read past the end of the input.
+var errShort = fmt.Errorf("%w: unexpected EOF", ErrTruncated)
+
 // fail latches the first error and returns it.
 func (d *Decoder) fail(err error) error {
 	if d.err == nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("%w: %v", ErrTruncated, err)
-		}
 		d.err = err
 	}
 	return d.err
+}
+
+// raw returns the next n bytes of the input (aliasing it), or nil after
+// latching a truncation.
+func (d *Decoder) raw(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if len(d.buf)-d.off < n {
+		d.fail(errShort)
+		return nil
+	}
+	b := d.buf[d.off : d.off+n : d.off+n]
+	d.off += n
+	return b
+}
+
+// expect reads a 4-byte magic and latches mismatch if it differs from
+// want.
+func (d *Decoder) expect(want [4]byte, mismatch error) error {
+	if m := d.raw(4); m != nil && [4]byte(m) != want {
+		d.fail(mismatch)
+	}
+	return d.err
+}
+
+// varintErr classifies a failed binary.Uvarint/Varint read: n == 0 is an
+// input that ends inside the varint, n < 0 one that overflows 64 bits.
+func varintErr(n int) error {
+	if n == 0 {
+		return errShort
+	}
+	return fmt.Errorf("%w: varint overflows a 64-bit integer", ErrCorrupt)
 }
 
 // U64 reads an unsigned varint.
@@ -194,11 +252,12 @@ func (d *Decoder) U64() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		d.fail(err)
+	v, n := binary.Uvarint(d.buf[d.off:])
+	if n <= 0 {
+		d.fail(varintErr(n))
 		return 0
 	}
+	d.off += n
 	return v
 }
 
@@ -207,11 +266,12 @@ func (d *Decoder) I64() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, err := binary.ReadVarint(d.br)
-	if err != nil {
-		d.fail(err)
+	v, n := binary.Varint(d.buf[d.off:])
+	if n <= 0 {
+		d.fail(varintErr(n))
 		return 0
 	}
+	d.off += n
 	return v
 }
 
@@ -237,32 +297,24 @@ func (d *Decoder) Int() int {
 
 // Bool reads a 0/1 byte.
 func (d *Decoder) Bool() bool {
-	if d.err != nil {
+	b := d.raw(1)
+	if b == nil {
 		return false
 	}
-	b, err := d.br.ReadByte()
-	if err != nil {
-		d.fail(err)
+	if b[0] > 1 {
+		d.fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, b[0]))
 		return false
 	}
-	if b > 1 {
-		d.fail(fmt.Errorf("%w: bool byte %d", ErrCorrupt, b))
-		return false
-	}
-	return b == 1
+	return b[0] == 1
 }
 
 // F64 reads 8 little-endian IEEE-754 bits.
 func (d *Decoder) F64() float64 {
-	if d.err != nil {
+	b := d.raw(8)
+	if b == nil {
 		return 0
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(d.br, b[:]); err != nil {
-		d.fail(err)
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // Len reads a declared length and bounds it.
@@ -283,30 +335,28 @@ func capLen(n int) int {
 	return n
 }
 
-// Bytes reads a length-prefixed byte blob.
+// Bytes reads a length-prefixed byte blob into a fresh slice. The blob
+// must lie inside the input, so a lying length allocates nothing.
 func (d *Decoder) Bytes() []byte {
 	n := d.Len()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]byte, 0, capLen(n))
-	var chunk [4096]byte
-	for len(out) < n {
-		want := n - len(out)
-		if want > len(chunk) {
-			want = len(chunk)
-		}
-		if _, err := io.ReadFull(d.br, chunk[:want]); err != nil {
-			d.fail(err)
-			return nil
-		}
-		out = append(out, chunk[:want]...)
+	b := d.raw(n)
+	if b == nil {
+		return nil
 	}
-	return out
+	return append([]byte(nil), b...)
 }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.Bytes()) }
+func (d *Decoder) String() string {
+	n := d.Len()
+	if d.err != nil || n == 0 {
+		return ""
+	}
+	return string(d.raw(n))
+}
 
 // I32s reads a length-prefixed []int32.
 func (d *Decoder) I32s() []int32 {

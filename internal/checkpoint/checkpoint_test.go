@@ -35,7 +35,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d := NewDecoder(&buf)
+	d := NewDecoder(buf.Bytes())
 	if got := d.U64(); got != 0 {
 		t.Errorf("U64 = %d", got)
 	}

@@ -79,12 +79,8 @@ func Write(w io.Writer, h Header, st *trace.State, blobs []StageBlob) error {
 
 // readHeader decodes the header with d positioned at the magic.
 func readHeader(d *Decoder) (Header, error) {
-	var m [4]byte
-	if _, err := io.ReadFull(d.br, m[:]); err != nil {
-		return Header{}, d.fail(err)
-	}
-	if m != fileMagic {
-		return Header{}, d.fail(ErrBadMagic)
+	if err := d.expect(fileMagic, ErrBadMagic); err != nil {
+		return Header{}, err
 	}
 	if v := d.U64(); d.err == nil && v != FormatVersion {
 		return Header{}, d.fail(fmt.Errorf("%w: %d", ErrVersion, v))
@@ -103,14 +99,23 @@ func readHeader(d *Decoder) (Header, error) {
 }
 
 // ReadHeader decodes just the header — the cheap probe checkpoint
-// resolution scans candidate files with.
+// resolution scans candidate files with. r is read to its end, so it
+// should be a bounded prefix of the object.
 func ReadHeader(r io.Reader) (Header, error) {
-	return readHeader(NewDecoder(r))
+	b, err := readAll(r)
+	if err != nil {
+		return Header{}, err
+	}
+	return readHeader(NewDecoder(b))
 }
 
 // Read decodes a whole checkpoint file.
 func Read(r io.Reader) (*File, error) {
-	d := NewDecoder(r)
+	b, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	d := NewDecoder(b)
 	h, err := readHeader(d)
 	if err != nil {
 		return nil, err
@@ -127,12 +132,8 @@ func Read(r io.Reader) (*File, error) {
 		}
 		f.Blobs = append(f.Blobs, StageBlob{Name: name, Data: data})
 	}
-	var m [4]byte
-	if _, err := io.ReadFull(d.br, m[:]); err != nil {
-		return nil, d.fail(err)
-	}
-	if m != fileEndMagic {
-		return nil, d.fail(fmt.Errorf("%w: bad end magic", ErrCorrupt))
+	if err := d.expect(fileEndMagic, fmt.Errorf("%w: bad end magic", ErrCorrupt)); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

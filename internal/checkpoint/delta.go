@@ -362,12 +362,8 @@ func decodeStatePatch(d *Decoder) (*StatePatch, error) {
 
 // readDeltaHeader decodes the delta header with d at the magic.
 func readDeltaHeader(d *Decoder) (DeltaHeader, error) {
-	var m [4]byte
-	if _, err := io.ReadFull(d.br, m[:]); err != nil {
-		return DeltaHeader{}, d.fail(err)
-	}
-	if m != deltaMagic {
-		return DeltaHeader{}, d.fail(ErrBadMagic)
+	if err := d.expect(deltaMagic, ErrBadMagic); err != nil {
+		return DeltaHeader{}, err
 	}
 	if v := d.U64(); d.err == nil && v != FormatVersion {
 		return DeltaHeader{}, d.fail(fmt.Errorf("%w: %d", ErrVersion, v))
@@ -388,14 +384,23 @@ func readDeltaHeader(d *Decoder) (DeltaHeader, error) {
 }
 
 // ReadDeltaHeader decodes just a delta's header — the cheap probe resume
-// resolution scans candidates with.
+// resolution scans candidates with. Like ReadHeader, it reads r to its
+// end.
 func ReadDeltaHeader(r io.Reader) (DeltaHeader, error) {
-	return readDeltaHeader(NewDecoder(r))
+	b, err := readAll(r)
+	if err != nil {
+		return DeltaHeader{}, err
+	}
+	return readDeltaHeader(NewDecoder(b))
 }
 
 // ReadDelta decodes a whole delta checkpoint file.
 func ReadDelta(r io.Reader) (*DeltaFile, error) {
-	d := NewDecoder(r)
+	b, err := readAll(r)
+	if err != nil {
+		return nil, err
+	}
+	d := NewDecoder(b)
 	h, err := readDeltaHeader(d)
 	if err != nil {
 		return nil, err
@@ -415,12 +420,8 @@ func ReadDelta(r io.Reader) (*DeltaFile, error) {
 		}
 		f.Blobs = append(f.Blobs, b)
 	}
-	var m [4]byte
-	if _, err := io.ReadFull(d.br, m[:]); err != nil {
-		return nil, d.fail(err)
-	}
-	if m != deltaEndMagic {
-		return nil, d.fail(fmt.Errorf("%w: bad end magic", ErrCorrupt))
+	if err := d.expect(deltaEndMagic, fmt.Errorf("%w: bad end magic", ErrCorrupt)); err != nil {
+		return nil, err
 	}
 	return f, nil
 }

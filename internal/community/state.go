@@ -148,8 +148,8 @@ func (s *Stage) SaveState(w io.Writer) error {
 }
 
 // LoadState implements engine.Checkpointer.
-func (s *Stage) LoadState(r io.Reader) error {
-	d := checkpoint.NewDecoder(r)
+func (s *Stage) LoadState(data []byte) error {
+	d := checkpoint.NewDecoder(data)
 	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
 		return fmt.Errorf("community: checkpoint state version %d", v)
 	}
@@ -175,8 +175,8 @@ func (s *UsersStage) SaveState(w io.Writer) error {
 }
 
 // LoadState implements engine.Checkpointer.
-func (s *UsersStage) LoadState(r io.Reader) error {
-	d := checkpoint.NewDecoder(r)
+func (s *UsersStage) LoadState(data []byte) error {
+	d := checkpoint.NewDecoder(data)
 	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
 		return fmt.Errorf("users: checkpoint state version %d", v)
 	}
@@ -213,8 +213,8 @@ func (s *SweepStage) SaveState(w io.Writer) error {
 }
 
 // LoadState implements engine.Checkpointer.
-func (s *SweepStage) LoadState(r io.Reader) error {
-	d := checkpoint.NewDecoder(r)
+func (s *SweepStage) LoadState(data []byte) error {
+	d := checkpoint.NewDecoder(data)
 	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
 		return fmt.Errorf("sweep: checkpoint state version %d", v)
 	}

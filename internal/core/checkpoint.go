@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"io/fs"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -212,6 +213,55 @@ type ckptParent struct {
 	deg   []int32
 	blobs [][]byte
 	depth int // 0 = full checkpoint, k = k-th delta in its chain
+}
+
+// ResumeHandle is a single-use, in-memory resume point: the end state of
+// a successful checkpointed pass whose last checkpoint is the state it
+// ended on. It holds what that checkpoint describes — the writer's parent
+// summary (day, object hash, chain depth, node count, degree vector, raw
+// stage blobs) under the run's fingerprint and stage set — plus the live
+// shared state itself, so the next pass over the grown trace continues
+// from memory instead of fetching, hashing and decoding the chain. The
+// handle trusts its own last write exactly as a run already does between
+// cadence checkpoints. Get one from ContinueFigures; a pass given a
+// handle consumes it whether or not it can use it.
+type ResumeHandle struct {
+	hash   uint64
+	names  []string
+	parent *ckptParent
+	st     *trace.State
+}
+
+// take empties h and returns its former contents (the zero value for a
+// nil or spent handle), so no second pass can reach a state the first
+// one is about to mutate.
+func (h *ResumeHandle) take() ResumeHandle {
+	if h == nil {
+		return ResumeHandle{}
+	}
+	v := *h
+	*h = ResumeHandle{}
+	return v
+}
+
+// describes reports whether the handle is the candidate's object as this
+// run would load it: same fingerprint and stage set, same day, and the
+// same kind of object (the handle's chain depth is 0 exactly for a full).
+func (h *ResumeHandle) describes(x *planExec, cand ckptCandidate) bool {
+	if h.st == nil || h.hash != x.ckptHash || h.parent.day != cand.day || cand.delta != (h.parent.depth > 0) {
+		return false
+	}
+	return slices.Equal(h.names, x.ckptNames)
+}
+
+// resumeHandle returns the pass's end state as a ResumeHandle when its
+// last checkpoint describes that state (nil otherwise: checkpoints off,
+// none written or restored, or state past the last one).
+func (x *planExec) resumeHandle(st *trace.State) *ResumeHandle {
+	if x.parent == nil || x.parent.day != st.Day {
+		return nil
+	}
+	return &ResumeHandle{hash: x.ckptHash, names: x.ckptNames, parent: x.parent, st: st}
 }
 
 // armCheckpoints enables checkpoint writing on the instantiated run and
@@ -455,6 +505,13 @@ var testCkptAfterScan func(attempt int)
 // a plan instantiation, returning the instantiation to run (with
 // resumeState set on success, clean for a day-0 replay otherwise).
 //
+// warm is the previous pass's end state (a taken ResumeHandle), or the
+// zero value. The candidate scan runs regardless; warm only replaces the
+// load of the candidate it describes — the newest compatible one, at the
+// day and of the kind (full or delta) of the handle's last write, under
+// this run's fingerprint and stage set. Anything else, and a warm
+// restore that fails, goes to the backend path below.
+//
 // The single-process assumption of the original resolution does not hold
 // for a serving daemon: a refresh pass may atomically put a new
 // checkpoint over an existing day object, or retention may delete old
@@ -467,17 +524,23 @@ var testCkptAfterScan func(attempt int)
 // the next older candidate, fall back to day 0). Each failed restore may
 // leave stages half-loaded, so the instantiation is rebuilt before the
 // next attempt.
-func resolveResume(plan *FigurePlan, x *planExec, src trace.Source, meta trace.Meta, cfg Config) *planExec {
+func resolveResume(plan *FigurePlan, x *planExec, src trace.Source, meta trace.Meta, cfg Config, warm ResumeHandle) *planExec {
 	for attempt := 0; ; attempt++ {
 		cands, stale := x.findCheckpoints(meta.Days - 1)
 		if testCkptAfterScan != nil {
 			testCkptAfterScan(attempt)
 		}
 		rescan := false
-		for _, cand := range cands {
-			st, day, err := x.loadCheckpointChain(src, cand)
+		for i, cand := range cands {
+			if i == 0 && warm.describes(x, cand) {
+				if err := x.restore(src, warm.st, warm.names, warm.parent); err == nil {
+					x.resumeWarm = true
+					return x
+				}
+				x = plan.instantiate(cfg, meta)
+			}
+			err := x.loadCheckpointChain(src, cand)
 			if err == nil {
-				x.resumeState, x.resumeDay = st, day
 				return x
 			}
 			x = plan.instantiate(cfg, meta)
@@ -520,17 +583,17 @@ func (x *planExec) fetchChainParent(day int32, wantSum uint64) (data []byte, del
 }
 
 // loadCheckpointChain reads the candidate, resolves its delta chain down
-// to a full checkpoint if needed, cross-checks the restored state
-// against the source, and restores every state-plane stage from its
-// effective blob. On any error the stages may be partially restored —
-// the caller discards the whole instantiation and falls back.
-func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) (*trace.State, int32, error) {
+// to a full checkpoint if needed, and hands the decoded state and
+// effective stage blobs to the restore tail. On any error the stages may
+// be partially restored — the caller discards the whole instantiation and
+// falls back.
+func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) error {
 	data, err := x.backend.Get(cand.name)
 	if err != nil {
 		// Propagated as-is: a vanished candidate is resolveResume's
 		// rescan signal (unlike a vanished chain parent, see
 		// fetchChainParent).
-		return nil, 0, err
+		return err
 	}
 	candSum := fnvSum(data)
 
@@ -540,27 +603,27 @@ func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) (*t
 	cur, curDelta := data, cand.delta
 	for curDelta {
 		if len(chain) >= maxChainDepth {
-			return nil, 0, fmt.Errorf("core: delta chain deeper than %d at day %d", maxChainDepth, cand.day)
+			return fmt.Errorf("core: delta chain deeper than %d at day %d", maxChainDepth, cand.day)
 		}
 		df, err := checkpoint.ReadDelta(bytes.NewReader(cur))
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		if err := x.chainHeaderOK(df.Header); err != nil {
-			return nil, 0, err
+			return err
 		}
 		chain = append(chain, df)
 		cur, curDelta, err = x.fetchChainParent(df.Header.ParentDay, df.Header.ParentSum)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 	}
 	file, err := checkpoint.Read(bytes.NewReader(cur))
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	if file.Header.ConfigHash != x.ckptHash {
-		return nil, 0, fmt.Errorf("core: chain base day %d has foreign fingerprint", file.Header.Day)
+		return fmt.Errorf("core: chain base day %d has foreign fingerprint", file.Header.Day)
 	}
 
 	// Replay the chain newest-last onto the base: one adjacency
@@ -576,17 +639,17 @@ func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) (*t
 		for i := len(chain) - 1; i >= 0; i-- {
 			df := chain[i]
 			if df.Header.ParentDay != prevDay {
-				return nil, 0, fmt.Errorf("core: delta day %d chains to day %d, parent is day %d", df.Header.Day, df.Header.ParentDay, prevDay)
+				return fmt.Errorf("core: delta day %d chains to day %d, parent is day %d", df.Header.Day, df.Header.ParentDay, prevDay)
 			}
 			if err := b.Apply(df.Patch); err != nil {
-				return nil, 0, err
+				return err
 			}
 			if len(df.Blobs) != len(eff) {
-				return nil, 0, fmt.Errorf("core: delta day %d has %d blobs, chain has %d", df.Header.Day, len(df.Blobs), len(eff))
+				return fmt.Errorf("core: delta day %d has %d blobs, chain has %d", df.Header.Day, len(df.Blobs), len(eff))
 			}
 			for j, db := range df.Blobs {
 				if db.Name != eff[j].Name {
-					return nil, 0, fmt.Errorf("core: delta blob %d is %q, chain has %q", j, db.Name, eff[j].Name)
+					return fmt.Errorf("core: delta blob %d is %q, chain has %q", j, db.Name, eff[j].Name)
 				}
 				if db.Changed {
 					eff[j] = checkpoint.StageBlob{Name: db.Name, Data: db.Data}
@@ -596,48 +659,60 @@ func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) (*t
 		}
 		st, err = b.State()
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		day, blobs = chain[0].Header.Day, eff
 	}
 
+	names := make([]string, len(blobs))
+	raw := make([][]byte, len(blobs))
+	for i, b := range blobs {
+		names[i], raw[i] = b.Name, b.Data
+	}
+	return x.restore(src, st, names, &ckptParent{
+		day:   day,
+		sum:   candSum,
+		nodes: st.Graph.NumNodes(),
+		deg:   checkpoint.Degrees(st),
+		blobs: raw,
+		depth: len(chain),
+	})
+}
+
+// restore is the restore tail both resume sources share: a checkpoint
+// chain decoded from the backend (loadCheckpointChain) and the previous
+// pass's end state (a ResumeHandle). It cross-checks st against the
+// source, restores every state-plane stage from its blob (names[i] names
+// the stage p.blobs[i] was saved by), and seeds the writer's parent
+// summary — so the run's next checkpoint can be a delta against p — and
+// the resume point. On error the stages may be partially restored.
+func (x *planExec) restore(src trace.Source, st *trace.State, names []string, p *ckptParent) error {
 	// Consistency probe: the restored graph must account for exactly the
 	// events the trace holds through the checkpoint day (every event is
 	// one node or one edge). This catches a trace regenerated with the
 	// same seed but different generator knobs — identical fingerprint,
 	// different stream — before it can silently serve stale results.
-	if n, ok := trace.EventsThrough(src, day); ok {
+	if n, ok := trace.EventsThrough(src, p.day); ok {
 		applied := int64(st.Graph.NumNodes()) + st.Graph.NumEdges()
 		if n != applied {
-			return nil, 0, fmt.Errorf("core: checkpoint day %d accounts for %d events, trace holds %d — not this trace's prefix", day, applied, n)
+			return fmt.Errorf("core: checkpoint day %d accounts for %d events, trace holds %d — not this trace's prefix", p.day, applied, n)
 		}
 	}
 	stages := x.ckptStages()
-	if len(blobs) != len(stages) {
-		return nil, 0, fmt.Errorf("core: checkpoint has %d stage blobs, run has %d stages", len(blobs), len(stages))
+	if len(p.blobs) != len(stages) || len(names) != len(stages) {
+		return fmt.Errorf("core: checkpoint has %d stage blobs, run has %d stages", len(p.blobs), len(stages))
 	}
-	rawBlobs := make([][]byte, len(blobs))
 	for i, s := range stages {
-		b := blobs[i]
-		if b.Name != s.Name() {
-			return nil, 0, fmt.Errorf("core: checkpoint blob %d is %q, run stage is %q", i, b.Name, s.Name())
+		if names[i] != s.Name() {
+			return fmt.Errorf("core: checkpoint blob %d is %q, run stage is %q", i, names[i], s.Name())
 		}
-		if err := s.(engine.Checkpointer).LoadState(bytes.NewReader(b.Data)); err != nil {
-			return nil, 0, fmt.Errorf("core: restore stage %s: %w", s.Name(), err)
+		if err := s.(engine.Checkpointer).LoadState(p.blobs[i]); err != nil {
+			return fmt.Errorf("core: restore stage %s: %w", s.Name(), err)
 		}
-		rawBlobs[i] = b.Data
 	}
-	// The restored checkpoint seeds the writer's parent summary, so a
-	// resumed run's next checkpoint can be a delta against it.
-	x.parent = &ckptParent{
-		day:   day,
-		sum:   candSum,
-		nodes: st.Graph.NumNodes(),
-		deg:   checkpoint.Degrees(st),
-		blobs: rawBlobs,
-		depth: len(chain),
-	}
-	return st, day, nil
+	x.parent = p
+	x.resumeState, x.resumeDay = st, p.day
+	return nil
 }
 
 // chainHeaderOK validates one delta header against this run's identity:

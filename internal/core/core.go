@@ -214,6 +214,10 @@ type Result struct {
 	// when it replayed from day 0 (no checkpointing, no compatible
 	// checkpoint, or Config.Resume unset).
 	ResumedFromDay int32
+	// ResumedInMemory reports that the run continued from the previous
+	// pass's end state (a ResumeHandle given to ContinueFigures) instead
+	// of reading the checkpoint at ResumedFromDay back from the backend.
+	ResumedInMemory bool
 
 	// tables is the keyed figure store: panels pre-emitted by a
 	// demand-driven run (RunPlan/RunFigures) or by Seal, served by Figure
@@ -279,7 +283,8 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if len(tr.Events) == 0 {
 		return nil, ErrEmptyTrace
 	}
-	return runPlan(nil, trace.SliceSource(tr.Events), tr.Meta, cfg, planFromConfig(cfg))
+	res, _, err := runPlan(nil, trace.SliceSource(tr.Events), tr.Meta, cfg, planFromConfig(cfg), ResumeHandle{})
+	return res, err
 }
 
 // RunSource is Run over a re-openable event source — the out-of-core

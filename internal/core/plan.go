@@ -483,8 +483,8 @@ func (p *progressStage) SaveState(w io.Writer) error {
 }
 
 // LoadState implements engine.Checkpointer.
-func (p *progressStage) LoadState(r io.Reader) error {
-	d := checkpoint.NewDecoder(r)
+func (p *progressStage) LoadState(data []byte) error {
+	d := checkpoint.NewDecoder(data)
 	p.events = d.I64()
 	return d.Err()
 }
@@ -511,9 +511,11 @@ type planExec struct {
 
 	// resumeState/resumeDay carry a restored checkpoint into run: the
 	// shared state at the end of resumeDay, with every subscribed stage
-	// already restored via LoadState.
+	// already restored via LoadState. resumeWarm marks a state that came
+	// from a ResumeHandle rather than from the backend.
 	resumeState *trace.State
 	resumeDay   int32
+	resumeWarm  bool
 }
 
 // instantiate builds the run: defaults the config, constructs each stage
@@ -555,22 +557,25 @@ func (p *FigurePlan) instantiate(cfg Config, meta trace.Meta) *planExec {
 // with ctx checked at day boundaries (the δ-sweep's per-snapshot detector
 // tasks fan out on the pool from inside that pass), Finish-dependent
 // tasks join the pool after it, and harvest copies stage outputs into the
-// Result once the pool is drained. On any error — including ctx
-// cancellation — no Result is returned.
-func (x *planExec) run(ctx context.Context, src trace.Source) (*Result, error) {
+// Result once the pool is drained. On success it also returns the
+// pass's end state (nil when the plan has no shared-pass stages). On any
+// error — including ctx cancellation — no Result is returned.
+func (x *planExec) run(ctx context.Context, src trace.Source) (*Result, *trace.State, error) {
 	// An already-cancelled context must never yield a success Result, even
 	// when the plan has no shared-pass stages or pool tasks to notice it.
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	pool := x.rt.pool
+	var st *trace.State
 	var err error
 	if x.eng.Stages() > 0 {
 		if x.resumeState != nil {
 			x.rt.res.ResumedFromDay = x.resumeDay
-			_, err = x.eng.ResumeSourceContext(ctx, src, x.resumeState, x.resumeDay)
+			x.rt.res.ResumedInMemory = x.resumeWarm
+			st, err = x.eng.ResumeSourceContext(ctx, src, x.resumeState, x.resumeDay)
 		} else {
-			_, err = x.eng.RunSourceContext(ctx, src)
+			st, err = x.eng.RunSourceContext(ctx, src)
 		}
 	}
 	if err == nil {
@@ -583,10 +588,10 @@ func (x *planExec) run(ctx context.Context, src trace.Source) (*Result, error) {
 	// Always drain the pool, even on engine error, so no goroutine
 	// outlives the call.
 	if werr := pool.Wait(); err == nil && werr != nil {
-		return nil, werr
+		return nil, nil, werr
 	}
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	for _, s := range x.plan.specs {
 		if s.harvest != nil {
@@ -602,16 +607,19 @@ func (x *planExec) run(ctx context.Context, src trace.Source) (*Result, error) {
 			res.putTable(id, tab)
 		}
 	}
-	return res, nil
+	return res, st, nil
 }
 
-// runPlan is the execution entry shared by RunPlan and the deprecated
-// Run/RunSource shims. With Config.Resume set it restores the latest
-// compatible checkpoint — latest checkpoint day not past the trace's last
-// day, exact stage-set and fingerprint match — and replays only the days
-// after it; any restore problem discards the instantiation and falls back
-// to a from-zero run, so resume is never worse than not resuming.
-func runPlan(ctx context.Context, src trace.Source, meta trace.Meta, cfg Config, plan *FigurePlan) (*Result, error) {
+// runPlan is the execution entry shared by RunPlan, ContinueFigures and
+// the deprecated Run/RunSource shims. With Config.Resume set it restores
+// the latest compatible checkpoint — latest checkpoint day not past the
+// trace's last day, exact stage-set and fingerprint match — from warm
+// when warm is that checkpoint's end state, else from the backend, and
+// replays only the days after it; any restore problem discards the
+// instantiation and falls back to a from-zero run, so resume is never
+// worse than not resuming. A successful checkpointed pass returns its
+// own end state as the next pass's handle.
+func runPlan(ctx context.Context, src trace.Source, meta trace.Meta, cfg Config, plan *FigurePlan, warm ResumeHandle) (*Result, *ResumeHandle, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -620,9 +628,13 @@ func runPlan(ctx context.Context, src trace.Source, meta trace.Meta, cfg Config,
 		// Restore the newest compatible checkpoint chain; tolerant of
 		// another process rotating the backend mid-scan (see
 		// resolveResume).
-		x = resolveResume(plan, x, src, meta, cfg)
+		x = resolveResume(plan, x, src, meta, cfg, warm)
 	}
-	return x.run(ctx, src)
+	res, st, err := x.run(ctx, src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, x.resumeHandle(st), nil
 }
 
 // RunPlan executes a resolved plan over a re-openable event source on the
@@ -640,7 +652,8 @@ func RunPlan(ctx context.Context, src trace.MetaSource, cfg Config, plan *Figure
 	if plan == nil {
 		plan = planFromConfig(cfg)
 	}
-	return runPlan(ctx, src, meta, cfg, plan)
+	res, _, err := runPlan(ctx, src, meta, cfg, plan, ResumeHandle{})
+	return res, err
 }
 
 // RunFigures plans and runs the minimal stage set for the requested figure
@@ -653,4 +666,27 @@ func RunFigures(ctx context.Context, src trace.MetaSource, cfg Config, figures .
 		return nil, err
 	}
 	return RunPlan(ctx, src, cfg, plan)
+}
+
+// ContinueFigures is RunFigures for a caller that keeps one checkpointed
+// plan warm across passes over a growing trace — the serving daemon. from
+// is the handle the previous pass returned (nil on a cold start or after
+// a failed pass), and is consumed whether or not it is used: when the
+// newest compatible checkpoint is the one that pass ended on, the run
+// continues from the pass's end state in memory instead of reading the
+// chain back from the backend; any other case resumes as RunFigures does.
+// The returned handle, nil when the pass leaves no usable end state, is
+// the resume point for the next pass. It holds this pass's state, which
+// the next pass mutates, so nothing else may keep it.
+func ContinueFigures(ctx context.Context, src trace.MetaSource, cfg Config, from *ResumeHandle, figures ...string) (*Result, *ResumeHandle, error) {
+	warm := from.take()
+	plan, err := Plan(cfg, figures...)
+	if err != nil {
+		return nil, nil, err
+	}
+	meta := src.Meta()
+	if meta.Nodes == 0 && meta.Edges == 0 {
+		return nil, nil, ErrEmptyTrace
+	}
+	return runPlan(ctx, src, meta, cfg, plan, warm)
 }

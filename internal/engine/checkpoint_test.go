@@ -22,12 +22,11 @@ func (s *ckptStage) SaveState(w io.Writer) error {
 	return err
 }
 
-func (s *ckptStage) LoadState(r io.Reader) error {
-	var b [1]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return err
+func (s *ckptStage) LoadState(data []byte) error {
+	if len(data) != 1 {
+		return io.ErrUnexpectedEOF
 	}
-	s.events = int(b[0])
+	s.events = int(data[0])
 	return nil
 }
 

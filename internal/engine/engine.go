@@ -56,7 +56,9 @@ type Syncer interface {
 // plane (DESIGN.md §6): a stage that can externalize its accumulator
 // state. SaveState serializes everything the stage has accumulated up to
 // (and including) the current day boundary; LoadState is its inverse,
-// called on a freshly constructed stage before a resumed replay. The
+// called on a freshly constructed stage before a resumed replay with the
+// bytes one SaveState wrote. LoadState must not retain data, which the
+// caller keeps and may hand to the next restore. The
 // contract is bit-exactness: a stage restored from SaveState output and
 // fed the remaining days must end in exactly the state a from-zero run
 // reaches — including any RNG it owns.
@@ -66,7 +68,7 @@ type Syncer interface {
 // serializing.
 type Checkpointer interface {
 	SaveState(w io.Writer) error
-	LoadState(r io.Reader) error
+	LoadState(data []byte) error
 }
 
 // CheckpointFunc writes one checkpoint of the run: st is the shared state

@@ -317,8 +317,8 @@ func (s *Stage) SaveState(w io.Writer) error {
 }
 
 // LoadState implements engine.Checkpointer.
-func (s *Stage) LoadState(r io.Reader) error {
-	d := checkpoint.NewDecoder(r)
+func (s *Stage) LoadState(data []byte) error {
+	d := checkpoint.NewDecoder(data)
 	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
 		return fmt.Errorf("evolution: checkpoint state version %d", v)
 	}
@@ -466,8 +466,8 @@ func (s *AlphaStage) SaveState(w io.Writer) error {
 }
 
 // LoadState implements engine.Checkpointer.
-func (s *AlphaStage) LoadState(r io.Reader) error {
-	d := checkpoint.NewDecoder(r)
+func (s *AlphaStage) LoadState(data []byte) error {
+	d := checkpoint.NewDecoder(data)
 	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
 		return fmt.Errorf("alpha: checkpoint state version %d", v)
 	}

@@ -138,43 +138,80 @@ func (g *Graph) DistanceSums(sources, nodes []NodeID, sc *LaneScratch) (total, p
 	}
 }
 
+// SetScratch is ShortestToSet's reusable per-node state: an
+// epoch-stamped visited column (a node is visited in the current call iff
+// its stamp equals the call's epoch, so no reset pass is needed) and the
+// BFS queue. Both grow with the graph and are kept between calls. The
+// zero value is ready to use; a SetScratch must not be shared by
+// concurrent calls.
+type SetScratch struct {
+	mark  []uint32
+	epoch uint32
+	queue []NodeID
+}
+
+// begin starts a call over n nodes and returns its epoch.
+func (sc *SetScratch) begin(n int) uint32 {
+	if len(sc.mark) < n {
+		sc.mark = make([]uint32, max(n, 2*len(sc.mark)))
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: old stamps could collide
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+	return sc.epoch
+}
+
 // ShortestToSet returns the hop distance from src to the nearest node for
 // which target returns true, traversing only allowed nodes (nil allows all).
 // Target nodes themselves must be allowed to be reached. It returns
-// Unreachable when no target can be reached.
-func (g *Graph) ShortestToSet(src NodeID, target func(NodeID) bool, allowed func(NodeID) bool) int32 {
+// Unreachable when no target can be reached. sc carries the traversal
+// state between calls (nil allocates a fresh one).
+func (g *Graph) ShortestToSet(src NodeID, target func(NodeID) bool, allowed func(NodeID) bool, sc *SetScratch) int32 {
 	if src < 0 || int(src) >= len(g.deg) {
 		return Unreachable
 	}
 	if target(src) {
 		return 0
 	}
-	dist := make(map[NodeID]int32, 1024)
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		for it := g.Chunks(u); ; {
+	if sc == nil {
+		sc = &SetScratch{}
+	}
+	epoch := sc.begin(len(g.deg))
+	mark := sc.mark
+	mark[src] = epoch
+	queue := append(sc.queue[:0], src)
+	// The queue holds one BFS level after another; levelEnd is the index
+	// one past the last node at distance level from src.
+	dist, level, levelEnd := int32(Unreachable), int32(0), 1
+search:
+	for head := 0; head < len(queue); head++ {
+		if head == levelEnd {
+			level++
+			levelEnd = len(queue)
+		}
+		for it := g.Chunks(queue[head]); ; {
 			s := it.Next()
 			if s == nil {
 				break
 			}
 			for _, v := range s {
-				if _, seen := dist[v]; seen {
+				if mark[v] == epoch {
 					continue
 				}
 				if allowed != nil && !allowed(v) {
 					continue
 				}
 				if target(v) {
-					return du + 1
+					dist = level + 1
+					break search
 				}
-				dist[v] = du + 1
+				mark[v] = epoch
 				queue = append(queue, v)
 			}
 		}
 	}
-	return Unreachable
+	sc.queue = queue[:0]
+	return dist
 }

@@ -57,42 +57,112 @@ func TestBFSBadSource(t *testing.T) {
 func TestShortestToSet(t *testing.T) {
 	g := path(6)
 	target := func(v NodeID) bool { return v == 4 || v == 5 }
-	if d := g.ShortestToSet(0, target, nil); d != 4 {
+	if d := g.ShortestToSet(0, target, nil, nil); d != 4 {
 		t.Fatalf("dist = %d, want 4", d)
 	}
-	if d := g.ShortestToSet(4, target, nil); d != 0 {
+	if d := g.ShortestToSet(4, target, nil, nil); d != 0 {
 		t.Fatalf("src in target set: dist = %d, want 0", d)
 	}
 	// Blocked by predicate.
-	if d := g.ShortestToSet(0, target, func(v NodeID) bool { return v != 3 }); d != Unreachable {
+	if d := g.ShortestToSet(0, target, func(v NodeID) bool { return v != 3 }, nil); d != Unreachable {
 		t.Fatalf("dist = %d, want unreachable when cut", d)
 	}
-	if d := g.ShortestToSet(-1, target, nil); d != Unreachable {
+	if d := g.ShortestToSet(-1, target, nil, nil); d != Unreachable {
 		t.Fatalf("bad src: %d", d)
 	}
 }
 
+// shortestToSetRef is the map-based search ShortestToSet replaced, kept
+// as its reference.
+func shortestToSetRef(g *Graph, src NodeID, target func(NodeID) bool, allowed func(NodeID) bool) int32 {
+	if src < 0 || int(src) >= g.NumNodes() {
+		return Unreachable
+	}
+	if target(src) {
+		return 0
+	}
+	dist := map[NodeID]int32{src: 0}
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range g.AppendNeighbors(nil, u) {
+			if _, seen := dist[v]; seen {
+				continue
+			}
+			if allowed != nil && !allowed(v) {
+				continue
+			}
+			if target(v) {
+				return dist[u] + 1
+			}
+			dist[v] = dist[u] + 1
+			queue = append(queue, v)
+		}
+	}
+	return Unreachable
+}
+
+// TestShortestToSetMatchesBFS checks the scratch-reusing search against
+// the single-source BFS and the map-based reference on random graphs:
+// with and without an allowed predicate, sources that are targets
+// themselves, and targets no source can reach (isolated nodes). One
+// scratch serves every call, so stale stamps from earlier searches would
+// show up as wrong distances.
 func TestShortestToSetMatchesBFS(t *testing.T) {
 	rng := stats.NewRand(5)
-	g := New(0)
-	const n = 60
-	for i := 0; i < 150; i++ {
-		g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-	}
-	g.EnsureNode(n - 1)
-	targets := map[NodeID]bool{7: true, 23: true, 41: true}
-	target := func(v NodeID) bool { return targets[v] }
-	for src := NodeID(0); src < n; src++ {
-		want := int32(Unreachable)
-		d := g.BFS(src)
-		for v := range targets {
-			if d[v] != Unreachable && (want == Unreachable || d[v] < want) {
-				want = d[v]
+	var sc SetScratch
+	for trial := 0; trial < 20; trial++ {
+		n := 20 + rng.Intn(80)
+		g := New(0)
+		for i := 0; i < 2*n; i++ {
+			g.AddEdge(NodeID(rng.Intn(n-5)), NodeID(rng.Intn(n-5)))
+		}
+		g.EnsureNode(NodeID(n - 1)) // the last nodes stay isolated
+		isTarget := make([]bool, n)
+		isTarget[n-1] = true // unreachable from every other node
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			isTarget[rng.Intn(n)] = true
+		}
+		blocked := make([]bool, n)
+		for i := 0; i < n/4; i++ {
+			blocked[rng.Intn(n)] = true
+		}
+		target := func(v NodeID) bool { return isTarget[v] }
+		allowed := func(v NodeID) bool { return !blocked[v] }
+		for src := NodeID(0); src < NodeID(n); src++ {
+			want := int32(Unreachable)
+			d := g.BFS(src)
+			for v := range isTarget {
+				if isTarget[v] && d[v] != Unreachable && (want == Unreachable || d[v] < want) {
+					want = d[v]
+				}
+			}
+			if got := g.ShortestToSet(src, target, nil, &sc); got != want {
+				t.Fatalf("trial %d src %d: got %d, BFS says %d", trial, src, got, want)
+			}
+			want = shortestToSetRef(g, src, target, allowed)
+			if got := g.ShortestToSet(src, target, allowed, &sc); got != want {
+				t.Fatalf("trial %d src %d (allowed): got %d, reference says %d", trial, src, got, want)
 			}
 		}
-		if got := g.ShortestToSet(src, target, nil); got != want {
-			t.Fatalf("src %d: got %d want %d", src, got, want)
+	}
+}
+
+// TestShortestToSetZeroAlloc: once the scratch has grown to the graph, a
+// search allocates nothing.
+func TestShortestToSetZeroAlloc(t *testing.T) {
+	g := path(200)
+	target := func(v NodeID) bool { return v == 199 }
+	var sc SetScratch
+	g.ShortestToSet(0, target, nil, &sc)
+	allocs := testing.AllocsPerRun(100, func() {
+		if d := g.ShortestToSet(0, target, nil, &sc); d != 199 {
+			t.Fatalf("dist = %d, want 199", d)
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per search with a warm scratch", allocs)
 	}
 }
 

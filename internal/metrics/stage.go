@@ -182,8 +182,8 @@ func (s *Stage) SaveState(w io.Writer) error {
 }
 
 // LoadState implements engine.Checkpointer.
-func (s *Stage) LoadState(r io.Reader) error {
-	d := checkpoint.NewDecoder(r)
+func (s *Stage) LoadState(data []byte) error {
+	d := checkpoint.NewDecoder(data)
 	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
 		return fmt.Errorf("metrics: checkpoint state version %d", v)
 	}

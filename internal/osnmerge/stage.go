@@ -50,6 +50,8 @@ type Stage struct {
 	xiaonei   []graph.NodeID
 	fiveQ     []graph.NodeID
 	distances []DistancePoint
+	// bfs is the Fig 9c searches' reusable visited column and queue.
+	bfs graph.SetScratch
 
 	res *Result
 }
@@ -184,7 +186,7 @@ func (s *Stage) OnDayEnd(st *trace.State, day int32) {
 		var n int
 		for i := 0; i < s.opt.DistanceSamples; i++ {
 			src := sources[s.rng.Intn(len(sources))]
-			d := st.Graph.ShortestToSet(src, isTarget, preMerge)
+			d := st.Graph.ShortestToSet(src, isTarget, preMerge, &s.bfs)
 			if d >= 0 {
 				sum += float64(d)
 				n++
@@ -496,8 +498,8 @@ func (s *Stage) SaveState(w io.Writer) error {
 }
 
 // LoadState implements engine.Checkpointer.
-func (s *Stage) LoadState(r io.Reader) error {
-	d := checkpoint.NewDecoder(r)
+func (s *Stage) LoadState(data []byte) error {
+	d := checkpoint.NewDecoder(data)
 	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
 		return fmt.Errorf("osnmerge: checkpoint state version %d", v)
 	}

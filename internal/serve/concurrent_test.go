@@ -22,7 +22,9 @@ import (
 // the published snapshot. Every response — before, during, and after the
 // swap — must be bit-identical to a quiesced from-zero run over the
 // trace generation named by its X-Trace-Day header. No locks on the read
-// path, no torn panels, no response mixing days.
+// path, no torn panels, no response mixing days. The refresh continues
+// from the warm load's end state in memory, the path every ingest advance
+// takes.
 func TestServeConcurrentReadersDuringRefresh(t *testing.T) {
 	baseRes, extRes := referenceResults(t)
 	dir := t.TempDir()
@@ -106,6 +108,12 @@ func TestServeConcurrentReadersDuringRefresh(t *testing.T) {
 	}
 	if snap := srv.Snapshot(); snap.ResumedFrom != fxBaseDays-1 {
 		t.Errorf("refresh resumed from day %d, want %d (a real incremental advance, not a silent from-zero)", snap.ResumedFrom, fxBaseDays-1)
+	} else if snap.ResumedVia != "memory" {
+		// The warm path: the refresh mutated the state the base
+		// generation's pass ended on while readers served that
+		// generation, so under -race this also proves the published
+		// Result does not alias it.
+		t.Errorf("refresh resumed via %q, want memory (the warm load's end state)", snap.ResumedVia)
 	}
 
 	// Let the readers observe the new generation, then stop.

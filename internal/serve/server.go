@@ -106,6 +106,10 @@ type Snapshot struct {
 	DeltaTag    string
 	LoadedAt    time.Time
 	ResumedFrom int32 // checkpoint day the warm pass resumed from, -1 if from zero
+	// ResumedVia says where the warm pass's starting state came from:
+	// "memory" (the previous pass's end state), "checkpoint" (read back
+	// from the checkpoint backend), or "none" (replayed from day 0).
+	ResumedVia string
 	// Carried counts the figures whose tables were bit-identical to the
 	// previous snapshot's at publish time — their cached encodings were
 	// re-keyed to this generation instead of recomputed.
@@ -135,6 +139,10 @@ type Server struct {
 	// before cancelling baseCtx.
 	applyMu sync.Mutex
 	closed  atomic.Bool
+	// warm is the last warm pass's end state, the next advance's resume
+	// point (guarded by applyMu). Each advance takes it before its pass
+	// starts, so a failed or cancelled pass leaves none behind.
+	warm *core.ResumeHandle
 
 	// open probes the trace: Options.Open, or the TracePath default.
 	open func() (trace.MetaSource, error)
@@ -151,8 +159,9 @@ type Server struct {
 	requests  atomic.Int64
 	refreshes atomic.Int64
 
-	// runFigures executes a plan; tests swap it to count executions.
-	runFigures func(ctx context.Context, src trace.MetaSource, cfg core.Config, figures ...string) (*core.Result, error)
+	// runFigures executes a plan, continuing from a resume handle when
+	// one is given; tests swap it to count executions.
+	runFigures func(ctx context.Context, src trace.MetaSource, cfg core.Config, from *core.ResumeHandle, figures ...string) (*core.Result, *core.ResumeHandle, error)
 }
 
 // NewServer loads the trace's warm state — resuming the newest compatible
@@ -178,7 +187,7 @@ func NewServer(ctx context.Context, opt Options) (*Server, error) {
 		cancel:     cancel,
 		statzExtra: make(map[string]func() any),
 		start:      time.Now(),
-		runFigures: core.RunFigures,
+		runFigures: core.ContinueFigures,
 	}
 	s.RegisterStatz("storage", s.storageStats)
 	s.RegisterStatz("memory", memoryStats)
@@ -201,15 +210,17 @@ func NewServer(ctx context.Context, opt Options) (*Server, error) {
 		cancel()
 		return nil, fmt.Errorf("serve: open trace: %w", err)
 	}
-	snap, err := s.loadFrom(ctx, src)
+	snap, warm, err := s.loadFrom(ctx, src, nil)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
+	s.warm = warm
 	s.publish(snap)
 	log.LogAttrs(ctx, slog.LevelInfo, "warm state loaded",
 		slog.Int("last_day", int(snap.Day)),
 		slog.Int("resumed_from", int(snap.ResumedFrom)),
+		slog.String("resumed_via", snap.ResumedVia),
 		slog.Int("figures", len(snap.Res.Figures())),
 		slog.String("fingerprint", fmt.Sprintf("%016x", snap.Fingerprint)),
 		slog.Duration("took", time.Since(s.start)))
@@ -219,9 +230,9 @@ func NewServer(ctx context.Context, opt Options) (*Server, error) {
 // Close shuts the advance plane down cleanly: it marks the server closed
 // (new Refresh/AdvanceTo calls return ErrClosed), drains the apply in
 // flight — a refresh that has already started completes and publishes,
-// so its work is not torn away mid-pass — and only then cancels the
-// background context, aborting any cold plan executions at their next
-// day boundary. Safe to call more than once.
+// so its work is not torn away mid-pass — drops the resume handle, and
+// only then cancels the background context, aborting any cold plan
+// executions at their next day boundary. Safe to call more than once.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		s.cancel()
@@ -230,7 +241,8 @@ func (s *Server) Close() {
 	// Acquiring applyMu is the drain: an in-flight apply holds it until
 	// its publish completes.
 	s.applyMu.Lock()
-	s.applyMu.Unlock() //nolint:staticcheck // empty section is the drain
+	s.warm = nil
+	s.applyMu.Unlock()
 	s.cancel()
 }
 
@@ -269,9 +281,11 @@ func (s *Server) coldConfig(deltas []float64) core.Config {
 	return cfg
 }
 
-// loadFrom runs the warm plan over src and seals the Result into a
-// publishable Snapshot.
-func (s *Server) loadFrom(ctx context.Context, src trace.MetaSource) (*Snapshot, error) {
+// loadFrom runs the warm plan over src, continuing from the resume
+// handle from when it describes the newest checkpoint, and seals the
+// Result into a publishable Snapshot. It also returns the pass's own
+// resume handle (nil if it left none).
+func (s *Server) loadFrom(ctx context.Context, src trace.MetaSource, from *core.ResumeHandle) (*Snapshot, *core.ResumeHandle, error) {
 	if ctx == nil {
 		ctx = s.baseCtx
 	}
@@ -279,13 +293,20 @@ func (s *Server) loadFrom(ctx context.Context, src trace.MetaSource) (*Snapshot,
 	cfg := s.warmConfig()
 	plan, err := core.Plan(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("serve: plan: %w", err)
+		return nil, nil, fmt.Errorf("serve: plan: %w", err)
 	}
-	res, err := s.runFigures(ctx, src, cfg)
+	res, warm, err := s.runFigures(ctx, src, cfg, from)
 	if err != nil {
-		return nil, fmt.Errorf("serve: warm pass: %w", err)
+		return nil, nil, fmt.Errorf("serve: warm pass: %w", err)
 	}
 	res.Seal()
+	via := "none"
+	switch {
+	case res.ResumedInMemory:
+		via = "memory"
+	case res.ResumedFromDay >= 0:
+		via = "checkpoint"
+	}
 	return &Snapshot{
 		Res:         res,
 		Src:         src,
@@ -296,7 +317,8 @@ func (s *Server) loadFrom(ctx context.Context, src trace.MetaSource) (*Snapshot,
 		DeltaTag:    deltaTag(cfg.DeltaSweep),
 		LoadedAt:    time.Now(),
 		ResumedFrom: res.ResumedFromDay,
-	}, nil
+		ResumedVia:  via,
+	}, warm, nil
 }
 
 // publish swaps the published snapshot pointer and eagerly drops cache
@@ -356,8 +378,10 @@ func (s *Server) refresh(ctx context.Context) (bool, int32, error) {
 	return s.AdvanceTo(ctx, src)
 }
 
-// AdvanceTo runs the warm plan over src — resuming from the newest
-// compatible checkpoint when armed — and publishes the result, carrying
+// AdvanceTo runs the warm plan over src — continuing from the previous
+// pass's end state, or resuming from the newest compatible checkpoint
+// when that is not the state the previous pass ended on — and publishes
+// the result, carrying
 // forward cache entries of figures whose tables did not change. It is
 // the ingest plane's entry point: the tailer hands it each newly sealed
 // prefix. A src whose horizon does not extend past the published day is
@@ -376,16 +400,20 @@ func (s *Server) AdvanceTo(ctx context.Context, src trace.MetaSource) (advanced 
 		return false, cur.Day, nil
 	}
 	t0 := time.Now()
-	snap, err := s.loadFrom(s.baseCtx, src)
+	from := s.warm
+	s.warm = nil
+	snap, warm, err := s.loadFrom(s.baseCtx, src, from)
 	if err != nil {
 		return false, cur.Day, err
 	}
+	s.warm = warm
 	s.publishAdvance(cur, snap)
 	s.refreshes.Add(1)
 	s.log.LogAttrs(ctx, slog.LevelInfo, "refreshed",
 		slog.Int("from_day", int(cur.Day)),
 		slog.Int("to_day", int(snap.Day)),
 		slog.Int("resumed_from", int(snap.ResumedFrom)),
+		slog.String("resumed_via", snap.ResumedVia),
 		slog.Int("carried", snap.Carried),
 		slog.Duration("took", time.Since(t0)))
 	return true, snap.Day, nil
@@ -474,7 +502,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			// Replay the snapshot's own source: re-opening the file here
 			// would read days (or a torn tail) the snapshot's day key
 			// doesn't describe.
-			res, err := s.runFigures(s.baseCtx, snap.Src, cfg, id)
+			res, _, err := s.runFigures(s.baseCtx, snap.Src, cfg, nil, id)
 			if err != nil {
 				return nil, err
 			}
@@ -666,6 +694,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 			"fingerprint":  fmt.Sprintf("%016x", snap.Fingerprint),
 			"loaded_at":    snap.LoadedAt.UTC().Format(time.RFC3339),
 			"resumed_from": snap.ResumedFrom,
+			"resumed_via":  snap.ResumedVia,
 			"figures":      len(snap.Res.Figures()),
 			"deltas":       snap.Deltas,
 			"carried":      snap.Carried,

@@ -170,12 +170,12 @@ func TestServeColdDeltaSingleFlight(t *testing.T) {
 	// Count plan executions from here on; the warm load already happened.
 	var coldRuns atomic.Int64
 	inner := srv.runFigures
-	srv.runFigures = func(ctx context.Context, src trace.MetaSource, cfg core.Config, figures ...string) (*core.Result, error) {
+	srv.runFigures = func(ctx context.Context, src trace.MetaSource, cfg core.Config, from *core.ResumeHandle, figures ...string) (*core.Result, *core.ResumeHandle, error) {
 		coldRuns.Add(1)
-		if cfg.CheckpointDir != "" || cfg.Resume {
+		if cfg.CheckpointDir != "" || cfg.Resume || from != nil {
 			t.Error("cold plan reached the warm checkpoint plane")
 		}
-		return inner(ctx, src, cfg, figures...)
+		return inner(ctx, src, cfg, from, figures...)
 	}
 
 	const callers = 8

@@ -26,15 +26,15 @@ func TestCloseDrainsInFlightRefresh(t *testing.T) {
 	// would mean Close cancelled work it promised to drain.
 	inner := srv.runFigures
 	started := make(chan struct{})
-	srv.runFigures = func(ctx context.Context, src trace.MetaSource, cfg core.Config, figures ...string) (*core.Result, error) {
+	srv.runFigures = func(ctx context.Context, src trace.MetaSource, cfg core.Config, from *core.ResumeHandle, figures ...string) (*core.Result, *core.ResumeHandle, error) {
 		close(started)
 		select {
 		case <-ctx.Done():
 			t.Error("in-flight refresh cancelled by Close")
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		case <-time.After(300 * time.Millisecond):
 		}
-		return inner(ctx, src, cfg, figures...)
+		return inner(ctx, src, cfg, from, figures...)
 	}
 
 	replaceFile(t, fxExt, live)

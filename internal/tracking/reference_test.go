@@ -527,7 +527,7 @@ func checkAdvanceMatches(t *testing.T, tr *Tracker, ref *refTracker, day int32, 
 	}
 	restored := NewTracker(tr.MinSize)
 	restored.MergeContainment = tr.MergeContainment
-	if err := restored.LoadState(checkpoint.NewDecoder(bytes.NewReader(b))); err != nil {
+	if err := restored.LoadState(checkpoint.NewDecoder(b)); err != nil {
 		t.Fatalf("snapshot %d: restore: %v", snap, err)
 	}
 	return restored
