@@ -34,7 +34,6 @@ import (
 	"repro/internal/osnmerge"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/tracking"
 )
 
 var (
@@ -489,61 +488,6 @@ func BenchmarkAblationDestSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIncremental compares tracking stability (average
-// cross-snapshot similarity) with and without the incremental Louvain seed.
-func BenchmarkAblationIncremental(b *testing.B) {
-	tr := benchTrace(b)
-	avgSim := func(incremental bool) float64 {
-		var prev []int32
-		var sum float64
-		var n int
-		tracker := tracking.NewTracker(10)
-		_, err := trace.Replay(tr.Events, trace.Hooks{
-			OnDayEnd: func(st *trace.State, day int32) {
-				if day < 20 || (day-20)%6 != 0 || st.Graph.NumNodes() < 64 {
-					return
-				}
-				var init []int32
-				if incremental && prev != nil {
-					init = make([]int32, st.Graph.NumNodes())
-					for i := range init {
-						if i < len(prev) {
-							init[i] = prev[i]
-						} else {
-							init[i] = -1
-						}
-					}
-				}
-				lr, err := louvain.Run(st.Graph, louvain.Options{Delta: 0.04, MaxLevels: 1, Seed: 1, Init: init})
-				if err != nil {
-					b.Fatal(err)
-				}
-				prev = lr.Community
-				snap := tracker.Advance(day, st.Graph, tracking.Assignment(lr.Community))
-				if snap.AvgSimilarity > 0 {
-					sum += snap.AvgSimilarity
-					n++
-				}
-			},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n == 0 {
-			return 0
-		}
-		return sum / float64(n)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inc := avgSim(true)
-		cold := avgSim(false)
-		if i == 0 {
-			b.Logf("avg similarity: incremental=%.3f cold=%.3f", inc, cold)
-		}
-	}
-}
-
 // BenchmarkAblationPADecay is the control experiment for Fig 3c: with the
 // PA-decay mechanism disabled (constant mixing weight), α(t) stays flat.
 func BenchmarkAblationPADecay(b *testing.B) {
@@ -681,7 +625,7 @@ func BenchmarkPathSampler(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := metrics.PathSampler{Workers: workers}
+			p := metrics.PathSampler{Pool: engine.NewPool(workers)}
 			rng := stats.NewRand(1)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -47,7 +47,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in days (0 = default 90; needs -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "resume from the latest compatible checkpoint in -checkpoint-dir instead of replaying from day 0")
 	snapshotEvery := flag.Int("snapshot-every", 0, "community snapshot cadence override")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the parallel shared pass and all fan-out work (results are bit-identical at any count)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "CPU budget: at most N goroutines do analysis work at once, the replay included; 1 runs fully sequentially (results are bit-identical at any count)")
 	format := flag.String("format", "tsv", "output format for figure tables: tsv or json")
 	encode := flag.String("encode", "", "stream the generated trace to this file and exit (no analysis)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the pipeline run to this file")

@@ -47,7 +47,7 @@ func main() {
 	resume := flag.Bool("resume", false, "resume from the latest compatible checkpoint in -checkpoint-dir instead of replaying from day 0")
 	info := flag.Bool("info", false, "print trace stats (segment/compression figures for segmented traces) and the -checkpoint-dir inventory, then exit")
 	snapshotEvery := flag.Int("snapshot-every", 0, "community snapshot cadence in days (0 = default 3)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the parallel shared pass and all fan-out work (results are bit-identical at any count)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "CPU budget: at most N goroutines do analysis work at once, the replay included; 1 runs fully sequentially (results are bit-identical at any count)")
 	distDays := flag.String("dist-days", "", "comma-separated days for size distributions (default: three late snapshot days)")
 	skip := flag.String("skip", "", "comma-separated stages to skip: metrics,evolution,community,merge")
 	validate := flag.Bool("validate", false, "stream-validate the trace's structural invariants before analyzing")

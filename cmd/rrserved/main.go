@@ -60,7 +60,7 @@ func main() {
 	checkpointFullEvery := flag.Int("checkpoint-full-every", 0, "tiered cadence: of every N checkpoints write 1 full and N-1 deltas against their predecessor (<=1 = all full)")
 	checkpointKeep := flag.Int("checkpoint-keep", 0, "retain only the newest N full checkpoints (plus their delta chains) under this config's fingerprint (0 = keep everything)")
 	deltas := flag.String("deltas", "0.0001,0.01,0.04,0.1,0.3", "warm Louvain δ grid for the fig4 panels; requests with other δ-sets run cold plans")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for plan execution")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "CPU budget of each plan run: at most N goroutines do its analysis work at once, the replay included; 1 runs it fully sequentially")
 	cacheMB := flag.Int64("cache-mb", 64, "result cache cap in MiB")
 	refreshEvery := flag.Duration("refresh-every", 0, "poll the trace file at this interval and republish when it gained days (0 = only explicit POST /refresh); the file must be finalized at every poll — for a file under a live writer use -follow")
 	follow := flag.Bool("follow", false, "tail-follow a growing trace: probe for newly sealed days and republish as they land, tolerating in-progress writes and torn tails (mutually exclusive with -refresh-every)")

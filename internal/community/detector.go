@@ -12,18 +12,19 @@ import (
 // Detector is the per-δ detection layer of the §4 community pipeline: the
 // incremental-Louvain seed chain, the similarity tracker, and the result
 // accumulation for one δ. It owns no graph — every snapshot is handed in
-// as a read-only graph.View, either the live shared graph (the single-δ
-// Stage drives it straight off the engine pass) or a frozen CSR snapshot
-// shared by all of a sweep's detectors (SweepStage). Splitting detection
-// from graph maintenance is what lets a K-δ sweep run on one graph: the
-// per-δ state is just the previous assignment plus tracking histories.
+// as a read-only graph.View; in a run that is one frozen CSR snapshot of
+// the shared graph per snapshot day, read by the community Stage's
+// detector and all of a sweep's detectors alike (Snapshots). Splitting
+// detection from graph maintenance is what lets a K-δ sweep run on one
+// graph: the per-δ state is just the previous assignment plus tracking
+// histories.
 //
 // A Detector is single-goroutine: Advance calls must be sequential and in
 // snapshot order (day D's Louvain seeds from the previous snapshot's
 // assignment). Concurrency across δ values is the caller's job.
 type Detector struct {
 	opt      Options
-	workers  int               // Louvain-prepare fan-out width; see SetWorkers
+	cold     bool              // ablation: no incremental seed; see Stage.ColdStart
 	wantDist map[int32][]int32 // snapshot day -> requested SizeDistDays it serves
 	tracker  *tracking.Tracker
 	prevComm []int32
@@ -50,54 +51,36 @@ func NewDetector(opt Options) *Detector {
 	return d
 }
 
-// SetWorkers sets the fan-out width of the per-snapshot Louvain prepare
-// (louvain.PrepareWorkers) when Advance has to build its own weighted
-// view. It is a throughput knob only — the prepared view is bit-identical
-// at any width — and therefore lives outside Options, which is hashed
-// into the checkpoint fingerprint: checkpoints must stay portable across
-// worker counts.
-func (d *Detector) SetWorkers(n int) { d.workers = n }
-
 // due reports whether day is a scheduled snapshot day for this detector
 // with a graph of `nodes` nodes.
 func (d *Detector) due(day int32, nodes int) bool {
 	return d.opt.due(day, nodes)
 }
 
-// Advance runs one snapshot over the given graph view: incremental
-// Louvain seeded from the previous snapshot's assignment, tracker
-// matching, and the per-snapshot statistics. After a Louvain error the
-// detector latches it and further Advance calls are no-ops; the error
-// surfaces from Finish.
-func (d *Detector) Advance(day int32, g graph.View) {
-	d.AdvancePrepared(day, g, nil)
-}
-
-// AdvancePrepared is Advance with a pre-built Louvain view of g (nil
-// builds one): the sweep prepares the frozen snapshot's weighted graph
-// once and shares it read-only across every δ's detector, so K detectors
-// don't re-derive K identical weighted graphs per snapshot.
+// AdvancePrepared runs one snapshot over the graph view g, whose Louvain
+// view prep is built once per snapshot day and shared read-only by every
+// detector of that day (Snapshots): incremental Louvain seeded from the
+// previous snapshot's assignment, tracker matching, and the per-snapshot
+// statistics. After a Louvain error the detector latches it and further
+// calls are no-ops; the error surfaces from Finish.
 func (d *Detector) AdvancePrepared(day int32, g graph.View, prep *louvain.Prepared) {
 	if d.err != nil {
 		return
-	}
-	if prep == nil {
-		prep = louvain.PrepareWorkers(g, d.workers)
 	}
 	n := g.NumNodes()
 	// Incremental Louvain: seed with the previous snapshot's assignment.
 	// Nodes that joined since are labelled -1, which Louvain treats as one
 	// more label: they start out together in a single community.
-	init := make([]int32, n)
-	for i := range init {
-		if i < len(d.prevComm) {
-			init[i] = d.prevComm[i]
-		} else {
-			init[i] = -1
+	var init []int32
+	if d.prevComm != nil && !d.cold {
+		init = make([]int32, n)
+		for i := range init {
+			if i < len(d.prevComm) {
+				init[i] = d.prevComm[i]
+			} else {
+				init[i] = -1
+			}
 		}
-	}
-	if d.prevComm == nil {
-		init = nil
 	}
 	lr, err := louvain.RunPrepared(prep, louvain.Options{
 		Delta:     d.opt.Delta,

@@ -10,19 +10,25 @@ import (
 // Stage is the streaming form of Run: the snapshot pipeline driven by
 // day-end callbacks from the engine's single shared pass. It is the
 // single-δ composition of the pipeline's two layers — the engine's shared
-// replay maintains the graph, and a Detector (incremental Louvain +
-// similarity tracking) consumes it directly on the snapshot schedule, with
-// no frozen copy in between. The δ-sweep's multi-δ composition is
-// SweepStage.
+// replay maintains the graph, and on the snapshot schedule a Detector
+// (incremental Louvain + similarity tracking) consumes a frozen view of
+// it, the one a δ-sweep in the same run reads too (Share). The δ-sweep's
+// multi-δ composition is SweepStage.
 type Stage struct {
-	det *Detector
+	det   *Detector
+	snaps *Snapshots
 }
 
 // NewStage creates a streaming community-pipeline stage with Run's
-// defaulting.
+// defaulting. It freezes its own snapshots until Share hands it a run's
+// shared ones.
 func NewStage(opt Options) *Stage {
-	return &Stage{det: NewDetector(opt)}
+	return &Stage{det: NewDetector(opt), snaps: new(Snapshots).join()}
 }
+
+// Share makes the stage take its snapshot views from sn, which the run's
+// other community stages share; call it before the pass starts.
+func (s *Stage) Share(sn *Snapshots) { s.snaps = sn.join() }
 
 // StageName and UsersStageName are the planner registry names of the two
 // §4 stages.
@@ -39,9 +45,18 @@ func (s *Stage) Name() string { return StageName }
 // (the detector owns no graph — see Detector).
 func (s *Stage) OverlapSafe() {}
 
-// SetWorkers forwards the kernel fan-out width to the detector's
-// per-snapshot Louvain prepare.
-func (s *Stage) SetWorkers(n int) { s.det.SetWorkers(n) }
+// ColdStart makes every snapshot's Louvain start from singletons instead
+// of the previous snapshot's assignment. It is the baseline of the
+// incremental-seed ablation (DESIGN §5), not an analysis setting; call it
+// before the pass starts.
+func (s *Stage) ColdStart() { s.det.cold = true }
+
+// SetWorkers does nothing: a frozen snapshot's Louvain view aliases its
+// CSR, so there is no prepare left to fan out.
+//
+// Deprecated: kept only because the benchmark harness still builds
+// against it.
+func (s *Stage) SetWorkers(int) {}
 
 // OnEvent implements engine.Stage; the pipeline is snapshot-driven.
 func (s *Stage) OnEvent(_ *trace.State, _ trace.Event) {}
@@ -50,7 +65,8 @@ func (s *Stage) OnEvent(_ *trace.State, _ trace.Event) {}
 // is large enough.
 func (s *Stage) OnDayEnd(st *trace.State, day int32) {
 	if s.det.due(day, st.Graph.NumNodes()) {
-		s.det.Advance(day, st.Graph)
+		f, prep := s.snaps.take(day, st.Graph)
+		s.det.AdvancePrepared(day, f, prep)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/louvain"
 	"repro/internal/trace"
 )
 
@@ -16,10 +15,11 @@ const SweepStageName = "sweep"
 // the shared engine pass, splitting the community pipeline into its two
 // layers. The graph-maintenance layer is the engine's one evolving shared
 // graph plus this stage's snapshot schedule: at every scheduled snapshot
-// day the stage freezes the graph into a compact read-only CSR view
-// (graph.Frozen, built once per snapshot day). The per-δ detection layer
-// is one Detector per δ — Louvain seed chain and tracking state only —
-// fanned out on the worker pool against that shared frozen view.
+// day the stage takes a compact read-only CSR view of the graph
+// (graph.Frozen, built once per snapshot day for the whole run — see
+// Snapshots). The per-δ detection layer is one Detector per δ — Louvain
+// seed chain and tracking state only — queued on the run's Pool against
+// that shared frozen view.
 //
 // A K-δ sweep therefore costs exactly one replay pass and one live graph,
 // plus K lightweight detector states, instead of the 1+K passes and 1+K
@@ -40,6 +40,7 @@ type SweepStage struct {
 	deltas []float64
 	dets   []*Detector
 	pool   *engine.Pool
+	snaps  *Snapshots
 
 	done        chan struct{} // one token per finished detector task
 	outstanding int           // launched but not yet joined; engine goroutine only
@@ -48,13 +49,15 @@ type SweepStage struct {
 // NewSweepStage creates the multi-δ community stage: opt carries the
 // shared snapshot schedule and tracking knobs (its Delta is ignored),
 // deltas the per-detector Louvain thresholds in result order, and pool the
-// worker pool the per-snapshot detector tasks fan out on.
+// run's CPU budget the per-snapshot detector tasks are queued on. It
+// freezes its own snapshots until Share hands it a run's shared ones.
 func NewSweepStage(opt Options, deltas []float64, pool *engine.Pool) *SweepStage {
 	opt = opt.withDefaults()
 	s := &SweepStage{
 		opt:    opt,
 		deltas: append([]float64(nil), deltas...),
 		pool:   pool,
+		snaps:  new(Snapshots).join(),
 		done:   make(chan struct{}, len(deltas)),
 	}
 	for _, delta := range s.deltas {
@@ -64,6 +67,10 @@ func NewSweepStage(opt Options, deltas []float64, pool *engine.Pool) *SweepStage
 	}
 	return s
 }
+
+// Share makes the stage take its snapshot views from sn, which the run's
+// other community stages share; call it before the pass starts.
+func (s *SweepStage) Share(sn *Snapshots) { s.snaps = sn.join() }
 
 // Name implements engine.Stage.
 func (s *SweepStage) Name() string { return SweepStageName }
@@ -77,8 +84,8 @@ func (s *SweepStage) OnEvent(_ *trace.State, _ trace.Event) {}
 func (s *SweepStage) OnDayEnd(_ *trace.State, _ int32) {}
 
 // Sync implements engine.Syncer: on snapshot days it joins the previous
-// snapshot's detector tasks, freezes the shared graph, and fans one task
-// per δ out against the frozen view.
+// snapshot's detector tasks, takes the day's frozen view, and queues one
+// task per δ against it.
 func (s *SweepStage) Sync(ctx context.Context, st *trace.State, day int32) error {
 	if len(s.dets) == 0 || !s.opt.due(day, st.Graph.NumNodes()) {
 		return nil
@@ -87,12 +94,9 @@ func (s *SweepStage) Sync(ctx context.Context, st *trace.State, day int32) error
 		return err
 	}
 	// One frozen CSR view for the trackers plus one prepared Louvain view,
-	// both built once here and shared read-only by every δ worker. The
-	// prepare itself fans out across the pool's worker budget — the frozen
-	// CSR is immutable, so the level-0 build is safely (and bit-
-	// identically) parallel.
-	frozen := st.Graph.Freeze()
-	prep := louvain.PrepareWorkers(frozen, s.pool.Workers())
+	// shared read-only by every δ worker (and by the community stage,
+	// which took the same day's view before this barrier).
+	frozen, prep := s.snaps.take(day, st.Graph)
 	for _, det := range s.dets {
 		det := det
 		s.outstanding++
@@ -109,25 +113,35 @@ func (s *SweepStage) Sync(ctx context.Context, st *trace.State, day int32) error
 	return nil
 }
 
-// join blocks until every in-flight detector task has finished. A nil ctx
-// waits unconditionally (the post-pass join in Finish); otherwise a
-// cancellation during the wait returns ctx.Err() with the remaining tasks
-// still counted as outstanding — the run is aborting, and the pool drain
-// collects them.
+// join blocks until every in-flight detector task has finished, lending
+// the replay's token to the queued tasks while it waits. A nil ctx waits
+// unconditionally (the post-pass join in Finish); otherwise a
+// cancellation before or during the wait returns ctx.Err() with the
+// remaining tasks still counted as outstanding — the run is aborting,
+// and the pool drain collects them.
 func (s *SweepStage) join(ctx context.Context) error {
-	for s.outstanding > 0 {
-		if ctx == nil {
-			<-s.done
-		} else {
+	if s.outstanding == 0 {
+		return nil
+	}
+	if ctx != nil && ctx.Err() != nil {
+		return ctx.Err()
+	}
+	var err error
+	s.pool.Idle(func() {
+		for ; s.outstanding > 0; s.outstanding-- {
+			if ctx == nil {
+				<-s.done
+				continue
+			}
 			select {
 			case <-s.done:
 			case <-ctx.Done():
-				return ctx.Err()
+				err = ctx.Err()
+				return
 			}
 		}
-		s.outstanding--
-	}
-	return nil
+	})
+	return err
 }
 
 // Finish implements engine.Stage: it joins the final snapshot's tasks and

@@ -87,19 +87,21 @@ func TestSweepMatchesPerPass(t *testing.T) {
 }
 
 // TestSweepCancelMidSnapshot drives the cancellation path through the
-// per-snapshot barrier: the pool's only worker is blocked so the first
-// snapshot's detector tasks can never finish, and the run is cancelled
-// while the next snapshot's Sync is waiting on them. The barrier wait must
-// return ctx.Err() promptly — aborting the replay at that day boundary
-// with no Finish and no results — and the skipped tasks must still drain.
+// per-snapshot barrier: the one spare token of a two-token budget is
+// occupied so the first snapshot's detector tasks queue behind it, and
+// the run is cancelled before the next snapshot's Sync joins them. The
+// barrier must return ctx.Err() promptly — aborting the replay at that
+// day boundary with no Finish and no results — and the skipped tasks
+// must still drain.
 func TestSweepCancelMidSnapshot(t *testing.T) {
 	tr := sweepTrace(t)
 	deltas := []float64{0.01, 0.04}
 	opt := DefaultOptions()
 
-	pool := engine.NewPool(1)
-	block := make(chan struct{})
-	pool.Go(func() error { <-block; return nil }) // occupy the only worker
+	pool := engine.NewPool(2)
+	block, occupied := make(chan struct{}), make(chan struct{})
+	pool.Go(func() error { close(occupied); <-block; return nil }) // occupy the spare token
+	<-occupied
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -109,7 +111,7 @@ func TestSweepCancelMidSnapshot(t *testing.T) {
 	eng.Subscribe(sw)
 	// Cancel at the second snapshot day, after the sweep's OnDayEnd but
 	// before the engine's sync point: Sync then hits the barrier with the
-	// first snapshot's tasks still queued behind the blocked worker.
+	// first snapshot's tasks still queued behind the occupied token.
 	cancelDay := opt.StartDay + opt.SnapshotEvery
 	eng.Subscribe(engine.Funcs{
 		StageName: "canceler",
@@ -172,5 +174,32 @@ func TestSnapToSnapshotDay(t *testing.T) {
 	even := Options{StartDay: 10, SnapshotEvery: 4}
 	if got := even.SnapToSnapshotDay(12); got != 14 {
 		t.Errorf("half-way tie snap(12) = %d, want 14 (rounds up)", got)
+	}
+}
+
+// TestSnapshotsShareAndRelease: every reader of a shared cache gets the
+// same frozen view and prepared Louvain graph for a snapshot day, and the
+// cache holds neither once the last reader has taken it.
+func TestSnapshotsShareAndRelease(t *testing.T) {
+	st, err := trace.Replay(sweepTrace(t).Events, trace.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := new(Snapshots)
+	NewStage(DefaultOptions()).Share(sn)
+	NewSweepStage(DefaultOptions(), []float64{0.04}, engine.NewPool(1)).Share(sn)
+	f1, p1 := sn.take(40, st.Graph)
+	if sn.frozen == nil {
+		t.Fatal("cache dropped the view before its second reader took it")
+	}
+	f2, p2 := sn.take(40, st.Graph)
+	if f1 != f2 || p1 != p2 {
+		t.Fatal("readers of one snapshot day got different views")
+	}
+	if sn.frozen != nil || sn.prep != nil {
+		t.Fatal("cache still holds the view after every reader took it")
+	}
+	if f3, _ := sn.take(43, st.Graph); f3 == f1 {
+		t.Fatal("a new snapshot day reused the previous day's view")
 	}
 }

@@ -65,12 +65,12 @@ type Config struct {
 	// Seed for sampled metrics.
 	Seed int64
 
-	// Workers bounds the run's concurrency: the worker pool the δ-sweep
-	// and SVM evaluation fan out on, the engine's parallel shared pass
-	// (decode-ahead reader plus per-day stage overlap), and the kernel
-	// fan-outs (parallel Louvain prepare, sampled-BFS sources) all size
-	// themselves by it. <= 0 selects GOMAXPROCS; 1 forces the fully
-	// sequential pass. It is a throughput knob, never a result knob:
+	// Workers is the run's CPU budget: at most Workers goroutines run
+	// analysis work at once, the replay goroutine included. The δ-sweep
+	// and SVM tasks, the engine's per-day stage overlap, and the
+	// sampled-BFS lane batches all draw on it (engine.Pool); above 1 the
+	// decode-ahead reader runs beside them. <= 0 selects GOMAXPROCS; 1
+	// runs everything sequentially on the caller's goroutine. It is a throughput knob, never a result knob:
 	// every figure is bit-identical at any setting
 	// (TestParallelWorkersMatch), and Workers is deliberately excluded
 	// from the checkpoint fingerprint, so checkpoints written at one
@@ -271,8 +271,8 @@ func applyMergePrediction(res *Result, cr *community.Result, mergeDay int32, see
 // Run executes the configured pipeline stages over the trace on the
 // streaming engine: every stage — the δ-sweep included — subscribes to
 // one shared replay pass. The sweep's per-δ detectors run against frozen
-// snapshots of the shared graph on a bounded worker pool, and the SVM
-// merge-prediction evaluation joins that pool after the pass. The result
+// snapshots of the shared graph on the run's CPU budget, and the SVM
+// merge-prediction evaluation joins that budget after the pass. The result
 // is identical to RunBatch's (the equivalence is enforced by
 // TestEngineMatchesBatch); only the pass structure differs.
 //

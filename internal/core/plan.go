@@ -55,10 +55,11 @@ type planRT struct {
 	cfg  Config
 	meta trace.Meta
 	res  *Result
-	// pool is the run's bounded worker pool: the δ-sweep's per-snapshot
-	// detector tasks and the post-pass SVM evaluation fan out on it; run
-	// drains it before harvesting.
+	// pool is the run's one CPU budget; run drains it before harvesting.
 	pool *engine.Pool
+	// snaps freezes the shared graph once per snapshot day for the
+	// community stage and the δ-sweep together.
+	snaps *community.Snapshots
 
 	metrics *metrics.Stage
 	evo     *evolution.Stage
@@ -83,7 +84,7 @@ var stageRegistry = []*StageSpec{
 				PathSources:       rt.cfg.PathSources,
 				ClusteringSamples: rt.cfg.ClusteringSamples,
 				Seed:              rt.cfg.Seed,
-				Workers:           rt.pool.Workers(),
+				Pool:              rt.pool,
 			})
 			eng.Subscribe(rt.metrics)
 		},
@@ -133,7 +134,7 @@ var stageRegistry = []*StageSpec{
 		Figures: []string{"fig5a", "fig5b", "fig5c", "fig6a", "fig6c"},
 		subscribe: func(rt *planRT, eng *engine.Engine) {
 			rt.comm = community.NewStage(rt.cfg.Community)
-			rt.comm.SetWorkers(rt.pool.Workers())
+			rt.comm.Share(rt.snaps)
 			eng.Subscribe(rt.comm)
 		},
 		harvest: func(rt *planRT) { rt.res.Community = rt.comm.Result() },
@@ -185,16 +186,18 @@ var stageRegistry = []*StageSpec{
 		subscribe: func(rt *planRT, eng *engine.Engine) {
 			// The δ-sweep subscribes to the same shared pass as every
 			// other stage: the engine maintains the single evolving graph,
-			// and at each snapshot day the stage freezes it once and fans
-			// the per-δ detectors out on the pool against the frozen view
-			// — one replay and one graph for the whole sweep, instead of
-			// re-opening the source per δ. Skip*-translated plans reach
+			// and at each snapshot day the stage takes the day's one
+			// frozen view (shared with the community stage) and queues
+			// the per-δ detectors on the pool against it — one replay and
+			// one graph for the whole sweep, instead of re-opening the
+			// source per δ. Skip*-translated plans reach
 			// here with an empty δ list; nothing runs then (matching the
 			// historic no-op fan-out).
 			if len(rt.cfg.DeltaSweep) == 0 {
 				return
 			}
 			rt.sweep = community.NewSweepStage(rt.cfg.Community, rt.cfg.DeltaSweep, rt.pool)
+			rt.sweep.Share(rt.snaps)
 			eng.Subscribe(rt.sweep)
 		},
 		harvest: func(rt *planRT) {
@@ -519,17 +522,17 @@ type planExec struct {
 }
 
 // instantiate builds the run: defaults the config, constructs each stage
-// from it (the δ-sweep gets the run's worker pool for its per-snapshot
-// fan-out), and subscribes the shared-pass stages in registry order.
+// from it (the stages that fan out get the run's CPU budget), and
+// subscribes the shared-pass stages in registry order.
 func (p *FigurePlan) instantiate(cfg Config, meta trace.Meta) *planExec {
 	cfg = cfg.withDefaults()
-	// One pool (and one resolved worker count) serves the whole run: the
-	// sweep/SVM fan-out, the engine's per-day stage overlap, and the
-	// kernel fan-outs all size themselves by it.
-	rt := &planRT{cfg: cfg, meta: meta, res: &Result{Meta: meta, ResumedFromDay: -1}, pool: engine.NewPool(cfg.Workers)}
+	// One budget serves the whole run: the sweep/SVM tasks, the engine's
+	// per-day stage overlap, and the sampled-BFS lane batches all draw on
+	// its cfg.Workers tokens, one of which the replay goroutine holds.
+	rt := &planRT{cfg: cfg, meta: meta, res: &Result{Meta: meta, ResumedFromDay: -1}, pool: engine.NewPool(cfg.Workers), snaps: new(community.Snapshots)}
 	eng := engine.New()
 	eng.Hint(int(meta.Nodes), int(meta.Edges))
-	eng.SetWorkers(rt.pool.Workers())
+	eng.SetPool(rt.pool)
 	for _, s := range p.specs {
 		if s.subscribe != nil {
 			s.subscribe(rt, eng)

@@ -117,7 +117,7 @@ type Engine struct {
 	stages   []Stage
 	nodeHint int
 	edgeHint int
-	workers  int
+	pool     *Pool
 
 	ckptEvery int32
 	ckptFn    CheckpointFunc
@@ -143,18 +143,25 @@ func (e *Engine) Hint(nodes, edges int) {
 	}
 }
 
-// SetWorkers sets the worker budget of the parallel shared pass. With
-// workers > 1 the replay pipelines: the source is wrapped in
+// SetPool gives the engine the run's CPU budget. With a budget of more
+// than one token the replay pipelines: the source is wrapped in
 // trace.Prefetch so decode runs ahead of apply on a reader goroutine, and
-// Overlappable stages' per-day work fans out across at most `workers`
-// goroutines at each day barrier (see parallelDriver). workers <= 1 — the
+// Overlappable stages' per-day work fans out on the pool at each day
+// barrier (see parallelDriver). No pool, or a budget of one — the
 // default — keeps the exact sequential dispatch. Either way every figure
 // is bit-identical: the parallel driver preserves each stage's own event
 // order and the barrier keeps Sync/checkpoint semantics unchanged, so
-// worker count is a throughput knob, never a result knob (and is
+// the budget is a throughput knob, never a result knob (and is
 // deliberately absent from the checkpoint fingerprint — checkpoints
 // written at one worker count resume at any other).
-func (e *Engine) SetWorkers(n int) { e.workers = n }
+func (e *Engine) SetPool(p *Pool) { e.pool = p }
+
+// SetWorkers gives the engine a budget of its own, shared with no other
+// fan-out of the run.
+//
+// Deprecated: use SetPool with the run's one Pool. Kept only because the
+// benchmark harness still builds against it.
+func (e *Engine) SetWorkers(n int) { e.pool = NewPool(n) }
 
 // Subscribe registers stages; callbacks and Finish run in subscription
 // order, so a stage that reads another's result must subscribe after it.
@@ -231,13 +238,13 @@ func (e *Engine) run(ctx context.Context, src trace.Source, st *trace.State, fro
 		}
 	}
 	d := &trace.Dispatcher{}
-	parallel := e.workers > 1
+	parallel := e.pool.Workers() > 1
 	if parallel {
 		// One combined subscription: the driver dispatches inline stages
 		// per event and fans Overlappable stages' day work out at each
 		// day boundary, joining before returning — so the barrier hooks
 		// subscribed below still see a quiescent, day-complete state.
-		d.Subscribe(newParallelDriver(e.stages, e.workers).hooks())
+		d.Subscribe(newParallelDriver(e.stages, e.pool).hooks())
 	} else {
 		for _, s := range e.stages {
 			d.Subscribe(trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd})

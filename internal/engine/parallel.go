@@ -1,14 +1,12 @@
 package engine
 
 import (
-	"sync"
-
 	"repro/internal/trace"
 )
 
 // Overlappable marks a Stage whose per-day work the engine may run on a
 // worker goroutine, concurrently with other Overlappable stages, when the
-// engine is configured with more than one worker (Engine.SetWorkers).
+// engine's budget has more than one token (Engine.SetPool).
 //
 // The contract a marked stage must satisfy:
 //
@@ -33,18 +31,18 @@ type Overlappable interface {
 	OverlapSafe()
 }
 
-// parallelDriver is the concurrent day-batch dispatcher behind
-// Engine.SetWorkers: unmarked stages run inline on the replay goroutine
-// exactly as in the sequential driver (in subscription order, per event),
-// while Overlappable stages' per-day work — the day's OnEvent replay plus
-// OnDayEnd — fans out across worker goroutines at each day boundary and
-// joins before the day-end returns. The engine's barrier hooks (Sync,
+// parallelDriver is the concurrent day-batch dispatcher behind a budget
+// of more than one token: unmarked stages run inline on the replay
+// goroutine exactly as in the sequential driver (in subscription order,
+// per event), while Overlappable stages' per-day work — the day's OnEvent
+// replay plus OnDayEnd — fans out on the run's Pool at each day boundary
+// and joins before the day-end returns. The engine's barrier hooks (Sync,
 // checkpoints) subscribe after this driver, so they always observe every
 // stage's day work complete and the shared state quiescent.
 type parallelDriver struct {
 	inline   []Stage
 	deferred []Stage
-	sem      chan struct{} // bounds concurrently running day tasks
+	pool     *Pool
 	batch    []trace.Event
 }
 
@@ -52,8 +50,8 @@ type parallelDriver struct {
 // fewer than two marked stages there is nothing to overlap — every stage
 // runs inline and the driver degenerates to the sequential dispatch (the
 // pipelined decode of trace.Prefetch still applies).
-func newParallelDriver(stages []Stage, workers int) *parallelDriver {
-	p := &parallelDriver{sem: make(chan struct{}, workers)}
+func newParallelDriver(stages []Stage, pool *Pool) *parallelDriver {
+	p := &parallelDriver{pool: pool}
 	for _, s := range stages {
 		if _, ok := s.(Overlappable); ok {
 			p.deferred = append(p.deferred, s)
@@ -84,29 +82,23 @@ func (p *parallelDriver) onEvent(st *trace.State, ev trace.Event) {
 	}
 }
 
-// onDayEnd is the day barrier: one task per deferred stage replays the
-// day's buffered events into that stage and runs its OnDayEnd, all tasks
-// join, and only then do the inline stages (and, by subscription order,
-// the engine's Sync/checkpoint hooks) see the day end. Days with no
-// events still fan the OnDayEnd work out, matching the sequential
-// empty-day semantics.
+// onDayEnd is the day barrier: the deferred stages' day tasks — each
+// replays the day's buffered events into its stage and runs its OnDayEnd —
+// fan out on the pool (the replay goroutine runs its share, borrowed
+// tokens run the rest) and join, and only then do the inline stages (and,
+// by subscription order, the engine's Sync/checkpoint hooks) see the day
+// end. Days with no events still fan the OnDayEnd work out, matching the
+// sequential empty-day semantics.
 func (p *parallelDriver) onDayEnd(st *trace.State, day int32) {
 	if p.deferred != nil {
 		batch := p.batch
-		var wg sync.WaitGroup
-		wg.Add(len(p.deferred))
-		for _, s := range p.deferred {
-			go func(s Stage) {
-				defer wg.Done()
-				p.sem <- struct{}{}
-				defer func() { <-p.sem }()
-				for i := range batch {
-					s.OnEvent(st, batch[i])
-				}
-				s.OnDayEnd(st, day)
-			}(s)
-		}
-		wg.Wait()
+		p.pool.Fan(len(p.deferred), func(_, i int) {
+			s := p.deferred[i]
+			for j := range batch {
+				s.OnEvent(st, batch[j])
+			}
+			s.OnDayEnd(st, day)
+		})
 		p.batch = batch[:0] // the join makes the buffer reusable next day
 	}
 	for _, s := range p.inline {

@@ -70,7 +70,7 @@ func parallelTestEvents() []trace.Event {
 func runRecorded(t *testing.T, workers, nOverlap, nInline int, log *[]string) ([]*recStage, []*recStage) {
 	t.Helper()
 	e := New()
-	e.SetWorkers(workers)
+	e.SetPool(NewPool(workers))
 	var over, inl []*recStage
 	for i := 0; i < nOverlap; i++ {
 		r := &recStage{name: "over"}
@@ -159,7 +159,7 @@ func (b *barrierSyncer) Sync(_ context.Context, st *trace.State, day int32) erro
 // Overlappable stage's day work joined.
 func TestParallelSyncBarrier(t *testing.T) {
 	e := New()
-	e.SetWorkers(4)
+	e.SetPool(NewPool(4))
 	var watched []*recStage
 	for i := 0; i < 3; i++ {
 		r := &recStage{name: "over"}
@@ -177,7 +177,7 @@ func TestParallelSyncBarrier(t *testing.T) {
 // aborts the replay exactly as sequentially — no Finish runs.
 func TestParallelSyncErrorAborts(t *testing.T) {
 	e := New()
-	e.SetWorkers(4)
+	e.SetPool(NewPool(4))
 	r1, r2 := &recStage{name: "over"}, &recStage{name: "over"}
 	e.Subscribe(overlapStage{r1}, overlapStage{r2})
 	boom := errors.New("boom")
@@ -210,7 +210,7 @@ func (f *failSyncer) Sync(_ context.Context, _ *trace.State, day int32) error {
 func TestParallelDriverDegenerates(t *testing.T) {
 	a := overlapStage{&recStage{name: "a"}}
 	b := &recStage{name: "b"}
-	p := newParallelDriver([]Stage{a, b}, 4)
+	p := newParallelDriver([]Stage{a, b}, NewPool(4))
 	if p.deferred != nil {
 		t.Fatalf("one marked stage should not defer, got %d deferred", len(p.deferred))
 	}

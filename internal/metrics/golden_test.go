@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/trace"
 )
@@ -38,7 +39,7 @@ func TestGoldenStage(t *testing.T) {
 	for _, tc := range goldenStage {
 		for _, workers := range []int{1, 2} {
 			opt := tc.opt
-			opt.Workers = workers
+			opt.Pool = engine.NewPool(workers)
 			if got := stageDigest(t, tr.Events, opt); got != tc.want {
 				t.Errorf("%s workers=%d: digest %s, want %s", tc.name, workers, got, tc.want)
 			}

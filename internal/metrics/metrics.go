@@ -10,8 +10,8 @@ package metrics
 import (
 	"errors"
 	"math/rand"
-	"sync"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/stats"
 )
@@ -180,15 +180,15 @@ func SampledPathLength(g *graph.Graph, k int, rng *rand.Rand) (float64, error) {
 //
 // The sources run in batches of graph.Lanes through the bit-parallel
 // multi-source BFS (graph.DistanceSums), which walks the component once
-// per batch instead of once per source. With Workers > 1 the batches fan
-// out across at most that many goroutines, each with private scratch. The
-// estimate is bit-identical at any width: sources are drawn before the
-// fan-out (the rng draw sequence is unchanged), and every batch's distance
-// total and pair count are exact int64 sums, divided once at the end.
+// per batch instead of once per source. The batches fan out on Pool (nil
+// runs them sequentially), each worker with private scratch. The
+// estimate is bit-identical at any budget: sources are drawn before the
+// fan-out (the rng draw sequence is unchanged), and every batch's
+// distance total and pair count are exact int64 sums, divided once at the
+// end.
 type PathSampler struct {
-	// Workers is the fan-out width over lane batches; <= 1 runs
-	// sequentially.
-	Workers int
+	// Pool is the CPU budget the lane batches borrow from.
+	Pool *engine.Pool
 
 	workers []laneWorker
 }
@@ -218,31 +218,20 @@ func (p *PathSampler) Sample(g *graph.Graph, k int, rng *rand.Rand) (float64, er
 		return 0, ErrNoSample
 	}
 	batches := (len(sources) + graph.Lanes - 1) / graph.Lanes
-	workers := min(max(p.Workers, 1), batches)
+	workers := min(p.Pool.Workers(), batches)
 	if len(p.workers) < workers {
 		p.workers = append(p.workers, make([]laneWorker, workers-len(p.workers))...)
 	}
-	// Worker w takes batches w, w+workers, …; the caller runs worker 0.
-	run := func(w int) {
+	for w := range p.workers[:workers] {
+		p.workers[w].total, p.workers[w].pairs = 0, 0
+	}
+	p.Pool.Fan(batches, func(w, b int) {
 		lw := &p.workers[w]
-		lw.total, lw.pairs = 0, 0
-		for b := w; b < batches; b += workers {
-			lo := b * graph.Lanes
-			t, c := g.DistanceSums(sources[lo:min(lo+graph.Lanes, len(sources))], comp, &lw.bfs)
-			lw.total += t
-			lw.pairs += c
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(w)
-		}()
-	}
-	run(0)
-	wg.Wait()
+		lo := b * graph.Lanes
+		t, c := g.DistanceSums(sources[lo:min(lo+graph.Lanes, len(sources))], comp, &lw.bfs)
+		lw.total += t
+		lw.pairs += c
+	})
 	var total, pairs int64
 	for _, lw := range p.workers[:workers] {
 		total += lw.total

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -27,7 +28,7 @@ func pathTestGraph(n, m int, seed int64) *graph.Graph {
 func TestPathSamplerParallelBitIdentical(t *testing.T) {
 	g := pathTestGraph(4000, 6000, 11)
 	sample := func(workers, k int) (float64, error, int64) {
-		p := PathSampler{Workers: workers}
+		p := PathSampler{Pool: engine.NewPool(workers)}
 		rng := rand.New(rand.NewSource(42))
 		v, err := p.Sample(g, k, rng)
 		return v, err, rng.Int63() // post-sample draw pins the rng position
@@ -53,7 +54,7 @@ func TestPathSamplerParallelBitIdentical(t *testing.T) {
 // graph reuse per-worker scratch without corrupting results.
 func TestPathSamplerScratchReuse(t *testing.T) {
 	g := pathTestGraph(1000, 1500, 3)
-	par := PathSampler{Workers: 4}
+	par := PathSampler{Pool: engine.NewPool(4)}
 	seq := PathSampler{}
 	for round := 0; round < 3; round++ {
 		rngA := rand.New(rand.NewSource(int64(round)))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/stats"
 )
@@ -71,7 +72,7 @@ func multiComponentGraph(n int, seed int64) *graph.Graph {
 func TestPathSamplerMatchesReference(t *testing.T) {
 	samplers := map[int]*PathSampler{}
 	for _, workers := range []int{1, 2, 3, 8} {
-		samplers[workers] = &PathSampler{Workers: workers}
+		samplers[workers] = &PathSampler{Pool: engine.NewPool(workers)}
 	}
 	ks := []int{0, 1, 5, 63, 64, 65, 100, 129, 640, 1 << 20 /* > component: all sources */}
 	for _, n := range []int{2, 40, 500, 1500} {
@@ -104,7 +105,7 @@ func TestPathSamplerMatchesReference(t *testing.T) {
 // calling goroutine) beyond the one helper goroutine it starts.
 func TestPathSamplerAllocs(t *testing.T) {
 	g := pathTestGraph(4000, 6000, 5)
-	p := PathSampler{Workers: 2}
+	p := PathSampler{Pool: engine.NewPool(2)}
 	allocs := func(k int) float64 {
 		rng := rand.New(rand.NewSource(1))
 		if _, err := p.Sample(g, k, rng); err != nil {

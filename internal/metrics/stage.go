@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -35,10 +36,16 @@ type StageOptions struct {
 	ClusteringSamples int
 	// Seed drives the sampled estimators.
 	Seed int64
-	// Workers is the fan-out width of the path-length estimator's lane
-	// batches (<= 1 sequential). A throughput knob only: the estimate is
-	// bit-identical at any width (see PathSampler), so it is deliberately
-	// not part of the checkpoint config fingerprint.
+	// Pool is the run's CPU budget, which the path-length estimator's
+	// lane batches borrow from (nil runs them sequentially). A throughput
+	// knob only: the estimate is bit-identical at any budget (see
+	// PathSampler), so it is deliberately not part of the checkpoint
+	// config fingerprint.
+	Pool *engine.Pool
+	// Workers is ignored.
+	//
+	// Deprecated: the lane batches borrow from Pool. Kept only because
+	// the benchmark harness still builds against it.
 	Workers int
 }
 
@@ -76,7 +83,7 @@ func NewStage(opt StageOptions) *Stage {
 		opt.ClusteringSamples = 1000
 	}
 	src := stats.NewSource(opt.Seed)
-	return &Stage{opt: opt, src: src, rng: rand.New(src), paths: PathSampler{Workers: opt.Workers}}
+	return &Stage{opt: opt, src: src, rng: rand.New(src), paths: PathSampler{Pool: opt.Pool}}
 }
 
 // StageName is the stage's planner registry name.

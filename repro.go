@@ -101,9 +101,9 @@ func DefaultPipeline() Pipeline { return core.DefaultConfig() }
 
 // Run executes the multi-scale pipeline over a trace on the single-pass
 // streaming engine: every analysis — the δ-sweep included — shares one
-// replay and one live graph, with the sweep's per-δ detectors fanned out
-// across a bounded worker pool against frozen snapshots of the shared
-// graph (see DESIGN.md §4).
+// replay and one live graph, with the sweep's per-δ detectors queued on
+// the run's CPU budget against frozen snapshots of the shared graph (see
+// DESIGN.md §4).
 func Run(tr *Trace, cfg Pipeline) (*Result, error) { return core.Run(tr, cfg) }
 
 // RunSource is Run over a re-openable event source — with a source from
