@@ -171,6 +171,36 @@ func ParseDeltaSweep(s string) ([]float64, error) {
 	return out, nil
 }
 
+// ParseDistDays parses a comma-separated list of size-distribution days —
+// the textual form of Config.Community.SizeDistDays used by the CLIs'
+// -dist-days flags. An empty list selects the default: three late days of
+// a trace `days` long (days/2, 3·days/4 and the last day), each snapped
+// down onto opt's snapshot grid. The days enter the checkpoint
+// fingerprint, so every CLI derives them here and they agree.
+func ParseDistDays(s string, days int32, opt community.Options) ([]int32, error) {
+	if s != "" {
+		var out []int32
+		for _, d := range strings.Split(s, ",") {
+			v, err := strconv.Atoi(strings.TrimSpace(d))
+			if err != nil {
+				return nil, fmt.Errorf("bad dist day %q: %v", d, err)
+			}
+			out = append(out, int32(v))
+		}
+		return out, nil
+	}
+	if days <= 0 {
+		return nil, nil
+	}
+	snap := func(d int32) int32 {
+		if d < opt.StartDay {
+			return opt.StartDay
+		}
+		return d - (d-opt.StartDay)%opt.SnapshotEvery
+	}
+	return []int32{snap(days / 2), snap(days * 3 / 4), snap(days - 1)}, nil
+}
+
 // GrowthDay is one day of the Fig 1a/1b series.
 type GrowthDay = metrics.GrowthDay
 

@@ -142,6 +142,11 @@ func TestResumeMatchesFromZero(t *testing.T) {
 			if len(days) < 3 {
 				t.Fatalf("only %d checkpoints written: %v", len(days), days)
 			}
+			if tc.figures == nil {
+				// The full plan is TestGoldenFigures' "small" run.
+				checkGolden(t, "from-zero", "small", base)
+				checkGoldenCheckpoint(t, "from-zero", "small", dir, days[len(days)-1])
+			}
 
 			// Checkpointing itself must not perturb results.
 			plain := cfg
