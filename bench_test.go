@@ -55,26 +55,13 @@ func benchTrace(b *testing.B) *trace.Trace {
 	return benchTr
 }
 
-// metricsResult runs the Fig 1 stage only.
-func metricsResult(b *testing.B, tr *trace.Trace) *core.Result {
-	cfg := core.DefaultConfig()
-	cfg.SkipEvolution = true
-	cfg.SkipCommunity = true
-	cfg.SkipMerge = true
-	cfg.PathEvery = 15
-	cfg.PathSources = 50
-	res, err := core.Run(tr, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-func benchFigure(b *testing.B, id string, run func(*trace.Trace) (*core.Result, error)) {
+// benchFigure times the minimal plan for one panel under cfg — the
+// panel's producing stage and its dependencies, nothing else.
+func benchFigure(b *testing.B, id string, cfg core.Config) {
 	tr := benchTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := run(tr)
+		res, err := core.RunFigures(context.Background(), tr.Source(), cfg, id)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -90,90 +77,74 @@ func benchFigure(b *testing.B, id string, run func(*trace.Trace) (*core.Result, 
 
 // --- Fig 1: network-level metrics ---
 
-func fig1Run(b *testing.B) func(*trace.Trace) (*core.Result, error) {
-	return func(tr *trace.Trace) (*core.Result, error) { return metricsResult(b, tr), nil }
+func metricsConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.PathEvery = 15
+	cfg.PathSources = 50
+	return cfg
 }
 
-func BenchmarkFig1a(b *testing.B) { benchFigure(b, "fig1a", fig1Run(b)) }
-func BenchmarkFig1b(b *testing.B) { benchFigure(b, "fig1b", fig1Run(b)) }
-func BenchmarkFig1c(b *testing.B) { benchFigure(b, "fig1c", fig1Run(b)) }
-func BenchmarkFig1d(b *testing.B) { benchFigure(b, "fig1d", fig1Run(b)) }
-func BenchmarkFig1e(b *testing.B) { benchFigure(b, "fig1e", fig1Run(b)) }
-func BenchmarkFig1f(b *testing.B) { benchFigure(b, "fig1f", fig1Run(b)) }
+func BenchmarkFig1a(b *testing.B) { benchFigure(b, "fig1a", metricsConfig()) }
+func BenchmarkFig1b(b *testing.B) { benchFigure(b, "fig1b", metricsConfig()) }
+func BenchmarkFig1c(b *testing.B) { benchFigure(b, "fig1c", metricsConfig()) }
+func BenchmarkFig1d(b *testing.B) { benchFigure(b, "fig1d", metricsConfig()) }
+func BenchmarkFig1e(b *testing.B) { benchFigure(b, "fig1e", metricsConfig()) }
+func BenchmarkFig1f(b *testing.B) { benchFigure(b, "fig1f", metricsConfig()) }
 
 // --- Fig 2–3: node-level edge evolution and PA strength ---
 
-func evolutionRun(tr *trace.Trace) (*core.Result, error) {
+func evolutionConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.SkipMetrics = true
-	cfg.SkipCommunity = true
-	cfg.SkipMerge = true
 	cfg.Alpha = evolution.AlphaOptions{Interval: 2000, MinEdges: 4000, PolyDegree: 3}
-	return core.Run(tr, cfg)
+	return cfg
 }
 
-func BenchmarkFig2a(b *testing.B) { benchFigure(b, "fig2a", evolutionRun) }
-func BenchmarkFig2b(b *testing.B) { benchFigure(b, "fig2b", evolutionRun) }
-func BenchmarkFig2c(b *testing.B) { benchFigure(b, "fig2c", evolutionRun) }
-func BenchmarkFig3a(b *testing.B) { benchFigure(b, "fig3a", evolutionRun) }
-func BenchmarkFig3b(b *testing.B) { benchFigure(b, "fig3b", evolutionRun) }
-func BenchmarkFig3c(b *testing.B) { benchFigure(b, "fig3c", evolutionRun) }
+func BenchmarkFig2a(b *testing.B) { benchFigure(b, "fig2a", evolutionConfig()) }
+func BenchmarkFig2b(b *testing.B) { benchFigure(b, "fig2b", evolutionConfig()) }
+func BenchmarkFig2c(b *testing.B) { benchFigure(b, "fig2c", evolutionConfig()) }
+func BenchmarkFig3a(b *testing.B) { benchFigure(b, "fig3a", evolutionConfig()) }
+func BenchmarkFig3b(b *testing.B) { benchFigure(b, "fig3b", evolutionConfig()) }
+func BenchmarkFig3c(b *testing.B) { benchFigure(b, "fig3c", evolutionConfig()) }
 
 // --- Fig 4: δ sensitivity sweep ---
 
-func deltaSweepRun(tr *trace.Trace) (*core.Result, error) {
+func deltaSweepConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.SkipMetrics = true
-	cfg.SkipEvolution = true
-	cfg.SkipMerge = true
 	cfg.Community.SizeDistDays = []int32{251}
 	cfg.DeltaSweep = []float64{0.0001, 0.01, 0.04, 0.1, 0.3}
-	return core.Run(tr, cfg)
+	return cfg
 }
 
-func BenchmarkFig4a(b *testing.B) { benchFigure(b, "fig4a", deltaSweepRun) }
-func BenchmarkFig4b(b *testing.B) { benchFigure(b, "fig4b", deltaSweepRun) }
-func BenchmarkFig4c(b *testing.B) { benchFigure(b, "fig4c", deltaSweepRun) }
+func BenchmarkFig4a(b *testing.B) { benchFigure(b, "fig4a", deltaSweepConfig()) }
+func BenchmarkFig4b(b *testing.B) { benchFigure(b, "fig4b", deltaSweepConfig()) }
+func BenchmarkFig4c(b *testing.B) { benchFigure(b, "fig4c", deltaSweepConfig()) }
 
 // --- Fig 5–7: community statistics, prediction, user impact ---
 
-func communityRun(tr *trace.Trace) (*core.Result, error) {
+func communityConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.SkipMetrics = true
-	cfg.SkipEvolution = true
-	cfg.SkipMerge = true
 	cfg.Community.SizeDistDays = []int32{200, 251, 296}
-	return core.Run(tr, cfg)
+	return cfg
 }
 
-func BenchmarkFig5a(b *testing.B) { benchFigure(b, "fig5a", communityRun) }
-func BenchmarkFig5b(b *testing.B) { benchFigure(b, "fig5b", communityRun) }
-func BenchmarkFig5c(b *testing.B) { benchFigure(b, "fig5c", communityRun) }
-func BenchmarkFig6a(b *testing.B) { benchFigure(b, "fig6a", communityRun) }
-func BenchmarkFig6b(b *testing.B) { benchFigure(b, "fig6b", communityRun) }
-func BenchmarkFig6c(b *testing.B) { benchFigure(b, "fig6c", communityRun) }
-func BenchmarkFig7a(b *testing.B) { benchFigure(b, "fig7a", communityRun) }
-func BenchmarkFig7b(b *testing.B) { benchFigure(b, "fig7b", communityRun) }
-func BenchmarkFig7c(b *testing.B) { benchFigure(b, "fig7c", communityRun) }
+func BenchmarkFig5a(b *testing.B) { benchFigure(b, "fig5a", communityConfig()) }
+func BenchmarkFig5b(b *testing.B) { benchFigure(b, "fig5b", communityConfig()) }
+func BenchmarkFig5c(b *testing.B) { benchFigure(b, "fig5c", communityConfig()) }
+func BenchmarkFig6a(b *testing.B) { benchFigure(b, "fig6a", communityConfig()) }
+func BenchmarkFig6b(b *testing.B) { benchFigure(b, "fig6b", communityConfig()) }
+func BenchmarkFig6c(b *testing.B) { benchFigure(b, "fig6c", communityConfig()) }
+func BenchmarkFig7a(b *testing.B) { benchFigure(b, "fig7a", communityConfig()) }
+func BenchmarkFig7b(b *testing.B) { benchFigure(b, "fig7b", communityConfig()) }
+func BenchmarkFig7c(b *testing.B) { benchFigure(b, "fig7c", communityConfig()) }
 
 // --- Fig 8–9: network merge ---
 
-func mergeRun(tr *trace.Trace) (*core.Result, error) {
-	cfg := core.DefaultConfig()
-	cfg.SkipMetrics = true
-	cfg.SkipEvolution = true
-	cfg.SkipCommunity = true
-	return core.Run(tr, cfg)
-}
-
-func BenchmarkFig8a(b *testing.B) { benchFigure(b, "fig8a", mergeRun) }
-func BenchmarkFig8b(b *testing.B) { benchFigure(b, "fig8b", mergeRun) }
-func BenchmarkFig8c(b *testing.B) { benchFigure(b, "fig8c", mergeRun) }
-func BenchmarkFig9a(b *testing.B) { benchFigure(b, "fig9a", mergeRun) }
-func BenchmarkFig9b(b *testing.B) { benchFigure(b, "fig9b", mergeRun) }
-func BenchmarkFig9c(b *testing.B) { benchFigure(b, "fig9c", mergeRun) }
-
-// --- Engine vs batch: the single-pass refactor's headline comparison ---
+func BenchmarkFig8a(b *testing.B) { benchFigure(b, "fig8a", core.DefaultConfig()) }
+func BenchmarkFig8b(b *testing.B) { benchFigure(b, "fig8b", core.DefaultConfig()) }
+func BenchmarkFig8c(b *testing.B) { benchFigure(b, "fig8c", core.DefaultConfig()) }
+func BenchmarkFig9a(b *testing.B) { benchFigure(b, "fig9a", core.DefaultConfig()) }
+func BenchmarkFig9b(b *testing.B) { benchFigure(b, "fig9b", core.DefaultConfig()) }
+func BenchmarkFig9c(b *testing.B) { benchFigure(b, "fig9c", core.DefaultConfig()) }
 
 // pipelineConfig is a full multi-scale configuration (every stage plus a
 // δ-sweep) at bench scale.
@@ -185,31 +156,6 @@ func pipelineConfig() core.Config {
 	cfg.PathEvery = 30
 	cfg.PathSources = 30
 	return cfg
-}
-
-// BenchmarkPipelineEngine runs the full pipeline on the streaming engine:
-// one shared replay pass for all non-sweep stages, δ-sweep and SVM
-// evaluation fanned out on the worker pool.
-func BenchmarkPipelineEngine(b *testing.B) {
-	tr := benchTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(tr, pipelineConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPipelineBatch runs the same configuration through the batch
-// reference path: one independent replay (and graph rebuild) per analysis.
-func BenchmarkPipelineBatch(b *testing.B) {
-	tr := benchTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunBatch(tr, pipelineConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkFigureOnly is the demand-driven planner's headline: serving one
@@ -374,8 +320,8 @@ func samplePeakHeap() (stop func() float64) {
 // BenchmarkDeltaSweep is the shared-snapshot sweep's headline: a K-δ Fig 4
 // sensitivity sweep over a disk-backed trace through the new single-pass
 // path (one shared replay, one live graph, per-δ detectors fanned out
-// against frozen CSR snapshots) versus the retained re-open-per-δ
-// reference path (community.RunSource per δ on the pool — the
+// against frozen CSR snapshots) versus a re-open-per-δ reference (one
+// community stage per δ, each in a private replay on the pool — the
 // pre-refactor plan fan-out, 1 pass and 1 live graph per δ). Wall-clock
 // isolates the tentpole's claim — the K redundant replays and graphs are
 // gone; the per-δ Louvain+tracking compute is identical in both arms —
@@ -444,7 +390,7 @@ func BenchmarkDeltaSweep(b *testing.B) {
 				o := opt
 				o.Delta = d
 				pool.GoContext(ctx, func() error {
-					dr, err := community.RunSourceContext(ctx, src, o)
+					dr, err := communityPass(ctx, src, o)
 					if err != nil {
 						return err
 					}
@@ -467,29 +413,26 @@ func BenchmarkDeltaSweep(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationDestSelection quantifies the §3.2 destination-rule
-// ambiguity: fitted α under the higher-degree vs random endpoint rules.
-func BenchmarkAblationDestSelection(b *testing.B) {
-	tr := benchTrace(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := evolution.AnalyzeAlpha(tr.Events, evolution.AlphaOptions{Interval: 2000, MinEdges: 4000, Seed: 1, PolyDegree: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Logf("alpha(higher)=%.3f mse=%.2e | alpha(random)=%.3f mse=%.2e | gap=%.3f",
-				res.FinalAlphaHigher, res.FinalMSEHigher,
-				res.FinalAlphaRandom, res.FinalMSERandom,
-				res.FinalAlphaHigher-res.FinalAlphaRandom)
-		}
+// communityPass runs one community stage over src in a private replay.
+func communityPass(ctx context.Context, src trace.Source, opt community.Options) (*community.Result, error) {
+	s := community.NewStage(opt)
+	st := trace.NewState(1024, 4096)
+	if err := trace.ReplaySourceIntoContext(ctx, st, src, trace.Hooks{OnDayEnd: s.OnDayEnd}); err != nil {
+		return nil, err
 	}
+	if err := s.Finish(st); err != nil {
+		return nil, err
+	}
+	return s.Result(), nil
 }
 
-// BenchmarkAblationPADecay is the control experiment for Fig 3c: with the
-// PA-decay mechanism disabled (constant mixing weight), α(t) stays flat.
+// --- Ablations (DESIGN.md §5) ---
+
+// BenchmarkAblationPADecay is the control experiment for Fig 3c: α(t) of
+// the higher-degree rule, through the plan at the paper's defaults, with
+// the generator's PA decay on and off (a constant mixing weight). At this
+// preset α rises in both arms; DESIGN.md §5 records where the arms
+// separate.
 func BenchmarkAblationPADecay(b *testing.B) {
 	mkTrace := func(slope float64) *trace.Trace {
 		cfg := gen.SmallConfig()
@@ -501,12 +444,14 @@ func BenchmarkAblationPADecay(b *testing.B) {
 		}
 		return tr
 	}
+	cfg := core.DefaultConfig()
 	measure := func(tr *trace.Trace) (first, last float64) {
-		res, err := evolution.AnalyzeAlpha(tr.Events, evolution.AlphaOptions{Interval: 2000, MinEdges: 4000, Seed: 1, PolyDegree: 2})
+		res, err := core.RunFigures(context.Background(), tr.Source(), cfg, "fig3c")
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.Samples[0].AlphaHigher, res.Samples[len(res.Samples)-1].AlphaHigher
+		s := res.Alpha.Samples
+		return s[0].AlphaHigher, s[len(s)-1].AlphaHigher
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -653,7 +598,12 @@ func BenchmarkSubstrateMergeAnalysis(b *testing.B) {
 	tr := benchTrace(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := osnmerge.Analyze(tr.Events, tr.Meta.MergeDay, osnmerge.DefaultOptions()); err != nil {
+		s := osnmerge.NewStage(tr.Meta.MergeDay, osnmerge.DefaultOptions())
+		st, err := trace.Replay(tr.Events, trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Finish(st); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -862,18 +812,18 @@ func BenchmarkStorage(b *testing.B) {
 	// The metrics stage keeps the replay decode-bound enough that the
 	// decompression overhead can't hide behind snapshot-day analysis.
 	cfg := core.DefaultConfig()
-	cfg.DeltaSweep = nil
-	cfg.SkipEvolution = true
-	cfg.SkipCommunity = true
-	cfg.SkipMerge = true
-
-	// Equivalence outside the timers: the segmented replay must serve
-	// the same tables as the flat one.
-	flatRes, err := core.RunPlan(context.Background(), flatSrc, cfg, nil)
+	plan, err := core.Plan(cfg, "fig1a", "fig1c", "fig1f")
 	if err != nil {
 		b.Fatal(err)
 	}
-	segRes, err := core.RunPlan(context.Background(), segSrc, cfg, nil)
+
+	// Equivalence outside the timers: the segmented replay must serve
+	// the same tables as the flat one.
+	flatRes, err := core.RunPlan(context.Background(), flatSrc, cfg, plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	segRes, err := core.RunPlan(context.Background(), segSrc, cfg, plan)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -894,7 +844,7 @@ func BenchmarkStorage(b *testing.B) {
 	}{{"ReplayFlat", flatSrc}, {"ReplaySegmented", segSrc}} {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.RunPlan(context.Background(), arm.src, cfg, nil); err != nil {
+				if _, err := core.RunPlan(context.Background(), arm.src, cfg, plan); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -917,7 +867,7 @@ func BenchmarkStorage(b *testing.B) {
 			ccfg.CheckpointKeep = 2
 			var stats []core.CheckpointStat
 			ccfg.CheckpointObserver = func(s core.CheckpointStat) { stats = append(stats, s) }
-			if _, err := core.RunPlan(context.Background(), segSrc, ccfg, nil); err != nil {
+			if _, err := core.RunPlan(context.Background(), segSrc, ccfg, plan); err != nil {
 				b.Fatal(err)
 			}
 			if i != 0 {

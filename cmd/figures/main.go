@@ -41,7 +41,6 @@ func main() {
 	tracePath := flag.String("trace", "", "optional trace file, replayed off disk (overrides -preset)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	deltas := flag.String("deltas", "", "comma-separated Louvain δ values for the fig4 sweep, e.g. 0.01,0.04,0.16 (default: the paper grid)")
-	sweep := flag.String("sweep", "", "deprecated alias for -deltas (mutually exclusive with it)")
 	progress := flag.Bool("progress", false, "write a day/event progress line to stderr while the shared pass replays")
 	checkpointDir := flag.String("checkpoint-dir", "", "write pipeline checkpoints into this directory at the -checkpoint-every cadence")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in days (0 = default 90; needs -checkpoint-dir)")
@@ -147,15 +146,8 @@ func main() {
 	// δ values must be in place before planning — a fig4 request with an
 	// empty sweep is rejected at plan time. Setting the default grid is
 	// free when the sweep stage doesn't make the plan.
-	if *deltas != "" && *sweep != "" {
-		log.Fatal("-deltas and the deprecated -sweep are mutually exclusive; pass only -deltas")
-	}
-	deltaSpec := *deltas
-	if deltaSpec == "" {
-		deltaSpec = *sweep // deprecated alias
-	}
-	if deltaSpec != "" {
-		vs, err := core.ParseDeltaSweep(deltaSpec)
+	if *deltas != "" {
+		vs, err := core.ParseDeltaSweep(*deltas)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -184,14 +176,10 @@ func main() {
 	}
 	log.Printf("plan: stages %s for %d figure(s)", strings.Join(plan.Stages(), ", "), len(plan.Figures()))
 	if plan.Has("community") || plan.Has("sweep") {
-		d := meta.Days
-		grid := func(x int32) int32 {
-			if x < cfg.Community.StartDay {
-				return cfg.Community.StartDay
-			}
-			return x - (x-cfg.Community.StartDay)%cfg.Community.SnapshotEvery
+		// The CLIs' default dist-days: three late snapshot days.
+		if cfg.Community.SizeDistDays, err = core.ParseDistDays("", meta.Days, cfg.Community); err != nil {
+			log.Fatal(err)
 		}
-		cfg.Community.SizeDistDays = []int32{grid(d / 2), grid(d * 3 / 4), grid(d - 1)}
 	}
 
 	// Interrupting the run (SIGINT) cancels every in-flight replay pass at

@@ -4,11 +4,19 @@
 //
 // Usage:
 //
-//	rranalyze -trace renren.trace -out figures/
-//	rranalyze -trace renren.trace -out figures/ -only fig3c,fig5a
+//	rranalyze -trace renren.trace -out figures/                    # every stage
+//	rranalyze -trace renren.trace -out figures/ -only fig3c,fig5a  # only the stages these panels need
 //	rranalyze -trace renren.trace -out figures/ -deltas 0.0001,0.01,0.04,0.1,0.3
+//	rranalyze -trace renren.trace -out figures/ -checkpoint-dir ckpts -dist-days 150,225,297
+//	rranalyze -trace grown.trace -out figures/ -checkpoint-dir ckpts -dist-days 150,225,297 -resume
 //	rranalyze -trace renren.trace -validate -progress -out figures/
 //	rranalyze -trace renren.seg -info -checkpoint-dir ckpts  # trace stats + checkpoint inventory
+//
+// Without -only every registered stage runs and all 30 panels are written;
+// the Fig 4 panels need -deltas. -dist-days defaults to three late snapshot
+// days of the trace (core.ParseDistDays, shared with rrserved). The days
+// are part of the checkpoint fingerprint, so pin them across -resume runs
+// over a growing trace.
 package main
 
 import (
@@ -21,7 +29,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -38,7 +45,6 @@ func main() {
 	format := flag.String("format", "tsv", "output format for figure tables: tsv or json (sets the file extension)")
 	only := flag.String("only", "", "comma-separated figure ids; plans and runs exactly the stages they need")
 	deltas := flag.String("deltas", "", "comma-separated Louvain δ values for the Fig 4 sweep, e.g. 0.01,0.04,0.16")
-	sweep := flag.String("sweep", "", "deprecated alias for -deltas (mutually exclusive with it)")
 	progress := flag.Bool("progress", false, "write a day/event progress line to stderr while the shared pass replays")
 	checkpointDir := flag.String("checkpoint-dir", "", "write pipeline checkpoints into this directory at the -checkpoint-every cadence")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint cadence in days (0 = default 90; needs -checkpoint-dir)")
@@ -49,7 +55,6 @@ func main() {
 	snapshotEvery := flag.Int("snapshot-every", 0, "community snapshot cadence in days (0 = default 3)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "CPU budget: at most N goroutines do analysis work at once, the replay included; 1 runs fully sequentially (results are bit-identical at any count)")
 	distDays := flag.String("dist-days", "", "comma-separated days for size distributions (default: three late snapshot days)")
-	skip := flag.String("skip", "", "comma-separated stages to skip: metrics,evolution,community,merge")
 	validate := flag.Bool("validate", false, "stream-validate the trace's structural invariants before analyzing")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the pipeline run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the pipeline run to this file")
@@ -92,31 +97,11 @@ func main() {
 	if *snapshotEvery > 0 {
 		cfg.Community.SnapshotEvery = int32(*snapshotEvery)
 	}
-	cfg.Community.SizeDistDays = parseDays(*distDays, meta.Days, cfg.Community.StartDay, cfg.Community.SnapshotEvery)
-	for _, s := range strings.Split(*skip, ",") {
-		switch strings.TrimSpace(s) {
-		case "metrics":
-			cfg.SkipMetrics = true
-		case "evolution":
-			cfg.SkipEvolution = true
-		case "community":
-			cfg.SkipCommunity = true
-		case "merge":
-			cfg.SkipMerge = true
-		case "":
-		default:
-			log.Fatalf("unknown stage %q", s)
-		}
+	if cfg.Community.SizeDistDays, err = core.ParseDistDays(*distDays, meta.Days, cfg.Community); err != nil {
+		log.Fatal(err)
 	}
-	if *deltas != "" && *sweep != "" {
-		log.Fatal("-deltas and the deprecated -sweep are mutually exclusive; pass only -deltas")
-	}
-	deltaSpec := *deltas
-	if deltaSpec == "" {
-		deltaSpec = *sweep // deprecated alias
-	}
-	if deltaSpec != "" {
-		vs, err := core.ParseDeltaSweep(deltaSpec)
+	if *deltas != "" {
+		vs, err := core.ParseDeltaSweep(*deltas)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -140,8 +125,8 @@ func main() {
 	cfg.Resume = *resume
 
 	// An explicit -only list plans the minimal stage set; otherwise a nil
-	// plan translates the -skip toggles. SIGINT cancels every in-flight
-	// replay pass at its next day boundary.
+	// plan runs every stage. SIGINT cancels the replay at its next day
+	// boundary.
 	var plan *core.FigurePlan
 	figs := core.AllFigures
 	if *only != "" {
@@ -270,30 +255,4 @@ func printInfo(src *trace.FileSource, path, ckptDir string) {
 		}
 		fmt.Println(line)
 	}
-}
-
-// parseDays parses -dist-days, defaulting to three evenly spaced days in
-// the trace's second half, snapped onto the snapshot grid.
-func parseDays(s string, days, startDay, every int32) []int32 {
-	if s != "" {
-		var out []int32
-		for _, d := range strings.Split(s, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(d))
-			if err != nil {
-				log.Fatalf("bad dist day %q: %v", d, err)
-			}
-			out = append(out, int32(v))
-		}
-		return out
-	}
-	if days <= 0 {
-		return nil
-	}
-	snap := func(d int32) int32 {
-		if d < startDay {
-			return startDay
-		}
-		return d - (d-startDay)%every
-	}
-	return []int32{snap(days / 2), snap(days * 3 / 4), snap(days - 1)}
 }

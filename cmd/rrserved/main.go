@@ -36,13 +36,12 @@ import (
 	"errors"
 	"flag"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -145,7 +144,10 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.DeltaSweep = vs
-	cfg.Community.SizeDistDays = parseDistDays(log, *distDays, meta.Days, cfg.Community.StartDay, cfg.Community.SnapshotEvery)
+	if cfg.Community.SizeDistDays, err = core.ParseDistDays(*distDays, meta.Days, cfg.Community); err != nil {
+		log.Error("bad -dist-days", "err", err)
+		os.Exit(2)
+	}
 
 	log.Info("loading warm state",
 		"trace", *tracePath, "days", meta.Days, "nodes", meta.Nodes, "edges", meta.Edges,
@@ -209,7 +211,14 @@ func main() {
 		handler = mux
 		log.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	// Listen before logging, so "serving" names the bound address — the
+	// real port when -addr asks for :0.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Error("listen", "err", err)
+		os.Exit(1)
+	}
+	hs := &http.Server{Handler: handler}
 	go func() {
 		<-ctx.Done()
 		log.Info("shutting down")
@@ -217,37 +226,9 @@ func main() {
 		defer cancel()
 		hs.Shutdown(shutdownCtx)
 	}()
-	log.Info("serving", "addr", *addr)
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+	log.Info("serving", "addr", ln.Addr().String())
+	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Error("serve", "err", err)
 		os.Exit(1)
 	}
-}
-
-// parseDistDays parses -dist-days, defaulting to three evenly spaced days
-// in the trace's second half snapped onto the snapshot grid — the same
-// derivation rranalyze uses.
-func parseDistDays(log *slog.Logger, s string, days, startDay, every int32) []int32 {
-	if s != "" {
-		var out []int32
-		for _, d := range strings.Split(s, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(d))
-			if err != nil {
-				log.Error("bad -dist-days", "value", d, "err", err)
-				os.Exit(2)
-			}
-			out = append(out, int32(v))
-		}
-		return out
-	}
-	if days <= 0 {
-		return nil
-	}
-	snap := func(d int32) int32 {
-		if d < startDay {
-			return startDay
-		}
-		return d - (d-startDay)%every
-	}
-	return []int32{snap(days / 2), snap(days * 3 / 4), snap(days - 1)}
 }

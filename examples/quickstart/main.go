@@ -24,8 +24,10 @@ func main() {
 	fmt.Printf("trace: %d days, %d nodes (%d xiaonei, %d 5q, %d new), %d edges\n",
 		m.Days, m.Nodes, m.Xiaonei, m.FiveQ, m.NewUsers, m.Edges)
 
-	// The whole paper in one call.
-	res, err := repro.Run(tr, repro.DefaultPipeline())
+	// The whole paper in one call: a nil plan runs every stage over one
+	// shared replay of the trace.
+	ctx := context.Background()
+	res, err := repro.RunPlan(ctx, tr.Source(), repro.DefaultPipeline(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 	// When only one panel is needed, skip the full pipeline: RunFigures
 	// plans the minimal stage set for the request (here just the metrics
 	// stage — one replay pass instead of the whole multi-scale analysis).
-	one, err := repro.RunFigures(context.Background(), tr.Source(), repro.DefaultPipeline(), "fig1a")
+	one, err := repro.RunFigures(ctx, tr.Source(), repro.DefaultPipeline(), "fig1a")
 	if err != nil {
 		log.Fatal(err)
 	}

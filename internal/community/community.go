@@ -6,12 +6,10 @@
 package community
 
 import (
-	"context"
 	"errors"
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/trace"
 	"repro/internal/tracking"
 )
 
@@ -45,7 +43,7 @@ type Options struct {
 	SizeDistDays []int32
 }
 
-// withDefaults fills Run's defaults into zero-valued knobs.
+// withDefaults fills the paper's defaults into zero-valued knobs.
 func (o Options) withDefaults() Options {
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = 3
@@ -128,38 +126,6 @@ type Result struct {
 
 // ErrNoSnapshots is returned when the trace never reaches snapshot size.
 var ErrNoSnapshots = errors.New("community: no snapshots taken")
-
-// Run replays the trace, detecting and tracking communities on the
-// snapshot schedule. It is the batch entry point over the streaming Stage,
-// which the engine also feeds from its single shared pass.
-func Run(events []trace.Event, opt Options) (*Result, error) {
-	return RunSource(trace.SliceSource(events), opt)
-}
-
-// RunSource is Run over a re-openable event source; it consumes exactly
-// one pass. This re-open-per-δ form is the δ-sweep's retained reference
-// path (RunBatch still opens one pass per δ through here); the streaming
-// sweep itself runs as SweepStage off one shared pass and is held
-// bit-identical to this path by TestSweepMatchesPerPass.
-func RunSource(src trace.Source, opt Options) (*Result, error) {
-	return RunSourceContext(nil, src, opt)
-}
-
-// RunSourceContext is RunSource with cancellation: the replay checks ctx
-// at every day boundary, so a pass fanned out on a worker pool stops
-// promptly (with ctx.Err()) when its pipeline run is cancelled. A nil ctx
-// disables the checks.
-func RunSourceContext(ctx context.Context, src trace.Source, opt Options) (*Result, error) {
-	s := NewStage(opt)
-	st := trace.NewState(1024, 4096)
-	if err := trace.ReplaySourceIntoContext(ctx, st, src, trace.Hooks{OnDayEnd: s.OnDayEnd}); err != nil {
-		return nil, err
-	}
-	if err := s.Finish(nil); err != nil {
-		return nil, err
-	}
-	return s.Result(), nil
-}
 
 // Lifetimes returns the lifetime in days of every tracked community,
 // using the final snapshot day for still-alive ones (Fig 5c).

@@ -14,10 +14,12 @@ var (
 	runOnce   sync.Once
 	runEvents []trace.Event
 	runRes    *Result
+	runUsers  *UserImpact
 	runErr    error
 )
 
-// pipeline runs (once) the community pipeline over a small merge trace.
+// pipeline runs (once) the community and users stages in one pass over a
+// small merge trace.
 func pipeline(t *testing.T) ([]trace.Event, *Result) {
 	t.Helper()
 	runOnce.Do(func() {
@@ -31,12 +33,38 @@ func pipeline(t *testing.T) ([]trace.Event, *Result) {
 		runEvents = tr.Events
 		opt := DefaultOptions()
 		opt.SizeDistDays = []int32{200}
-		runRes, runErr = Run(runEvents, opt)
+		cs := NewStage(opt)
+		us := NewUsersStage(nil, cs.Result)
+		st := trace.NewState(1024, 4096)
+		hooks := trace.Hooks{OnEvent: us.OnEvent, OnDayEnd: cs.OnDayEnd}
+		if runErr = trace.ReplaySourceIntoContext(nil, st, tr.Source(), hooks); runErr != nil {
+			return
+		}
+		if runErr = cs.Finish(st); runErr != nil {
+			return
+		}
+		if runErr = us.Finish(st); runErr != nil {
+			return
+		}
+		runRes, runUsers = cs.Result(), us.Impact()
 	})
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
 	return runEvents, runRes
+}
+
+// runPass runs one community Stage over src in a private replay.
+func runPass(src trace.Source, opt Options) (*Result, error) {
+	s := NewStage(opt)
+	st := trace.NewState(1024, 4096)
+	if err := trace.ReplaySourceIntoContext(nil, st, src, trace.Hooks{OnDayEnd: s.OnDayEnd}); err != nil {
+		return nil, err
+	}
+	if err := s.Finish(st); err != nil {
+		return nil, err
+	}
+	return s.Result(), nil
 }
 
 func TestRunProducesSnapshots(t *testing.T) {
@@ -211,8 +239,8 @@ func TestEvaluateMergePrediction(t *testing.T) {
 }
 
 func TestAnalyzeUsers(t *testing.T) {
-	events, res := pipeline(t)
-	ui := AnalyzeUsers(events, res, nil)
+	pipeline(t)
+	ui := runUsers
 	if len(ui.CommunityGaps) == 0 {
 		t.Fatal("no community-user gaps")
 	}
@@ -241,7 +269,7 @@ func TestAnalyzeUsers(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	// A node-only trace never reaches snapshot size.
 	evs := []trace.Event{{Kind: trace.AddNode, Day: 0, U: 0}}
-	if _, err := Run(evs, DefaultOptions()); err != ErrNoSnapshots {
+	if _, err := runPass(trace.SliceSource(evs), DefaultOptions()); err != ErrNoSnapshots {
 		t.Fatalf("err = %v", err)
 	}
 }

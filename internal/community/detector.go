@@ -33,7 +33,8 @@ type Detector struct {
 	done     bool
 }
 
-// NewDetector creates a per-δ detector with Run's defaulting. Requested
+// NewDetector creates a per-δ detector; zero option fields get the
+// paper's defaults (Options.withDefaults). Requested
 // SizeDistDays that fall between snapshots are snapped to the nearest
 // scheduled snapshot day (see Options.SizeDistDays).
 func NewDetector(opt Options) *Detector {

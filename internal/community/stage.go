@@ -7,7 +7,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Stage is the streaming form of Run: the snapshot pipeline driven by
+// Stage is the §4 community pipeline: the snapshot pipeline driven by
 // day-end callbacks from the engine's single shared pass. It is the
 // single-δ composition of the pipeline's two layers — the engine's shared
 // replay maintains the graph, and on the snapshot schedule a Detector
@@ -19,8 +19,8 @@ type Stage struct {
 	snaps *Snapshots
 }
 
-// NewStage creates a streaming community-pipeline stage with Run's
-// defaulting. It freezes its own snapshots until Share hands it a run's
+// NewStage creates a streaming community-pipeline stage; zero option
+// fields get the paper's defaults. It freezes its own snapshots until Share hands it a run's
 // shared ones.
 func NewStage(opt Options) *Stage {
 	return &Stage{det: NewDetector(opt), snaps: new(Snapshots).join()}
@@ -92,9 +92,11 @@ type nodeGap struct {
 	gap int32
 }
 
-// UsersStage is the streaming form of AnalyzeUsers (Fig 7). It subscribes
-// to the same pass as the community Stage; because users are classified by
-// the *final* snapshot's communities, per-node activity is buffered during
+// UsersStage computes the Fig 7 measures: users are classified by the
+// final snapshot's tracked communities, and their activity is measured
+// over the whole trace. It subscribes to the same pass as the community
+// Stage; because users are classified by the *final* snapshot's
+// communities, per-node activity is buffered during
 // the pass and resolved against the community result in Finish. Degrees and
 // intra-community degrees come from the shared state's graph.
 type UsersStage struct {

@@ -23,9 +23,8 @@ const SweepStageName = "sweep"
 //
 // A K-δ sweep therefore costs exactly one replay pass and one live graph,
 // plus K lightweight detector states, instead of the 1+K passes and 1+K
-// live graphs of the re-open-per-δ reference path (community.RunSource per
-// δ, retained as the equivalence baseline — TestSweepMatchesPerPass holds
-// the two bit-identical).
+// live graphs of running one community Stage per δ in its own replay
+// (TestSweepMatchesPerPass holds the two bit-identical).
 //
 // The stage implements engine.Syncer for the engine's per-snapshot
 // barrier: Sync — called at every day boundary, before the next day's

@@ -26,8 +26,8 @@ func sweepTrace(t *testing.T) *trace.Trace {
 // TestSweepMatchesPerPass is the shared-snapshot sweep's correctness
 // guarantee: for every δ, the SweepStage run off one shared pass (frozen
 // CSR snapshots, pool fan-out, per-snapshot barrier) must be bit-identical
-// — stats, size distributions, tracking events, and histories — to the
-// retained re-open-per-δ reference path (RunSource per δ).
+// — stats, size distributions, tracking events, and histories — to one
+// community Stage per δ, each in its own replay (runPass).
 func TestSweepMatchesPerPass(t *testing.T) {
 	tr := sweepTrace(t)
 	deltas := []float64{0.01, 0.04, 0.16}
@@ -54,7 +54,7 @@ func TestSweepMatchesPerPass(t *testing.T) {
 	for i, d := range deltas {
 		o := opt
 		o.Delta = d
-		ref, err := RunSource(tr.Source(), o)
+		ref, err := runPass(tr.Source(), o)
 		if err != nil {
 			t.Fatalf("δ=%v reference: %v", d, err)
 		}

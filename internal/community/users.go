@@ -1,9 +1,5 @@
 package community
 
-import (
-	"repro/internal/trace"
-)
-
 // SizeBucket labels one community-size class of Figs 7b–7c.
 type SizeBucket struct {
 	Name     string
@@ -34,49 +30,4 @@ type UserImpact struct {
 	LifetimesBySize map[string][]float64
 	// InRatioBySize maps bucket name -> users' in-degree ratios (Fig 7c).
 	InRatioBySize map[string][]float64
-}
-
-// AnalyzeUsers computes the Fig 7 measures: users are classified by the
-// final snapshot's tracked communities, and their activity is measured
-// over the whole trace. It is the batch entry point over the streaming
-// UsersStage, which the engine also feeds from its single shared pass.
-// The result is never nil; for a trace that is not Validate()-clean the
-// replay stops at the first invalid event and the impact covers the valid
-// prefix.
-func AnalyzeUsers(events []trace.Event, res *Result, buckets []SizeBucket) *UserImpact {
-	// A slice source cannot fail at the data-plane level.
-	ui, _ := AnalyzeUsersSource(trace.SliceSource(events), res, buckets)
-	return ui
-}
-
-// AnalyzeUsersSource is AnalyzeUsers over a re-openable event source.
-// Invalid events are tolerated exactly like AnalyzeUsers (the impact
-// covers the valid prefix), but data-plane failures — the source not
-// opening, a corrupt or truncated stream — are surfaced: silently
-// reporting an empty impact for an unreadable trace would be wrong.
-func AnalyzeUsersSource(src trace.Source, res *Result, buckets []SizeBucket) (*UserImpact, error) {
-	s := NewUsersStage(buckets, func() *Result { return res })
-	st := trace.NewState(1024, 4096)
-	cur, err := src.Open()
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	sink := trace.NewSink(st, trace.Hooks{OnEvent: s.OnEvent})
-	for {
-		ev, ok, err := cur.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if err := sink.Push(ev); err != nil {
-			break // invalid event: keep the valid prefix
-		}
-	}
-	sink.Finish()
-	// UsersStage's Finish never fails.
-	_ = s.Finish(st)
-	return s.Impact(), nil
 }

@@ -54,3 +54,26 @@ func TestIncrementalSeedStabilizesTracking(t *testing.T) {
 		t.Errorf("incremental seed: similarity %.3f, cold start %.3f; want a gap of at least 0.1", inc, cold)
 	}
 }
+
+// TestDestinationRuleSeparatesAlpha guards the §3.2 destination-rule
+// ambiguity the Fig 3 analysis resolves (DESIGN §5): the paper picks the
+// higher-degree endpoint of a new edge as its PA destination, and the
+// fitted α under that rule must sit clearly above α under a random-endpoint
+// rule, or Fig 3's "PA is strong" reading would depend on the rule. The
+// alpha stage runs through the plan at the paper's defaults on the small
+// preset.
+func TestDestinationRuleSeparatesAlpha(t *testing.T) {
+	tr, err := gen.Generate(gen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunFigures(context.Background(), tr.Source(), DefaultConfig(), "fig3c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	higher, random := res.Alpha.FinalAlphaHigher, res.Alpha.FinalAlphaRandom
+	t.Logf("final α: higher-degree rule %.3f, random rule %.3f", higher, random)
+	if higher-random < 0.15 {
+		t.Errorf("final α: higher-degree rule %.3f, random rule %.3f; want a gap of at least 0.15", higher, random)
+	}
+}

@@ -15,10 +15,8 @@ import (
 
 	"repro/internal/community"
 	"repro/internal/evolution"
-	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/osnmerge"
-	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
 )
@@ -47,20 +45,6 @@ type Config struct {
 
 	// Merge parameterizes the §5 analysis.
 	Merge osnmerge.Options
-
-	// Stage toggles, for cheap partial runs.
-	//
-	// Deprecated: the planner subsumes these coarse booleans — build a
-	// plan with Plan(cfg, figures...) and execute it with RunPlan (or call
-	// RunFigures) to run exactly the stages a set of panels needs. The
-	// toggles remain as shims: Run and RunSource translate them into a
-	// plan (skipping "community" also drops the users, svm, and sweep
-	// stages that historically rode on that toggle), and an explicit
-	// figure request to Plan overrides them entirely.
-	SkipMetrics   bool
-	SkipEvolution bool
-	SkipCommunity bool
-	SkipMerge     bool
 
 	// Seed for sampled metrics.
 	Seed int64
@@ -296,191 +280,4 @@ func applyMergePrediction(res *Result, cr *community.Result, mergeDay int32, see
 		Accuracy:    overall.Accuracy,
 		N:           overall.N,
 	}
-}
-
-// Run executes the configured pipeline stages over the trace on the
-// streaming engine: every stage — the δ-sweep included — subscribes to
-// one shared replay pass. The sweep's per-δ detectors run against frozen
-// snapshots of the shared graph on the run's CPU budget, and the SVM
-// merge-prediction evaluation joins that budget after the pass. The result
-// is identical to RunBatch's (the equivalence is enforced by
-// TestEngineMatchesBatch); only the pass structure differs.
-//
-// Run translates the deprecated Skip* toggles into a plan; demand-driven
-// callers should use Plan/RunPlan (or RunFigures) instead, which also
-// accept a context for cancellation.
-func Run(tr *trace.Trace, cfg Config) (*Result, error) {
-	if len(tr.Events) == 0 {
-		return nil, ErrEmptyTrace
-	}
-	res, _, err := runPlan(nil, trace.SliceSource(tr.Events), tr.Meta, cfg, planFromConfig(cfg), ResumeHandle{})
-	return res, err
-}
-
-// RunSource is Run over a re-openable event source — the out-of-core
-// entry point. With a disk-backed trace.FileSource the only O(events)
-// artifact is the file itself: the single shared pass opens one cursor
-// (the δ-sweep no longer opens its own), so resident memory is the live
-// trace.State plus per-stage accumulators — O(state) with exactly one
-// live graph regardless of how many δ values sweep (asserted by the
-// replay-memory and delta-sweep benchmarks). The source's Meta gates
-// the merge stage and sizes the state, exactly as a Trace's Meta does.
-//
-// Like Run, this is a Skip*-translating shim over RunPlan.
-func RunSource(src trace.MetaSource, cfg Config) (*Result, error) {
-	return RunPlan(nil, src, cfg, nil)
-}
-
-// RunBatch executes the same pipeline through the per-analysis batch entry
-// points: each stage replays the trace independently (8+ passes on a full
-// configuration). It is kept as the reference implementation the streaming
-// engine is tested against, and as a fallback when per-stage isolation is
-// worth more than speed.
-func RunBatch(tr *trace.Trace, cfg Config) (*Result, error) {
-	if len(tr.Events) == 0 {
-		return nil, ErrEmptyTrace
-	}
-	return runBatchSource(trace.SliceSource(tr.Events), tr.Meta, cfg)
-}
-
-// RunBatchSource is RunBatch over a re-openable event source: every
-// analysis re-opens the source for a private pass (8+ passes on a full
-// configuration), trading passes for per-stage isolation exactly like
-// RunBatch does.
-func RunBatchSource(src trace.MetaSource, cfg Config) (*Result, error) {
-	meta := src.Meta()
-	if meta.Nodes == 0 && meta.Edges == 0 {
-		return nil, ErrEmptyTrace
-	}
-	return runBatchSource(src, meta, cfg)
-}
-
-// runBatchSource is the batch-path implementation shared by RunBatch and
-// RunBatchSource.
-func runBatchSource(src trace.Source, meta trace.Meta, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	res := &Result{Meta: meta, ResumedFromDay: -1}
-
-	if !cfg.SkipMetrics {
-		if err := runMetrics(src, cfg, res); err != nil {
-			return nil, err
-		}
-	}
-	if !cfg.SkipEvolution {
-		ev, err := evolution.AnalyzeSource(src, cfg.Evolution)
-		if err != nil {
-			return nil, fmt.Errorf("core: evolution: %w", err)
-		}
-		res.Evolution = ev
-		al, err := evolution.AnalyzeAlphaSource(src, cfg.Alpha)
-		if err != nil {
-			return nil, fmt.Errorf("core: alpha: %w", err)
-		}
-		res.Alpha = al
-	}
-	if !cfg.SkipCommunity {
-		cr, err := community.RunSource(src, cfg.Community)
-		if err != nil {
-			return nil, fmt.Errorf("core: community: %w", err)
-		}
-		res.Community = cr
-		ui, err := community.AnalyzeUsersSource(src, cr, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: users: %w", err)
-		}
-		res.Users = ui
-		applyMergePrediction(res, cr, meta.MergeDay, cfg.Seed)
-		for _, d := range cfg.DeltaSweep {
-			opt := cfg.Community
-			opt.Delta = d
-			dr, err := community.RunSource(src, opt)
-			if err != nil {
-				return nil, fmt.Errorf("core: delta sweep δ=%v: %w", d, err)
-			}
-			run := DeltaRun{Delta: d, Stats: dr.Stats}
-			if len(opt.SizeDistDays) > 0 {
-				run.SizeDist = dr.SizeDists[opt.SizeDistDays[len(opt.SizeDistDays)-1]]
-			}
-			res.DeltaSweep = append(res.DeltaSweep, run)
-		}
-	}
-	if !cfg.SkipMerge && meta.MergeDay >= 0 {
-		mr, err := osnmerge.AnalyzeSource(src, meta.MergeDay, cfg.Merge)
-		if err != nil {
-			return nil, fmt.Errorf("core: merge: %w", err)
-		}
-		res.Merge = mr
-	}
-	return res, nil
-}
-
-// runMetrics computes the Fig 1 series in one replay pass of its own,
-// independent of the streaming metrics.Stage, so the batch reference path
-// stays a genuinely separate implementation.
-func runMetrics(src trace.Source, cfg Config, res *Result) error {
-	rng := stats.NewRand(cfg.Seed)
-	var prevNodes, prevEdges int64
-	var addedNodes, addedEdges int64
-	_, err := trace.ReplaySource(src, trace.Hooks{
-		OnEvent: func(st *trace.State, ev trace.Event) {
-			switch ev.Kind {
-			case trace.AddNode:
-				addedNodes++
-			case trace.AddEdge:
-				addedEdges++
-			}
-		},
-		OnDayEnd: func(st *trace.State, day int32) {
-			g := st.Graph
-			nodes, edges := int64(g.NumNodes()), g.NumEdges()
-			gd := GrowthDay{
-				Day:        day,
-				NodesAdded: addedNodes,
-				EdgesAdded: addedEdges,
-				Nodes:      nodes,
-				Edges:      edges,
-			}
-			if prevNodes > 0 {
-				gd.NodeGrowthPct = 100 * float64(addedNodes) / float64(prevNodes)
-			}
-			if prevEdges > 0 {
-				gd.EdgeGrowthPct = 100 * float64(addedEdges) / float64(prevEdges)
-			}
-			res.Growth = append(res.Growth, gd)
-			prevNodes, prevEdges = nodes, edges
-			addedNodes, addedEdges = 0, 0
-
-			if day%cfg.MetricsEvery == 0 && nodes > 0 {
-				snap := metrics.Snapshot{
-					Day:        day,
-					Nodes:      nodes,
-					Edges:      edges,
-					AvgDegree:  metrics.AverageDegree(g),
-					Clustering: metrics.SampledClustering(g, cfg.ClusteringSamples, rng),
-					Assort:     metrics.Assortativity(g),
-				}
-				if day%cfg.PathEvery == 0 {
-					if pl, err := metrics.SampledPathLength(g, cfg.PathSources, rng); err == nil {
-						snap.PathLength = pl
-					}
-				}
-				res.Metrics = append(res.Metrics, snap)
-			}
-		},
-	})
-	return err
-}
-
-// GenerateAndRun generates a trace from the given generator config and runs
-// the pipeline on it — the one-call entry point used by the examples.
-func GenerateAndRun(gcfg gen.Config, cfg Config) (*trace.Trace, *Result, error) {
-	tr, err := gen.Generate(gcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := Run(tr, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, res, nil
 }

@@ -1,49 +1,18 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/trace"
 )
 
-var (
-	once    sync.Once
-	result  *Result
-	onceErr error
-)
-
-// fullRun executes the full pipeline once over the small merge trace,
-// including a small δ sweep.
-func fullRun(t *testing.T) *Result {
-	t.Helper()
-	once.Do(func() {
-		tr, err := gen.Generate(gen.SmallConfig())
-		if err != nil {
-			onceErr = err
-			return
-		}
-		cfg := DefaultConfig()
-		cfg.Alpha.Interval = 2000
-		cfg.Alpha.MinEdges = 4000
-		cfg.Alpha.PolyDegree = 3
-		cfg.Community.SizeDistDays = []int32{200, 251, 296}
-		cfg.DeltaSweep = []float64{0.01, 0.1}
-		cfg.PathEvery = 30
-		cfg.PathSources = 30
-		result, onceErr = Run(tr, cfg)
-	})
-	if onceErr != nil {
-		t.Fatal(onceErr)
-	}
-	return result
-}
-
 func TestRunEmptyTrace(t *testing.T) {
-	if _, err := Run(&trace.Trace{}, DefaultConfig()); err != ErrEmptyTrace {
+	if _, err := RunPlan(context.Background(), (&trace.Trace{}).Source(), DefaultConfig(), nil); err != ErrEmptyTrace {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -87,22 +56,50 @@ func TestSkippedStageReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.SkipMetrics = true
-	cfg.SkipCommunity = true
-	cfg.SkipMerge = true
-	res, err := Run(tr, cfg)
+	res, err := RunFigures(context.Background(), tr.Source(), DefaultConfig(), "fig2a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"fig1a", "fig4a", "fig5b", "fig8a", "fig9c"} {
+	for _, id := range []string{"fig1a", "fig3c", "fig4a", "fig5b", "fig8a", "fig9c"} {
 		if _, err := res.Figure(id); !errors.Is(err, ErrStageSkipped) {
 			t.Fatalf("figure %s: err = %v, want ErrStageSkipped", id, err)
 		}
 	}
-	// Evolution figures still work.
 	if _, err := res.Figure("fig2a"); err != nil {
 		t.Fatalf("fig2a: %v", err)
+	}
+}
+
+// TestRunSinglePass asserts the headline property on a sweep-free plan:
+// every subscribed stage shares one replay pass.
+func TestRunSinglePass(t *testing.T) {
+	cfg := gen.SmallConfig()
+	cfg.Days = 150
+	cfg.Merge = nil
+	tr, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg := DefaultConfig()
+	pcfg.Alpha.Interval = 1000
+	pcfg.Alpha.MinEdges = 2000
+	pcfg.Alpha.PolyDegree = 2
+	pcfg.PathEvery = 30
+	pcfg.PathSources = 20
+
+	prev := trace.OnReplayPass
+	var passes atomic.Int64
+	trace.OnReplayPass = func() { passes.Add(1) }
+	res, err := RunFigures(context.Background(), tr.Source(), pcfg, "fig1a", "fig2a", "fig3c")
+	trace.OnReplayPass = prev
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := passes.Load(); got != 1 {
+		t.Fatalf("replay passes = %d, want exactly 1", got)
+	}
+	if len(res.Growth) == 0 || res.Evolution == nil || res.Alpha == nil {
+		t.Fatal("stages incomplete after the single pass")
 	}
 }
 
@@ -174,24 +171,5 @@ func TestHeadlineShapes(t *testing.T) {
 		if n > 0 && looseAvg > tightAvg+0.05*float64(n) {
 			t.Errorf("δ=0.1 modularity substantially above δ=0.01: %v vs %v", looseAvg, tightAvg)
 		}
-	}
-}
-
-func TestGenerateAndRun(t *testing.T) {
-	cfg := gen.SmallConfig()
-	cfg.Days = 120
-	cfg.Merge = nil
-	pcfg := DefaultConfig()
-	pcfg.SkipCommunity = true
-	pcfg.SkipMerge = true
-	pcfg.Alpha.Interval = 1000
-	pcfg.Alpha.MinEdges = 2000
-	pcfg.Alpha.PolyDegree = 2
-	tr, res, err := GenerateAndRun(cfg, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Meta.Nodes == 0 || res.Alpha == nil {
-		t.Fatal("incomplete result")
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -23,23 +23,25 @@ import (
 // and the notes' full float bits.
 type goldenRun struct {
 	name       string
+	config     func() (gen.Config, Config)
 	figures    map[string]string // figure id → TSV digest
 	checkpoint string
 }
 
-// goldenRuns was committed from a tree where the single-pass plan and the
-// multi-pass batch reference (one private replay per analysis) both
-// reproduced every digest, at Workers 1 and 2, resumed and from zero. The
-// two configurations:
-//   - "small": the small preset under parallelTestConfig — every stage, a
-//     two-value δ-sweep and the merge, scaled down; TestParallelWorkersMatch
-//     and TestResumeMatchesFromZero check their own runs against it too.
-//   - "default-480": the default preset, seed 1, cut at day 480 (past the
-//     merge) under the paper's defaults, the δ-sweep {0.01, 0.1} and the
-//     CLIs' default dist-days — `rranalyze -deltas 0.01,0.1` on that trace.
-var goldenRuns = []goldenRun{
-	{
+// The golden runs were committed from a tree where the single-pass plan and
+// the multi-pass batch reference it replaced (one private replay per
+// analysis) both reproduced every digest, at Workers 1 and 2, resumed and
+// from zero.
+var (
+	// goldenSmall is the small preset under parallelTestConfig — every
+	// stage, a two-value δ-sweep and the merge, scaled down;
+	// TestParallelWorkersMatch and TestResumeMatchesFromZero check their
+	// own runs against it too.
+	goldenSmall = goldenRun{
 		name: "small",
+		config: func() (gen.Config, Config) {
+			return gen.SmallConfig(), parallelTestConfig()
+		},
 		figures: map[string]string{
 			"fig1a": "0936e31c724040139135115aa2f1c1754f6e75a4bbf6dbec44526a6f20c8f1c0",
 			"fig1b": "c93db3a3f721d66828e141dbeffe88655614af10c06bfca14edaf34d7a74e6b5",
@@ -73,9 +75,23 @@ var goldenRuns = []goldenRun{
 			"fig9c": "2954de7977a7713f973334e34006e2742343bbf5992a39e0623568cae363ba97",
 		},
 		checkpoint: "4f9a12fbdd4c97ac4b0198d6e5078c79e45dbdf91655ad9bae83ceadb764b5b9",
-	},
-	{
+	}
+
+	// goldenDefault480 is the default preset, seed 1, cut at day 480 (past
+	// the merge) under the paper's defaults, the δ-sweep {0.01, 0.1} and
+	// the CLIs' default dist-days — `rranalyze -deltas 0.01,0.1` on that
+	// trace.
+	goldenDefault480 = goldenRun{
 		name: "default-480",
+		config: func() (gen.Config, Config) {
+			g := gen.DefaultConfig()
+			g.Seed, g.Days = 1, 480
+			cfg := DefaultConfig()
+			cfg.DeltaSweep = []float64{0.01, 0.1}
+			// The default days of a non-empty trace cannot fail to parse.
+			cfg.Community.SizeDistDays, _ = ParseDistDays("", g.Days, cfg.Community)
+			return g, cfg
+		},
 		figures: map[string]string{
 			"fig1a": "b7c63a5b51d1337a5188156b559b3de1a21c711046ed39a8d06612fb479d9c7c",
 			"fig1b": "10984fc5c4b020dcdb8d5a8d5f36b3df719269b760867fd37f6626dbc0396836",
@@ -109,42 +125,8 @@ var goldenRuns = []goldenRun{
 			"fig9c": "d0654f493ba1352293612df2e60ca84363dd02115c23b711590bc00d3b5e1e43",
 		},
 		checkpoint: "c3a1dd7eeee320a7a01b4fff6c4e1e07048bcbf2e1df1cc2adcd40878d8170e2",
-	},
-}
-
-// goldenConfig returns the named golden run's generator and pipeline
-// configurations.
-func goldenConfig(t *testing.T, name string) (gen.Config, Config) {
-	t.Helper()
-	switch name {
-	case "small":
-		return gen.SmallConfig(), parallelTestConfig()
-	case "default-480":
-		g := gen.DefaultConfig()
-		g.Seed, g.Days = 1, 480
-		cfg := DefaultConfig()
-		cfg.DeltaSweep = []float64{0.01, 0.1}
-		days, err := ParseDistDays("", g.Days, cfg.Community)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Community.SizeDistDays = days
-		return g, cfg
 	}
-	t.Fatalf("no golden run %q", name)
-	return gen.Config{}, Config{}
-}
-
-func goldenByName(t *testing.T, name string) goldenRun {
-	t.Helper()
-	for _, g := range goldenRuns {
-		if g.name == name {
-			return g
-		}
-	}
-	t.Fatalf("no golden run %q", name)
-	return goldenRun{}
-}
+)
 
 // figureDigests hashes the TSV of every AllFigures panel res serves.
 func figureDigests(t *testing.T, res *Result) map[string]string {
@@ -165,10 +147,9 @@ func figureDigests(t *testing.T, res *Result) map[string]string {
 	return out
 }
 
-// checkGolden holds every figure of res to the named golden run.
-func checkGolden(t *testing.T, label, name string, res *Result) {
+// checkGolden holds every figure of res to the golden run.
+func checkGolden(t *testing.T, label string, want goldenRun, res *Result) {
 	t.Helper()
-	want := goldenByName(t, name)
 	got := figureDigests(t, res)
 	var diff []string
 	for _, id := range AllFigures {
@@ -177,48 +158,74 @@ func checkGolden(t *testing.T, label, name string, res *Result) {
 		}
 	}
 	if len(diff) > 0 {
-		t.Errorf("%s: %d/%d figures differ from golden %q: %s", label, len(diff), len(AllFigures), name, strings.Join(diff, " "))
+		t.Errorf("%s: %d/%d figures differ from golden %q: %s", label, len(diff), len(AllFigures), want.name, strings.Join(diff, " "))
 		logDigests(t, got)
 	}
 }
 
 // checkGoldenCheckpoint holds the end-of-run checkpoint in dir to the
-// named golden run.
-func checkGoldenCheckpoint(t *testing.T, label, name, dir string, lastDay int32) {
+// golden run.
+func checkGoldenCheckpoint(t *testing.T, label string, want goldenRun, dir string, lastDay int32) {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(dir, checkpointFileName(lastDay)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(raw)
-	if got, want := hex.EncodeToString(sum[:]), goldenByName(t, name).checkpoint; got != want {
-		t.Errorf("%s: end-of-run checkpoint digest %s, want %s (golden %q)", label, got, want, name)
+	if got := hex.EncodeToString(sum[:]); got != want.checkpoint {
+		t.Errorf("%s: end-of-run checkpoint digest %s, want %s (golden %q)", label, got, want.checkpoint, want.name)
 	}
 }
 
 // logDigests prints got as a goldenRun figures literal.
 func logDigests(t *testing.T, got map[string]string) {
 	t.Helper()
-	ids := make([]string, 0, len(got))
-	for id := range got {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return figureIndex(ids[i]) < figureIndex(ids[j]) })
 	var b strings.Builder
-	for _, id := range ids {
-		b.WriteString("\t\t\t\"" + id + "\": \"" + got[id] + "\",\n")
+	for _, id := range AllFigures {
+		if d, ok := got[id]; ok {
+			b.WriteString("\t\t\t\"" + id + "\": \"" + d + "\",\n")
+		}
 	}
 	t.Logf("got:\n%s", b.String())
 }
 
-func figureIndex(id string) int {
-	for i, f := range AllFigures {
-		if f == id {
-			return i
-		}
-	}
-	return len(AllFigures)
+// smallGolden is one full-plan run of the "small" golden configuration
+// over the in-memory trace, shared by the golden test and the figure-shape
+// tests in core_test.go.
+type smallGolden struct {
+	once   sync.Once
+	tr     *trace.Trace
+	cfg    Config
+	res    *Result
+	passes int64 // replay passes the run made
+	err    error
 }
+
+var small smallGolden
+
+func smallRun(t *testing.T) *smallGolden {
+	t.Helper()
+	small.once.Do(func() {
+		var gcfg gen.Config
+		gcfg, small.cfg = goldenSmall.config()
+		if small.tr, small.err = gen.Generate(gcfg); small.err != nil {
+			return
+		}
+		prev := trace.OnReplayPass
+		var passes atomic.Int64
+		trace.OnReplayPass = func() { passes.Add(1) }
+		small.res, small.err = RunPlan(context.Background(), small.tr.Source(), small.cfg, nil)
+		trace.OnReplayPass = prev
+		small.passes = passes.Load()
+	})
+	if small.err != nil {
+		t.Fatal(small.err)
+	}
+	return &small
+}
+
+// fullRun is the small golden run's Result.
+func fullRun(t *testing.T) *Result { return smallRun(t).res }
 
 // TestGoldenFigures runs each golden configuration's full plan — no
 // figure list, so every registered stage — and holds its figures and its
@@ -228,24 +235,13 @@ func figureIndex(id string) int {
 // trace file gives the in-memory run's bytes.
 func TestGoldenFigures(t *testing.T) {
 	t.Run("small", func(t *testing.T) {
-		gcfg, cfg := goldenConfig(t, "small")
-		tr, err := gen.Generate(gcfg)
-		if err != nil {
-			t.Fatal(err)
+		run := smallRun(t)
+		if run.passes != 1 {
+			t.Errorf("replay passes = %d, want 1 (one shared pass, δ-sweep included)", run.passes)
 		}
-		prev := trace.OnReplayPass
-		var passes atomic.Int64
-		trace.OnReplayPass = func() { passes.Add(1) }
-		res, err := RunPlan(context.Background(), tr.Source(), cfg, nil)
-		trace.OnReplayPass = prev
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := passes.Load(); got != 1 {
-			t.Errorf("replay passes = %d, want 1 (one shared pass, δ-sweep included)", got)
-		}
-		checkGolden(t, "slice", "small", res)
+		checkGolden(t, "slice", goldenSmall, run.res)
 
+		tr, cfg := run.tr, run.cfg
 		src := encodeTrace(t, tr, filepath.Join(t.TempDir(), "golden.trace"))
 		if src.Meta() != tr.Meta {
 			t.Fatalf("file meta %+v != trace meta %+v", src.Meta(), tr.Meta)
@@ -257,11 +253,11 @@ func TestGoldenFigures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "filesource", "small", fres)
-		checkGoldenCheckpoint(t, "filesource", "small", fcfg.CheckpointDir, tr.Meta.Days-1)
+		checkGolden(t, "filesource", goldenSmall, fres)
+		checkGoldenCheckpoint(t, "filesource", goldenSmall, fcfg.CheckpointDir, tr.Meta.Days-1)
 	})
 	t.Run("default-480", func(t *testing.T) {
-		gcfg, cfg := goldenConfig(t, "default-480")
+		gcfg, cfg := goldenDefault480.config()
 		tr, err := gen.Generate(gcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -272,27 +268,7 @@ func TestGoldenFigures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "plan", "default-480", res)
-		checkGoldenCheckpoint(t, "plan", "default-480", cfg.CheckpointDir, tr.Meta.Days-1)
+		checkGolden(t, "plan", goldenDefault480, res)
+		checkGoldenCheckpoint(t, "plan", goldenDefault480, cfg.CheckpointDir, tr.Meta.Days-1)
 	})
-}
-
-// TestGoldenBatch holds the multi-pass batch reference to the same
-// digests: it shares no pass, no stage wiring and (for Fig 1) no stage
-// with the plan.
-func TestGoldenBatch(t *testing.T) {
-	for _, g := range goldenRuns {
-		t.Run(g.name, func(t *testing.T) {
-			gcfg, cfg := goldenConfig(t, g.name)
-			tr, err := gen.Generate(gcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := RunBatch(tr, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "batch", g.name, res)
-		})
-	}
 }

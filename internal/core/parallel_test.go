@@ -28,7 +28,7 @@ type progressPoint struct {
 
 // TestParallelWorkersMatch is the determinism stress test at the seams:
 // the full plan at workers ∈ {1, 2, 8} must produce the golden figure
-// tables (TestGoldenFigures' "small" run) and bit-identical δ-sweep
+// tables (goldenSmall) and bit-identical δ-sweep
 // results and tracking events, and the OnProgress
 // sequence must be identical too — one emission per day, in strict day
 // order, with the same cumulative event counts (never double-counted by
@@ -55,7 +55,7 @@ func TestParallelWorkersMatch(t *testing.T) {
 	}
 
 	base, basePr := run(1)
-	checkGolden(t, "workers=1", "small", base)
+	checkGolden(t, "workers=1", goldenSmall, base)
 	for i := 1; i < len(basePr); i++ {
 		if basePr[i].Day != basePr[i-1].Day+1 {
 			t.Fatalf("progress days not consecutive: %d then %d", basePr[i-1].Day, basePr[i].Day)

@@ -190,9 +190,8 @@ var stageRegistry = []*StageSpec{
 			// frozen view (shared with the community stage) and queues
 			// the per-δ detectors on the pool against it — one replay and
 			// one graph for the whole sweep, instead of re-opening the
-			// source per δ. Skip*-translated plans reach
-			// here with an empty δ list; nothing runs then (matching the
-			// historic no-op fan-out).
+			// source per δ. A no-figure plan reaches here with whatever
+			// δ list the config has; with an empty one nothing runs.
 			if len(rt.cfg.DeltaSweep) == 0 {
 				return
 			}
@@ -355,13 +354,13 @@ var ErrNoDeltaSweep = errors.New("core: fig4 panels need a non-empty Config.Delt
 // Finish reads another stage's result pull that stage in (fig7a runs the
 // community pipeline too). Requests that can never be served fail at plan
 // time — ErrUnknownFigure for ids outside AllFigures, ErrNoDeltaSweep for
-// fig4 panels without configured δ values. With no figure ids the plan
-// covers everything the config enables, translating the deprecated Skip*
-// toggles (unvalidated, matching their historic best-effort semantics); an
-// explicit figure request overrides them.
+// fig4 panels without configured δ values. With no figure ids the plan is
+// every registered stage in registry order; its sweep stage then runs only
+// when cfg.DeltaSweep is non-empty, and the merge stage only on a trace
+// with a merge day.
 func Plan(cfg Config, figures ...string) (*FigurePlan, error) {
 	if len(figures) == 0 {
-		return planFromConfig(cfg), nil
+		return fullPlan(), nil
 	}
 	seen := map[string]bool{}
 	var names, requested []string
@@ -383,25 +382,9 @@ func Plan(cfg Config, figures ...string) (*FigurePlan, error) {
 	return planOf(names, requested), nil
 }
 
-// planFromConfig translates the deprecated Skip* booleans into a plan, so
-// the pre-planner entry points (Run, RunSource) keep their exact stage
-// gating: skipping "community" also drops the users, svm, and sweep stages
-// that historically rode on that toggle.
-func planFromConfig(cfg Config) *FigurePlan {
-	var names []string
-	if !cfg.SkipMetrics {
-		names = append(names, metrics.StageName)
-	}
-	if !cfg.SkipEvolution {
-		names = append(names, evolution.StageName, evolution.AlphaStageName)
-	}
-	if !cfg.SkipCommunity {
-		names = append(names, community.StageName, community.UsersStageName, "svm", community.SweepStageName)
-	}
-	if !cfg.SkipMerge {
-		names = append(names, osnmerge.StageName)
-	}
-	return planOf(names, nil)
+// fullPlan is the plan of every registered stage, in registry order.
+func fullPlan() *FigurePlan {
+	return &FigurePlan{specs: stageRegistry}
 }
 
 // planOf closes the named stage set over Deps and orders it by the
@@ -613,14 +596,13 @@ func (x *planExec) run(ctx context.Context, src trace.Source) (*Result, *trace.S
 	return res, st, nil
 }
 
-// runPlan is the execution entry shared by RunPlan, ContinueFigures and
-// the deprecated Run/RunSource shims. With Config.Resume set it restores
-// the latest compatible checkpoint — latest checkpoint day not past the
-// trace's last day, exact stage-set and fingerprint match — from warm
-// when warm is that checkpoint's end state, else from the backend, and
-// replays only the days after it; any restore problem discards the
-// instantiation and falls back to a from-zero run, so resume is never
-// worse than not resuming. A successful checkpointed pass returns its
+// runPlan is the execution entry shared by RunPlan and ContinueFigures.
+// With Config.Resume set it restores the latest compatible checkpoint —
+// latest checkpoint day not past the trace's last day, exact stage-set and
+// fingerprint match — from warm when warm is that checkpoint's end state,
+// else from the backend, and replays only the days after it; any restore
+// problem discards the instantiation and falls back to a from-zero run, so
+// resume is never worse than not resuming. A successful checkpointed pass returns its
 // own end state as the next pass's handle.
 func runPlan(ctx context.Context, src trace.Source, meta trace.Meta, cfg Config, plan *FigurePlan, warm ResumeHandle) (*Result, *ResumeHandle, error) {
 	if ctx == nil {
@@ -646,14 +628,14 @@ func runPlan(ctx context.Context, src trace.Source, meta trace.Meta, cfg Config,
 // the post-pass SVM evaluation fanned out on the bounded worker pool. ctx
 // cancels the whole run at the next day boundary (in-flight snapshot
 // barriers included) — RunPlan then returns ctx's error and no Result. A
-// nil plan runs everything the config enables (the Skip* translation).
+// nil plan runs every registered stage, as Plan(cfg) with no figures does.
 func RunPlan(ctx context.Context, src trace.MetaSource, cfg Config, plan *FigurePlan) (*Result, error) {
 	meta := src.Meta()
 	if meta.Nodes == 0 && meta.Edges == 0 {
 		return nil, ErrEmptyTrace
 	}
 	if plan == nil {
-		plan = planFromConfig(cfg)
+		plan = fullPlan()
 	}
 	res, _, err := runPlan(ctx, src, meta, cfg, plan, ResumeHandle{})
 	return res, err

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -120,25 +121,31 @@ func TestPlanNoDeltaSweep(t *testing.T) {
 	}
 }
 
-// TestPlanFromConfig asserts the deprecated Skip* shims translate into the
-// historic stage gating: skipping community drops users, svm, and sweep.
+// TestPlanFromConfig pins what a plan with no figure list means: every
+// registered stage, in registry order, whatever the config. Fingerprints
+// and checkpoint bytes of every no-figure run (rranalyze without -only,
+// the benchmark's full replay, the serving daemon's warm plan) hash this
+// exact list.
 func TestPlanFromConfig(t *testing.T) {
+	want := []string{"metrics", "evolution", "alpha", "community", "users", "svm", "sweep", "osnmerge"}
 	cfg := DefaultConfig()
-	cfg.SkipCommunity = true
-	cfg.SkipMerge = true
 	plan, err := Plan(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"metrics", "evolution", "alpha"}
-	got := plan.Stages()
-	if len(got) != len(want) {
+	if got := plan.Stages(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stages = %v, want %v", got, want)
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("stages = %v, want %v", got, want)
-		}
+	// An empty δ list leaves the sweep in the plan; it subscribes nothing.
+	cfg.DeltaSweep = nil
+	if plan, err = Plan(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Stages(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stages with no δ-sweep = %v, want %v", got, want)
+	}
+	if got := plan.Figures(); !reflect.DeepEqual(got, AllFigures) {
+		t.Fatalf("figures = %v, want AllFigures", got)
 	}
 }
 

@@ -79,6 +79,23 @@ func checkpointDays(t *testing.T, dir string) []int32 {
 	return days
 }
 
+// compareAllFigures asserts bit-identical figure tables (and identical
+// figure availability) between two pipeline runs.
+func compareAllFigures(t *testing.T, label string, base, other *Result) {
+	t.Helper()
+	for _, id := range AllFigures {
+		baseTab, baseErr := base.Figure(id)
+		otherTab, otherErr := other.Figure(id)
+		if (baseErr == nil) != (otherErr == nil) {
+			t.Errorf("%s: figure %s: err %v vs %v", label, id, baseErr, otherErr)
+			continue
+		}
+		if baseErr == nil && !baseTab.Equal(otherTab) {
+			t.Errorf("%s: figure %s differs", label, id)
+		}
+	}
+}
+
 // compareRuns holds two pipeline results bit-identical: every figure
 // table, the δ-sweep runs, and the community tracking events.
 func compareRuns(t *testing.T, label string, base, other *Result) {
@@ -143,9 +160,9 @@ func TestResumeMatchesFromZero(t *testing.T) {
 				t.Fatalf("only %d checkpoints written: %v", len(days), days)
 			}
 			if tc.figures == nil {
-				// The full plan is TestGoldenFigures' "small" run.
-				checkGolden(t, "from-zero", "small", base)
-				checkGoldenCheckpoint(t, "from-zero", "small", dir, days[len(days)-1])
+				// The full plan is goldenSmall's run.
+				checkGolden(t, "from-zero", goldenSmall, base)
+				checkGoldenCheckpoint(t, "from-zero", goldenSmall, dir, days[len(days)-1])
 			}
 
 			// Checkpointing itself must not perturb results.

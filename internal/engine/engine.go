@@ -9,7 +9,7 @@
 // a timestamped creation stream: every analysis consumes the same events in
 // the same order and differs only in what it accumulates. Replaying the
 // trace once and dispatching to subscribed stages removes the redundant
-// graph rebuilds the batch entry points pay for (see DESIGN.md §4).
+// graph rebuilds a pass per analysis would pay for (see DESIGN.md §4).
 package engine
 
 import (

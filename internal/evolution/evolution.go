@@ -1,6 +1,7 @@
 // Package evolution implements the node-level analyses of §3: the time
 // dynamics of edge creation (Fig 2) and the strength of preferential
-// attachment over time (Fig 3). All analyses consume a trace event stream.
+// attachment over time (Fig 3). Both run as streaming stages (Stage,
+// AlphaStage) on the engine's shared pass.
 package evolution
 
 import (
@@ -8,7 +9,6 @@ import (
 
 	"repro/internal/powerlaw"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // AgeBucket is one node-age class for the inter-arrival analysis. The
@@ -89,46 +89,6 @@ type Result struct {
 // ErrNoEdges is returned when a trace has no edge events.
 var ErrNoEdges = errors.New("evolution: trace has no edges")
 
-// feed streams one pass of a source into a stage's event callback. The §3
-// stages never read the shared state, so no State is built — a disk-backed
-// pass costs O(1) memory here.
-func feed(src trace.Source, fn func(*trace.State, trace.Event)) error {
-	cur, err := src.Open()
-	if err != nil {
-		return err
-	}
-	for {
-		ev, ok, err := cur.Next()
-		if err != nil {
-			cur.Close()
-			return err
-		}
-		if !ok {
-			return cur.Close()
-		}
-		fn(nil, ev)
-	}
-}
-
-// Analyze runs the Fig 2 analyses over a trace. It is the batch entry
-// point: the actual computation lives in Stage, which the engine also feeds
-// from its single shared pass.
-func Analyze(events []trace.Event, opt Options) (*Result, error) {
-	return AnalyzeSource(trace.SliceSource(events), opt)
-}
-
-// AnalyzeSource is Analyze over a re-openable event source.
-func AnalyzeSource(src trace.Source, opt Options) (*Result, error) {
-	s := NewStage(opt)
-	if err := feed(src, s.OnEvent); err != nil {
-		return nil, err
-	}
-	if err := s.Finish(nil); err != nil {
-		return nil, err
-	}
-	return s.Result(), nil
-}
-
 // AlphaOptions configures the Fig 3 analysis.
 type AlphaOptions struct {
 	// Interval is the number of edges between α checkpoints (paper: 5000).
@@ -153,22 +113,4 @@ type AlphaResult struct {
 	// edges/PolyScale (Fig 3c); nil when the fit is impossible.
 	PolyHigher, PolyRandom []float64
 	PolyScale              float64
-}
-
-// AnalyzeAlpha measures α(t) over the trace (Fig 3). Like Analyze, it is a
-// batch wrapper over the streaming AlphaStage.
-func AnalyzeAlpha(events []trace.Event, opt AlphaOptions) (*AlphaResult, error) {
-	return AnalyzeAlphaSource(trace.SliceSource(events), opt)
-}
-
-// AnalyzeAlphaSource is AnalyzeAlpha over a re-openable event source.
-func AnalyzeAlphaSource(src trace.Source, opt AlphaOptions) (*AlphaResult, error) {
-	s := NewAlphaStage(opt)
-	if err := feed(src, s.OnEvent); err != nil {
-		return nil, err
-	}
-	if err := s.Finish(nil); err != nil {
-		return nil, err
-	}
-	return s.Result(), nil
 }

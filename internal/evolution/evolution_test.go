@@ -43,19 +43,45 @@ func makeTrace(t *testing.T) []trace.Event {
 	return traceEvents
 }
 
+// analyze runs the Fig 2 stage over events, detached from any shared
+// state.
+func analyze(events []trace.Event, opt Options) (*Result, error) {
+	s := NewStage(opt)
+	for _, ev := range events {
+		s.OnEvent(nil, ev)
+	}
+	if err := s.Finish(nil); err != nil {
+		return nil, err
+	}
+	return s.Result(), nil
+}
+
+// analyzeAlpha runs the Fig 3 stage over events, detached from any shared
+// state.
+func analyzeAlpha(events []trace.Event, opt AlphaOptions) (*AlphaResult, error) {
+	s := NewAlphaStage(opt)
+	for _, ev := range events {
+		s.OnEvent(nil, ev)
+	}
+	if err := s.Finish(nil); err != nil {
+		return nil, err
+	}
+	return s.Result(), nil
+}
+
 func TestAnalyzeEmptyTrace(t *testing.T) {
-	if _, err := Analyze(nil, DefaultOptions()); err != ErrNoEdges {
+	if _, err := analyze(nil, DefaultOptions()); err != ErrNoEdges {
 		t.Fatalf("err = %v", err)
 	}
 	nodesOnly := []trace.Event{{Kind: trace.AddNode, Day: 0, U: 0}}
-	if _, err := Analyze(nodesOnly, DefaultOptions()); err != ErrNoEdges {
+	if _, err := analyze(nodesOnly, DefaultOptions()); err != ErrNoEdges {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestAnalyzeBasicShapes(t *testing.T) {
 	events := makeTrace(t)
-	res, err := Analyze(events, DefaultOptions())
+	res, err := analyze(events, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +141,7 @@ func TestMinAgeDeclines(t *testing.T) {
 	// The share of edges from brand-new nodes must decline as the network
 	// matures (the paper's key §3.1 finding).
 	events := makeTrace(t)
-	res, err := Analyze(events, DefaultOptions())
+	res, err := analyze(events, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +174,7 @@ func mean(xs []float64) float64 {
 
 func TestAnalyzeAlphaOnTrace(t *testing.T) {
 	events := makeTrace(t)
-	res, err := AnalyzeAlpha(events, AlphaOptions{Interval: 5000, MinEdges: 10000, Seed: 3, PolyDegree: 3})
+	res, err := analyzeAlpha(events, AlphaOptions{Interval: 5000, MinEdges: 10000, Seed: 3, PolyDegree: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +204,7 @@ func TestAnalyzeAlphaOnTrace(t *testing.T) {
 
 func TestAnalyzeAlphaNoEdges(t *testing.T) {
 	nodesOnly := []trace.Event{{Kind: trace.AddNode, Day: 0, U: 0}}
-	if _, err := AnalyzeAlpha(nodesOnly, AlphaOptions{}); err != ErrNoEdges {
+	if _, err := analyzeAlpha(nodesOnly, AlphaOptions{}); err != ErrNoEdges {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -14,10 +14,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Stage is the streaming form of Analyze (Fig 2): it consumes one event at
-// a time from the engine's shared pass and assembles the Result in Finish.
-// It tracks its own per-node columns, so it also runs detached from a
-// trace.State (the batch Analyze entry point feeds it a plain event loop).
+// Stage is the Fig 2 analysis: it consumes one event at a time from the
+// engine's shared pass and assembles the Result in Finish. It tracks its
+// own per-node columns, so it also runs detached from a trace.State (nil
+// is fine for every callback).
 type Stage struct {
 	opt Options
 
@@ -45,7 +45,7 @@ type Stage struct {
 }
 
 // NewStage creates a streaming Fig 2 stage; zero option fields get the
-// paper's defaults, as in Analyze.
+// paper's defaults.
 func NewStage(opt Options) *Stage {
 	if len(opt.Buckets) == 0 {
 		opt.Buckets = DefaultAgeBuckets()
@@ -181,7 +181,7 @@ func (s *Stage) OnEvent(_ *trace.State, ev trace.Event) {
 }
 
 // OnDayEnd implements engine.Stage; the stage keys its daily flush on edge
-// days, matching the batch analysis.
+// days, so the Fig 2c series has a row only for days with edges.
 func (s *Stage) OnDayEnd(_ *trace.State, _ int32) {}
 
 // Finish assembles the Fig 2 Result; ErrNoEdges if the trace had no edges.
@@ -370,7 +370,9 @@ func (s *Stage) LoadState(data []byte) error {
 	return d.Err()
 }
 
-// AlphaStage is the streaming form of AnalyzeAlpha (Fig 3).
+// AlphaStage is the Fig 3 analysis: α(t) of the PA model under the
+// higher-degree and random destination rules. Like Stage it never reads
+// the shared state.
 type AlphaStage struct {
 	opt     AlphaOptions
 	src     *stats.Source
@@ -380,8 +382,8 @@ type AlphaStage struct {
 	res     *AlphaResult
 }
 
-// NewAlphaStage creates a streaming Fig 3 stage with AnalyzeAlpha's
-// defaulting.
+// NewAlphaStage creates a streaming Fig 3 stage; a zero Interval or
+// PolyDegree gets the paper's 5000 or 5.
 func NewAlphaStage(opt AlphaOptions) *AlphaStage {
 	if opt.Interval <= 0 {
 		opt.Interval = 5000

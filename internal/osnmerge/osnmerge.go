@@ -146,27 +146,3 @@ var (
 	ErrNoMerge = errors.New("osnmerge: trace has no merge day")
 	ErrTooFew  = errors.New("osnmerge: no post-merge observation window")
 )
-
-// Analyze runs the full §5 analysis over a merged trace. It is the batch
-// entry point over the streaming Stage, which the engine also feeds from
-// its single shared pass; here the stage consumes one private replay.
-func Analyze(events []trace.Event, mergeDay int32, opt Options) (*Result, error) {
-	return AnalyzeSource(trace.SliceSource(events), mergeDay, opt)
-}
-
-// AnalyzeSource is Analyze over a re-openable event source; it consumes
-// exactly one pass.
-func AnalyzeSource(src trace.Source, mergeDay int32, opt Options) (*Result, error) {
-	if mergeDay < 0 {
-		return nil, ErrNoMerge
-	}
-	s := NewStage(mergeDay, opt)
-	st, err := trace.ReplaySource(src, trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd})
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Finish(st); err != nil {
-		return nil, err
-	}
-	return s.Result(), nil
-}

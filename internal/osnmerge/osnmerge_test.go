@@ -28,7 +28,7 @@ func analysis(t *testing.T) *Result {
 		}
 		events = tr.Events
 		mday = tr.Meta.MergeDay
-		res, onceEr = Analyze(events, mday, DefaultOptions())
+		res, onceEr = analyze(events, mday, DefaultOptions())
 	})
 	if onceEr != nil {
 		t.Fatal(onceEr)
@@ -65,8 +65,21 @@ func TestEdgeClassString(t *testing.T) {
 	}
 }
 
+// analyze runs the §5 stage over events in one replay.
+func analyze(events []trace.Event, mergeDay int32, opt Options) (*Result, error) {
+	s := NewStage(mergeDay, opt)
+	st, err := trace.Replay(events, trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd})
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Finish(st); err != nil {
+		return nil, err
+	}
+	return s.Result(), nil
+}
+
 func TestAnalyzeErrors(t *testing.T) {
-	if _, err := Analyze(nil, -1, DefaultOptions()); err != ErrNoMerge {
+	if _, err := analyze(nil, -1, DefaultOptions()); err != ErrNoMerge {
 		t.Fatalf("err = %v", err)
 	}
 	// Merge too close to the end of the trace: no observation window.
@@ -75,7 +88,7 @@ func TestAnalyzeErrors(t *testing.T) {
 		{Kind: trace.AddNode, Day: 0, U: 1},
 		{Kind: trace.AddEdge, Day: 1, U: 0, V: 1},
 	}
-	if _, err := Analyze(short, 0, DefaultOptions()); err != ErrTooFew {
+	if _, err := analyze(short, 0, DefaultOptions()); err != ErrTooFew {
 		t.Fatalf("err = %v", err)
 	}
 }

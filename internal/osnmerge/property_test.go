@@ -37,7 +37,7 @@ func TestAnalyzeSyntheticCounts(t *testing.T) {
 	opt.FallbackThreshold = 10
 	opt.DistanceEvery = 2
 	opt.DistanceSamples = 8
-	res, err := Analyze(syntheticMergeTrace(), 5, opt)
+	res, err := analyze(syntheticMergeTrace(), 5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSyntheticDistances(t *testing.T) {
 	opt.FallbackThreshold = 10
 	opt.DistanceEvery = 1
 	opt.DistanceSamples = 16
-	res, err := Analyze(syntheticMergeTrace(), 5, opt)
+	res, err := analyze(syntheticMergeTrace(), 5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestActivityThresholdFallback(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.FallbackThreshold = 7
-	res, err := Analyze(evs, 0, opt)
+	res, err := analyze(evs, 0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

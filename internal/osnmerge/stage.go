@@ -21,10 +21,9 @@ type postEdge struct {
 	u, v graph.NodeID
 }
 
-// Stage is the streaming form of Analyze: the full §5 analysis from a
-// single pass. The batch entry point needed two event loops plus a third
-// replay for the distance series; the stage folds all three into the shared
-// pass by (a) accumulating per-user gap statistics incrementally, (b)
+// Stage is the full §5 analysis from a single pass. It folds what would
+// otherwise be two event loops plus a third replay for the distance series
+// into the shared pass by (a) accumulating per-user gap statistics incrementally, (b)
 // sampling inter-OSN distances inline at day boundaries from the live
 // graph, and (c) buffering post-merge edges until the activity threshold is
 // known in Finish.
@@ -56,7 +55,8 @@ type Stage struct {
 	res *Result
 }
 
-// NewStage creates a streaming §5 stage with Analyze's defaulting.
+// NewStage creates a streaming §5 stage; zero option fields get the
+// defaults of DefaultOptions.
 func NewStage(mergeDay int32, opt Options) *Stage {
 	if opt.ActivityPercentile <= 0 || opt.ActivityPercentile > 100 {
 		opt.ActivityPercentile = 99
@@ -140,7 +140,7 @@ func (s *Stage) OnEvent(_ *trace.State, ev trace.Event) {
 	}
 	if ev.Kind == trace.AddNode {
 		// AddNode events arrive in dense id order, so these lists stay
-		// sorted by node id, matching the batch census scan.
+		// sorted by node id.
 		switch ev.Origin {
 		case trace.OriginXiaonei:
 			s.xiaonei = append(s.xiaonei, ev.U)

@@ -7,8 +7,8 @@ import (
 
 // The inflated-frame cache keeps recently decompressed segment frames in
 // memory, keyed by (file identity, frame file offset). Re-opening a
-// segmented trace — the δ-sweep's per-pass reference replays, OpenAt
-// resumes, rrserved's refresh re-opens — used to re-run flate over the
+// segmented trace — OpenAt resumes, rrserved's refresh re-opens, a
+// benchmark's repeated passes — used to re-run flate over the
 // same frames every time; with the cache, a frame is inflated once and
 // every later cursor over the same bytes serves it from memory, skipping
 // the disk fetch, the CRC pass, and the inflate.

@@ -3,9 +3,11 @@
 //
 // The three calls most users need:
 //
-//	tr, _  := repro.Generate(repro.DefaultGenConfig()) // synthetic Renren+5Q trace
-//	res, _ := repro.Run(tr, repro.DefaultPipeline())   // multi-scale analysis
-//	tab, _ := res.Figure("fig3c")                      // any panel of the paper
+//	tr, _ := repro.Generate(repro.DefaultGenConfig())                      // synthetic Renren+5Q trace
+//	res, _ := repro.RunPlan(ctx, tr.Source(), repro.DefaultPipeline(), nil) // multi-scale analysis
+//	tab, _ := res.Figure("fig3c")                                          // any panel of the paper
+//
+// RunFigures runs only the stages a given set of panels needs.
 //
 // See DESIGN.md for the experiment index and the internal packages for the
 // full API surface: gen (trace generator), trace (event schema and codec),
@@ -72,7 +74,7 @@ func DefaultGenConfig() GenConfig { return gen.DefaultConfig() }
 func SmallGenConfig() GenConfig { return gen.SmallConfig() }
 
 // LargeGenConfig returns the million-node out-of-core scenario; pair it
-// with GenerateToFile + OpenTraceFile + RunSource so the event stream
+// with GenerateToFile + OpenTraceFile + RunPlan so the event stream
 // lives on disk, not in memory.
 func LargeGenConfig() GenConfig { return gen.LargeConfig() }
 
@@ -99,39 +101,21 @@ func OpenTraceFile(path string) (MetaSource, error) {
 // DefaultPipeline returns the paper's analysis parameters at scaled sizes.
 func DefaultPipeline() Pipeline { return core.DefaultConfig() }
 
-// Run executes the multi-scale pipeline over a trace on the single-pass
-// streaming engine: every analysis — the δ-sweep included — shares one
-// replay and one live graph, with the sweep's per-δ detectors queued on
-// the run's CPU budget against frozen snapshots of the shared graph (see
-// DESIGN.md §4).
-func Run(tr *Trace, cfg Pipeline) (*Result, error) { return core.Run(tr, cfg) }
-
-// RunSource is Run over a re-openable event source — with a source from
-// OpenTraceFile the pipeline replays straight off disk and the only
-// O(events) artifact is the file itself.
-func RunSource(src MetaSource, cfg Pipeline) (*Result, error) { return core.RunSource(src, cfg) }
-
-// RunContext is Run with cancellation: ctx is checked at every day
-// boundary of the shared pass (including the δ-sweep's per-snapshot
-// barrier), and a cancelled run returns ctx's error and no Result.
-func RunContext(ctx context.Context, tr *Trace, cfg Pipeline) (*Result, error) {
-	return core.RunPlan(ctx, tr.Source(), cfg, nil)
-}
-
-// RunSourceContext is RunSource with cancellation, as in RunContext.
-func RunSourceContext(ctx context.Context, src MetaSource, cfg Pipeline) (*Result, error) {
-	return core.RunPlan(ctx, src, cfg, nil)
-}
-
 // Plan resolves the minimal dependency-closed stage set that produces the
 // requested figure panels; unknown ids fail at plan time with
-// ErrUnknownFigure. With no ids the plan covers everything cfg enables.
+// ErrUnknownFigure. With no ids the plan is every registered stage.
 func Plan(cfg Pipeline, figures ...string) (*FigurePlan, error) {
 	return core.Plan(cfg, figures...)
 }
 
-// RunPlan executes a resolved plan over a source; a nil plan runs
-// everything cfg enables. See RunContext for the cancellation contract.
+// RunPlan executes a resolved plan over a source on the single-pass
+// streaming engine: every analysis — the δ-sweep included — shares one
+// replay and one live graph (see DESIGN.md §4). A nil plan runs every
+// stage. With a source from OpenTraceFile the pipeline replays straight
+// off disk, and the only O(events) artifact is the file itself. ctx is
+// checked at every day boundary of the shared pass (including the
+// δ-sweep's per-snapshot barrier); a cancelled run returns ctx's error and
+// no Result.
 func RunPlan(ctx context.Context, src MetaSource, cfg Pipeline, plan *FigurePlan) (*Result, error) {
 	return core.RunPlan(ctx, src, cfg, plan)
 }
@@ -152,16 +136,6 @@ func Registry() []StageSpec { return core.Registry() }
 
 // StageFor returns the name of the stage that produces the figure id.
 func StageFor(id string) (string, error) { return core.StageFor(id) }
-
-// RunBatch executes the pipeline through the per-analysis batch entry
-// points (one replay per analysis). It produces identical results to Run
-// and exists as the reference implementation the engine is tested against.
-func RunBatch(tr *Trace, cfg Pipeline) (*Result, error) { return core.RunBatch(tr, cfg) }
-
-// GenerateAndRun is the one-call variant.
-func GenerateAndRun(gcfg GenConfig, cfg Pipeline) (*Trace, *Result, error) {
-	return core.GenerateAndRun(gcfg, cfg)
-}
 
 // Validate checks the structural invariants of an in-memory trace. It is a
 // thin wrapper over ValidateSource.

@@ -27,12 +27,10 @@ func facadeResult(t *testing.T) *Result {
 		t.Fatal(err)
 	}
 	p := DefaultPipeline()
-	p.SkipCommunity = true
-	p.SkipMerge = true
 	p.Alpha.Interval = 1000
 	p.Alpha.MinEdges = 2000
 	p.Alpha.PolyDegree = 2
-	res, err := Run(tr, p)
+	res, err := RunFigures(context.Background(), tr.Source(), p, "fig1c", "fig2c", "fig3c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,25 +233,5 @@ func TestRegistryFacade(t *testing.T) {
 	stage, err := StageFor("fig3c")
 	if err != nil || stage != "alpha" {
 		t.Fatalf("StageFor(fig3c) = %q, %v", stage, err)
-	}
-}
-
-func TestGenerateAndRunFacade(t *testing.T) {
-	cfg := gen.SmallConfig()
-	cfg.Days = 120
-	cfg.Merge = nil
-	p := DefaultPipeline()
-	p.SkipCommunity = true
-	p.SkipMerge = true
-	p.SkipMetrics = true
-	p.Alpha.Interval = 1000
-	p.Alpha.MinEdges = 2000
-	p.Alpha.PolyDegree = 2
-	tr, res, err := GenerateAndRun(cfg, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr == nil || res == nil || res.Alpha == nil {
-		t.Fatal("incomplete")
 	}
 }
