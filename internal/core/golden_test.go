@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"path/filepath"
@@ -11,7 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/trace"
 )
 
@@ -20,12 +24,15 @@ import (
 // tracking-derived panels (fig5, fig6a, fig6c) included — and of the
 // end-of-run checkpoint, whose stage blobs hold what the TSVs round away:
 // every tracking event, each δ detector's state, the samplers' draw counts
-// and the notes' full float bits.
+// and the notes' full float bits. The checkpoint is pinned twice: by its
+// exact bytes, which move with the container format, and by its decoded
+// content (checkpointContent), which does not.
 type goldenRun struct {
 	name       string
 	config     func() (gen.Config, Config)
 	figures    map[string]string // figure id → TSV digest
-	checkpoint string
+	checkpoint string            // end-of-run checkpoint bytes
+	content    string            // end-of-run checkpoint content
 }
 
 // The golden runs were committed from a tree where the single-pass plan and
@@ -75,6 +82,7 @@ var (
 			"fig9c": "2954de7977a7713f973334e34006e2742343bbf5992a39e0623568cae363ba97",
 		},
 		checkpoint: "4f9a12fbdd4c97ac4b0198d6e5078c79e45dbdf91655ad9bae83ceadb764b5b9",
+		content:    "9b2436b7c948c912f27bc2969501b9df987c8bf9c9ebd88529a371aca32a03a8",
 	}
 
 	// goldenDefault480 is the default preset, seed 1, cut at day 480 (past
@@ -125,6 +133,7 @@ var (
 			"fig9c": "d0654f493ba1352293612df2e60ca84363dd02115c23b711590bc00d3b5e1e43",
 		},
 		checkpoint: "c3a1dd7eeee320a7a01b4fff6c4e1e07048bcbf2e1df1cc2adcd40878d8170e2",
+		content:    "c2d3053776591a609a1aa208e9e0ae4d579651e725e578e0b9264e0203eb231f",
 	}
 )
 
@@ -175,6 +184,58 @@ func checkGoldenCheckpoint(t *testing.T, label string, want goldenRun, dir strin
 	if got := hex.EncodeToString(sum[:]); got != want.checkpoint {
 		t.Errorf("%s: end-of-run checkpoint digest %s, want %s (golden %q)", label, got, want.checkpoint, want.name)
 	}
+	f, err := checkpoint.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(f.Blobs))
+	blobs := make([][]byte, len(f.Blobs))
+	for i, b := range f.Blobs {
+		names[i], blobs[i] = b.Name, b.Data
+	}
+	if got := checkpointContent(names, blobs, f.State); got != want.content {
+		t.Errorf("%s: end-of-run checkpoint content digest %s, want %s (golden %q)", label, got, want.content, want.name)
+	}
+}
+
+// checkpointContent hashes what a checkpoint holds, independent of the
+// container format it was stored in: the stage names and blobs in header
+// order, then the shared state — every adjacency row in insertion order,
+// the join days, the origins and the day.
+func checkpointContent(names []string, blobs [][]byte, st *trace.State) string {
+	h := sha256.New()
+	var b []byte
+	put := func(v int64) {
+		b = binary.AppendVarint(b[:0], v)
+		h.Write(b)
+	}
+	put(int64(len(names)))
+	for i, name := range names {
+		put(int64(len(name)))
+		h.Write([]byte(name))
+		put(int64(len(blobs[i])))
+		h.Write(blobs[i])
+	}
+	n := st.Graph.NumNodes()
+	put(int64(n))
+	var row []graph.NodeID
+	for u := 0; u < n; u++ {
+		row = st.Graph.AppendNeighbors(row[:0], graph.NodeID(u))
+		put(int64(len(row)))
+		for _, v := range row {
+			put(int64(v))
+		}
+	}
+	put(int64(len(st.JoinDay)))
+	for _, d := range st.JoinDay {
+		put(int64(d))
+	}
+	put(int64(len(st.Origin)))
+	for _, o := range st.Origin {
+		put(int64(o))
+	}
+	put(int64(st.Day))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // logDigests prints got as a goldenRun figures literal.
