@@ -464,41 +464,6 @@ func BenchmarkAblationPADecay(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTriangleClosure shows triangle closure's effect on the
-// final clustering coefficient and modularity.
-func BenchmarkAblationTriangleClosure(b *testing.B) {
-	build := func(p float64) (clustering, modularity float64) {
-		cfg := gen.SmallConfig()
-		cfg.Merge = nil
-		cfg.Days = 200
-		cfg.Attach.TriangleProb = p
-		tr, err := gen.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, err := trace.Replay(tr.Events, trace.Hooks{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := stats.NewRand(1)
-		cl := metrics.SampledClustering(st.Graph, 1000, rng)
-		lr, err := louvain.Run(st.Graph, louvain.Options{Delta: 0.04, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return cl, lr.Modularity
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c1, m1 := build(gen.SmallConfig().Attach.TriangleProb)
-		c0, m0 := build(0)
-		if i == 0 {
-			b.Logf("triangle on:  clustering=%.3f modularity=%.3f", c1, m1)
-			b.Logf("triangle off: clustering=%.3f modularity=%.3f", c0, m0)
-		}
-	}
-}
-
 // BenchmarkSubstrates microbenchmarks the hot substrate operations.
 func BenchmarkSubstrateBFS(b *testing.B) {
 	tr := benchTrace(b)

@@ -1,9 +1,10 @@
 // Package checkpoint implements the versioned, deterministic binary codec
 // behind the pipeline's day-addressable state plane (DESIGN.md §6): the
 // low-level Encoder/Decoder primitives every streaming stage serializes
-// its accumulator state with, the codec for the shared trace.State, and
-// the checkpoint file container (header + state section + one opaque,
-// length-prefixed blob per stage).
+// its accumulator state with, and the one checkpoint container: a patch
+// of the shared trace.State against the parent checkpoint, plus one
+// opaque blob per stage that changed (a full checkpoint is the patch
+// against the empty state).
 //
 // Determinism is a correctness requirement, not a nicety: a run resumed
 // from a checkpoint must be bit-identical to the from-zero run, so
@@ -18,7 +19,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -185,19 +185,6 @@ type Decoder struct {
 // NewDecoder returns a Decoder reading b.
 func NewDecoder(b []byte) *Decoder {
 	return &Decoder{buf: b}
-}
-
-// readAll is how the io.Reader entry points (Read, ReadDelta and the
-// header probes) take their input: every caller holds the object, or a
-// bounded prefix of it, in memory already, so decoding works on one slice
-// instead of reading byte by byte.
-func readAll(r io.Reader) ([]byte, error) {
-	if br, ok := r.(*bytes.Reader); ok {
-		b := make([]byte, br.Len())
-		_, err := io.ReadFull(br, b)
-		return b, err
-	}
-	return io.ReadAll(r)
 }
 
 // Err returns the first decode failure, nil if none.

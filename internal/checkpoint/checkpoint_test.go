@@ -137,37 +137,38 @@ func sameState(t *testing.T, got, want *trace.State) {
 	}
 }
 
-// TestFileRoundTrip covers the container: header, state, blobs, end magic.
+// TestFileRoundTrip covers a full checkpoint: header, state, blobs, end
+// magic, decoded by applying it to an empty chain.
 func TestFileRoundTrip(t *testing.T) {
 	st := testState(t)
-	h := Header{Day: 3, ConfigHash: 0xDEADBEEF, Stages: []string{"metrics", "sweep"}}
-	blobs := []StageBlob{{Name: "metrics", Data: []byte{1, 2, 3}}, {Name: "sweep", Data: nil}}
+	h := Header{Day: 3, ParentDay: -1, ConfigHash: 0xDEADBEEF, Stages: []string{"metrics", "sweep"}}
+	blobs := [][]byte{{1, 2, 3}, nil}
 	var buf bytes.Buffer
-	if err := Write(&buf, h, st, blobs); err != nil {
+	if err := Write(&buf, h, st, blobs, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
-	hdr, err := ReadHeader(bytes.NewReader(raw))
+	hdr, err := ReadHeader(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Day != 3 || hdr.ConfigHash != 0xDEADBEEF || len(hdr.Stages) != 2 || hdr.Stages[1] != "sweep" {
+	if hdr.Day != 3 || !hdr.Full() || hdr.ConfigHash != 0xDEADBEEF || len(hdr.Stages) != 2 || hdr.Stages[1] != "sweep" {
 		t.Fatalf("header = %+v", hdr)
 	}
 
-	f, err := Read(bytes.NewReader(raw))
-	if err != nil {
+	var c Chain
+	if err := c.Apply(raw); err != nil {
 		t.Fatal(err)
 	}
-	sameState(t, f.State, st)
-	if len(f.Blobs) != 2 || f.Blobs[0].Name != "metrics" || !bytes.Equal(f.Blobs[0].Data, []byte{1, 2, 3}) || f.Blobs[1].Data != nil {
-		t.Fatalf("blobs = %+v", f.Blobs)
+	sameState(t, c.State, st)
+	if len(c.Blobs) != 2 || !bytes.Equal(c.Blobs[0], []byte{1, 2, 3}) || c.Blobs[1] != nil {
+		t.Fatalf("blobs = %v", c.Blobs)
 	}
 
 	// Determinism: a second Write of the same inputs is bit-identical.
 	var buf2 bytes.Buffer
-	if err := Write(&buf2, h, st, blobs); err != nil {
+	if err := Write(&buf2, h, st, blobs, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, buf2.Bytes()) {
@@ -176,7 +177,8 @@ func TestFileRoundTrip(t *testing.T) {
 
 	// Truncation at every prefix must fail typed, not panic or succeed.
 	for cut := 0; cut < len(raw); cut++ {
-		if _, err := Read(bytes.NewReader(raw[:cut])); err == nil {
+		var c Chain
+		if err := c.Apply(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d read cleanly", cut)
 		}
 	}
@@ -186,20 +188,21 @@ func TestFileRoundTrip(t *testing.T) {
 func TestTypedErrors(t *testing.T) {
 	st := testState(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, Header{Day: 1}, st, nil); err != nil {
+	if err := Write(&buf, Header{Day: 1, ParentDay: -1}, st, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
-	if _, err := ReadHeader(bytes.NewReader([]byte("not a checkpoint"))); !errors.Is(err, ErrBadMagic) {
+	if _, err := ReadHeader([]byte("not a checkpoint")); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad magic: %v", err)
 	}
 	skew := append([]byte{}, raw...)
 	skew[4] = 0x7f // format version 127
-	if _, err := ReadHeader(bytes.NewReader(skew)); !errors.Is(err, ErrVersion) {
+	if _, err := ReadHeader(skew); !errors.Is(err, ErrVersion) {
 		t.Errorf("version skew: %v", err)
 	}
-	if _, err := Read(bytes.NewReader(raw[:5])); !errors.Is(err, ErrTruncated) {
+	var c Chain
+	if err := c.Apply(raw[:5]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("truncation: %v", err)
 	}
 }

@@ -7,17 +7,17 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/trace"
 )
 
 // primitivesGolden is the exact byte rendering of the primitive sequence
 // in TestEncoderGoldenBytes. Checkpoints are compared byte for byte across
-// builds (resume, delta blob unchanged-detection, the object hash a delta
+// builds (resume, unchanged-blob detection, the object hash a patch
 // chains to), so any change to this string is a format change.
 const primitivesGolden = "" +
 	"00017f8001ffffffffffffffffff01" + // U64: 0, 1, 127, 128, MaxUint64
@@ -74,9 +74,95 @@ func TestEncoderGoldenBytes(t *testing.T) {
 	}
 }
 
+// chainGolden is the exact byte rendering of the two-link chain in
+// TestChainGoldenBytes: a full checkpoint, then a patch against it. Any
+// change to these strings is a format change.
+var chainGolden = [2]string{
+	"" +
+		"52524331" + "02" + "07" + // magic, version 2, config hash 7
+		"02" + "01" + "00" + // day 1, parent day -1 (full), parent sum 0
+		"02" + "016d" + "0173" + // stages "m", "s"
+		"00" + "03" + "00" + // 0 parent nodes, 3 new, 0 grown
+		"020102" + "0100" + "0100" + // rows: 0 → {1, 2}, 1 → {0}, 2 → {0}
+		"000002" + "000102" + // join days 0, 0, 1; origins Xiaonei, 5Q, new
+		"02" + // state day 1
+		"01020102" + "0100" + // m: changed, {1, 2}; s: changed, empty
+		"52524345", // end magic
+	"" +
+		"52524331" + "02" + "07" + // magic, version 2, config hash 7
+		"06" + "02" + "2a" + // day 3, parent day 1, parent sum 42
+		"02" + "016d" + "0173" + // stages "m", "s"
+		"03" + "01" + "02" + // 3 parent nodes, 1 new, 2 grown
+		"01020203" + "020101" + // suffixes: 1 += {2, 3}, 2 += {1}
+		"0101" + // new row: 3 → {1}
+		"06" + "00" + // join day 3; origin Xiaonei
+		"06" + // state day 3
+		"010103" + "00" + // m: changed, {3}; s: unchanged
+		"52524345", // end magic
+}
+
+// TestChainGoldenBytes pins the container layout byte for byte on a
+// hand-built two-link chain, and that the chain decodes back to the
+// replayed state.
+func TestChainGoldenBytes(t *testing.T) {
+	st := trace.NewState(4, 4)
+	apply := func(evs ...trace.Event) {
+		for _, ev := range evs {
+			if err := st.Apply(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply(
+		trace.Event{Kind: trace.AddNode, Day: 0, U: 0, Origin: trace.OriginXiaonei},
+		trace.Event{Kind: trace.AddNode, Day: 0, U: 1, Origin: trace.OriginFiveQ},
+		trace.Event{Kind: trace.AddEdge, Day: 0, U: 0, V: 1},
+		trace.Event{Kind: trace.AddNode, Day: 1, U: 2, Origin: trace.OriginNew},
+		trace.Event{Kind: trace.AddEdge, Day: 1, U: 2, V: 0},
+	)
+	stages := []string{"m", "s"}
+	blobs0 := [][]byte{{1, 2}, {}}
+	var full bytes.Buffer
+	if err := checkpoint.Write(&full, checkpoint.Header{Day: 1, ParentDay: -1, ConfigHash: 7, Stages: stages}, st, blobs0, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	deg := checkpoint.Degrees(st)
+	apply(
+		trace.Event{Kind: trace.AddEdge, Day: 2, U: 1, V: 2},
+		trace.Event{Kind: trace.AddNode, Day: 3, U: 3, Origin: trace.OriginXiaonei},
+		trace.Event{Kind: trace.AddEdge, Day: 3, U: 3, V: 1},
+	)
+	blobs1 := [][]byte{{3}, {}}
+	var delta bytes.Buffer
+	if err := checkpoint.Write(&delta, checkpoint.Header{Day: 3, ParentDay: 1, ParentSum: 42, ConfigHash: 7, Stages: stages}, st, blobs1, deg, blobs0); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range [][]byte{full.Bytes(), delta.Bytes()} {
+		if got := hex.EncodeToString(b); got != chainGolden[i] {
+			t.Fatalf("link %d output changed:\n got %s\nwant %s", i, got, chainGolden[i])
+		}
+	}
+
+	var c checkpoint.Chain
+	for i, b := range [][]byte{full.Bytes(), delta.Bytes()} {
+		if err := c.Apply(b); err != nil {
+			t.Fatalf("link %d: %v", i, err)
+		}
+	}
+	if c.State.Graph.NumNodes() != 4 || c.State.Graph.NumEdges() != 4 || c.State.Day != 3 || c.Header.Day != 3 {
+		t.Fatalf("chain decoded to %d nodes, %d edges, day %d", c.State.Graph.NumNodes(), c.State.Graph.NumEdges(), c.State.Day)
+	}
+	if got := c.State.Graph.AppendNeighbors(nil, 1); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("node 1 row = %v, want [0 2 3]", got)
+	}
+	if !bytes.Equal(c.Blobs[0], []byte{3}) || len(c.Blobs[1]) != 0 {
+		t.Fatalf("blobs = %v", c.Blobs)
+	}
+}
+
 // realCheckpoints runs a checkpointed plan over a short small-preset
-// trace at a tiered cadence and returns the bytes of one full checkpoint
-// and one delta it wrote.
+// trace at a tiered cadence and returns the bytes of one patch it wrote
+// and of the full checkpoint that patch is written against.
 func realCheckpoints(t *testing.T) (full, delta []byte) {
 	t.Helper()
 	gcfg := gen.SmallConfig()
@@ -98,43 +184,59 @@ func realCheckpoints(t *testing.T) (full, delta []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	byDay := map[int32][]byte{}
+	var parentDay int32 = -1
 	for _, ent := range ents {
 		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch {
-		case strings.HasSuffix(ent.Name(), ".ckpt") && full == nil:
-			full = b
-		case strings.HasSuffix(ent.Name(), ".dckpt") && delta == nil:
-			delta = b
+		h, err := checkpoint.ReadHeader(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byDay[h.Day] = b
+		if !h.Full() && delta == nil {
+			delta, parentDay = b, h.ParentDay
 		}
 	}
-	if full == nil || delta == nil {
-		t.Fatalf("run wrote no full/delta pair in %v", ents)
+	if full = byDay[parentDay]; full == nil || delta == nil {
+		t.Fatalf("run wrote no full/patch pair in %v", ents)
 	}
 	return full, delta
 }
 
-// TestTruncationIsTyped cuts a real full checkpoint and a real delta at
-// every offset: each strict prefix must be rejected with ErrTruncated —
+// TestTruncationIsTyped cuts a real full checkpoint and a real patch
+// against it at every offset and applies each prefix through the one
+// decoder, Chain.Apply — the full to an empty chain, the patch on top of
+// its parent. Each strict prefix must be rejected with ErrTruncated —
 // never a panic, never another error class, never a silent success —
-// and the whole object must decode.
+// and each whole object must apply.
 func TestTruncationIsTyped(t *testing.T) {
 	full, delta := realCheckpoints(t)
+	// base returns a chain holding the parent state. A failed Apply
+	// leaves its chain half-patched, so every cut of the patch gets a
+	// fresh one.
+	base := func() *checkpoint.Chain {
+		var c checkpoint.Chain
+		if err := c.Apply(full); err != nil {
+			t.Fatalf("full: whole object: %v", err)
+		}
+		return &c
+	}
+	if err := base().Apply(delta); err != nil {
+		t.Fatalf("delta: whole object: %v", err)
+	}
 	for _, c := range []struct {
 		name string
 		data []byte
-		read func([]byte) error
+		on   func() *checkpoint.Chain
 	}{
-		{"full", full, func(b []byte) error { _, err := checkpoint.Read(bytes.NewReader(b)); return err }},
-		{"delta", delta, func(b []byte) error { _, err := checkpoint.ReadDelta(bytes.NewReader(b)); return err }},
+		{"full", full, func() *checkpoint.Chain { return new(checkpoint.Chain) }},
+		{"delta", delta, base},
 	} {
-		if err := c.read(c.data); err != nil {
-			t.Fatalf("%s: whole object: %v", c.name, err)
-		}
 		for cut := 0; cut < len(c.data); cut++ {
-			err := c.read(c.data[:cut])
+			err := c.on().Apply(c.data[:cut])
 			if !errors.Is(err, checkpoint.ErrTruncated) {
 				t.Fatalf("%s cut at %d of %d: err = %v, want ErrTruncated", c.name, cut, len(c.data), err)
 			}

@@ -40,132 +40,140 @@ func replayed(t *testing.T, events []trace.Event) *trace.State {
 	return st
 }
 
-// TestDeltaDiffApplyChain is the delta plane's correctness core: diff at
-// two cut points, serialize, decode, apply the chain onto the base — the
-// result must be element-identical to the directly replayed state,
-// including adjacency order.
-func TestDeltaDiffApplyChain(t *testing.T) {
+// link renders st at day as a checkpoint of stages "a" and "b": a full
+// one when parent is nil, else a patch against parent, the state the
+// checkpoint at parentDay holds with stage blobs parentBlobs.
+func link(t *testing.T, day int32, st *trace.State, blobs [][]byte, parentDay int32, parent *trace.State, parentBlobs [][]byte) []byte {
+	t.Helper()
+	h := Header{Day: day, ParentDay: parentDay, Stages: []string{"a", "b"}}
+	var deg []int32
+	if parent != nil {
+		deg = Degrees(parent)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, h, st, blobs, deg, parentBlobs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// applyAll applies links, oldest first, to a fresh chain.
+func applyAll(t *testing.T, links ...[]byte) *Chain {
+	t.Helper()
+	var c Chain
+	for i, l := range links {
+		if err := c.Apply(l); err != nil {
+			t.Fatalf("link %d: %v", i, err)
+		}
+	}
+	return &c
+}
+
+// threeLinks is a full checkpoint at day 1 and two patches on top of it
+// (days 3 and 5), each changing one of the two stage blobs.
+func threeLinks(t *testing.T) (links [][]byte, tip *trace.State, tipBlobs [][]byte) {
+	t.Helper()
 	events := deltaEvents()
 	base := replayed(t, events[:5])
 	mid := replayed(t, events[:8])
-	tip := replayed(t, events)
+	tip = replayed(t, events)
+	b0 := [][]byte{[]byte("blob-a"), []byte("blob-b")}
+	b1 := [][]byte{[]byte("blob-a1"), []byte("blob-b")}
+	b2 := [][]byte{[]byte("blob-a1"), []byte("blob-b2")}
+	return [][]byte{
+		link(t, 1, base, b0, -1, nil, nil),
+		link(t, 3, mid, b1, 1, base, b0),
+		link(t, 5, tip, b2, 3, mid, b1),
+	}, tip, b2
+}
 
-	p1, err := DiffState(base.Graph.NumNodes(), Degrees(base), mid)
+// TestDeltaDiffApplyChain is the delta plane's correctness core: a full
+// checkpoint and two patches written from the live states at three cut
+// points, applied oldest first, must give a state element-identical to
+// the directly replayed one, adjacency order included, and the newest
+// blob of every stage.
+func TestDeltaDiffApplyChain(t *testing.T) {
+	links, tip, tipBlobs := threeLinks(t)
+	h, err := ReadHeader(links[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := DiffState(mid.Graph.NumNodes(), Degrees(mid), tip)
-	if err != nil {
-		t.Fatal(err)
+	if h.Full() || h.Day != 3 || h.ParentDay != 1 || len(h.Stages) != 2 || h.Stages[1] != "b" {
+		t.Fatalf("patch header = %+v", h)
 	}
-	if len(p1.NewAdj) != 1 || len(p1.Grown) == 0 {
-		t.Fatalf("patch 1 shape: %d new, %d grown", len(p1.NewAdj), len(p1.Grown))
-	}
-
-	// Serialize and decode both deltas.
-	h := DeltaHeader{Day: 3, ParentDay: 1, ParentSum: 42, ConfigHash: 7, Stages: []string{"a", "b"}}
-	blobs := []DeltaBlob{{Name: "a", Changed: true, Data: []byte("blob-a")}, {Name: "b"}}
-	var buf bytes.Buffer
-	if err := WriteDelta(&buf, h, p1, blobs); err != nil {
-		t.Fatal(err)
-	}
-	df, err := ReadDelta(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if df.Header.Day != h.Day || df.Header.ParentDay != h.ParentDay ||
-		df.Header.ParentSum != h.ParentSum || df.Header.ConfigHash != h.ConfigHash {
-		t.Fatalf("header round trip: %+v vs %+v", df.Header, h)
-	}
-	if len(df.Header.Stages) != 2 || df.Header.Stages[0] != "a" || df.Header.Stages[1] != "b" {
-		t.Fatalf("stages round trip: %v", df.Header.Stages)
-	}
-	if !df.Blobs[0].Changed || string(df.Blobs[0].Data) != "blob-a" || df.Blobs[1].Changed {
-		t.Fatalf("blobs round trip: %+v", df.Blobs)
+	// An unchanged blob is not carried.
+	if bytes.Contains(links[1], []byte("blob-b")) || bytes.Contains(links[2], []byte("blob-a1")) {
+		t.Fatal("a patch carries a blob its parent already holds")
 	}
 
-	var buf2 bytes.Buffer
-	if err := WriteDelta(&buf2, DeltaHeader{Day: 5, ParentDay: 3, Stages: []string{"a", "b"}}, p2,
-		[]DeltaBlob{{Name: "a"}, {Name: "b", Changed: true, Data: []byte("blob-b2")}}); err != nil {
-		t.Fatal(err)
+	c := applyAll(t, links...)
+	sameState(t, c.State, tip)
+	if c.Header.Day != 5 || c.State.Day != 5 {
+		t.Fatalf("chain at day %d, state day %d; want 5", c.Header.Day, c.State.Day)
 	}
-	df2, err := ReadDelta(bytes.NewReader(buf2.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	for i := range tipBlobs {
+		if !bytes.Equal(c.Blobs[i], tipBlobs[i]) {
+			t.Fatalf("blob %d = %q, want %q", i, c.Blobs[i], tipBlobs[i])
+		}
 	}
-
-	b := NewStateBuilder(base)
-	if err := b.Apply(df.Patch); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Apply(df2.Patch); err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameState(t, got, tip)
 }
 
 // TestDeltaEmptyPatch: a quiet interval (no new nodes or edges, day
-// advanced) still round-trips.
+// advanced, no blob changed) still round-trips.
 func TestDeltaEmptyPatch(t *testing.T) {
-	events := deltaEvents()
-	st := replayed(t, events[:5])
-	p, err := DiffState(st.Graph.NumNodes(), Degrees(st), st)
-	if err != nil {
-		t.Fatal(err)
+	st := replayed(t, deltaEvents()[:5])
+	blobs := [][]byte{[]byte("x"), nil}
+	full := link(t, 1, st, blobs, -1, nil, nil)
+	quiet := link(t, 2, st, blobs, 1, st, blobs)
+	c := applyAll(t, full, quiet)
+	sameState(t, c.State, st)
+	if c.Header.Day != 2 || string(c.Blobs[0]) != "x" || c.Blobs[1] != nil {
+		t.Fatalf("chain header %+v, blobs %q", c.Header, c.Blobs)
 	}
-	if len(p.Grown) != 0 || len(p.NewAdj) != 0 {
-		t.Fatalf("self-diff not empty: %+v", p)
-	}
-	var buf bytes.Buffer
-	if err := WriteDelta(&buf, DeltaHeader{Day: st.Day, ParentDay: st.Day}, p, nil); err != nil {
-		t.Fatal(err)
-	}
-	df, err := ReadDelta(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewStateBuilder(st)
-	if err := b.Apply(df.Patch); err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameState(t, got, st)
 }
 
-// TestDiffStateRejectsNonExtension: pairing the wrong states must fail
-// loudly, not produce a garbage patch.
-func TestDiffStateRejectsNonExtension(t *testing.T) {
+// TestWriteRejectsNonExtension: a state that does not extend the parent
+// must fail loudly, before any output, not produce a garbage patch.
+func TestWriteRejectsNonExtension(t *testing.T) {
 	events := deltaEvents()
 	small := replayed(t, events[:5])
 	big := replayed(t, events)
-	if _, err := DiffState(big.Graph.NumNodes(), Degrees(big), small); err == nil {
-		t.Fatal("shrinking diff accepted")
+	blobs := [][]byte{nil, nil}
+	h := Header{Day: 5, ParentDay: 1, Stages: []string{"a", "b"}}
+	var buf bytes.Buffer
+	if err := Write(&buf, h, small, blobs, Degrees(big), blobs); err == nil {
+		t.Fatal("shrinking patch accepted")
 	}
 	deg := Degrees(small)
 	deg[0] += 5 // parent claims more neighbors than the child has
-	if _, err := DiffState(small.Graph.NumNodes(), deg, small); err == nil {
-		t.Fatal("degree-shrink diff accepted")
+	if err := Write(&buf, h, small, blobs, deg, blobs); err == nil {
+		t.Fatal("degree-shrink patch accepted")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("rejected patches wrote %d bytes", buf.Len())
+	}
+	full := h
+	full.ParentDay = -1
+	if err := Write(&buf, full, small, blobs, deg, nil); err == nil {
+		t.Fatal("full checkpoint with a parent degree vector accepted")
 	}
 }
 
-// TestApplyRejectsMismatchedChain: a patch applied out of order fails.
+// TestApplyRejectsMismatchedChain: a link applied out of chain order
+// fails.
 func TestApplyRejectsMismatchedChain(t *testing.T) {
-	events := deltaEvents()
-	base := replayed(t, events[:5])
-	tip := replayed(t, events)
-	p, err := DiffState(base.Graph.NumNodes(), Degrees(base), tip)
-	if err != nil {
-		t.Fatal(err)
+	links, tip, tipBlobs := threeLinks(t)
+	var c Chain
+	if err := c.Apply(links[1]); err == nil {
+		t.Fatal("a chain starting with a patch accepted")
 	}
-	b := NewStateBuilder(tip) // wrong base: node counts differ
-	if err := b.Apply(p); err == nil {
+	c2 := applyAll(t, links[0])
+	if err := c2.Apply(links[2]); err == nil {
+		t.Fatal("a patch against day 3 applied on day 1")
+	}
+	// Right parent day, wrong parent state: node counts differ.
+	wrong := applyAll(t, link(t, 3, tip, tipBlobs, -1, nil, nil))
+	if err := wrong.Apply(links[2]); err == nil {
 		t.Fatal("mismatched patch accepted")
 	}
 }
@@ -173,34 +181,26 @@ func TestApplyRejectsMismatchedChain(t *testing.T) {
 // TestDeltaDecodeHardening: magic confusion and corruption surface as
 // the package's typed errors, never panics.
 func TestDeltaDecodeHardening(t *testing.T) {
-	events := deltaEvents()
-	base := replayed(t, events[:5])
-	tip := replayed(t, events)
-	p, err := DiffState(base.Graph.NumNodes(), Degrees(base), tip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteDelta(&buf, DeltaHeader{Day: 5, ParentDay: 1, Stages: []string{"s"}}, p,
-		[]DeltaBlob{{Name: "s", Changed: true, Data: []byte("x")}}); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	links, _, _ := threeLinks(t)
+	good := links[1]
 
-	// A full-container magic is not a delta.
-	if _, err := ReadDeltaHeader(bytes.NewReader([]byte("RRC1xxxx"))); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("full magic read as delta: %v", err)
+	// A patch whose magic is damaged is not a checkpoint.
+	magic := append([]byte(nil), good...)
+	magic[2] ^= 0xff
+	if err := applyAll(t, links[0]).Apply(magic); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("bad magic: %v", err)
 	}
 	// Truncations at every prefix length fail typed, never panic.
-	for n := 0; n < len(good); n += 7 {
-		if _, err := ReadDelta(bytes.NewReader(good[:n])); err == nil {
-			t.Fatalf("truncation at %d accepted", n)
+	for n := 0; n < len(good); n++ {
+		c := applyAll(t, links[0])
+		if err := c.Apply(good[:n]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("truncation at %d: %v", n, err)
 		}
 	}
 	// A flipped end magic is corruption.
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-1] ^= 0xff
-	if _, err := ReadDelta(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+	if err := applyAll(t, links[0]).Apply(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad end magic: %v", err)
 	}
 }

@@ -77,3 +77,36 @@ func TestDestinationRuleSeparatesAlpha(t *testing.T) {
 		t.Errorf("final α: higher-degree rule %.3f, random rule %.3f; want a gap of at least 0.15", higher, random)
 	}
 }
+
+// TestTriangleClosureRaisesClustering guards the generator's
+// triangle-closure rule (DESIGN §5): closing triangles is what gives the
+// synthetic network the paper's high clustering (Fig 1e), so switching it
+// off must lower the final clustering coefficient clearly. Both arms run
+// the metrics and community stages through the plan at the paper's
+// defaults on the small preset; the open arm only sets
+// Attach.TriangleProb to 0. Final modularity is logged beside it: closure
+// lowers it.
+func TestTriangleClosureRaisesClustering(t *testing.T) {
+	final := func(triangleProb float64) (clustering, modularity float64) {
+		gcfg := gen.SmallConfig()
+		gcfg.Attach.TriangleProb = triangleProb
+		tr, err := gen.Generate(gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunFigures(context.Background(), tr.Source(), DefaultConfig(), "fig1e", "fig5a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Metrics) == 0 || res.Community == nil || len(res.Community.Stats) == 0 {
+			t.Fatal("run took no metrics or community snapshot")
+		}
+		return res.Metrics[len(res.Metrics)-1].Clustering, res.Community.Stats[len(res.Community.Stats)-1].Modularity
+	}
+	closedC, closedQ := final(gen.SmallConfig().Attach.TriangleProb)
+	openC, openQ := final(0)
+	t.Logf("final clustering: closure %.3f, none %.3f; final modularity: closure %.3f, none %.3f", closedC, openC, closedQ, openQ)
+	if closedC-openC < 0.03 {
+		t.Errorf("final clustering: closure %.3f, none %.3f; want a gap of at least 0.03", closedC, openC)
+	}
+}

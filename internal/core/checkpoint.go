@@ -24,9 +24,10 @@ import (
 )
 
 // Checkpoint plumbing for the demand-driven pipeline: object naming, the
-// compatibility fingerprint, writing at the engine's cadence hook (full
-// or delta, per the tiered cadence), resolving/restoring the newest
-// usable full-plus-delta chain for a resume, and retention.
+// compatibility fingerprint, writing at the engine's cadence hook (a full
+// checkpoint or a patch against the previous one, per the tiered
+// cadence), resolving/restoring the newest usable chain for a resume, and
+// retention.
 //
 // All checkpoint IO goes through a storage.Backend — a DirBackend over
 // Config.CheckpointDir by default, or whatever Config.CheckpointBackend
@@ -52,9 +53,6 @@ const (
 const (
 	checkpointPrefix = "checkpoint-"
 	checkpointExt    = ".ckpt"
-	// deltaExt marks a delta checkpoint: a patch against the previous
-	// checkpoint (full or delta), resolvable only through its chain.
-	deltaExt = ".dckpt"
 )
 
 // maxChainDepth bounds how many deltas a resume will walk before giving
@@ -67,45 +65,23 @@ const maxChainDepth = 64
 // is a comfortable ceiling even at maxSections stages.
 const ckptHeaderProbe = 1 << 16
 
-// checkpointFileName renders the canonical day-addressed object name for
-// a full checkpoint.
+// checkpointFileName renders the canonical day-addressed object name of
+// a checkpoint, full or not: the kind is in the header.
 func checkpointFileName(day int32) string {
 	return fmt.Sprintf("%s%08d%s", checkpointPrefix, day, checkpointExt)
 }
 
-// deltaFileName renders the object name for a delta checkpoint.
-func deltaFileName(day int32) string {
-	return fmt.Sprintf("%s%08d%s", checkpointPrefix, day, deltaExt)
-}
-
-// parseCheckpointName inverts checkpointFileName/deltaFileName.
-func parseCheckpointName(name string) (day int32, delta, ok bool) {
-	if !strings.HasPrefix(name, checkpointPrefix) {
-		return 0, false, false
-	}
-	mid := strings.TrimPrefix(name, checkpointPrefix)
-	switch {
-	case strings.HasSuffix(mid, checkpointExt):
-		mid = strings.TrimSuffix(mid, checkpointExt)
-	case strings.HasSuffix(mid, deltaExt):
-		mid, delta = strings.TrimSuffix(mid, deltaExt), true
-	default:
-		return 0, false, false
+// parseCheckpointName inverts checkpointFileName.
+func parseCheckpointName(name string) (day int32, ok bool) {
+	mid, ok := strings.CutPrefix(name, checkpointPrefix)
+	if mid, ok = strings.CutSuffix(mid, checkpointExt); !ok {
+		return 0, false
 	}
 	v, err := strconv.ParseInt(mid, 10, 32)
 	if err != nil || v < 0 {
-		return 0, false, false
-	}
-	return int32(v), delta, true
-}
-
-// parseCheckpointDay inverts checkpointFileName (full checkpoints only).
-func parseCheckpointDay(name string) (int32, bool) {
-	day, delta, ok := parseCheckpointName(name)
-	if !ok || delta {
 		return 0, false
 	}
-	return day, true
+	return int32(v), true
 }
 
 // configFingerprint hashes everything a checkpoint's validity depends
@@ -175,9 +151,9 @@ func stageNames(stages []engine.Stage) []string {
 	return out
 }
 
-// fnvSum is the checkpoint plane's object identity hash: deltas record
-// the FNV-64a of their parent's exact bytes, so a chain only resolves
-// against the very objects it was diffed from.
+// fnvSum is the checkpoint plane's object identity hash: a patch records
+// the FNV-64a of its parent's exact bytes, so a chain only resolves
+// against the very objects it was written against.
 func fnvSum(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
@@ -201,15 +177,14 @@ func (x *planExec) ckptStages() []engine.Stage {
 }
 
 // ckptParent is the writer's summary of the last checkpoint it wrote (or
-// restored): exactly what the next delta needs — the parent's identity
-// (day, byte hash), its state shape (node count, degree vector), its
-// stage blobs for unchanged-detection, and its position in the chain.
-// Holding this instead of the whole parent state keeps the delta path
-// O(nodes) in memory, not O(edges).
+// restored): exactly what the next patch needs — the parent's identity
+// (day, byte hash), its state shape (degree vector), its stage blobs for
+// unchanged-detection, and its position in the chain. Holding this
+// instead of the whole parent state keeps the delta path O(nodes) in
+// memory, not O(edges).
 type ckptParent struct {
 	day   int32
 	sum   uint64
-	nodes int
 	deg   []int32
 	blobs [][]byte
 	depth int // 0 = full checkpoint, k = k-th delta in its chain
@@ -218,8 +193,8 @@ type ckptParent struct {
 // ResumeHandle is a single-use, in-memory resume point: the end state of
 // a successful checkpointed pass whose last checkpoint is the state it
 // ended on. It holds what that checkpoint describes — the writer's parent
-// summary (day, object hash, chain depth, node count, degree vector, raw
-// stage blobs) under the run's fingerprint and stage set — plus the live
+// summary (day, object hash, chain depth, degree vector, raw stage
+// blobs) under the run's fingerprint and stage set — plus the live
 // shared state itself, so the next pass over the grown trace continues
 // from memory instead of fetching, hashing and decoding the chain. The
 // handle trusts its own last write exactly as a run already does between
@@ -245,13 +220,9 @@ func (h *ResumeHandle) take() ResumeHandle {
 }
 
 // describes reports whether the handle is the candidate's object as this
-// run would load it: same fingerprint and stage set, same day, and the
-// same kind of object (the handle's chain depth is 0 exactly for a full).
+// run would load it: same fingerprint and stage set, same day.
 func (h *ResumeHandle) describes(x *planExec, cand ckptCandidate) bool {
-	if h.st == nil || h.hash != x.ckptHash || h.parent.day != cand.day || cand.delta != (h.parent.depth > 0) {
-		return false
-	}
-	return slices.Equal(h.names, x.ckptNames)
+	return h.st != nil && h.hash == x.ckptHash && h.parent.day == cand.day && slices.Equal(h.names, x.ckptNames)
 }
 
 // resumeHandle returns the pass's end state as a ResumeHandle when its
@@ -287,74 +258,48 @@ func (x *planExec) armCheckpoints() {
 }
 
 // writeCheckpoint serializes the run at one day boundary. At the tiered
-// cadence (Config.CheckpointFullEvery = F) one checkpoint in F is a full
-// container and the rest are deltas against the previous checkpoint:
-// the state patch the append-only replay implies, plus only the stage
-// blobs whose bytes actually changed. Whole objects go through the
-// backend's atomic Put, so readers only ever see complete checkpoints.
-// Any reason a delta can't be computed (first checkpoint, foreign
-// restore, non-extension state) falls back to a full — a delta is an
-// optimization, never a requirement.
+// cadence (Config.CheckpointFullEvery = F) one checkpoint in F is full
+// and the rest are patches against the previous checkpoint: what the
+// append-only replay appended since, plus only the stage blobs whose
+// bytes actually changed. Whole objects go through the backend's atomic
+// Put, so readers only ever see complete checkpoints. Any reason a patch
+// can't be written (first checkpoint, a state that does not extend the
+// parent) falls back to a full — a delta is an optimization, never a
+// requirement.
 func (x *planExec) writeCheckpoint(day int32, st *trace.State) error {
 	start := time.Now()
 	stages := x.ckptStages()
-	raw := make([][]byte, 0, len(stages))
-	blobs := make([]checkpoint.StageBlob, 0, len(stages))
+	blobs := make([][]byte, 0, len(stages))
 	for _, s := range stages {
 		var buf bytes.Buffer
 		if err := s.(engine.Checkpointer).SaveState(&buf); err != nil {
 			return fmt.Errorf("stage %s: %w", s.Name(), err)
 		}
-		raw = append(raw, buf.Bytes())
-		blobs = append(blobs, checkpoint.StageBlob{Name: s.Name(), Data: buf.Bytes()})
+		blobs = append(blobs, buf.Bytes())
 	}
 
-	fullEvery := x.rt.cfg.CheckpointFullEvery
 	var buf bytes.Buffer
-	var name string
-	delta := false
-	if fullEvery > 1 && x.parent != nil && x.parent.depth+1 < fullEvery && x.parent.day < day {
-		patch, err := checkpoint.DiffState(x.parent.nodes, x.parent.deg, st)
-		if err == nil {
-			dblobs := make([]checkpoint.DeltaBlob, len(raw))
-			for i := range raw {
-				changed := i >= len(x.parent.blobs) || !bytes.Equal(raw[i], x.parent.blobs[i])
-				dblobs[i] = checkpoint.DeltaBlob{Name: x.ckptNames[i], Changed: changed}
-				if changed {
-					dblobs[i].Data = raw[i]
-				}
-			}
-			h := checkpoint.DeltaHeader{Day: day, ParentDay: x.parent.day, ParentSum: x.parent.sum, ConfigHash: x.ckptHash, Stages: x.ckptNames}
-			if err := checkpoint.WriteDelta(&buf, h, patch, dblobs); err != nil {
-				return err
-			}
-			name, delta = deltaFileName(day), true
+	h := checkpoint.Header{Day: day, ParentDay: -1, ConfigHash: x.ckptHash, Stages: x.ckptNames}
+	depth := 0
+	if p := x.parent; p != nil && p.depth+1 < x.rt.cfg.CheckpointFullEvery && p.day < day {
+		dh := h
+		dh.ParentDay, dh.ParentSum = p.day, p.sum
+		if checkpoint.Write(&buf, dh, st, blobs, p.deg, p.blobs) == nil {
+			h, depth = dh, p.depth+1
 		}
 	}
-	if !delta {
-		h := checkpoint.Header{Day: day, ConfigHash: x.ckptHash, Stages: x.ckptNames}
-		if err := checkpoint.Write(&buf, h, st, blobs); err != nil {
+	if depth == 0 {
+		buf.Reset()
+		if err := checkpoint.Write(&buf, h, st, blobs, nil, nil); err != nil {
 			return err
 		}
-		name = checkpointFileName(day)
 	}
-	if err := x.backend.Put(name, buf.Bytes()); err != nil {
+	if err := x.backend.Put(checkpointFileName(day), buf.Bytes()); err != nil {
 		return err
 	}
-	depth := 0
-	if delta {
-		depth = x.parent.depth + 1
-	}
-	x.parent = &ckptParent{
-		day:   day,
-		sum:   fnvSum(buf.Bytes()),
-		nodes: st.Graph.NumNodes(),
-		deg:   checkpoint.Degrees(st),
-		blobs: raw,
-		depth: depth,
-	}
+	x.parent = &ckptParent{day: day, sum: fnvSum(buf.Bytes()), deg: checkpoint.Degrees(st), blobs: blobs, depth: depth}
 	if obs := x.rt.cfg.CheckpointObserver; obs != nil {
-		obs(CheckpointStat{Day: day, Delta: delta, Bytes: int64(buf.Len()), Elapsed: time.Since(start)})
+		obs(CheckpointStat{Day: day, Delta: depth > 0, Bytes: int64(buf.Len()), Elapsed: time.Since(start)})
 	}
 	x.gcCheckpoints()
 	return nil
@@ -377,23 +322,19 @@ func (x *planExec) gcCheckpoints() {
 	if err != nil {
 		return
 	}
-	type entry struct {
-		name  string
-		day   int32
-		delta bool
-	}
-	var mine []entry
+	var mine []ckptCandidate
 	var fullDays []int32
 	for _, o := range objs {
-		day, isDelta, ok := parseCheckpointName(o.Name)
+		day, ok := parseCheckpointName(o.Name)
 		if !ok {
 			continue
 		}
-		if match, _ := x.headerMatches(o.Name, isDelta); !match {
+		h, match, _ := x.probe(o.Name)
+		if !match {
 			continue
 		}
-		mine = append(mine, entry{o.Name, day, isDelta})
-		if !isDelta {
+		mine = append(mine, ckptCandidate{o.Name, day})
+		if h.Full() {
 			fullDays = append(fullDays, day)
 		}
 	}
@@ -402,52 +343,43 @@ func (x *planExec) gcCheckpoints() {
 	}
 	sort.Slice(fullDays, func(i, j int) bool { return fullDays[i] > fullDays[j] })
 	cutoff := fullDays[keep-1]
-	for _, e := range mine {
-		if e.day < cutoff {
-			_ = x.backend.Delete(e.name)
+	for _, c := range mine {
+		if c.day < cutoff {
+			_ = x.backend.Delete(c.name)
 		}
 	}
 }
 
 // ckptCandidate is one resolvable checkpoint object.
 type ckptCandidate struct {
-	name  string
-	day   int32
-	delta bool
+	name string
+	day  int32
 }
 
 // findCheckpoints resolves the checkpoints usable by this run — every
 // checkpoint day <= maxDay whose header carries this run's exact stage
-// set and config fingerprint — newest first, full before delta on a
-// shared day (the full resolves cheaper). The caller restores the first
-// whose chain loads cleanly; unreadable candidates are skipped, never
-// fatal. stale reports that a listed object vanished between the listing
-// and the header probe — the signature of a concurrent writer rotating
-// the backend (atomic put over an existing name, or retention deleting
-// old days) — so the caller knows a rescan may see a newer object than
-// any candidate returned here.
+// set and config fingerprint — newest first. The caller restores the
+// first whose chain loads cleanly; unreadable candidates are skipped,
+// never fatal. stale reports that a listed object vanished between the
+// listing and the header probe — the signature of a concurrent writer
+// rotating the backend (atomic put over an existing name, or retention
+// deleting old days) — so the caller knows a rescan may see a newer
+// object than any candidate returned here.
 func (x *planExec) findCheckpoints(maxDay int32) (cands []ckptCandidate, stale bool) {
 	objs, err := x.backend.List(checkpointPrefix)
 	if err != nil {
 		return nil, false
 	}
 	for _, o := range objs {
-		if d, isDelta, ok := parseCheckpointName(o.Name); ok && d <= maxDay {
-			cands = append(cands, ckptCandidate{name: o.Name, day: d, delta: isDelta})
+		if d, ok := parseCheckpointName(o.Name); ok && d <= maxDay {
+			cands = append(cands, ckptCandidate{name: o.Name, day: d})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].day != cands[j].day {
-			return cands[i].day > cands[j].day
-		}
-		return !cands[i].delta && cands[j].delta
-	})
+	sort.Slice(cands, func(i, j int) bool { return cands[i].day > cands[j].day })
 	out := cands[:0]
 	for _, c := range cands {
-		ok, notExist := x.headerMatches(c.name, c.delta)
-		if notExist {
-			stale = true
-		}
+		_, ok, notExist := x.probe(c.name)
+		stale = stale || notExist
 		if ok {
 			out = append(out, c)
 		}
@@ -455,41 +387,35 @@ func (x *planExec) findCheckpoints(maxDay int32) (cands []ckptCandidate, stale b
 	return out, stale
 }
 
-// headerMatches reports whether the checkpoint object was written by a
-// run with this run's stage set and fingerprint; notExist distinguishes
-// an object that vanished mid-scan from one that exists but doesn't
-// match. Only a bounded prefix is fetched — resolution scans many
-// candidates and must not pay whole-object reads for each.
-func (x *planExec) headerMatches(name string, delta bool) (ok, notExist bool) {
-	rc, err := x.backend.OpenRange(name, 0, ckptHeaderProbe)
+// probe reads a checkpoint object's header and reports whether a run
+// with this run's stage set and fingerprint wrote it; notExist
+// distinguishes an object that vanished mid-scan from one that exists but
+// doesn't match.
+func (x *planExec) probe(name string) (h checkpoint.Header, ok, notExist bool) {
+	h, err := readHeaderAt(x.backend, name)
+	return h, err == nil && x.matches(h), errors.Is(err, fs.ErrNotExist)
+}
+
+// matches reports whether a checkpoint header carries this run's
+// fingerprint and stage set.
+func (x *planExec) matches(h checkpoint.Header) bool {
+	return h.ConfigHash == x.ckptHash && slices.Equal(h.Stages, x.ckptNames)
+}
+
+// readHeaderAt decodes an object's header from a bounded prefix of it —
+// resolution scans many candidates and must not pay whole-object reads
+// for each.
+func readHeaderAt(b storage.Backend, name string) (checkpoint.Header, error) {
+	rc, err := b.OpenRange(name, 0, ckptHeaderProbe)
 	if err != nil {
-		return false, errors.Is(err, fs.ErrNotExist)
+		return checkpoint.Header{}, err
 	}
-	defer rc.Close()
-	var hash uint64
-	var stages []string
-	if delta {
-		h, err := checkpoint.ReadDeltaHeader(rc)
-		if err != nil {
-			return false, false
-		}
-		hash, stages = h.ConfigHash, h.Stages
-	} else {
-		h, err := checkpoint.ReadHeader(rc)
-		if err != nil {
-			return false, false
-		}
-		hash, stages = h.ConfigHash, h.Stages
+	defer func() { _ = rc.Close() }()
+	raw, err := io.ReadAll(rc)
+	if err != nil {
+		return checkpoint.Header{}, err
 	}
-	if hash != x.ckptHash || len(stages) != len(x.ckptNames) {
-		return false, false
-	}
-	for i, s := range stages {
-		if s != x.ckptNames[i] {
-			return false, false
-		}
-	}
-	return true, false
+	return checkpoint.ReadHeader(raw)
 }
 
 // ckptScanRetries bounds how many times a resume rescans a checkpoint
@@ -508,8 +434,8 @@ var testCkptAfterScan func(attempt int)
 // warm is the previous pass's end state (a taken ResumeHandle), or the
 // zero value. The candidate scan runs regardless; warm only replaces the
 // load of the candidate it describes — the newest compatible one, at the
-// day and of the kind (full or delta) of the handle's last write, under
-// this run's fingerprint and stage set. Anything else, and a warm
+// day of the handle's last write, under this run's fingerprint and stage
+// set. Anything else, and a warm
 // restore that fails, goes to the backend path below.
 //
 // The single-process assumption of the original resolution does not hold
@@ -558,35 +484,26 @@ func resolveResume(plan *FigurePlan, x *planExec, src trace.Source, meta trace.M
 	}
 }
 
-// fetchChainParent resolves one link of a delta chain: the checkpoint at
-// day whose exact bytes hash to wantSum — the parent this delta was
-// diffed against, full or delta. Errors here must NOT satisfy
-// errors.Is(err, fs.ErrNotExist): a missing or substituted parent means
-// "this chain is dead, fall back to an older candidate", not "the scan
-// is stale, rescan" — wrapping the backend's not-exist would burn
-// resolveResume's bounded retries and land the run at day 0 instead of
-// the older full sitting right there.
-func (x *planExec) fetchChainParent(day int32, wantSum uint64) (data []byte, delta bool, err error) {
-	for _, try := range []struct {
-		name  string
-		delta bool
-	}{{checkpointFileName(day), false}, {deltaFileName(day), true}} {
-		b, err := x.backend.Get(try.name)
-		if err != nil {
-			continue
-		}
-		if fnvSum(b) == wantSum {
-			return b, try.delta, nil
-		}
+// fetchChainParent resolves one link of a chain: the checkpoint at day
+// whose exact bytes hash to wantSum — the parent the child was written
+// against. Errors here must NOT satisfy errors.Is(err, fs.ErrNotExist): a
+// missing or substituted parent means "this chain is dead, fall back to
+// an older candidate", not "the scan is stale, rescan" — wrapping the
+// backend's not-exist would burn resolveResume's bounded retries and land
+// the run at day 0 instead of the older full sitting right there.
+func (x *planExec) fetchChainParent(day int32, wantSum uint64) ([]byte, error) {
+	b, err := x.backend.Get(checkpointFileName(day))
+	if err != nil || fnvSum(b) != wantSum {
+		return nil, fmt.Errorf("core: chain parent day %d (sum %016x) missing or rewritten", day, wantSum)
 	}
-	return nil, false, fmt.Errorf("core: delta parent day %d (sum %016x) missing or rewritten", day, wantSum)
+	return b, nil
 }
 
-// loadCheckpointChain reads the candidate, resolves its delta chain down
-// to a full checkpoint if needed, and hands the decoded state and
-// effective stage blobs to the restore tail. On any error the stages may
-// be partially restored — the caller discards the whole instantiation and
-// falls back.
+// loadCheckpointChain reads the candidate, walks its parents down to a
+// full checkpoint, applies the links oldest first into one state, and
+// hands that state and the effective stage blobs to the restore tail. On
+// any error the stages may be partially restored — the caller discards
+// the whole instantiation and falls back.
 func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) error {
 	data, err := x.backend.Get(cand.name)
 	if err != nil {
@@ -596,86 +513,40 @@ func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) err
 		return err
 	}
 	candSum := fnvSum(data)
-
-	// Walk the chain: candidate-first, collecting deltas until a full
-	// checkpoint grounds it.
-	var chain []*checkpoint.DeltaFile
-	cur, curDelta := data, cand.delta
-	for curDelta {
-		if len(chain) >= maxChainDepth {
+	// Every link must carry the run's fingerprint and stage set: the
+	// scan vetted the candidate's header, not its parents'.
+	links := [][]byte{data}
+	for {
+		h, err := checkpoint.ReadHeader(data)
+		if err != nil {
+			return err
+		}
+		if !x.matches(h) {
+			return fmt.Errorf("core: checkpoint day %d has a foreign fingerprint or stage set", h.Day)
+		}
+		if h.Full() {
+			break
+		}
+		if len(links) > maxChainDepth {
 			return fmt.Errorf("core: delta chain deeper than %d at day %d", maxChainDepth, cand.day)
 		}
-		df, err := checkpoint.ReadDelta(bytes.NewReader(cur))
-		if err != nil {
+		if data, err = x.fetchChainParent(h.ParentDay, h.ParentSum); err != nil {
 			return err
 		}
-		if err := x.chainHeaderOK(df.Header); err != nil {
+		links = append(links, data)
+	}
+	var c checkpoint.Chain
+	for i := len(links) - 1; i >= 0; i-- {
+		if err := c.Apply(links[i]); err != nil {
 			return err
 		}
-		chain = append(chain, df)
-		cur, curDelta, err = x.fetchChainParent(df.Header.ParentDay, df.Header.ParentSum)
-		if err != nil {
-			return err
-		}
 	}
-	file, err := checkpoint.Read(bytes.NewReader(cur))
-	if err != nil {
-		return err
-	}
-	if file.Header.ConfigHash != x.ckptHash {
-		return fmt.Errorf("core: chain base day %d has foreign fingerprint", file.Header.Day)
-	}
-
-	// Replay the chain newest-last onto the base: one adjacency
-	// materialization regardless of depth, and each delta's changed
-	// blobs override the running per-stage bytes.
-	st, day := file.State, file.Header.Day
-	blobs := file.Blobs
-	if len(chain) > 0 {
-		b := checkpoint.NewStateBuilder(file.State)
-		eff := make([]checkpoint.StageBlob, len(blobs))
-		copy(eff, blobs)
-		prevDay := file.Header.Day
-		for i := len(chain) - 1; i >= 0; i-- {
-			df := chain[i]
-			if df.Header.ParentDay != prevDay {
-				return fmt.Errorf("core: delta day %d chains to day %d, parent is day %d", df.Header.Day, df.Header.ParentDay, prevDay)
-			}
-			if err := b.Apply(df.Patch); err != nil {
-				return err
-			}
-			if len(df.Blobs) != len(eff) {
-				return fmt.Errorf("core: delta day %d has %d blobs, chain has %d", df.Header.Day, len(df.Blobs), len(eff))
-			}
-			for j, db := range df.Blobs {
-				if db.Name != eff[j].Name {
-					return fmt.Errorf("core: delta blob %d is %q, chain has %q", j, db.Name, eff[j].Name)
-				}
-				if db.Changed {
-					eff[j] = checkpoint.StageBlob{Name: db.Name, Data: db.Data}
-				}
-			}
-			prevDay = df.Header.Day
-		}
-		st, err = b.State()
-		if err != nil {
-			return err
-		}
-		day, blobs = chain[0].Header.Day, eff
-	}
-
-	names := make([]string, len(blobs))
-	raw := make([][]byte, len(blobs))
-	for i, b := range blobs {
-		names[i], raw[i] = b.Name, b.Data
-	}
-	return x.restore(src, st, names, &ckptParent{
-		day:   day,
+	return x.restore(src, c.State, c.Header.Stages, &ckptParent{
+		day:   c.Header.Day,
 		sum:   candSum,
-		nodes: st.Graph.NumNodes(),
-		deg:   checkpoint.Degrees(st),
-		blobs: raw,
-		depth: len(chain),
+		deg:   checkpoint.Degrees(c.State),
+		blobs: c.Blobs,
+		depth: len(links) - 1,
 	})
 }
 
@@ -715,35 +586,13 @@ func (x *planExec) restore(src trace.Source, st *trace.State, names []string, p 
 	return nil
 }
 
-// chainHeaderOK validates one delta header against this run's identity:
-// every link of a chain must carry the run's fingerprint and stage set
-// (the candidate's header was vetted by the scan; intermediates were
-// not), and must actually point backwards.
-func (x *planExec) chainHeaderOK(h checkpoint.DeltaHeader) error {
-	if h.ConfigHash != x.ckptHash {
-		return fmt.Errorf("core: delta day %d has foreign fingerprint", h.Day)
-	}
-	if len(h.Stages) != len(x.ckptNames) {
-		return fmt.Errorf("core: delta day %d has %d stages, run has %d", h.Day, len(h.Stages), len(x.ckptNames))
-	}
-	for i, s := range h.Stages {
-		if s != x.ckptNames[i] {
-			return fmt.Errorf("core: delta day %d stage %d is %q, run has %q", h.Day, i, s, x.ckptNames[i])
-		}
-	}
-	if h.ParentDay >= h.Day {
-		return fmt.Errorf("core: delta day %d chains forward to day %d", h.Day, h.ParentDay)
-	}
-	return nil
-}
-
 // CheckpointStat describes one checkpoint write — the observer payload
 // surfaced on /statz (object size feeds the daemon's storage section,
 // the latency its write-cost gauge).
 type CheckpointStat struct {
 	// Day is the checkpointed day.
 	Day int32
-	// Delta reports whether the object was a delta (vs a full container).
+	// Delta reports whether the object was a delta (vs a full checkpoint).
 	Delta bool
 	// Bytes is the written object's size.
 	Bytes int64
@@ -768,9 +617,9 @@ type CheckpointInfo struct {
 }
 
 // ListCheckpoints inventories the checkpoint objects in a backend,
-// sorted by day ascending (fulls before deltas on a shared day). Objects
-// under the checkpoint prefix whose names don't parse are skipped;
-// objects whose headers don't parse are reported with Err set.
+// sorted by day ascending. Objects under the checkpoint prefix whose
+// names don't parse are skipped; objects whose headers don't parse
+// (another format version included) are reported with Err set.
 func ListCheckpoints(b storage.Backend) ([]CheckpointInfo, error) {
 	objs, err := b.List(checkpointPrefix)
 	if err != nil {
@@ -778,45 +627,18 @@ func ListCheckpoints(b storage.Backend) ([]CheckpointInfo, error) {
 	}
 	var out []CheckpointInfo
 	for _, o := range objs {
-		day, isDelta, ok := parseCheckpointName(o.Name)
+		day, ok := parseCheckpointName(o.Name)
 		if !ok {
 			continue
 		}
-		info := CheckpointInfo{Name: o.Name, Day: day, Delta: isDelta, Size: o.Size, ParentDay: -1}
-		if err := readCheckpointHeaderInto(b, o.Name, isDelta, &info); err != nil {
+		info := CheckpointInfo{Name: o.Name, Day: day, Size: o.Size, ParentDay: -1}
+		if h, err := readHeaderAt(b, o.Name); err != nil {
 			info.Err = err.Error()
+		} else {
+			info.Delta, info.ConfigHash, info.Stages, info.ParentDay = !h.Full(), h.ConfigHash, h.Stages, h.ParentDay
 		}
 		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Day != out[j].Day {
-			return out[i].Day < out[j].Day
-		}
-		return !out[i].Delta && out[j].Delta
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Day < out[j].Day })
 	return out, nil
-}
-
-// readCheckpointHeaderInto fills info from the object's header prefix.
-func readCheckpointHeaderInto(b storage.Backend, name string, delta bool, info *CheckpointInfo) error {
-	rc, err := b.OpenRange(name, 0, ckptHeaderProbe)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = rc.Close() }()
-	var r io.Reader = rc
-	if delta {
-		h, err := checkpoint.ReadDeltaHeader(r)
-		if err != nil {
-			return err
-		}
-		info.ConfigHash, info.Stages, info.ParentDay = h.ConfigHash, h.Stages, h.ParentDay
-		return nil
-	}
-	h, err := checkpoint.ReadHeader(r)
-	if err != nil {
-		return err
-	}
-	info.ConfigHash, info.Stages = h.ConfigHash, h.Stages
-	return nil
 }

@@ -79,9 +79,9 @@ type Config struct {
 	// 90 when CheckpointDir is set.
 	CheckpointEvery int32
 	// CheckpointFullEvery is the tiered-storage cadence: of every N
-	// checkpoints, the first is a full container and the following N-1
-	// are deltas against their predecessor — changed stage blobs plus
-	// the appended graph ranges only. <= 1 writes only full checkpoints
+	// checkpoints, the first is full and the following N-1 are deltas
+	// against their predecessor — changed stage blobs plus the appended
+	// graph only. <= 1 writes only full checkpoints
 	// (the historic behavior). Like every storage knob it is excluded
 	// from the compatibility fingerprint: full and delta checkpoints of
 	// the same run interoperate freely.

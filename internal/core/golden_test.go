@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -81,7 +80,7 @@ var (
 			"fig9b": "dc935640cd60b05797d0ba4023b29095aa3f14c67925a03f86a63604eeaad188",
 			"fig9c": "2954de7977a7713f973334e34006e2742343bbf5992a39e0623568cae363ba97",
 		},
-		checkpoint: "4f9a12fbdd4c97ac4b0198d6e5078c79e45dbdf91655ad9bae83ceadb764b5b9",
+		checkpoint: "9ebbd5c776dd2dbf6c6bdf55bb2006526673f6a44f687767aae785fd9441fa26",
 		content:    "9b2436b7c948c912f27bc2969501b9df987c8bf9c9ebd88529a371aca32a03a8",
 	}
 
@@ -132,7 +131,7 @@ var (
 			"fig9b": "191f895e033499f64735a4bce4bb0e366678d931f3d8dae4833496284ad958ea",
 			"fig9c": "d0654f493ba1352293612df2e60ca84363dd02115c23b711590bc00d3b5e1e43",
 		},
-		checkpoint: "c3a1dd7eeee320a7a01b4fff6c4e1e07048bcbf2e1df1cc2adcd40878d8170e2",
+		checkpoint: "c058a0a589f5610c2794102f8576d84e50c4b760ab1870645b1103de47ca85bc",
 		content:    "c2d3053776591a609a1aa208e9e0ae4d579651e725e578e0b9264e0203eb231f",
 	}
 )
@@ -184,16 +183,11 @@ func checkGoldenCheckpoint(t *testing.T, label string, want goldenRun, dir strin
 	if got := hex.EncodeToString(sum[:]); got != want.checkpoint {
 		t.Errorf("%s: end-of-run checkpoint digest %s, want %s (golden %q)", label, got, want.checkpoint, want.name)
 	}
-	f, err := checkpoint.Read(bytes.NewReader(raw))
-	if err != nil {
+	var c checkpoint.Chain
+	if err := c.Apply(raw); err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(f.Blobs))
-	blobs := make([][]byte, len(f.Blobs))
-	for i, b := range f.Blobs {
-		names[i], blobs[i] = b.Name, b.Data
-	}
-	if got := checkpointContent(names, blobs, f.State); got != want.content {
+	if got := checkpointContent(c.Header.Stages, c.Blobs, c.State); got != want.content {
 		t.Errorf("%s: end-of-run checkpoint content digest %s, want %s (golden %q)", label, got, want.content, want.name)
 	}
 }

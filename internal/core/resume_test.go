@@ -1,13 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -71,7 +76,7 @@ func checkpointDays(t *testing.T, dir string) []int32 {
 	}
 	var days []int32
 	for _, e := range ents {
-		if d, ok := parseCheckpointDay(e.Name()); ok {
+		if d, ok := parseCheckpointName(e.Name()); ok {
 			days = append(days, d)
 		}
 	}
@@ -343,4 +348,98 @@ func TestResumeFallsBackOnMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareRuns(t, "corrupt-fallback", want, res)
+}
+
+// version1Checkpoint renders c's state and blobs in the version-1 full
+// container, which this build no longer reads: magic "RRC1", version 1,
+// config hash, day, stage names, the whole adjacency, the join-day and
+// origin columns, the state day, one blob per stage, end magic "RRCE".
+func version1Checkpoint(t *testing.T, c *checkpoint.Chain) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString("RRC1")
+	e := checkpoint.NewEncoder(&buf)
+	e.U64(1)
+	e.U64(c.Header.ConfigHash)
+	e.I32(c.Header.Day)
+	e.U64(uint64(len(c.Header.Stages)))
+	for _, s := range c.Header.Stages {
+		e.String(s)
+	}
+	g := c.State.Graph
+	e.U64(uint64(g.NumNodes()))
+	var row []graph.NodeID
+	for u := 0; u < g.NumNodes(); u++ {
+		row = g.AppendNeighbors(row[:0], graph.NodeID(u))
+		e.U64(uint64(len(row)))
+		for _, v := range row {
+			e.U64(uint64(v))
+		}
+	}
+	e.I32s(c.State.JoinDay)
+	origins := make([]byte, len(c.State.Origin))
+	for i, o := range c.State.Origin {
+		origins[i] = byte(o)
+	}
+	e.Bytes(origins)
+	e.I32(c.State.Day)
+	for _, b := range c.Blobs {
+		e.Bytes(b)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("RRCE")
+	return buf.Bytes()
+}
+
+// TestResumeIgnoresVersion1Checkpoint: a checkpoint in the version-1
+// container, left behind by an older build under this run's fingerprint,
+// is unreadable here. The inventory reports it with Err set, and a resume
+// falls back to day 0 with the from-zero figures instead of failing.
+func TestResumeIgnoresVersion1Checkpoint(t *testing.T) {
+	tr, err := gen.Generate(gen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := encodeTrace(t, tr, filepath.Join(t.TempDir(), "v1.trace"))
+	cfg := resumeTestConfig(t.TempDir())
+	base, err := RunFigures(nil, src, cfg, "fig1a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	days := checkpointDays(t, cfg.CheckpointDir)
+	name := checkpointFileName(days[len(days)-1])
+	raw, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c checkpoint.Chain
+	if err := c.Apply(raw); err != nil {
+		t.Fatal(err)
+	}
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, name), version1Checkpoint(t, &c), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	infos, err := ListCheckpoints(storage.NewDirBackend(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || infos[0].Name != name || !strings.Contains(infos[0].Err, checkpoint.ErrVersion.Error()) {
+		t.Fatalf("inventory = %+v, want %s flagged with a version error", infos, name)
+	}
+
+	rcfg := cfg
+	rcfg.CheckpointDir = old
+	rcfg.Resume = true
+	res, err := RunFigures(nil, src, rcfg, "fig1a")
+	if err != nil {
+		t.Fatalf("a version-1 checkpoint broke the run: %v", err)
+	}
+	if res.ResumedFromDay != -1 {
+		t.Fatalf("resumed from day %d off a version-1 checkpoint", res.ResumedFromDay)
+	}
+	compareRuns(t, "version-1", base, res)
 }

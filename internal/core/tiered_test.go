@@ -3,7 +3,6 @@ package core
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -76,14 +75,6 @@ func TestTieredResumeMatchesFromZero(t *testing.T) {
 	if avgD, avgF := deltaBytes/int64(deltas), fullBytes/int64(fulls); avgD >= avgF {
 		t.Errorf("deltas average %d bytes, fulls %d — delta encoding saved nothing", avgD, avgF)
 	}
-	names := ckptNamesIn(t, dir)
-	var sawDelta bool
-	for _, n := range names {
-		sawDelta = sawDelta || strings.HasSuffix(n, deltaExt)
-	}
-	if !sawDelta {
-		t.Fatalf("no delta objects on disk: %v", names)
-	}
 
 	// Resume from the full inventory: the newest checkpoint is a delta,
 	// so resolution must walk its chain.
@@ -102,7 +93,8 @@ func TestTieredResumeMatchesFromZero(t *testing.T) {
 	}
 	compareRuns(t, "tiered-resume", base, res)
 
-	// The inventory helper sees the same objects, with parent links.
+	// The inventory helper sees the same objects, with the same kinds and
+	// parent links.
 	infos, err := ListCheckpoints(storage.NewDirBackend(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -110,12 +102,15 @@ func TestTieredResumeMatchesFromZero(t *testing.T) {
 	if len(infos) != len(stats) {
 		t.Fatalf("inventory has %d objects, observer saw %d writes", len(infos), len(stats))
 	}
-	for _, info := range infos {
+	for i, info := range infos {
 		if info.Err != "" {
 			t.Fatalf("inventory flagged %s: %s", info.Name, info.Err)
 		}
-		if info.Delta && info.ParentDay < 0 {
-			t.Fatalf("delta %s has no parent day", info.Name)
+		if info.Day != stats[i].Day || info.Delta != stats[i].Delta {
+			t.Fatalf("inventory row %+v, observer saw %+v", info, stats[i])
+		}
+		if info.Delta != (info.ParentDay >= 0) {
+			t.Fatalf("%s: delta %v with parent day %d", info.Name, info.Delta, info.ParentDay)
 		}
 	}
 }
@@ -226,30 +221,30 @@ func TestCheckpointRetention(t *testing.T) {
 		t.Fatalf("only %d checkpoints written: %+v", len(stats), stats)
 	}
 
+	infos, err := ListCheckpoints(storage.NewDirBackend(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var keptFullDay int32 = -1
-	var mine []string
-	for _, obj := range ckptNamesIn(t, dir) {
-		if filepath.Join(dir, obj) == foreign {
+	var mine []CheckpointInfo
+	for _, info := range infos {
+		if filepath.Join(dir, info.Name) == foreign {
 			continue
 		}
-		day, isDelta, ok := parseCheckpointName(obj)
-		if !ok {
-			continue
-		}
-		mine = append(mine, obj)
-		if !isDelta {
+		mine = append(mine, info)
+		if !info.Delta {
 			if keptFullDay >= 0 {
-				t.Fatalf("retention kept two fulls: %v", mine)
+				t.Fatalf("retention kept two fulls: %+v", mine)
 			}
-			keptFullDay = day
+			keptFullDay = info.Day
 		}
 	}
 	if keptFullDay < 0 {
-		t.Fatalf("retention deleted every full: %v", mine)
+		t.Fatalf("retention deleted every full: %+v", mine)
 	}
-	for _, obj := range mine {
-		if day, _, _ := parseCheckpointName(obj); day < keptFullDay {
-			t.Fatalf("object %s is older than the kept full (day %d)", obj, keptFullDay)
+	for _, info := range mine {
+		if info.Day < keptFullDay {
+			t.Fatalf("object %s is older than the kept full (day %d)", info.Name, keptFullDay)
 		}
 	}
 	if _, err := os.Stat(foreign); err != nil {

@@ -218,8 +218,8 @@ func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source) (*trace
 }
 
 // ResumeSourceContext continues a replay from a restored checkpoint: st
-// must be the shared state at the end of day `day` (checkpoint.DecodeState
-// output) and every subscribed stage must already have been restored via
+// must be the shared state at the end of day `day` (a checkpoint.Chain's
+// State, or the previous pass's end state) and every subscribed stage must already have been restored via
 // LoadState. The replay opens the source at day+1 — a day-indexed
 // FileSource seeks straight there — and fires day boundaries from day+1
 // on, so nothing that happened up to the checkpoint is re-observed.

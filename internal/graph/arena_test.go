@@ -159,33 +159,6 @@ func checkEquivalent(t *testing.T, g *Graph, ref *refGraph, rng *rand.Rand) {
 	}
 }
 
-// TestCloneIndependence: a clone must carry the exact adjacency and not
-// share growth with the original afterwards.
-func TestCloneIndependence(t *testing.T) {
-	g := New(0)
-	for _, e := range [][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {0, 3}, {1, 3}} {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := g.Clone()
-	if err := g.AddEdge(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if c.HasEdge(0, 2) {
-		t.Fatal("clone saw an edge added to the original")
-	}
-	if c.NumEdges() != 5 || g.NumEdges() != 6 {
-		t.Fatalf("edges %d/%d", c.NumEdges(), g.NumEdges())
-	}
-	if err := c.AddEdge(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	if g.HasEdge(1, 4) || g.NumNodes() != 4 {
-		t.Fatal("original saw an edge added to the clone")
-	}
-}
-
 // TestAppendArc covers the deserialization path: arcs appended from both
 // endpoints reconstruct the same graph AddEdge built, order included.
 func TestAppendArc(t *testing.T) {

@@ -348,10 +348,10 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 }
 
 // AppendArc appends v to u's adjacency without the simple-graph checks,
-// growing the node set as needed. It exists for deserialization paths
-// (checkpoint restore, delta application) that rebuild a graph's exact
-// adjacency row by row; every undirected edge must be appended from both
-// endpoints, and NumEdges counts appended arcs in pairs.
+// growing the node set as needed. It exists for the checkpoint reader,
+// which rebuilds a graph's exact adjacency row by row; every undirected
+// edge must be appended from both endpoints, and NumEdges counts appended
+// arcs in pairs.
 func (g *Graph) AppendArc(u, v NodeID) {
 	g.EnsureNode(u)
 	g.push(u, v)
@@ -371,37 +371,5 @@ func (g *Graph) ForEachEdge(fn func(u, v NodeID)) {
 				}
 			}
 		}
-	}
-}
-
-// FromAdjacency reconstructs a graph from a per-node adjacency structure.
-// Every undirected edge must appear in both endpoints' lists (the edge
-// count is half the total list length), and list order is preserved
-// exactly — the checkpoint codec relies on this to restore a replayed
-// graph bit-identically, adjacency order included, since traversal order
-// is semantic downstream (Louvain, frozen CSR views).
-func FromAdjacency(adj [][]NodeID) *Graph {
-	g := New(len(adj))
-	g.EnsureNode(NodeID(len(adj) - 1))
-	for u, ns := range adj {
-		for _, v := range ns {
-			g.push(NodeID(u), v)
-		}
-	}
-	return g
-}
-
-// Clone returns a deep copy of the graph. With arena-backed adjacency this
-// is a handful of flat copies, independent of node count granularity.
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		heads:     append([]int32(nil), g.heads...),
-		tails:     append([]int32(nil), g.tails...),
-		deg:       append([]int32(nil), g.deg...),
-		small:     append([]NodeID(nil), g.small...),
-		smallNext: append([]int32(nil), g.smallNext...),
-		large:     append([]NodeID(nil), g.large...),
-		largeNext: append([]int32(nil), g.largeNext...),
-		arcs:      g.arcs,
 	}
 }

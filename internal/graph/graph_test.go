@@ -101,20 +101,6 @@ func TestForEachEdge(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := New(0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	c := g.Clone()
-	c.AddEdge(2, 3)
-	if g.NumEdges() != 2 || c.NumEdges() != 3 {
-		t.Fatalf("clone not independent: g=%d c=%d", g.NumEdges(), c.NumEdges())
-	}
-	if g.NumNodes() != 3 || c.NumNodes() != 4 {
-		t.Fatalf("clone nodes wrong: g=%d c=%d", g.NumNodes(), c.NumNodes())
-	}
-}
-
 // TestDegreeSumInvariant checks Σ deg = 2E under random insertions.
 func TestDegreeSumInvariant(t *testing.T) {
 	f := func(seed int64) bool {

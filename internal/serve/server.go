@@ -57,7 +57,7 @@ type Options struct {
 	// replays only the days past the last checkpoint.
 	CheckpointDir string
 	// CheckpointFullEvery sets the tiered cadence of the warm pass's
-	// checkpoints: of every N, 1 is a full container and N-1 are deltas
+	// checkpoints: of every N, 1 is a full checkpoint and N-1 are deltas
 	// against their predecessor (<=1 = every checkpoint is full).
 	CheckpointFullEvery int
 	// CheckpointKeep bounds the checkpoint directory: after each write
@@ -69,8 +69,9 @@ type Options struct {
 	// DeltaSweep is the warm δ grid: requests without a delta parameter
 	// (or with exactly this grid) are served from the snapshot; any
 	// other δ-set routes through a cold plan execution. CheckpointDir,
-	// CheckpointEvery and Resume on it are overridden by the fields
-	// above.
+	// CheckpointFullEvery, CheckpointKeep and Resume on it are overridden
+	// by the fields above; its CheckpointBackend, when set, holds the warm
+	// pass's checkpoints in place of CheckpointDir.
 	Config core.Config
 	// CacheBytes caps the result cache (default 64 MiB).
 	CacheBytes int64
@@ -150,6 +151,9 @@ type Server struct {
 	statzMu    sync.Mutex
 	statzExtra map[string]func() any
 
+	// backend holds the warm pass's checkpoints (nil: none), resolved
+	// once so the warm pass and the /statz inventory read the same one.
+	backend storage.Backend
 	// lastCkpt is the newest checkpoint write the warm pass reported,
 	// surfaced in the /statz storage section.
 	ckptMu   sync.Mutex
@@ -165,8 +169,8 @@ type Server struct {
 }
 
 // NewServer loads the trace's warm state — resuming the newest compatible
-// checkpoint when Options.CheckpointDir is set — seals it, and returns a
-// server ready to handle requests.
+// checkpoint when Options.CheckpointDir or Config.CheckpointBackend is
+// set — seals it, and returns a server ready to handle requests.
 func NewServer(ctx context.Context, opt Options) (*Server, error) {
 	if opt.TracePath == "" {
 		return nil, errors.New("serve: Options.TracePath is required")
@@ -188,6 +192,10 @@ func NewServer(ctx context.Context, opt Options) (*Server, error) {
 		statzExtra: make(map[string]func() any),
 		start:      time.Now(),
 		runFigures: core.ContinueFigures,
+		backend:    opt.Config.CheckpointBackend,
+	}
+	if s.backend == nil && opt.CheckpointDir != "" {
+		s.backend = storage.NewDirBackend(opt.CheckpointDir)
 	}
 	s.RegisterStatz("storage", s.storageStats)
 	s.RegisterStatz("memory", memoryStats)
@@ -254,10 +262,11 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 func (s *Server) warmConfig() core.Config {
 	cfg := s.opt.Config
 	cfg.CheckpointDir = s.opt.CheckpointDir
+	cfg.CheckpointBackend = s.backend
 	cfg.CheckpointFullEvery = s.opt.CheckpointFullEvery
 	cfg.CheckpointKeep = s.opt.CheckpointKeep
-	cfg.Resume = cfg.CheckpointDir != ""
-	if cfg.CheckpointDir != "" || cfg.CheckpointBackend != nil {
+	cfg.Resume = s.backend != nil
+	if s.backend != nil {
 		cfg.CheckpointObserver = s.observeCheckpoint
 	}
 	return cfg
@@ -638,9 +647,12 @@ func (s *Server) storageStats() any {
 			out["trace"] = map[string]any{"format": "flat"}
 		}
 	}
-	if dir := s.opt.CheckpointDir; dir != "" {
-		ck := map[string]any{"dir": dir}
-		if infos, err := core.ListCheckpoints(storage.NewDirBackend(dir)); err != nil {
+	if s.backend != nil {
+		ck := map[string]any{}
+		if s.opt.Config.CheckpointBackend == nil {
+			ck["dir"] = s.opt.CheckpointDir
+		}
+		if infos, err := core.ListCheckpoints(s.backend); err != nil {
 			ck["error"] = err.Error()
 		} else {
 			var fulls, deltas, unreadable int

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -309,5 +311,54 @@ func TestAdvanceAfterCloseDropsHandle(t *testing.T) {
 	}
 	if srv.warm != nil {
 		t.Fatal("an advance after Close produced a resume handle")
+	}
+}
+
+// TestBackendOnlyServer: a server given only Config.CheckpointBackend —
+// no CheckpointDir — resumes from that backend like a directory-backed
+// server does. Its advance continues in memory from the warm load's last
+// checkpoint, and /statz inventories the backend's objects.
+func TestBackendOnlyServer(t *testing.T) {
+	dir := t.TempDir()
+	srcs := prefixTraces(t, dir, []int32{fxBaseDays, fxBaseDays + 10})
+	b := storage.NewDirBackend(filepath.Join(dir, "objects"))
+	cfg := serveTestConfig()
+	cfg.CheckpointBackend = b
+	srv, err := NewServer(context.Background(), Options{
+		TracePath: filepath.Join(dir, "live.trace"),
+		Config:    cfg,
+		Log:       quietLog(),
+		Open:      func() (trace.MetaSource, error) { return srcs[0], nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+
+	if advanced, _, err := srv.AdvanceTo(context.Background(), srcs[1]); err != nil || !advanced {
+		t.Fatalf("advance: advanced=%v err=%v", advanced, err)
+	}
+	snap := srv.Snapshot()
+	if snap.ResumedVia != "memory" || snap.ResumedFrom != fxBaseDays-1 {
+		t.Fatalf("advance resumed via %q from %d, want memory from %d", snap.ResumedVia, snap.ResumedFrom, fxBaseDays-1)
+	}
+	assertFromZero(t, srv, srcs[1])
+
+	objs, err := b.List("checkpoint-")
+	if err != nil || len(objs) == 0 {
+		t.Fatalf("backend holds %d checkpoints (err %v)", len(objs), err)
+	}
+	var st struct {
+		Storage struct {
+			Checkpoints *struct {
+				Objects int `json:"objects"`
+			} `json:"checkpoints"`
+		} `json:"storage"`
+	}
+	if err := json.Unmarshal(get(t, srv.Handler(), "/statz").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if ck := st.Storage.Checkpoints; ck == nil || ck.Objects != len(objs) {
+		t.Fatalf("/statz checkpoints section %+v, want %d objects", ck, len(objs))
 	}
 }

@@ -3,8 +3,6 @@ package trace
 import (
 	"path/filepath"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // resetFrameCache empties the process-wide cache and restores the default
@@ -175,18 +173,14 @@ func TestSegRepeatOpenAtInflatesLess(t *testing.T) {
 	}
 }
 
-// TestSegBackendBlobUncached: backend-served containers have no
-// process-stable identity, so their frames must bypass the cache rather
-// than risk a collision serving another container's frames.
+// TestSegBackendBlobUncached: containers opened from a blob rather than
+// a file (here an in-memory one) have no process-stable identity, so
+// their frames must bypass the cache rather than risk a collision
+// serving another container's frames.
 func TestSegBackendBlobUncached(t *testing.T) {
 	resetFrameCache(t, DefaultFrameCacheBytes)
 	tr := synthTrace(500)
-	data := encodeSegBytes(t, tr, true)
-	b := storage.NewDirBackend(t.TempDir())
-	if err := b.Put("tr.rrs", data); err != nil {
-		t.Fatal(err)
-	}
-	src, err := OpenSegBackend(b, "tr.rrs")
+	src, err := openSegBytes(encodeSegBytes(t, tr, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,9 +189,9 @@ func TestSegBackendBlobUncached(t *testing.T) {
 	drain(t, src)
 	after := ReadFrameCacheStats()
 	if after.Hits != before.Hits {
-		t.Fatalf("backend blob hit the frame cache %d times", after.Hits-before.Hits)
+		t.Fatalf("blob container hit the frame cache %d times", after.Hits-before.Hits)
 	}
 	if after.Entries != before.Entries {
-		t.Fatalf("backend blob populated the frame cache: %d new entries", after.Entries-before.Entries)
+		t.Fatalf("blob container populated the frame cache: %d new entries", after.Entries-before.Entries)
 	}
 }

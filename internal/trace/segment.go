@@ -10,8 +10,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-
-	"repro/internal/storage"
 )
 
 // Segmented (compressed) trace format, magic "RRS1":
@@ -701,30 +699,14 @@ func parseSegHeader(hdr []byte) (meta Meta, count uint64, finalized bool, err er
 	return meta, count, true, nil
 }
 
-// OpenSegBackend opens a segmented trace stored as an object in a
-// storage backend. Cursors fetch one ranged read per frame, so a replay
-// from day D touches only the bytes of the segments holding days >= D.
-func OpenSegBackend(b storage.Backend, name string) (*FileSource, error) {
-	infos, err := b.List(name)
-	if err != nil {
-		return nil, err
-	}
-	for _, info := range infos {
-		if info.Name == name {
-			return openSegBlob(backendBlob{b: b, name: name}, info.Size, name)
-		}
-	}
-	return nil, fmt.Errorf("trace: %s: %w", name, storage.ErrNotExist)
-}
-
 // openSegBytes opens a segmented trace held in memory (tests, fuzzing).
 func openSegBytes(data []byte) (*FileSource, error) {
 	return openSegBlob(bytesBlob{data: data}, int64(len(data)), "segmented bytes")
 }
 
 // openSegBlob opens a segmented container of size bytes held in blob,
-// served uncached: a backend or memory blob carries no process-stable
-// identity for the frame cache to key on.
+// served uncached: a memory blob carries no process-stable identity for
+// the frame cache to key on.
 func openSegBlob(blob traceBlob, size int64, label string) (*FileSource, error) {
 	h, err := blob.open()
 	if err != nil {

@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // encodeSegToFile streams a trace through the SegEncoder into a file.
@@ -403,37 +401,6 @@ func TestSegEmptyTrace(t *testing.T) {
 	}
 	if s.Events() != 0 || len(drain(t, s)) != 0 {
 		t.Fatalf("empty container decoded %d events", s.Events())
-	}
-}
-
-// TestSegBackend routes the same container through a storage backend:
-// every read is a ranged Get, and day addressing works identically.
-func TestSegBackend(t *testing.T) {
-	tr := synthTrace(257)
-	blob := encodeSegBytes(t, tr, true)
-	b := storage.NewDirBackend(t.TempDir())
-	if err := b.Put("traces/synth.seg", blob); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenSegBackend(b, "traces/synth.seg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := drain(t, s)
-	if len(got) != len(tr.Events) {
-		t.Fatalf("backend drain: %d events, want %d", len(got), len(tr.Events))
-	}
-	cur, err := s.OpenAt(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	ev, ok, err := cur.Next()
-	if err != nil || !ok || ev.Day < 7 {
-		t.Fatalf("backend OpenAt(7) = %+v ok=%v err=%v", ev, ok, err)
-	}
-	if _, err := OpenSegBackend(b, "traces/missing.seg"); !errors.Is(err, storage.ErrNotExist) {
-		t.Fatalf("missing object open = %v, want ErrNotExist", err)
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"math"
 	"os"
 	"sort"
-
-	"repro/internal/storage"
 )
 
 // Cursor is one forward pass over a trace's events.
@@ -487,29 +485,6 @@ type bytesBlob struct{ data []byte }
 
 func (b bytesBlob) open() (*blobHandle, error) {
 	return &blobHandle{ra: bytes.NewReader(b.data)}, nil
-}
-
-// backendBlob serves a container out of a storage backend: each frame
-// is one ranged read, so replaying a day range from an object store
-// fetches only that range's segments.
-type backendBlob struct {
-	b    storage.Backend
-	name string
-}
-
-func (b backendBlob) open() (*blobHandle, error) { return &blobHandle{ra: b}, nil }
-
-func (b backendBlob) ReadAt(p []byte, off int64) (int, error) {
-	rc, err := b.b.OpenRange(b.name, off, int64(len(p)))
-	if err != nil {
-		return 0, err
-	}
-	defer rc.Close()
-	n, err := io.ReadFull(rc, p)
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		err = io.EOF
-	}
-	return n, err
 }
 
 // countingReader counts the bytes read through it — the tail probe and
