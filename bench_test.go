@@ -1,10 +1,8 @@
 // Benchmarks: one per figure panel of the paper's evaluation, each running
 // the analysis stage that regenerates that panel's series on a shared
-// bench-scale trace, plus the ablation benches called out in DESIGN.md §5.
-// Run e.g.:
+// bench-scale trace. Run e.g.:
 //
 //	go test -bench=Fig3c -benchmem
-//	go test -bench=Ablation -benchmem
 //
 // Each benchmark reports headline values through b.Log on the first
 // iteration, so `go test -bench=. -v` doubles as the figure harness.
@@ -214,8 +212,8 @@ func liveHeapMB(keep ...any) float64 {
 //	go test -bench=LargeReplayMemory -benchtime=1x
 //
 // (-short swaps in the ~10⁵-node default preset). The GenStream subtest
-// replays straight from the generator through a trace.Sink — no slice, no
-// file — as the third data plane.
+// applies each event straight from the generator to the state — no
+// slice, no file — as the third data plane.
 func BenchmarkLargeReplayMemory(b *testing.B) {
 	cfg := gen.LargeConfig()
 	if testing.Short() {
@@ -254,7 +252,7 @@ func BenchmarkLargeReplayMemory(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			st, err := trace.Replay(tr.Events, trace.Hooks{})
+			st, err := trace.ReplaySource(trace.SliceSource(tr.Events), trace.Hooks{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -265,11 +263,9 @@ func BenchmarkLargeReplayMemory(b *testing.B) {
 	b.Run("GenStream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			st := trace.NewState(int(meta.Nodes), int(meta.Edges))
-			sink := trace.NewSink(st, trace.Hooks{})
-			if _, err := gen.GenerateStream(cfg, sink.Push); err != nil {
+			if _, err := gen.GenerateStream(cfg, st.Apply); err != nil {
 				b.Fatal(err)
 			}
-			sink.Finish()
 			b.ReportMetric(liveHeapMB(st), "live-MB")
 			b.ReportMetric(float64(st.Graph.NumEdges()), "edges")
 		}
@@ -417,7 +413,7 @@ func BenchmarkDeltaSweep(b *testing.B) {
 func communityPass(ctx context.Context, src trace.Source, opt community.Options) (*community.Result, error) {
 	s := community.NewStage(opt)
 	st := trace.NewState(1024, 4096)
-	if err := trace.ReplaySourceIntoContext(ctx, st, src, trace.Hooks{OnDayEnd: s.OnDayEnd}); err != nil {
+	if err := trace.ReplayFrom(ctx, st, src, trace.Hooks{OnDayEnd: s.OnDayEnd}, 0); err != nil {
 		return nil, err
 	}
 	if err := s.Finish(st); err != nil {
@@ -426,48 +422,10 @@ func communityPass(ctx context.Context, src trace.Source, opt community.Options)
 	return s.Result(), nil
 }
 
-// --- Ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationPADecay is the control experiment for Fig 3c: α(t) of
-// the higher-degree rule, through the plan at the paper's defaults, with
-// the generator's PA decay on and off (a constant mixing weight). At this
-// preset α rises in both arms; DESIGN.md §5 records where the arms
-// separate.
-func BenchmarkAblationPADecay(b *testing.B) {
-	mkTrace := func(slope float64) *trace.Trace {
-		cfg := gen.SmallConfig()
-		cfg.Merge = nil
-		cfg.Attach.PALogSlope = slope
-		tr, err := gen.Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return tr
-	}
-	cfg := core.DefaultConfig()
-	measure := func(tr *trace.Trace) (first, last float64) {
-		res, err := core.RunFigures(context.Background(), tr.Source(), cfg, "fig3c")
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := res.Alpha.Samples
-		return s[0].AlphaHigher, s[len(s)-1].AlphaHigher
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		df, dl := measure(mkTrace(gen.SmallConfig().Attach.PALogSlope))
-		ff, fl := measure(mkTrace(0))
-		if i == 0 {
-			b.Logf("with decay: alpha %.3f -> %.3f (Δ%.3f) | constant PA: %.3f -> %.3f (Δ%.3f)",
-				df, dl, dl-df, ff, fl, fl-ff)
-		}
-	}
-}
-
 // BenchmarkSubstrates microbenchmarks the hot substrate operations.
 func BenchmarkSubstrateBFS(b *testing.B) {
 	tr := benchTrace(b)
-	st, err := trace.Replay(tr.Events, trace.Hooks{})
+	st, err := trace.ReplaySource(trace.SliceSource(tr.Events), trace.Hooks{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -479,7 +437,7 @@ func BenchmarkSubstrateBFS(b *testing.B) {
 
 func BenchmarkSubstrateLouvain(b *testing.B) {
 	tr := benchTrace(b)
-	st, err := trace.Replay(tr.Events, trace.Hooks{})
+	st, err := trace.ReplaySource(trace.SliceSource(tr.Events), trace.Hooks{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -504,7 +462,7 @@ func BenchmarkDetectorAdvance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		det := community.NewDetector(opt)
 		snapshots := 0
-		_, err := trace.Replay(tr.Events, trace.Hooks{
+		_, err := trace.ReplaySource(trace.SliceSource(tr.Events), trace.Hooks{
 			OnDayEnd: func(st *trace.State, day int32) {
 				if day < opt.StartDay || (day-opt.StartDay)%opt.SnapshotEvery != 0 || st.Graph.NumNodes() < opt.MinNodes {
 					return
@@ -529,7 +487,7 @@ func BenchmarkDetectorAdvance(b *testing.B) {
 // bit-parallel BFS) on the final SmallConfig graph, at one and two
 // workers. Each op draws a fresh sample from the same rng stream.
 func BenchmarkPathSampler(b *testing.B) {
-	st, err := trace.Replay(benchTrace(b).Events, trace.Hooks{})
+	st, err := trace.ReplaySource(trace.SliceSource(benchTrace(b).Events), trace.Hooks{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -564,7 +522,7 @@ func BenchmarkSubstrateMergeAnalysis(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := osnmerge.NewStage(tr.Meta.MergeDay, osnmerge.DefaultOptions())
-		st, err := trace.Replay(tr.Events, trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd})
+		st, err := trace.ReplaySource(trace.SliceSource(tr.Events), trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd})
 		if err != nil {
 			b.Fatal(err)
 		}

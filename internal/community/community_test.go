@@ -37,7 +37,7 @@ func pipeline(t *testing.T) ([]trace.Event, *Result) {
 		us := NewUsersStage(nil, cs.Result)
 		st := trace.NewState(1024, 4096)
 		hooks := trace.Hooks{OnEvent: us.OnEvent, OnDayEnd: cs.OnDayEnd}
-		if runErr = trace.ReplaySourceIntoContext(nil, st, tr.Source(), hooks); runErr != nil {
+		if runErr = trace.ReplayFrom(nil, st, tr.Source(), hooks, 0); runErr != nil {
 			return
 		}
 		if runErr = cs.Finish(st); runErr != nil {
@@ -58,7 +58,7 @@ func pipeline(t *testing.T) ([]trace.Event, *Result) {
 func runPass(src trace.Source, opt Options) (*Result, error) {
 	s := NewStage(opt)
 	st := trace.NewState(1024, 4096)
-	if err := trace.ReplaySourceIntoContext(nil, st, src, trace.Hooks{OnDayEnd: s.OnDayEnd}); err != nil {
+	if err := trace.ReplayFrom(nil, st, src, trace.Hooks{OnDayEnd: s.OnDayEnd}, 0); err != nil {
 		return nil, err
 	}
 	if err := s.Finish(st); err != nil {

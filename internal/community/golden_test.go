@@ -61,7 +61,7 @@ func detectorDigest(t *testing.T, events []trace.Event, opt Options) string {
 		OnEvent:  us.OnEvent,
 		OnDayEnd: cs.OnDayEnd,
 	}
-	if err := trace.ReplaySourceIntoContext(nil, st, trace.SliceSource(events), hooks); err != nil {
+	if err := trace.ReplayFrom(nil, st, trace.SliceSource(events), hooks, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := cs.Finish(st); err != nil {

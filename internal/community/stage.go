@@ -40,7 +40,7 @@ const (
 // Name implements engine.Stage.
 func (s *Stage) Name() string { return StageName }
 
-// OverlapSafe marks the stage for the engine's parallel driver: OnEvent
+// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
 // is a no-op and OnDayEnd's snapshot reads the quiescent graph read-only
 // (the detector owns no graph — see Detector).
 func (s *Stage) OverlapSafe() {}
@@ -120,7 +120,7 @@ func NewUsersStage(buckets []SizeBucket, source func() *Result) *UsersStage {
 // Name implements engine.Stage.
 func (s *UsersStage) Name() string { return UsersStageName }
 
-// OverlapSafe marks the stage for the engine's parallel driver: OnEvent
+// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
 // records activity in private per-node maps and OnDayEnd is a no-op (the
 // community join happens in Finish, post-pass).
 func (s *UsersStage) OverlapSafe() {}

@@ -41,7 +41,7 @@ func TestSweepMatchesPerPass(t *testing.T) {
 	sw := NewSweepStage(opt, deltas, pool)
 	eng := engine.New()
 	eng.Subscribe(sw)
-	if _, err := eng.RunSource(tr.Source()); err != nil {
+	if _, err := eng.RunSourceContext(context.Background(), tr.Source()); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Wait(); err != nil {
@@ -113,14 +113,7 @@ func TestSweepCancelMidSnapshot(t *testing.T) {
 	// before the engine's sync point: Sync then hits the barrier with the
 	// first snapshot's tasks still queued behind the occupied token.
 	cancelDay := opt.StartDay + opt.SnapshotEvery
-	eng.Subscribe(engine.Funcs{
-		StageName: "canceler",
-		DayEnd: func(_ *trace.State, day int32) {
-			if day == cancelDay {
-				cancel()
-			}
-		},
-	})
+	eng.Subscribe(cancelAt{day: cancelDay, cancel: cancel})
 
 	_, err := eng.RunSourceContext(ctx, tr.Source())
 	if !errors.Is(err, context.Canceled) {
@@ -137,6 +130,21 @@ func TestSweepCancelMidSnapshot(t *testing.T) {
 	}
 }
 
+// cancelAt is a stage that cancels the run at the end of one day.
+type cancelAt struct {
+	day    int32
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) Name() string                      { return "canceler" }
+func (c cancelAt) OnEvent(*trace.State, trace.Event) {}
+func (c cancelAt) Finish(*trace.State) error         { return nil }
+func (c cancelAt) OnDayEnd(_ *trace.State, day int32) {
+	if day == c.day {
+		c.cancel()
+	}
+}
+
 // TestSweepNoSnapshots asserts the shared-snapshot path reports
 // ErrNoSnapshots per δ exactly like the per-pass path when the trace never
 // reaches snapshot size.
@@ -150,7 +158,7 @@ func TestSweepNoSnapshots(t *testing.T) {
 	sw := NewSweepStage(DefaultOptions(), []float64{0.04}, pool)
 	eng := engine.New()
 	eng.Subscribe(sw)
-	_, err := eng.RunSource(trace.SliceSource(events))
+	_, err := eng.RunSourceContext(context.Background(), trace.SliceSource(events))
 	if !errors.Is(err, ErrNoSnapshots) {
 		t.Fatalf("err = %v, want ErrNoSnapshots", err)
 	}
@@ -181,7 +189,7 @@ func TestSnapToSnapshotDay(t *testing.T) {
 // same frozen view and prepared Louvain graph for a snapshot day, and the
 // cache holds neither once the last reader has taken it.
 func TestSnapshotsShareAndRelease(t *testing.T) {
-	st, err := trace.Replay(sweepTrace(t).Events, trace.Hooks{})
+	st, err := trace.ReplaySource(trace.SliceSource(sweepTrace(t).Events), trace.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

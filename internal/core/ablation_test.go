@@ -110,3 +110,40 @@ func TestTriangleClosureRaisesClustering(t *testing.T) {
 		t.Errorf("final clustering: closure %.3f, none %.3f; want a gap of at least 0.03", closedC, openC)
 	}
 }
+
+// TestPADecayBendsAlphaDown guards the Fig 3c mechanism (DESIGN §5): the
+// generator's PA decay is what makes the higher-degree α(t) fall over the
+// run. Both arms run the default preset with the merge off through the
+// plan at DefaultConfig() — the scale where the arms separate; on the
+// small preset α rises in both. With the decay α must end below where it
+// started, and with a constant mixing weight (PALogSlope = 0) it must end
+// clearly above the decay arm.
+func TestPADecayBendsAlphaDown(t *testing.T) {
+	alpha := func(slope float64) (first, last float64) {
+		gcfg := gen.DefaultConfig()
+		gcfg.Merge = nil
+		gcfg.Attach.PALogSlope = slope
+		tr, err := gen.Generate(gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunFigures(context.Background(), tr.Source(), DefaultConfig(), "fig3c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Alpha.Samples
+		if len(s) < 2 {
+			t.Fatalf("PALogSlope=%v: %d α samples, want at least 2", slope, len(s))
+		}
+		return s[0].AlphaHigher, s[len(s)-1].AlphaHigher
+	}
+	df, dl := alpha(gen.DefaultConfig().Attach.PALogSlope)
+	cf, cl := alpha(0)
+	t.Logf("α: with decay %.3f -> %.3f, constant PA %.3f -> %.3f", df, dl, cf, cl)
+	if dl >= df {
+		t.Errorf("with decay α went %.3f -> %.3f; want it to end below its start", df, dl)
+	}
+	if cl-dl < 0.05 {
+		t.Errorf("final α: constant PA %.3f, with decay %.3f; want constant PA at least 0.05 above", cl, dl)
+	}
+}

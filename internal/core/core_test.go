@@ -70,6 +70,31 @@ func TestSkippedStageReported(t *testing.T) {
 	}
 }
 
+// countingSource counts the replay passes made over a source — each pass
+// opens one cursor — and runs onOpen, when set, at every open.
+type countingSource struct {
+	trace.MetaSource
+	opens  atomic.Int64
+	onOpen func()
+}
+
+func (s *countingSource) Open() (trace.Cursor, error) {
+	s.opened()
+	return s.MetaSource.Open()
+}
+
+func (s *countingSource) OpenAt(day int32) (trace.Cursor, error) {
+	s.opened()
+	return s.MetaSource.OpenAt(day)
+}
+
+func (s *countingSource) opened() {
+	s.opens.Add(1)
+	if s.onOpen != nil {
+		s.onOpen()
+	}
+}
+
 // TestRunSinglePass asserts the headline property on a sweep-free plan:
 // every subscribed stage shares one replay pass.
 func TestRunSinglePass(t *testing.T) {
@@ -87,15 +112,12 @@ func TestRunSinglePass(t *testing.T) {
 	pcfg.PathEvery = 30
 	pcfg.PathSources = 20
 
-	prev := trace.OnReplayPass
-	var passes atomic.Int64
-	trace.OnReplayPass = func() { passes.Add(1) }
-	res, err := RunFigures(context.Background(), tr.Source(), pcfg, "fig1a", "fig2a", "fig3c")
-	trace.OnReplayPass = prev
+	src := &countingSource{MetaSource: tr.Source()}
+	res, err := RunFigures(context.Background(), src, pcfg, "fig1a", "fig2a", "fig3c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := passes.Load(); got != 1 {
+	if got := src.opens.Load(); got != 1 {
 		t.Fatalf("replay passes = %d, want exactly 1", got)
 	}
 	if len(res.Growth) == 0 || res.Evolution == nil || res.Alpha == nil {

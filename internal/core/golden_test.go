@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -266,12 +265,9 @@ func smallRun(t *testing.T) *smallGolden {
 		if small.tr, small.err = gen.Generate(gcfg); small.err != nil {
 			return
 		}
-		prev := trace.OnReplayPass
-		var passes atomic.Int64
-		trace.OnReplayPass = func() { passes.Add(1) }
-		small.res, small.err = RunPlan(context.Background(), small.tr.Source(), small.cfg, nil)
-		trace.OnReplayPass = prev
-		small.passes = passes.Load()
+		src := &countingSource{MetaSource: small.tr.Source()}
+		small.res, small.err = RunPlan(context.Background(), src, small.cfg, nil)
+		small.passes = src.opens.Load()
 	})
 	if small.err != nil {
 		t.Fatal(small.err)

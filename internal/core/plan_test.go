@@ -38,15 +38,12 @@ func TestPlanFigureOnly(t *testing.T) {
 		t.Fatalf("engine stages = %d, want exactly 1 (metrics)", x.eng.Stages())
 	}
 
-	prev := trace.OnReplayPass
-	var passes atomic.Int64
-	trace.OnReplayPass = func() { passes.Add(1) }
-	res, err := RunPlan(context.Background(), tr.Source(), cfg, plan)
-	trace.OnReplayPass = prev
+	src := &countingSource{MetaSource: tr.Source()}
+	res, err := RunPlan(context.Background(), src, cfg, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := passes.Load(); got != 1 {
+	if got := src.opens.Load(); got != 1 {
 		t.Fatalf("replay passes = %d, want exactly 1", got)
 	}
 
@@ -186,12 +183,9 @@ func TestRunPlanCancelSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	prev := trace.OnReplayPass
-	trace.OnReplayPass = func() { cancel() }
 	cfg := DefaultConfig()
 	cfg.DeltaSweep = []float64{0.01}
-	res, err := RunFigures(ctx, tr.Source(), cfg, "fig4a")
-	trace.OnReplayPass = prev
+	res, err := RunFigures(ctx, &countingSource{MetaSource: tr.Source(), onOpen: cancel}, cfg, "fig4a")
 	if res != nil {
 		t.Fatal("got result from a cancelled sweep run")
 	}

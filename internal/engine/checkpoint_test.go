@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 
@@ -30,11 +31,22 @@ func (s *ckptStage) LoadState(data []byte) error {
 	return nil
 }
 
+// forBudgets runs test once per CPU budget: the checkpoint hook runs in
+// the one driver at every budget, so each contract must hold at both.
+func forBudgets(t *testing.T, test func(t *testing.T, pool *Pool)) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { test(t, NewPool(workers)) })
+	}
+}
+
 // TestCheckpointCadence pins where the engine fires the checkpoint hook:
 // at every day boundary that is a positive multiple of the cadence, with
 // the state reflecting that day's end.
-func TestCheckpointCadence(t *testing.T) {
+func TestCheckpointCadence(t *testing.T) { forBudgets(t, testCheckpointCadence) }
+
+func testCheckpointCadence(t *testing.T, pool *Pool) {
 	e := New()
+	e.SetPool(pool)
 	s := &ckptStage{Funcs: Funcs{StageName: "count"}}
 	e.Subscribe(s)
 	var days []int32
@@ -44,7 +56,7 @@ func TestCheckpointCadence(t *testing.T) {
 		nodesAt = append(nodesAt, st.Graph.NumNodes())
 		return nil
 	})
-	if _, err := e.Run(testEvents()); err != nil {
+	if _, err := runEvents(e, testEvents()); err != nil {
 		t.Fatal(err)
 	}
 	// Events land on days 0, 2, 5; boundaries fire for 0..5. Cadence 2
@@ -71,7 +83,7 @@ func TestCheckpointRequiresCheckpointers(t *testing.T) {
 	e := New()
 	e.Subscribe(Funcs{StageName: "opaque"})
 	e.EnableCheckpoints(2, func(int32, *trace.State) error { return nil })
-	_, err := e.Run(testEvents())
+	_, err := runEvents(e, testEvents())
 	if err == nil {
 		t.Fatal("run started with an un-checkpointable stage")
 	}
@@ -80,8 +92,11 @@ func TestCheckpointRequiresCheckpointers(t *testing.T) {
 // TestCheckpointErrorAbortsReplay mirrors the Sync-error contract: a
 // failed checkpoint write stops the pass at that boundary and surfaces
 // the error; no stage Finish runs.
-func TestCheckpointErrorAbortsReplay(t *testing.T) {
+func TestCheckpointErrorAbortsReplay(t *testing.T) { forBudgets(t, testCheckpointErrorAbortsReplay) }
+
+func testCheckpointErrorAbortsReplay(t *testing.T, pool *Pool) {
 	e := New()
+	e.SetPool(pool)
 	finished := false
 	s := &ckptStage{Funcs: Funcs{StageName: "count", Done: func(*trace.State) error {
 		finished = true
@@ -90,7 +105,7 @@ func TestCheckpointErrorAbortsReplay(t *testing.T) {
 	e.Subscribe(s)
 	boom := errors.New("disk full")
 	e.EnableCheckpoints(2, func(day int32, _ *trace.State) error { return boom })
-	_, err := e.Run(testEvents())
+	_, err := runEvents(e, testEvents())
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the checkpoint failure", err)
 	}
@@ -106,12 +121,15 @@ func TestCheckpointErrorAbortsReplay(t *testing.T) {
 
 // TestResumeSourceContext covers the engine's resume entry directly: a
 // restored stage + state fed the remaining days matches a from-zero run.
-func TestResumeSourceContext(t *testing.T) {
+func TestResumeSourceContext(t *testing.T) { forBudgets(t, testResumeSourceContext) }
+
+func testResumeSourceContext(t *testing.T, pool *Pool) {
 	events := testEvents()
 	src := trace.SliceSource(events)
 
 	full := &ckptStage{Funcs: Funcs{StageName: "count"}}
 	eFull := New()
+	eFull.SetPool(pool)
 	eFull.Subscribe(full)
 	stFull, err := eFull.RunSourceContext(nil, src)
 	if err != nil {
@@ -131,6 +149,7 @@ func TestResumeSourceContext(t *testing.T) {
 		part.OnEvent(st, ev)
 	}
 	eRes := New()
+	eRes.SetPool(pool)
 	eRes.Subscribe(part)
 	stRes, err := eRes.ResumeSourceContext(nil, src, st, 2)
 	if err != nil {

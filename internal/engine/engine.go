@@ -79,39 +79,6 @@ type Checkpointer interface {
 // error.
 type CheckpointFunc func(day int32, st *trace.State) error
 
-// Funcs adapts plain functions to the Stage interface; any field may be nil.
-type Funcs struct {
-	StageName string
-	Event     func(st *trace.State, ev trace.Event)
-	DayEnd    func(st *trace.State, day int32)
-	Done      func(st *trace.State) error
-}
-
-// Name implements Stage.
-func (f Funcs) Name() string { return f.StageName }
-
-// OnEvent implements Stage.
-func (f Funcs) OnEvent(st *trace.State, ev trace.Event) {
-	if f.Event != nil {
-		f.Event(st, ev)
-	}
-}
-
-// OnDayEnd implements Stage.
-func (f Funcs) OnDayEnd(st *trace.State, day int32) {
-	if f.DayEnd != nil {
-		f.DayEnd(st, day)
-	}
-}
-
-// Finish implements Stage.
-func (f Funcs) Finish(st *trace.State) error {
-	if f.Done != nil {
-		return f.Done(st)
-	}
-	return nil
-}
-
 // Engine composes subscribed stages over one replay pass.
 type Engine struct {
 	stages   []Stage
@@ -147,13 +114,13 @@ func (e *Engine) Hint(nodes, edges int) {
 // than one token the replay pipelines: the source is wrapped in
 // trace.Prefetch so decode runs ahead of apply on a reader goroutine, and
 // Overlappable stages' per-day work fans out on the pool at each day
-// barrier (see parallelDriver). No pool, or a budget of one — the
-// default — keeps the exact sequential dispatch. Either way every figure
-// is bit-identical: the parallel driver preserves each stage's own event
-// order and the barrier keeps Sync/checkpoint semantics unchanged, so
-// the budget is a throughput knob, never a result knob (and is
-// deliberately absent from the checkpoint fingerprint — checkpoints
-// written at one worker count resume at any other).
+// barrier (see driver). No pool, or a budget of one — the default —
+// defers nothing. Either way every figure is bit-identical: the driver
+// preserves each stage's own event order and the barrier keeps
+// Sync/checkpoint semantics unchanged, so the budget is a throughput
+// knob, never a result knob (and is deliberately absent from the
+// checkpoint fingerprint — checkpoints written at one worker count
+// resume at any other).
 func (e *Engine) SetPool(p *Pool) { e.pool = p }
 
 // SetWorkers gives the engine a budget of its own, shared with no other
@@ -193,26 +160,18 @@ func (e *Engine) EnableCheckpoints(every int32, fn CheckpointFunc) {
 	e.ckptFn = fn
 }
 
-// Run replays events exactly once, dispatching every callback to all
-// subscribed stages, then finishes each stage in subscription order. The
-// first stage error aborts with the stage's name wrapped in.
-func (e *Engine) Run(events []trace.Event) (*trace.State, error) {
-	return e.RunSource(trace.SliceSource(events))
-}
-
-// RunSource is Run over a re-openable event source, consuming exactly one
-// pass (one cursor). With a disk-backed trace.FileSource the engine's
-// resident memory is the shared State plus the stages' accumulators —
-// O(state), independent of the trace's event count.
-func (e *Engine) RunSource(src trace.Source) (*trace.State, error) {
-	return e.RunSourceContext(nil, src)
-}
-
-// RunSourceContext is RunSource with cancellation: the replay checks ctx at
-// every day boundary and, once cancelled, no stage Finish runs — the pass
-// aborts with ctx.Err() and the partially built state. A nil ctx disables
-// the checks (unless a subscribed Syncer needs the abort machinery, in
-// which case an internal background context stands in).
+// RunSourceContext replays src exactly once — one cursor — dispatching
+// every callback to all subscribed stages, then finishes each stage in
+// subscription order; the first stage error aborts with the stage's name
+// wrapped in. With a disk-backed trace.FileSource the engine's resident
+// memory is the shared State plus the stages' accumulators — O(state),
+// independent of the trace's event count.
+//
+// The replay checks ctx at every day boundary and, once cancelled, no
+// stage Finish runs — the pass aborts with ctx.Err() and the partially
+// built state. A nil ctx disables the checks (unless a subscribed Syncer
+// or the checkpoint hook needs the abort machinery, in which case an
+// internal background context stands in).
 func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source) (*trace.State, error) {
 	return e.run(ctx, src, trace.NewState(e.nodeHint, e.edgeHint), 0)
 }
@@ -227,8 +186,9 @@ func (e *Engine) ResumeSourceContext(ctx context.Context, src trace.Source, st *
 	return e.run(ctx, src, st, day+1)
 }
 
-// run is the shared pass driver behind RunSourceContext and
-// ResumeSourceContext.
+// run is the pass behind RunSourceContext and ResumeSourceContext: one
+// trace.ReplayFrom loop driven by one driver, then the end-of-run
+// checkpoint and every stage's Finish.
 func (e *Engine) run(ctx context.Context, src trace.Source, st *trace.State, fromDay int32) (*trace.State, error) {
 	if e.ckptFn != nil {
 		for _, s := range e.stages {
@@ -237,84 +197,29 @@ func (e *Engine) run(ctx context.Context, src trace.Source, st *trace.State, fro
 			}
 		}
 	}
-	d := &trace.Dispatcher{}
-	parallel := e.pool.Workers() > 1
-	if parallel {
-		// One combined subscription: the driver dispatches inline stages
-		// per event and fans Overlappable stages' day work out at each
-		// day boundary, joining before returning — so the barrier hooks
-		// subscribed below still see a quiescent, day-complete state.
-		d.Subscribe(newParallelDriver(e.stages, e.pool).hooks())
-	} else {
-		for _, s := range e.stages {
-			d.Subscribe(trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd})
+	d := e.newDriver(fromDay)
+	if len(d.syncers) > 0 || e.ckptFn != nil {
+		// A barrier error cancels the run's context, which stops the
+		// replay at this day boundary: the shared graph is never mutated
+		// past a failed barrier.
+		if ctx == nil {
+			ctx = context.Background()
 		}
-	}
-	// Barrier hooks — the per-snapshot Sync point and the checkpoint
-	// cadence — are dispatched last, so every stage has seen the day
-	// before any fan-out freezes the state or any serialization reads it.
-	// A hook error cancels the run's context, which stops the replay at
-	// this day boundary: the shared graph is never mutated past a failed
-	// barrier. lastCkpt dedupes the cadence hook against the end-of-run
-	// checkpoint, and keeps a resumed pass from rewriting the checkpoint
-	// it was restored from.
-	lastCkpt := fromDay - 1
-	var hookErr error
-	syncers := e.syncers()
-	if len(syncers) > 0 || e.ckptFn != nil {
-		base := ctx
-		if base == nil {
-			base = context.Background()
-		}
-		runCtx, cancel := context.WithCancel(base)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
-		ctx = runCtx
-		fail := func(err error) {
-			if hookErr == nil {
-				hookErr = err
-				cancel()
-			}
-		}
-		if len(syncers) > 0 {
-			d.Subscribe(trace.Hooks{OnDayEnd: func(st *trace.State, day int32) {
-				if hookErr != nil {
-					return
-				}
-				for _, y := range syncers {
-					if err := y.Sync(runCtx, st, day); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}})
-		}
-		if e.ckptFn != nil && e.ckptEvery > 0 {
-			every, fn := e.ckptEvery, e.ckptFn
-			d.Subscribe(trace.Hooks{OnDayEnd: func(st *trace.State, day int32) {
-				if hookErr != nil || runCtx.Err() != nil {
-					return
-				}
-				if day > 0 && day%every == 0 && day > lastCkpt {
-					if err := fn(day, st); err != nil {
-						fail(fmt.Errorf("engine: checkpoint at day %d: %w", day, err))
-					} else {
-						lastCkpt = day
-					}
-				}
-			}})
-		}
+		d.ctx, d.cancel = ctx, cancel
 	}
-	runSrc := src
-	if parallel {
+	if e.pool.Workers() > 1 {
 		// Pipelined data plane: decode day-batches ahead of the apply
 		// loop. EventsThrough-style identity probes ran before this point
 		// against the raw source, and the wrapper preserves event order
 		// and error positions exactly (see trace.Prefetch).
-		runSrc = trace.Prefetch(src)
+		src = trace.Prefetch(src)
 	}
-	err := trace.ReplaySourceIntoFromContext(ctx, st, runSrc, d.Hooks(), fromDay)
-	if hookErr != nil {
-		return st, hookErr
+	err := trace.ReplayFrom(ctx, st, src, trace.Hooks{OnEvent: d.onEvent, OnDayEnd: d.onDayEnd}, fromDay)
+	if d.err != nil {
+		return st, d.err
 	}
 	if err != nil {
 		return st, err
@@ -323,10 +228,8 @@ func (e *Engine) run(ctx context.Context, src trace.Source, st *trace.State, fro
 	// written before any Finish (Finish seals results but must never
 	// count as replay state). A resume that replayed nothing new skips
 	// it — the checkpoint it restored is already that state.
-	if e.ckptFn != nil && e.ckptEvery > 0 && st.Day > 0 && st.Day > lastCkpt {
-		if err := e.ckptFn(st.Day, st); err != nil {
-			return st, fmt.Errorf("engine: checkpoint at day %d: %w", st.Day, err)
-		}
+	if err := d.checkpoint(st, st.Day); err != nil {
+		return st, err
 	}
 	for _, s := range e.stages {
 		if err := s.Finish(st); err != nil {
@@ -334,16 +237,4 @@ func (e *Engine) run(ctx context.Context, src trace.Source, st *trace.State, fro
 		}
 	}
 	return st, nil
-}
-
-// syncers returns the subscribed stages that take part in the per-snapshot
-// barrier, in subscription order.
-func (e *Engine) syncers() []Syncer {
-	var out []Syncer
-	for _, s := range e.stages {
-		if y, ok := s.(Syncer); ok {
-			out = append(out, y)
-		}
-	}
-	return out
 }

@@ -22,12 +22,57 @@ func testEvents() []trace.Event {
 	}
 }
 
-func TestEngineSinglePassAllStages(t *testing.T) {
-	prev := trace.OnReplayPass
-	defer func() { trace.OnReplayPass = prev }()
-	var passes atomic.Int64
-	trace.OnReplayPass = func() { passes.Add(1) }
+// Funcs adapts plain functions to the Stage interface; any field may be nil.
+type Funcs struct {
+	StageName string
+	Event     func(st *trace.State, ev trace.Event)
+	DayEnd    func(st *trace.State, day int32)
+	Done      func(st *trace.State) error
+}
 
+func (f Funcs) Name() string { return f.StageName }
+
+func (f Funcs) OnEvent(st *trace.State, ev trace.Event) {
+	if f.Event != nil {
+		f.Event(st, ev)
+	}
+}
+
+func (f Funcs) OnDayEnd(st *trace.State, day int32) {
+	if f.DayEnd != nil {
+		f.DayEnd(st, day)
+	}
+}
+
+func (f Funcs) Finish(st *trace.State) error {
+	if f.Done != nil {
+		return f.Done(st)
+	}
+	return nil
+}
+
+// runEvents runs one pass of e over an in-memory event slice.
+func runEvents(e *Engine, events []trace.Event) (*trace.State, error) {
+	return e.RunSourceContext(nil, trace.SliceSource(events))
+}
+
+// countingSource counts the cursors opened on it: one per replay pass.
+type countingSource struct {
+	trace.Source
+	opens int
+}
+
+func (s *countingSource) Open() (trace.Cursor, error) {
+	s.opens++
+	return s.Source.Open()
+}
+
+func (s *countingSource) OpenAt(day int32) (trace.Cursor, error) {
+	s.opens++
+	return s.Source.OpenAt(day)
+}
+
+func TestEngineSinglePassAllStages(t *testing.T) {
 	e := New()
 	e.Hint(3, 2)
 	type tally struct {
@@ -48,14 +93,15 @@ func TestEngineSinglePassAllStages(t *testing.T) {
 			},
 		})
 	}
-	st, err := e.Run(testEvents())
+	src := &countingSource{Source: trace.SliceSource(testEvents())}
+	st, err := e.RunSourceContext(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Graph.NumNodes() != 3 || st.Graph.NumEdges() != 2 {
 		t.Fatalf("shared state: %d nodes %d edges", st.Graph.NumNodes(), st.Graph.NumEdges())
 	}
-	if got := passes.Load(); got != 1 {
+	if got := src.opens; got != 1 {
 		t.Fatalf("replay passes = %d, want 1 for %d stages", got, len(tallies))
 	}
 	wantDays := []int32{0, 1, 2, 3, 4, 5}
@@ -77,7 +123,7 @@ func TestEngineFinishErrorNamesStage(t *testing.T) {
 		Funcs{StageName: "first", Done: func(st *trace.State) error { return boom }},
 		Funcs{StageName: "second", Done: func(st *trace.State) error { secondFinished = true; return nil }},
 	)
-	_, err := e.Run(testEvents())
+	_, err := runEvents(e, testEvents())
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -117,7 +163,7 @@ func TestEngineSyncBarrier(t *testing.T) {
 	e := New()
 	e.Subscribe(s)
 	e.Subscribe(Funcs{StageName: "after", DayEnd: func(_ *trace.State, day int32) { order = append(order, "after") }})
-	if _, err := e.Run(testEvents()); err != nil {
+	if _, err := runEvents(e, testEvents()); err != nil {
 		t.Fatal(err)
 	}
 	want := []int32{0, 1, 2, 3, 4, 5}

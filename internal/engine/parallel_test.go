@@ -38,7 +38,7 @@ func (r *recStage) OnDayEnd(st *trace.State, day int32) {
 }
 func (r *recStage) Finish(_ *trace.State) error { r.done = true; return nil }
 
-// OverlapSafe marks the stage for the parallel driver; the marker is
+// OverlapSafe marks the stage for the day-batch fan-out; the marker is
 // consulted via a type assertion on a wrapper so the same recorder can
 // run both inline and deferred.
 type overlapStage struct{ *recStage }
@@ -82,7 +82,7 @@ func runRecorded(t *testing.T, workers, nOverlap, nInline int, log *[]string) ([
 		inl = append(inl, r)
 		e.Subscribe(r)
 	}
-	if _, err := e.Run(parallelTestEvents()); err != nil {
+	if _, err := runEvents(e, parallelTestEvents()); err != nil {
 		t.Fatal(err)
 	}
 	return over, inl
@@ -90,8 +90,8 @@ func runRecorded(t *testing.T, workers, nOverlap, nInline int, log *[]string) ([
 
 // TestParallelMatchesSequential holds every stage's observed sequence —
 // events in order, day ends in order, and the shared graph's edge count
-// at each day barrier — bit-identical between the sequential driver and
-// the parallel one. Run with -race this is also the data-race gate for
+// at each day barrier — bit-identical between a budget of one token and
+// larger budgets. Run with -race this is also the data-race gate for
 // the day-batch hand-off.
 func TestParallelMatchesSequential(t *testing.T) {
 	seqOver, seqInl := runRecorded(t, 1, 3, 2, nil)
@@ -168,13 +168,13 @@ func TestParallelSyncBarrier(t *testing.T) {
 	}
 	b := &barrierSyncer{recStage: recStage{name: "sync"}, watch: watched, fail: t.Errorf}
 	e.Subscribe(b)
-	if _, err := e.Run(parallelTestEvents()); err != nil {
+	if _, err := runEvents(e, parallelTestEvents()); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestParallelSyncErrorAborts: a Sync error under the parallel driver
-// aborts the replay exactly as sequentially — no Finish runs.
+// TestParallelSyncErrorAborts: a Sync error with deferred stages aborts
+// the replay exactly as at a budget of one — no Finish runs.
 func TestParallelSyncErrorAborts(t *testing.T) {
 	e := New()
 	e.SetPool(NewPool(4))
@@ -183,7 +183,7 @@ func TestParallelSyncErrorAborts(t *testing.T) {
 	boom := errors.New("boom")
 	fs := &failSyncer{recStage: recStage{name: "failsync"}, day: 5, err: boom}
 	e.Subscribe(fs)
-	if _, err := e.Run(parallelTestEvents()); !errors.Is(err, boom) {
+	if _, err := runEvents(e, parallelTestEvents()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if r1.done || r2.done || fs.done {
@@ -205,16 +205,28 @@ func (f *failSyncer) Sync(_ context.Context, _ *trace.State, day int32) error {
 }
 
 // TestParallelDriverDegenerates: with fewer than two marked stages there
-// is nothing to overlap, so every stage runs inline in subscription
-// order.
+// is nothing to overlap, and at a budget of one nothing is deferred; in
+// both cases every stage runs inline in subscription order.
 func TestParallelDriverDegenerates(t *testing.T) {
 	a := overlapStage{&recStage{name: "a"}}
 	b := &recStage{name: "b"}
-	p := newParallelDriver([]Stage{a, b}, NewPool(4))
-	if p.deferred != nil {
-		t.Fatalf("one marked stage should not defer, got %d deferred", len(p.deferred))
-	}
-	if len(p.inline) != 2 || p.inline[0].(overlapStage).recStage != a.recStage || p.inline[1] != Stage(b) {
-		t.Fatal("degenerate driver lost subscription order")
+	c := overlapStage{&recStage{name: "c"}}
+	for _, tc := range []struct {
+		workers int
+		stages  []Stage
+	}{
+		{4, []Stage{a, b}},
+		{1, []Stage{a, b, c}},
+	} {
+		e := New()
+		e.SetPool(NewPool(tc.workers))
+		e.Subscribe(tc.stages...)
+		d := e.newDriver(0)
+		if d.deferred != nil {
+			t.Fatalf("workers=%d: %d stages deferred, want none", tc.workers, len(d.deferred))
+		}
+		if !reflect.DeepEqual(d.inline, tc.stages) {
+			t.Fatalf("workers=%d: degenerate driver lost subscription order", tc.workers)
+		}
 	}
 }

@@ -79,7 +79,7 @@ const (
 // Name implements engine.Stage.
 func (s *Stage) Name() string { return StageName }
 
-// OverlapSafe marks the stage for the engine's parallel driver: OnEvent
+// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
 // reads only the event itself (ages come from its private joinDay map)
 // and OnDayEnd is a no-op.
 func (s *Stage) OverlapSafe() {}
@@ -402,7 +402,7 @@ func NewAlphaStage(opt AlphaOptions) *AlphaStage {
 // Name implements engine.Stage.
 func (s *AlphaStage) Name() string { return AlphaStageName }
 
-// OverlapSafe marks the stage for the engine's parallel driver: OnEvent
+// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
 // only feeds the private α tracker; OnDayEnd is a no-op.
 func (s *AlphaStage) OverlapSafe() {}
 

@@ -12,7 +12,7 @@ import (
 // event in trace order, without ever materializing the event slice: the
 // generator's memory is its simulation state, not the event count. It is
 // the emit-mode core that Generate (slice), GenerateToFile (disk), and
-// direct-replay consumers (a trace.Sink, a trace.Encoder) all share.
+// direct consumers (trace.State.Apply, a trace.Encoder) all share.
 //
 // The returned Meta carries the same counters Generate reports, including
 // Seed and MergeDay. A non-nil error from emit aborts the run at the next

@@ -41,7 +41,7 @@ func BenchmarkIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cur, err := trace.OpenSourceAt(fsrc, base)
+	cur, err := fsrc.OpenAt(base)
 	if err != nil {
 		b.Fatal(err)
 	}

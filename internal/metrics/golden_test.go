@@ -54,7 +54,7 @@ func stageDigest(t *testing.T, events []trace.Event, opt StageOptions) string {
 	s := NewStage(opt)
 	st := trace.NewState(1024, 4096)
 	hooks := trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd}
-	if err := trace.ReplaySourceIntoContext(nil, st, trace.SliceSource(events), hooks); err != nil {
+	if err := trace.ReplayFrom(nil, st, trace.SliceSource(events), hooks, 0); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -89,7 +89,7 @@ func NewStage(opt StageOptions) *Stage {
 // StageName is the stage's planner registry name.
 const StageName = "metrics"
 
-// OverlapSafe marks the stage for the engine's parallel driver: OnEvent
+// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
 // only tallies arrival counts in private fields (it never reads the
 // shared state), and OnDayEnd reads the quiescent graph read-only for
 // the day's snapshot.

@@ -68,7 +68,7 @@ func TestEdgeClassString(t *testing.T) {
 // analyze runs the §5 stage over events in one replay.
 func analyze(events []trace.Event, mergeDay int32, opt Options) (*Result, error) {
 	s := NewStage(mergeDay, opt)
-	st, err := trace.Replay(events, trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd})
+	st, err := trace.ReplaySource(trace.SliceSource(events), trace.Hooks{OnEvent: s.OnEvent, OnDayEnd: s.OnDayEnd})
 	if err != nil {
 		return nil, err
 	}

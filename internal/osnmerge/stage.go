@@ -126,7 +126,7 @@ const StageName = "osnmerge"
 // Name implements engine.Stage.
 func (s *Stage) Name() string { return StageName }
 
-// OverlapSafe marks the stage for the engine's parallel driver: OnEvent
+// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
 // writes only private census/gap accumulators, and OnDayEnd's sampled
 // distance measurement reads the quiescent graph and origin column
 // read-only.

@@ -255,12 +255,12 @@ func TestEventsThrough(t *testing.T) {
 	}
 }
 
-// TestSliceSourceOpenAt covers the in-memory DaySeeker.
+// TestSliceSourceOpenAt covers the in-memory source's OpenAt.
 func TestSliceSourceOpenAt(t *testing.T) {
 	tr := synthTrace(60)
 	src := SliceSource(tr.Events)
 	for _, day := range []int32{0, 3, 10_000} {
-		cur, err := OpenSourceAt(src, day)
+		cur, err := src.OpenAt(day)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,24 +269,12 @@ func TestSliceSourceOpenAt(t *testing.T) {
 	}
 }
 
-// onlySource hides every optional interface of a Source, forcing
-// OpenSourceAt onto its generic skip path.
+// onlySource hides every optional interface of a Source and its
+// concrete type.
 type onlySource struct{ src Source }
 
-func (s onlySource) Open() (Cursor, error) { return s.src.Open() }
-
-// TestOpenSourceAtFallback covers the generic decode-and-discard path for
-// sources that are not DaySeekers.
-func TestOpenSourceAtFallback(t *testing.T) {
-	tr := synthTrace(60)
-	day := tr.Events[len(tr.Events)-1].Day / 2
-	cur, err := OpenSourceAt(onlySource{SliceSource(tr.Events)}, day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameEvents(t, "generic", drainCursor(t, cur), suffixFrom(tr.Events, day))
-	cur.Close()
-}
+func (s onlySource) Open() (Cursor, error)            { return s.src.Open() }
+func (s onlySource) OpenAt(day int32) (Cursor, error) { return s.src.OpenAt(day) }
 
 // TestReplayFromDay asserts the segmented-replay contract the checkpoint
 // plane relies on: replaying [0, D] into a state and then resuming the
@@ -316,26 +304,19 @@ func TestReplayFromDay(t *testing.T) {
 	for _, split := range []int32{0, 1, lastDay / 3, lastDay - 1, lastDay} {
 		var seg []mark
 		st := NewState(16, 16)
-		// First segment: replay events with Day <= split, then fire the
-		// boundary for split itself, exactly as a checkpointing engine
-		// pass does before saving.
-		k := NewSinkContext(nil, st, record(&seg))
-		for _, ev := range tr.Events {
-			if ev.Day > split {
-				break
-			}
-			if err := k.Push(ev); err != nil {
-				t.Fatal(err)
-			}
+		// First segment: replay the events with Day <= split, then fire
+		// the boundaries up to split itself, exactly as a checkpointing
+		// engine pass does before saving.
+		hooks := record(&seg)
+		prefix := tr.Events[:len(tr.Events)-len(suffixFrom(tr.Events, split+1))]
+		if err := ReplayFrom(nil, st, SliceSource(prefix), hooks, 0); err != nil {
+			t.Fatal(err)
 		}
-		for k.day <= split {
-			if k.hooks.OnDayEnd != nil {
-				k.hooks.OnDayEnd(k.st, k.day)
-			}
-			k.day++
+		for day := st.Day + 1; day <= split; day++ {
+			hooks.OnDayEnd(st, day)
 		}
 		// Second segment: resume from split+1.
-		if err := ReplaySourceIntoFromContext(nil, st, src, record(&seg), split+1); err != nil {
+		if err := ReplayFrom(nil, st, src, hooks, split+1); err != nil {
 			t.Fatal(err)
 		}
 		if len(seg) != len(whole) {

@@ -28,19 +28,13 @@ func Prefetch(src Source) Source {
 type prefetchSource struct{ inner Source }
 
 // Open implements Source.
-func (s *prefetchSource) Open() (Cursor, error) {
-	cur, err := s.inner.Open()
-	if err != nil {
-		return nil, err
-	}
-	return newPrefetchCursor(cur), nil
-}
+func (s *prefetchSource) Open() (Cursor, error) { return s.OpenAt(0) }
 
-// OpenAt implements DaySeeker by delegating positioning to the inner
-// source (OpenSourceAt uses its day index when it has one) and
+// OpenAt implements Source by delegating positioning to the inner source
+// (a FileSource seeks through its day index when it has one) and
 // prefetching from there.
 func (s *prefetchSource) OpenAt(day int32) (Cursor, error) {
-	cur, err := OpenSourceAt(s.inner, day)
+	cur, err := s.inner.OpenAt(day)
 	if err != nil {
 		return nil, err
 	}

@@ -103,7 +103,7 @@ func TestPrefetchBatchCapSplit(t *testing.T) {
 	sameEvents(t, "dense day", got, events)
 }
 
-// TestPrefetchOpenAt asserts the wrapper's DaySeeker path: OpenAt(day)
+// TestPrefetchOpenAt asserts the wrapper's OpenAt: OpenAt(day)
 // yields exactly the suffix from that day, like the inner source.
 func TestPrefetchOpenAt(t *testing.T) {
 	tr := synthTrace(200)
@@ -114,13 +114,9 @@ func TestPrefetchOpenAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := Prefetch(fs)
-	ds, ok := src.(DaySeeker)
-	if !ok {
-		t.Fatal("Prefetch of a file source should implement DaySeeker")
-	}
 	lastDay := tr.Events[len(tr.Events)-1].Day
 	for _, day := range []int32{0, 1, lastDay / 2, lastDay, lastDay + 3} {
-		cur, err := ds.OpenAt(day)
+		cur, err := src.OpenAt(day)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,6 +155,13 @@ type faultSource struct {
 var errFault = errors.New("synthetic decode fault")
 
 func (s *faultSource) Open() (Cursor, error) { return &faultCursor{src: s}, nil }
+
+func (s *faultSource) OpenAt(day int32) (Cursor, error) {
+	if day <= 0 {
+		return s.Open()
+	}
+	return openSkipping(s, day)
+}
 
 type faultCursor struct {
 	src *faultSource

@@ -69,7 +69,7 @@ func (s *State) NodeAge(u graph.NodeID, day int32) int32 {
 	return day - s.JoinDay[u]
 }
 
-// Hooks configures a Replay run. Any field may be nil.
+// Hooks configures a replay pass. Any field may be nil.
 type Hooks struct {
 	// OnEvent fires for every event after it is applied to the state.
 	OnEvent func(st *State, ev Event)
@@ -79,81 +79,41 @@ type Hooks struct {
 	OnDayEnd func(st *State, day int32)
 }
 
-// OnReplayPass, when non-nil, is invoked once at the start of every
-// ReplayInto pass (and therefore every Replay). It is a test instrumentation
-// point: equivalence and pass-counting tests install an atomic counter here
-// to assert how many full passes over a trace an analysis makes. Because
-// passes may run on concurrent goroutines (the per-pass sweep reference on
-// a pool), installed hooks must be safe for concurrent use.
-var OnReplayPass func()
-
-// Replay streams events through a fresh State, firing hooks, and returns the
-// final state. The trace must be Validate()-clean; replay stops at the first
+// ReplaySource streams one pass of src through a fresh State, firing
+// hooks, and returns the final state. With a FileSource the pass runs
+// straight off disk, so resident memory is the State, not the event
+// stream. The trace must be Validate()-clean; replay stops at the first
 // application error otherwise.
-func Replay(events []Event, hooks Hooks) (*State, error) {
-	return ReplaySource(SliceSource(events), hooks)
-}
-
-// ReplayInto is Replay over a caller-provided state, allowing resumed or
-// segmented replays.
-func ReplayInto(st *State, events []Event, hooks Hooks) error {
-	return ReplaySourceInto(st, SliceSource(events), hooks)
-}
-
-// ReplaySource is Replay over a re-openable Source: it opens one cursor,
-// streams it through a fresh State, and closes it. With a FileSource the
-// pass runs straight off disk, so resident memory is the State, not the
-// event stream.
 func ReplaySource(src Source, hooks Hooks) (*State, error) {
 	st := NewState(1024, 4096)
-	if err := ReplaySourceInto(st, src, hooks); err != nil {
-		return st, err
-	}
-	return st, nil
+	return st, ReplayFrom(nil, st, src, hooks, 0)
 }
 
-// ReplaySourceInto is ReplaySource over a caller-provided state. It
-// consumes exactly one pass (one Open/Close pair) of the source.
-func ReplaySourceInto(st *State, src Source, hooks Hooks) error {
-	return ReplaySourceIntoContext(nil, st, src, hooks)
-}
-
-// ReplaySourceIntoContext is ReplaySourceInto with cancellation: the pass
-// checks ctx at every day boundary (the natural quantum of the replay) and
-// before applying each event, and aborts with ctx.Err() — typically
-// context.Canceled — leaving the state mid-replay with no event applied
-// past the cancellation. A nil ctx disables the checks, making this
-// identical to ReplaySourceInto.
-func ReplaySourceIntoContext(ctx context.Context, st *State, src Source, hooks Hooks) error {
-	return ReplaySourceIntoFromContext(ctx, st, src, hooks, 0)
-}
-
-// ReplaySourceIntoFromContext resumes a replay mid-trace: it opens the
-// source at fromDay (via OpenSourceAt, so a day-indexed FileSource seeks
-// instead of decoding the prefix) and fires day boundaries from fromDay
-// onward — the day-end for fromDay-1 and everything before it is the
-// prior segment's business (a restored checkpoint already saw them).
-// fromDay <= 0 is a whole-trace replay. The caller's st must be the
-// state as of the end of day fromDay-1.
-func ReplaySourceIntoFromContext(ctx context.Context, st *State, src Source, hooks Hooks, fromDay int32) error {
-	cur, err := OpenSourceAt(src, fromDay)
+// ReplayFrom is the replay loop: it opens one cursor of src at fromDay
+// (src.OpenAt, so a day-indexed FileSource seeks instead of decoding the
+// prefix), applies each event to st and fires hooks, then closes the
+// cursor. Day boundaries fire from fromDay on, empty days included; the
+// day-end for fromDay-1 and everything before it belongs to whoever built
+// st (a restored checkpoint already saw them). fromDay <= 0 is a
+// whole-trace replay, and st must be the state as of the end of day
+// fromDay-1.
+//
+// ctx is checked at every day boundary and before each event is applied;
+// once it is cancelled the pass stops with ctx.Err() and no further event
+// reaches st — so a cancellation raised inside a day-end hook (the
+// engine's per-snapshot barrier) stops the pass at that boundary. A nil
+// ctx disables the checks.
+func ReplayFrom(ctx context.Context, st *State, src Source, hooks Hooks, fromDay int32) (err error) {
+	cur, err := src.OpenAt(fromDay)
 	if err != nil {
 		return err
 	}
-	err = replayCursor(ctx, st, cur, hooks, fromDay)
-	if cerr := cur.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// replayCursor drains one cursor through a Sink whose day watermark
-// starts at fromDay.
-func replayCursor(ctx context.Context, st *State, cur Cursor, hooks Hooks, fromDay int32) error {
-	k := NewSinkContext(ctx, st, hooks)
-	if fromDay > k.day {
-		k.day = fromDay
-	}
+	defer func() {
+		if cerr := cur.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	day, applied := max(st.Day, fromDay), false
 	for {
 		ev, ok, err := cur.Next()
 		if err != nil {
@@ -162,136 +122,38 @@ func replayCursor(ctx context.Context, st *State, cur Cursor, hooks Hooks, fromD
 		if !ok {
 			break
 		}
-		if err := k.Push(ev); err != nil {
-			return err
-		}
-	}
-	return k.Finish()
-}
-
-// Sink is the push-driven form of one replay pass: producers that emit
-// events (gen.GenerateStream) feed Push in trace order and call Finish at
-// the end of the stream, getting identical hook semantics to a pull-based
-// Replay — day-boundary callbacks fire for empty days, the final day-end
-// fires once after the last event. The pull loops are built on it.
-type Sink struct {
-	st    *State
-	hooks Hooks
-	ctx   context.Context
-	day   int32
-	any   bool
-}
-
-// NewSink starts one replay pass into st (counted by OnReplayPass).
-func NewSink(st *State, hooks Hooks) *Sink {
-	return NewSinkContext(nil, st, hooks)
-}
-
-// NewSinkContext is NewSink with cancellation: Push and Finish check ctx
-// at every day boundary and before each applied event, aborting the pass
-// with ctx.Err(). A nil ctx disables the checks.
-func NewSinkContext(ctx context.Context, st *State, hooks Hooks) *Sink {
-	if OnReplayPass != nil {
-		OnReplayPass()
-	}
-	return &Sink{st: st, hooks: hooks, ctx: ctx, day: st.Day}
-}
-
-// Push applies one event to the state, firing any day-boundary hooks that
-// precede it and the per-event hook after it. With a context, Push also
-// refuses to apply any event once the context is cancelled — so a
-// cancellation raised inside a day-end hook (the engine's per-snapshot
-// barrier) stops the pass before a single further event mutates the state.
-func (k *Sink) Push(ev Event) error {
-	for k.day < ev.Day {
-		if k.ctx != nil {
-			if err := k.ctx.Err(); err != nil {
+		for ; day < ev.Day; day++ {
+			if err := ctxErr(ctx); err != nil {
 				return err
 			}
+			if hooks.OnDayEnd != nil {
+				hooks.OnDayEnd(st, day)
+			}
 		}
-		if k.hooks.OnDayEnd != nil {
-			k.hooks.OnDayEnd(k.st, k.day)
-		}
-		k.day++
-	}
-	if k.ctx != nil {
-		if err := k.ctx.Err(); err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return err
 		}
+		if err := st.Apply(ev); err != nil {
+			return err
+		}
+		applied = true
+		if hooks.OnEvent != nil {
+			hooks.OnEvent(st, ev)
+		}
 	}
-	if err := k.st.Apply(ev); err != nil {
+	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	k.any = true
-	if k.hooks.OnEvent != nil {
-		k.hooks.OnEvent(k.st, ev)
+	if applied && hooks.OnDayEnd != nil {
+		hooks.OnDayEnd(st, day)
 	}
 	return nil
 }
 
-// Finish fires the final day-end hook; call it once after the last Push.
-// With a cancelled context it reports ctx.Err() instead of firing the hook.
-func (k *Sink) Finish() error {
-	if k.ctx != nil {
-		if err := k.ctx.Err(); err != nil {
-			return err
-		}
+// ctxErr is ctx.Err() with a nil ctx never cancelled.
+func ctxErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
 	}
-	if k.hooks.OnDayEnd != nil && k.any {
-		k.hooks.OnDayEnd(k.st, k.day)
-	}
-	return nil
-}
-
-// Dispatcher fans one replay pass out to any number of subscribers, so N
-// analyses can share a single pass over the trace (and a single incrementally
-// maintained State) instead of replaying N times. Subscribers receive every
-// OnEvent and OnDayEnd callback in subscription order; OnDayEnd fires for
-// empty days exactly as in a single-subscriber Replay.
-type Dispatcher struct {
-	subs []Hooks
-}
-
-// Subscribe registers one subscriber's hooks. Nil hook fields are skipped at
-// dispatch time, so partial subscribers (day-end only, event only) are cheap.
-func (d *Dispatcher) Subscribe(h Hooks) {
-	d.subs = append(d.subs, h)
-}
-
-// Len returns the number of subscribers.
-func (d *Dispatcher) Len() int { return len(d.subs) }
-
-// Hooks returns combined hooks that forward each callback to every
-// subscriber, for use with Replay or ReplayInto.
-func (d *Dispatcher) Hooks() Hooks {
-	return Hooks{
-		OnEvent: func(st *State, ev Event) {
-			for _, h := range d.subs {
-				if h.OnEvent != nil {
-					h.OnEvent(st, ev)
-				}
-			}
-		},
-		OnDayEnd: func(st *State, day int32) {
-			for _, h := range d.subs {
-				if h.OnDayEnd != nil {
-					h.OnDayEnd(st, day)
-				}
-			}
-		},
-	}
-}
-
-// Replay runs one pass over events, dispatching to all subscribers, and
-// returns the final shared state.
-func (d *Dispatcher) Replay(events []Event) (*State, error) {
-	return Replay(events, d.Hooks())
-}
-
-// ReplaySource runs one pass over a source, dispatching to all
-// subscribers, and returns the final shared state. For a cancellable
-// dispatched pass, feed Hooks() to ReplaySourceIntoContext — that is how
-// the engine drives its subscribers with a context.
-func (d *Dispatcher) ReplaySource(src Source) (*State, error) {
-	return ReplaySource(src, d.Hooks())
+	return ctx.Err()
 }

@@ -13,14 +13,14 @@ func TestReplayContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var days []int32
 	st := NewState(8, 8)
-	err := ReplaySourceIntoContext(ctx, st, SliceSource(tinyTrace()), Hooks{
+	err := ReplayFrom(ctx, st, SliceSource(tinyTrace()), Hooks{
 		OnDayEnd: func(_ *State, day int32) {
 			days = append(days, day)
 			if day == 1 {
 				cancel()
 			}
 		},
-	})
+	}, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -29,13 +29,13 @@ func TestReplayContextCancel(t *testing.T) {
 		t.Fatalf("day-end fired for %v, want [0 1]", days)
 	}
 	// A nil context must keep the uncancellable fast path intact.
-	if err := ReplaySourceIntoContext(nil, NewState(8, 8), SliceSource(tinyTrace()), Hooks{}); err != nil {
+	if err := ReplayFrom(nil, NewState(8, 8), SliceSource(tinyTrace()), Hooks{}, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReplayBuildsState(t *testing.T) {
-	st, err := Replay(tinyTrace(), Hooks{})
+	st, err := ReplaySource(SliceSource(tinyTrace()), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestReplayBuildsState(t *testing.T) {
 func TestReplayDayBoundaries(t *testing.T) {
 	var days []int32
 	var edgeCountAtDay []int64
-	_, err := Replay(tinyTrace(), Hooks{
+	_, err := ReplaySource(SliceSource(tinyTrace()), Hooks{
 		OnDayEnd: func(st *State, day int32) {
 			days = append(days, day)
 			edgeCountAtDay = append(edgeCountAtDay, st.Graph.NumEdges())
@@ -86,7 +86,7 @@ func TestReplayDayBoundaries(t *testing.T) {
 
 func TestReplayOnEvent(t *testing.T) {
 	var kinds []Kind
-	_, err := Replay(tinyTrace(), Hooks{
+	_, err := ReplaySource(SliceSource(tinyTrace()), Hooks{
 		OnEvent: func(st *State, ev Event) { kinds = append(kinds, ev.Kind) },
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestReplayOnEvent(t *testing.T) {
 
 func TestReplayEmptyTrace(t *testing.T) {
 	fired := false
-	st, err := Replay(nil, Hooks{OnDayEnd: func(*State, int32) { fired = true }})
+	st, err := ReplaySource(SliceSource(nil), Hooks{OnDayEnd: func(*State, int32) { fired = true }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestReplayStopsOnBadEdge(t *testing.T) {
 		{Kind: AddNode, Day: 0, U: 0},
 		{Kind: AddEdge, Day: 0, U: 0, V: 0},
 	}
-	if _, err := Replay(bad, Hooks{}); err == nil {
+	if _, err := ReplaySource(SliceSource(bad), Hooks{}); err == nil {
 		t.Fatal("want error on self-loop application")
 	}
 }
@@ -124,10 +124,10 @@ func TestReplayStopsOnBadEdge(t *testing.T) {
 func TestReplayIntoSegmented(t *testing.T) {
 	evs := tinyTrace()
 	st := NewState(0, 0)
-	if err := ReplayInto(st, evs[:3], Hooks{}); err != nil {
+	if err := ReplayFrom(nil, st, SliceSource(evs[:3]), Hooks{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayInto(st, evs[3:], Hooks{}); err != nil {
+	if err := ReplayFrom(nil, st, SliceSource(evs[3:]), Hooks{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st.Graph.NumEdges() != 3 || st.Graph.NumNodes() != 3 {

@@ -121,7 +121,7 @@ func TestSegTailProbeLiveWriter(t *testing.T) {
 	if n, ok := EventsThrough(src, 5); !ok || n != countThrough(5) {
 		t.Fatalf("EventsThrough(5) = %d, %v; want %d", n, ok, countThrough(5))
 	}
-	if cur, err := src.(DaySeeker).OpenAt(4); err != nil {
+	if cur, err := src.OpenAt(4); err != nil {
 		t.Fatal(err)
 	} else {
 		ev, ok, err := cur.Next()

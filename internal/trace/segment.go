@@ -103,6 +103,18 @@ type segEntry struct {
 func (s segEntry) fileEnd() int64 { return s.fileOff + segFrameHdrLen + s.compLen }
 func (s segEntry) rawEnd() int64  { return s.rawStart + s.rawLen }
 
+// plausible reports whether a frame header can describe a real frame
+// following one whose last day was prevLast: both lengths in (0,
+// maxSegFrameLen], at least one event and no more events than raw bytes,
+// and days that continue the stream. The frame CRC covers only the
+// payload, so every reader checks this before an allocation trusts the
+// header's lengths.
+func (s segEntry) plausible(prevLast int32) bool {
+	return s.compLen > 0 && s.compLen <= maxSegFrameLen && s.rawLen > 0 && s.rawLen <= maxSegFrameLen &&
+		s.events > 0 && int64(s.events) <= s.rawLen &&
+		s.prevDay == prevLast && s.firstDay >= s.prevDay && s.lastDay >= s.firstDay
+}
+
 // SegEncoder is the segmented counterpart of Encoder: the same
 // incremental Write/Flush/Close surface, producing the compressed
 // container. The header is written lazily on the first frame so
@@ -823,9 +835,7 @@ func scanSegFrames(h *blobHandle, size int64) ([]segEntry, error) {
 			break
 		}
 		s := parseFrameHeader(hdr[:], off, rawStart, firstEvent)
-		if s.compLen == 0 || s.rawLen == 0 || s.events == 0 || int64(s.events) > s.rawLen ||
-			s.firstDay < s.prevDay || s.lastDay < s.firstDay || s.prevDay != prevLast ||
-			s.fileEnd() > size {
+		if !s.plausible(prevLast) || s.fileEnd() > size {
 			break
 		}
 		segs = append(segs, s)
@@ -878,6 +888,13 @@ func (r *segStreamReader) loadFrame() error {
 		r.raw = raw
 		r.next++
 		return nil
+	}
+	prevLast := int32(0)
+	if r.next > 0 {
+		prevLast = r.segs[r.next-1].lastDay
+	}
+	if !seg.plausible(prevLast) {
+		return fmt.Errorf("%w: segment %d at byte %d: implausible frame header", ErrSegmentCorrupt, r.next, seg.fileOff)
 	}
 	need := segFrameHdrLen + int(seg.compLen)
 	if cap(r.frame) < need {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -330,16 +331,7 @@ func TestSegFooterStrippedRebuild(t *testing.T) {
 	tr := synthTrace(129)
 	path := filepath.Join(t.TempDir(), "seg.trace")
 	encodeSegToFile(t, tr, path, true)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Locate the footer via the trailer and strip both.
-	footLen := int64(uint64(data[len(data)-12]) | uint64(data[len(data)-11])<<8 | uint64(data[len(data)-10])<<16 | uint64(data[len(data)-9])<<24)
-	stripped := data[:int64(len(data))-indexTrailerLen-footLen]
-	if err := os.WriteFile(path, stripped, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, stripSegFooter(t, path))
 
 	s, err := OpenTrace(path)
 	if err != nil {
@@ -363,6 +355,49 @@ func TestSegFooterStrippedRebuild(t *testing.T) {
 	ev, ok, err := cur.Next()
 	if err != nil || !ok || ev.Day < 5 {
 		t.Fatalf("fallback OpenAt(5) = %+v ok=%v err=%v", ev, ok, err)
+	}
+}
+
+// stripSegFooter returns the bytes of the segmented trace at path
+// without its footer and trailer.
+func stripSegFooter(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footLen := int64(binary.LittleEndian.Uint64(data[len(data)-indexTrailerLen:]))
+	return data[:int64(len(data))-indexTrailerLen-footLen]
+}
+
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegFooterStrippedImplausibleFrame: the footer-less open rebuilds
+// the segment table from frame headers the payload CRC does not cover,
+// so a header declaring an absurd raw length must be refused at open —
+// before a cursor allocates that length — exactly as TailProbe refuses
+// it.
+func TestSegFooterStrippedImplausibleFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.trace")
+	encodeSegToFile(t, synthTrace(129), path, true)
+	data := stripSegFooter(t, path)
+	binary.LittleEndian.PutUint32(data[fixedHeaderLen+8:], 0xF0000000) // the first frame's rawLen
+	writeFile(t, path, data)
+
+	if s, err := OpenTrace(path); err == nil {
+		t.Fatalf("footer-less trace with a %d-byte frame opened (%d events)", 0xF0000000, s.Events())
+	}
+	snap, err := NewTailProbe(path).Probe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(snap.Anomaly, ErrSegmentCorrupt) || snap.Events != 0 {
+		t.Fatalf("TailProbe: anomaly %v with %d events, want ErrSegmentCorrupt and none", snap.Anomaly, snap.Events)
 	}
 }
 

@@ -24,10 +24,14 @@ type Cursor interface {
 
 // Source is a re-openable stream of trace events — the data-plane
 // abstraction every analysis layer consumes (see DESIGN.md §4). Open
-// returns a fresh Cursor positioned at the first event; concurrent
-// passes each own their cursor, so Open must be safe for concurrent use.
+// returns a fresh Cursor positioned at the first event; OpenAt one
+// positioned at the first event whose day is >= day (day <= 0 is Open),
+// without decoding the prefix where the source can seek — what
+// checkpoint resume and mid-trace reads are built on. Concurrent passes
+// each own their cursor, so both must be safe for concurrent use.
 type Source interface {
 	Open() (Cursor, error)
+	OpenAt(day int32) (Cursor, error)
 }
 
 // MetaSource is a Source that knows its trace's Meta without a pass: a
@@ -36,29 +40,6 @@ type Source interface {
 type MetaSource interface {
 	Source
 	Meta() Meta
-}
-
-// DaySeeker is a Source that can open a cursor positioned at the first
-// event whose day is >= day without decoding the prefix — the
-// day-addressable data plane that checkpoint resume and mid-trace reads
-// are built on. Like Open, OpenAt must be safe for concurrent use.
-type DaySeeker interface {
-	OpenAt(day int32) (Cursor, error)
-}
-
-// OpenSourceAt opens a cursor positioned at the first event with
-// Day >= day: through the source's own OpenAt when it is a DaySeeker
-// (FileSource seeks via the trace file's day index, SliceSource binary-
-// searches), and by decode-and-discard of the prefix otherwise. day <= 0
-// is a plain Open.
-func OpenSourceAt(src Source, day int32) (Cursor, error) {
-	if day <= 0 {
-		return src.Open()
-	}
-	if ds, ok := src.(DaySeeker); ok {
-		return ds.OpenAt(day)
-	}
-	return openSkipping(src, day)
 }
 
 // EventsThrough returns how many events in the source have Day <= day,
@@ -90,8 +71,8 @@ func EventsThrough(src Source, day int32) (int64, bool) {
 
 // openSkipping opens src and advances past every event with Day < day,
 // returning a cursor that yields the remainder (the boundary event is
-// buffered): the decode-and-discard fallback for sources that cannot
-// seek.
+// buffered): the decode-and-discard fallback for a FileSource without a
+// day index.
 func openSkipping(src Source, day int32) (Cursor, error) {
 	cur, err := src.Open()
 	if err != nil {
@@ -135,7 +116,7 @@ type SliceSource []Event
 // Open implements Source.
 func (s SliceSource) Open() (Cursor, error) { return &sliceCursor{events: s}, nil }
 
-// OpenAt implements DaySeeker by binary search over the day-ordered
+// OpenAt implements Source by binary search over the day-ordered
 // events.
 func (s SliceSource) OpenAt(day int32) (Cursor, error) {
 	i := sort.Search(len(s), func(i int) bool { return s[i].Day >= day })
@@ -164,7 +145,7 @@ type TraceSource struct{ Trace *Trace }
 // Open implements Source.
 func (s TraceSource) Open() (Cursor, error) { return SliceSource(s.Trace.Events).Open() }
 
-// OpenAt implements DaySeeker.
+// OpenAt implements Source.
 func (s TraceSource) OpenAt(day int32) (Cursor, error) {
 	return SliceSource(s.Trace.Events).OpenAt(day)
 }
@@ -324,7 +305,7 @@ func (s *FileSource) Index() []DayIndexEntry { return s.index }
 // position state.
 func (s *FileSource) Open() (Cursor, error) { return s.openAt(s.start, 0, 0) }
 
-// OpenAt implements DaySeeker. With a day index the cursor starts at the
+// OpenAt implements Source. With a day index the cursor starts at the
 // first event of the requested day and reads nothing before it — for a
 // segmented container not even the prefix frames; without one it
 // decodes and discards the prefix.

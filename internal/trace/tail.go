@@ -281,8 +281,7 @@ scan:
 		}
 		seg := parseFrameHeader(fh[:], sp.frameOff, sp.rawOff, p.cur.count)
 		ordinal := len(sp.segs)
-		if seg.compLen == 0 || seg.compLen > maxSegFrameLen || seg.rawLen == 0 || seg.rawLen > maxSegFrameLen ||
-			seg.events == 0 || int64(seg.events) > seg.rawLen || seg.prevDay != p.curDay {
+		if !seg.plausible(p.curDay) {
 			anomaly = fmt.Errorf("%w: segment %d at byte %d: implausible frame header", ErrSegmentCorrupt, ordinal, sp.frameOff)
 			break
 		}

@@ -433,7 +433,7 @@ func TestTailSourceMatchesFileSource(t *testing.T) {
 				ref := SliceSource(evs[:v.n])
 				sameEvents(t, v.name+" Open", drain(t, v.src), ref)
 				for day := int32(0); day <= tr.Meta.Days+1; day++ {
-					cur, err := OpenSourceAt(v.src, day)
+					cur, err := v.src.OpenAt(day)
 					if err != nil {
 						t.Fatal(err)
 					}
