@@ -27,10 +27,15 @@ type Detector struct {
 	cold     bool              // ablation: no incremental seed; see Stage.ColdStart
 	wantDist map[int32][]int32 // snapshot day -> requested SizeDistDays it serves
 	tracker  *tracking.Tracker
-	prevComm []int32
-	res      *Result
-	err      error
-	done     bool
+	// prev is the previous snapshot's Louvain result: its assignment
+	// seeds the next snapshot, and it carries the level-0 tallies that
+	// let the next run count only the arcs appended since
+	// (louvain.Options.Prev). Restored from a checkpoint it holds the
+	// assignment alone, and the next run recounts every arc.
+	prev *louvain.Result
+	res  *Result
+	err  error
+	done bool
 }
 
 // NewDetector creates a per-δ detector; zero option fields get the
@@ -73,11 +78,11 @@ func (d *Detector) AdvancePrepared(day int32, g graph.View, prep *louvain.Prepar
 	// Nodes that joined since are labelled -1, which Louvain treats as one
 	// more label: they start out together in a single community.
 	var init []int32
-	if d.prevComm != nil && !d.cold {
+	if d.prev != nil && !d.cold {
 		init = make([]int32, n)
 		for i := range init {
-			if i < len(d.prevComm) {
-				init[i] = d.prevComm[i]
+			if i < len(d.prev.Community) {
+				init[i] = d.prev.Community[i]
 			} else {
 				init[i] = -1
 			}
@@ -88,12 +93,13 @@ func (d *Detector) AdvancePrepared(day int32, g graph.View, prep *louvain.Prepar
 		MaxLevels: d.opt.MaxLevels,
 		Seed:      d.opt.Seed,
 		Init:      init,
+		Prev:      d.prev,
 	})
 	if err != nil {
 		d.err = fmt.Errorf("community: louvain at day %d: %w", day, err)
 		return
 	}
-	d.prevComm = lr.Community
+	d.prev = lr
 	snap := d.tracker.Advance(day, g, tracking.Assignment(lr.Community))
 	d.res.Final = snap
 

@@ -3,6 +3,7 @@ package community
 import (
 	"sort"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/trace"
 )
@@ -12,23 +13,31 @@ import (
 // single-δ composition of the pipeline's two layers — the engine's shared
 // replay maintains the graph, and on the snapshot schedule a Detector
 // (incremental Louvain + similarity tracking) consumes a frozen view of
-// it, the one a δ-sweep in the same run reads too (Share). The δ-sweep's
-// multi-δ composition is SweepStage.
+// it, the one a δ-sweep in the same run reads too (Share). The detector
+// runs as a task queued on the run's Pool, off the replay's critical
+// path, like one more sweep δ. The δ-sweep's multi-δ composition is
+// SweepStage.
 type Stage struct {
 	det   *Detector
 	snaps *Snapshots
+	tasks tasks
 }
 
 // NewStage creates a streaming community-pipeline stage; zero option
-// fields get the paper's defaults. It freezes its own snapshots until Share hands it a run's
-// shared ones.
+// fields get the paper's defaults. It freezes its own snapshots, and runs
+// its detector inline, until Share hands it a run's shared snapshots and
+// Pool.
 func NewStage(opt Options) *Stage {
-	return &Stage{det: NewDetector(opt), snaps: new(Snapshots).join()}
+	return &Stage{det: NewDetector(opt), snaps: new(Snapshots).join(), tasks: newTasks(nil, 1)}
 }
 
 // Share makes the stage take its snapshot views from sn, which the run's
-// other community stages share; call it before the pass starts.
-func (s *Stage) Share(sn *Snapshots) { s.snaps = sn.join() }
+// other community stages share, and queue its detector on pool, the run's
+// CPU budget (nil: inline); call it before the pass starts.
+func (s *Stage) Share(sn *Snapshots, pool *engine.Pool) {
+	s.snaps = sn.join()
+	s.tasks = newTasks(pool, 1)
+}
 
 // StageName and UsersStageName are the planner registry names of the two
 // §4 stages.
@@ -42,7 +51,8 @@ func (s *Stage) Name() string { return StageName }
 
 // OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
 // is a no-op and OnDayEnd's snapshot reads the quiescent graph read-only
-// (the detector owns no graph — see Detector).
+// (the detector owns no graph — see Detector, and reads only the frozen
+// view once queued).
 func (s *Stage) OverlapSafe() {}
 
 // ColdStart makes every snapshot's Louvain start from singletons instead
@@ -62,18 +72,28 @@ func (s *Stage) SetWorkers(int) {}
 func (s *Stage) OnEvent(_ *trace.State, _ trace.Event) {}
 
 // OnDayEnd runs one snapshot when the day is on the schedule and the graph
-// is large enough.
+// is large enough: it joins the previous snapshot's detector task, takes
+// the day's frozen view and queues the detector against it. The work
+// stays in OnDayEnd rather than in a Sync, so that a caller forwarding
+// only the Stage methods (a plain trace.Hooks replay, a timing wrapper)
+// still drives it.
 func (s *Stage) OnDayEnd(st *trace.State, day int32) {
-	if s.det.due(day, st.Graph.NumNodes()) {
-		f, prep := s.snaps.take(day, st.Graph)
-		s.det.AdvancePrepared(day, f, prep)
+	if !s.det.due(day, st.Graph.NumNodes()) {
+		return
 	}
+	s.tasks.join(nil)
+	f, prep := s.snaps.take(day, st.Graph)
+	s.tasks.queue(func() { s.det.AdvancePrepared(day, f, prep) })
 }
 
-// Finish seals the pipeline: it reports any Louvain error, ErrNoSnapshots
-// for traces that never reached snapshot size, and otherwise attaches the
-// tracker's event log and histories to the result.
-func (s *Stage) Finish(_ *trace.State) error { return s.det.Finish() }
+// Finish seals the pipeline once the last snapshot's task has joined: it
+// reports any Louvain error, ErrNoSnapshots for traces that never reached
+// snapshot size, and otherwise attaches the tracker's event log and
+// histories to the result.
+func (s *Stage) Finish(_ *trace.State) error {
+	s.tasks.join(nil)
+	return s.det.Finish()
+}
 
 // Result returns the pipeline output after a successful Finish; nil before.
 func (s *Stage) Result() *Result { return s.det.Result() }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/graph"
+	"repro/internal/louvain"
 	"repro/internal/tracking"
 )
 
@@ -27,8 +28,12 @@ func (d *Detector) saveState(e *checkpoint.Encoder) error {
 		// A latched Louvain failure is not a resumable state.
 		return d.err
 	}
-	e.Bool(d.prevComm != nil)
-	e.I32s(d.prevComm)
+	var prevComm []int32
+	if d.prev != nil {
+		prevComm = d.prev.Community
+	}
+	e.Bool(d.prev != nil)
+	e.I32s(prevComm)
 	d.tracker.SaveState(e)
 	e.U64(uint64(len(d.res.Stats)))
 	for _, s := range d.res.Stats {
@@ -76,9 +81,10 @@ func (d *Detector) saveState(e *checkpoint.Encoder) error {
 // loadState restores a freshly constructed detector from dec.
 func (d *Detector) loadState(dec *checkpoint.Decoder) error {
 	hadPrev := dec.Bool()
-	d.prevComm = dec.I32s()
-	if !hadPrev {
-		d.prevComm = nil
+	if comm := dec.I32s(); hadPrev && comm != nil {
+		// Only the assignment is saved: the first run after a restore
+		// recounts its level-0 tallies.
+		d.prev = &louvain.Result{Community: comm}
 	}
 	if err := d.tracker.LoadState(dec); err != nil {
 		return err
@@ -137,8 +143,11 @@ func (d *Detector) loadState(dec *checkpoint.Decoder) error {
 	return dec.Err()
 }
 
-// SaveState implements engine.Checkpointer for the single-δ stage.
+// SaveState implements engine.Checkpointer for the single-δ stage. It
+// first joins the detector task still in flight from the current
+// snapshot, so the serialized state is quiescent.
 func (s *Stage) SaveState(w io.Writer) error {
+	s.tasks.join(nil)
 	e := checkpoint.NewEncoder(w)
 	e.U64(stageStateV1)
 	if err := s.det.saveState(e); err != nil {
@@ -199,7 +208,7 @@ func (s *UsersStage) LoadState(data []byte) error {
 // per-δ states must be quiescent before serialization. Each detector's
 // state is recorded under its δ so a mismatched sweep grid fails loudly.
 func (s *SweepStage) SaveState(w io.Writer) error {
-	s.join(nil)
+	s.tasks.join(nil)
 	e := checkpoint.NewEncoder(w)
 	e.U64(stageStateV1)
 	e.U64(uint64(len(s.dets)))

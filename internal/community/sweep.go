@@ -38,26 +38,23 @@ type SweepStage struct {
 	opt    Options
 	deltas []float64
 	dets   []*Detector
-	pool   *engine.Pool
 	snaps  *Snapshots
-
-	done        chan struct{} // one token per finished detector task
-	outstanding int           // launched but not yet joined; engine goroutine only
+	tasks  tasks
 }
 
 // NewSweepStage creates the multi-δ community stage: opt carries the
 // shared snapshot schedule and tracking knobs (its Delta is ignored),
 // deltas the per-detector Louvain thresholds in result order, and pool the
-// run's CPU budget the per-snapshot detector tasks are queued on. It
-// freezes its own snapshots until Share hands it a run's shared ones.
+// run's CPU budget the per-snapshot detector tasks are queued on (nil: a
+// budget of one, every task inline). It freezes its own snapshots until
+// Share hands it a run's shared ones.
 func NewSweepStage(opt Options, deltas []float64, pool *engine.Pool) *SweepStage {
 	opt = opt.withDefaults()
 	s := &SweepStage{
 		opt:    opt,
 		deltas: append([]float64(nil), deltas...),
-		pool:   pool,
 		snaps:  new(Snapshots).join(),
-		done:   make(chan struct{}, len(deltas)),
+		tasks:  newTasks(pool, len(deltas)),
 	}
 	for _, delta := range s.deltas {
 		o := opt
@@ -89,7 +86,7 @@ func (s *SweepStage) Sync(ctx context.Context, st *trace.State, day int32) error
 	if len(s.dets) == 0 || !s.opt.due(day, st.Graph.NumNodes()) {
 		return nil
 	}
-	if err := s.join(ctx); err != nil {
+	if err := s.tasks.join(ctx); err != nil {
 		return err
 	}
 	// One frozen CSR view for the trackers plus one prepared Louvain view,
@@ -97,50 +94,15 @@ func (s *SweepStage) Sync(ctx context.Context, st *trace.State, day int32) error
 	// which took the same day's view before this barrier).
 	frozen, prep := s.snaps.take(day, st.Graph)
 	for _, det := range s.dets {
-		det := det
-		s.outstanding++
-		s.pool.Go(func() error {
-			defer func() { s.done <- struct{}{} }()
+		s.tasks.queue(func() {
 			// A cancelled run skips the snapshot: the aborted pass never
 			// reads detector results, and joins only count tokens.
 			if ctx == nil || ctx.Err() == nil {
 				det.AdvancePrepared(day, frozen, prep)
 			}
-			return nil
 		})
 	}
 	return nil
-}
-
-// join blocks until every in-flight detector task has finished, lending
-// the replay's token to the queued tasks while it waits. A nil ctx waits
-// unconditionally (the post-pass join in Finish); otherwise a
-// cancellation before or during the wait returns ctx.Err() with the
-// remaining tasks still counted as outstanding — the run is aborting,
-// and the pool drain collects them.
-func (s *SweepStage) join(ctx context.Context) error {
-	if s.outstanding == 0 {
-		return nil
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	var err error
-	s.pool.Idle(func() {
-		for ; s.outstanding > 0; s.outstanding-- {
-			if ctx == nil {
-				<-s.done
-				continue
-			}
-			select {
-			case <-s.done:
-			case <-ctx.Done():
-				err = ctx.Err()
-				return
-			}
-		}
-	})
-	return err
 }
 
 // Finish implements engine.Stage: it joins the final snapshot's tasks and
@@ -148,7 +110,7 @@ func (s *SweepStage) join(ctx context.Context) error {
 // when the trace never reached snapshot size, exactly like the per-pass
 // path).
 func (s *SweepStage) Finish(_ *trace.State) error {
-	s.join(nil)
+	s.tasks.join(nil)
 	for i, det := range s.dets {
 		if err := det.Finish(); err != nil {
 			return fmt.Errorf("δ=%v: %w", s.deltas[i], err)

@@ -194,7 +194,7 @@ func TestSnapshotsShareAndRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := new(Snapshots)
-	NewStage(DefaultOptions()).Share(sn)
+	NewStage(DefaultOptions()).Share(sn, nil)
 	NewSweepStage(DefaultOptions(), []float64{0.04}, engine.NewPool(1)).Share(sn)
 	f1, p1 := sn.take(40, st.Graph)
 	if sn.frozen == nil {

@@ -134,7 +134,7 @@ var stageRegistry = []*StageSpec{
 		Figures: []string{"fig5a", "fig5b", "fig5c", "fig6a", "fig6c"},
 		subscribe: func(rt *planRT, eng *engine.Engine) {
 			rt.comm = community.NewStage(rt.cfg.Community)
-			rt.comm.Share(rt.snaps)
+			rt.comm.Share(rt.snaps, rt.pool)
 			eng.Subscribe(rt.comm)
 		},
 		harvest: func(rt *planRT) { rt.res.Community = rt.comm.Result() },

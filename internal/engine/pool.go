@@ -14,6 +14,10 @@ import (
 // Queued tasks (Go) wait for a token; synchronous fan-outs (Fan) borrow
 // free ones or run inline, so nested use never blocks. The driver lends
 // its token to queued tasks while it waits on them (Idle, Wait).
+//
+// Workers and Fan treat a nil pool as a budget of one. Go, GoContext,
+// Idle and Wait need a pool, which keeps queued tasks' errors: a caller
+// with no budget passes NewPool(1), whose tasks run inline.
 type Pool struct {
 	// tokens holds one element per token in use, the driver's included.
 	tokens chan struct{}

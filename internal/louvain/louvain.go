@@ -36,6 +36,15 @@ type Options struct {
 	// any other: every node labelled -1 starts in one shared community,
 	// not as a singleton. nil means all singletons.
 	Init []int32
+	// Prev optionally names the previous run of an incremental chain: a
+	// run over a graph that this run's graph extends by appending, so
+	// that every node u of Prev's graph keeps its first deg(u) arcs, in
+	// order (a graph.Graph only grows, and a graph.Frozen keeps insertion
+	// order). Prev never changes the result. When Init keeps every node
+	// of Prev's graph in Prev's final community, level 0 starts from
+	// Prev's per-community tallies and counts only the appended arcs;
+	// otherwise it counts every arc.
+	Prev *Result
 }
 
 // Result is the output of a Louvain run.
@@ -47,6 +56,25 @@ type Result struct {
 	Modularity float64
 	// Levels actually performed.
 	Levels int
+
+	// carry is what a one-level run leaves for a seeded successor; nil
+	// after more levels, and in a Result built outside this package (a
+	// restored checkpoint's partition).
+	carry *carry
+}
+
+// carry is a one-level run's level-0 tallies, kept for the next run of
+// the seed chain: the arc count of each node and, per final label, the
+// doubled intra-community weight. A degree column rather than the
+// graph's offsets keeps the snapshot's CSR collectable.
+//
+// Carrying is exact. Level-0 arcs have unit weight, so every per-label
+// sum is an integer below 2^53, which float64 represents exactly in any
+// summation order (the argument of the wgraph comment): the carried sum
+// plus the appended arcs equals tally's recount bit for bit.
+type carry struct {
+	deg []int32
+	in  []float64
 }
 
 // NumCommunities returns the number of distinct final communities.
@@ -169,6 +197,53 @@ func (w *wgraph) tally(comm []int32, in, tot []float64) {
 	}
 }
 
+// carried returns prev's level-0 tallies if they apply to the level-0
+// assignment comm on w, nil if not. They apply when prev's graph had no
+// more nodes than w, no node has fewer arcs than it had then, and comm
+// keeps every one of prev's nodes in prev's final label. The check is
+// O(n); the append-only extension it cannot see is Options.Prev's
+// contract.
+func (w *wgraph) carried(comm []int32, prev *Result) *carry {
+	if prev == nil || prev.carry == nil || len(prev.carry.deg) > w.n {
+		return nil
+	}
+	for u, d := range prev.carry.deg {
+		if int64(d) > w.off[u+1]-w.off[u] || comm[u] != prev.Community[u] {
+			return nil
+		}
+	}
+	return prev.carry
+}
+
+// tallyCarried is tally at level 0 from a predecessor's carried tallies
+// c: node u's first c.deg[u] arcs are the predecessor's, already summed
+// into c.in, so only the arcs past them are read.
+func (w *wgraph) tallyCarried(comm []int32, in, tot []float64, c *carry) {
+	copy(in, c.in)
+	for u := 0; u < w.n; u++ {
+		cu := comm[u]
+		tot[cu] += w.degree(int32(u))
+		from := w.off[u]
+		if u < len(c.deg) {
+			from += int64(c.deg[u])
+		}
+		for i := from; i < w.off[u+1]; i++ {
+			if comm[w.tgt[i]] == cu {
+				in[cu]++
+			}
+		}
+	}
+}
+
+// degrees returns each node's arc count, the carry's degree column.
+func (w *wgraph) degrees() []int32 {
+	deg := make([]int32, w.n)
+	for u := range deg {
+		deg[u] = int32(w.off[u+1] - w.off[u])
+	}
+	return deg
+}
+
 // partitionQ is the modularity of a partition given each label's doubled
 // intra-community weight and degree mass, summed in label order.
 func partitionQ(in, tot []float64, total float64) float64 {
@@ -249,9 +324,22 @@ func RunPrepared(p *Prepared, opt Options) (*Result, error) {
 	// small δ aggregates toward the resolution limit.
 	levels := 0
 	prevQ := 0.0
+	var in0 []float64 // level 0's final per-label doubled intra weight
 	for level := 0; level < maxLevels; level++ {
-		comm, in, tot := localMove(w, init, opt.Delta, rng)
+		comm, in, tot := init, make([]float64, w.n), make([]float64, w.n)
 		init = nil // only the first level is seeded
+		if comm == nil {
+			comm = make([]int32, w.n)
+			for u := range comm {
+				comm[u] = int32(u)
+			}
+			w.tally(comm, in, tot)
+		} else if c := w.carried(comm, opt.Prev); c != nil {
+			w.tallyCarried(comm, in, tot, c)
+		} else {
+			w.tally(comm, in, tot)
+		}
+		localMove(w, comm, in, tot, opt.Delta, rng)
 		dense := densify(comm)
 		nc := maxLabel(dense) + 1
 		// The move phase leaves its exact per-label totals behind; carried
@@ -270,6 +358,7 @@ func RunPrepared(p *Prepared, opt Options) (*Result, error) {
 
 		// Fold this level's assignment into the original-node mapping.
 		if level == 0 {
+			in0 = inD
 			copy(final, dense)
 		} else {
 			for u := range final {
@@ -286,8 +375,10 @@ func RunPrepared(p *Prepared, opt Options) (*Result, error) {
 	res := &Result{Community: densify(final), Levels: levels}
 	if levels == 1 {
 		// final is level 0's dense assignment, already in first-appearance
-		// order, on p.w itself: its modularity is the q just computed.
+		// order, on p.w itself: its modularity is the q just computed,
+		// and its tallies are the ones a seeded successor can carry.
 		res.Modularity = prevQ
+		res.carry = &carry{deg: p.w.degrees(), in: in0}
 	} else {
 		res.Modularity = p.w.modularity(res.Community)
 	}
@@ -303,32 +394,20 @@ func Modularity(g graph.View, comm []int32) float64 {
 	return newWGraphFromGraph(g).modularity(comm)
 }
 
-// localMove runs the phase-1 sweeps on w starting from init (dense labels
-// below w.n; nil = singletons) until a sweep gains less than delta. Next to
-// the assignment it returns, per label, the doubled intra-community weight
-// and the degree mass of the final partition.
+// localMove runs the phase-1 sweeps on w from the assignment comm (dense
+// labels below w.n) until a sweep gains less than delta, updating comm in
+// place together with its per-label doubled intra-community weight in and
+// degree mass tot, which the caller tallied for the starting assignment.
 //
 // Every label stays below w.n, so the community totals and the per-node
 // link weights live in dense slices indexed by label. The totals are kept
 // up to date as nodes move, which makes each sweep's modularity check
 // O(labels) instead of a pass over every arc.
-func localMove(w *wgraph, init []int32, delta float64, rng *rand.Rand) (comm []int32, in, tot []float64) {
-	comm = make([]int32, w.n)
-	if init == nil {
-		for i := range comm {
-			comm[i] = int32(i)
-		}
-	} else {
-		copy(comm, init)
-	}
-	in = make([]float64, w.n)
-	tot = make([]float64, w.n)
-	w.tally(comm, in, tot)
-
+func localMove(w *wgraph, comm []int32, in, tot []float64, delta float64, rng *rand.Rand) {
 	order := rng.Perm(w.n)
 	m2 := w.total
 	if m2 == 0 {
-		return comm, in, tot
+		return
 	}
 	q := func() float64 {
 		nc := maxLabel(comm) + 1
@@ -396,7 +475,6 @@ func localMove(w *wgraph, init []int32, delta float64, rng *rand.Rand) (comm []i
 		}
 		prevQ = q
 	}
-	return comm, in, tot
 }
 
 // aggregate builds the super-graph where each community becomes one node.
