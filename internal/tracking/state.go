@@ -80,9 +80,10 @@ func (t *Tracker) SaveState(e *checkpoint.Encoder) {
 
 // LoadState restores a freshly constructed tracker from d. Beyond the
 // decoder's own checks it rejects states no tracker could have saved —
-// empty or unsorted communities, histories not numbered 1, 2, 3, …, or
-// communities and ties naming ids without a history — with
-// checkpoint.ErrCorrupt.
+// empty or unsorted communities, histories not numbered 1, 2, 3, …,
+// communities naming ids without a history, or ties not between two
+// distinct previous communities in ascending id order with a positive
+// count — with checkpoint.ErrCorrupt.
 func (t *Tracker) LoadState(d *checkpoint.Decoder) error {
 	t.nextID = d.I64()
 	t.lastDay = d.I32()
@@ -112,18 +113,27 @@ func (t *Tracker) LoadState(d *checkpoint.Decoder) error {
 		byID[i] = i
 	}
 	slices.SortFunc(byID, func(a, b int) int { return cmp.Compare(t.prev[a].ID, t.prev[b].ID) })
+	byPrevID := func(i int, id int64) int { return cmp.Compare(t.prev[i].ID, id) }
 	lists := make([][]tie, len(t.prev))
 	n = d.Len()
 	for i := 0; i < n && d.Err() == nil; i++ {
 		id := d.I64()
-		k, ok := slices.BinarySearchFunc(byID, id, func(i int, id int64) int { return cmp.Compare(t.prev[i].ID, id) })
+		k, ok := slices.BinarySearchFunc(byID, id, byPrevID)
 		if !ok {
 			return fmt.Errorf("%w: tracker ties of unknown community %d", checkpoint.ErrCorrupt, id)
 		}
 		tn := d.Len()
 		ties := make([]tie, 0, min(tn, 1<<16))
 		for j := 0; j < tn && d.Err() == nil; j++ {
-			ties = append(ties, tie{id: d.I64(), n: d.I64()})
+			tc := tie{id: d.I64(), n: d.I64()}
+			if d.Err() != nil {
+				break
+			}
+			_, known := slices.BinarySearchFunc(byID, tc.id, byPrevID)
+			if !known || tc.id == id || (j > 0 && tc.id <= ties[j-1].id) || tc.n <= 0 {
+				return fmt.Errorf("%w: tracker community %d has a tie to %d (count %d)", checkpoint.ErrCorrupt, id, tc.id, tc.n)
+			}
+			ties = append(ties, tc)
 		}
 		lists[byID[k]] = ties
 	}
