@@ -12,31 +12,45 @@ import (
 	"repro/internal/tracking"
 )
 
-// Checkpoint codecs for the §4 pipeline. A Detector's externalized state
+// Checkpoint codecs for the §4 pipeline. A detector's externalized state
 // is exactly what makes a δ's detection resumable: the previous
-// snapshot's Louvain assignment (the seed chain), the tracker, and the
-// accumulated per-snapshot results. Options are construction-time
-// knowledge — the planner's config fingerprint guards their
-// compatibility — so they are not serialized.
+// snapshot's Louvain assignment (the seed chain), the accumulated
+// per-snapshot results, and for a Detector its tracker. Options are
+// construction-time knowledge — the planner's config fingerprint guards
+// their compatibility — so they are not serialized.
 
 // stageStateV1 versions the §4 stages' checkpoint blobs.
 const stageStateV1 = 1
 
-// saveState serializes the detector through e.
-func (d *Detector) saveState(e *checkpoint.Encoder) error {
-	if d.err != nil {
-		// A latched Louvain failure is not a resumable state.
-		return d.err
-	}
+// sweepStateV2 versions the δ-sweep's blob. Version 1 held a full
+// Detector per δ, tracker included; version 2 holds each sweepDetector's
+// seed chain and results only, and a version-1 blob is refused.
+const sweepStateV2 = 2
+
+// saveSeed writes the seed chain: the previous snapshot's assignment.
+func (c *chain) saveSeed(e *checkpoint.Encoder) {
 	var prevComm []int32
-	if d.prev != nil {
-		prevComm = d.prev.Community
+	if c.prev != nil {
+		prevComm = c.prev.Community
 	}
-	e.Bool(d.prev != nil)
+	e.Bool(c.prev != nil)
 	e.I32s(prevComm)
-	d.tracker.SaveState(e)
-	e.U64(uint64(len(d.res.Stats)))
-	for _, s := range d.res.Stats {
+}
+
+// loadSeed restores what saveSeed wrote.
+func (c *chain) loadSeed(dec *checkpoint.Decoder) {
+	hadPrev := dec.Bool()
+	if comm := dec.I32s(); hadPrev && comm != nil {
+		// Only the assignment is saved: the first run after a restore
+		// recounts its level-0 tallies.
+		c.prev = &louvain.Result{Community: comm}
+	}
+}
+
+// saveResults writes the accumulated per-snapshot results.
+func (c *chain) saveResults(e *checkpoint.Encoder) {
+	e.U64(uint64(len(c.res.Stats)))
+	for _, s := range c.res.Stats {
 		e.I32(s.Day)
 		e.Int(s.Nodes)
 		e.I64(s.Edges)
@@ -48,16 +62,56 @@ func (d *Detector) saveState(e *checkpoint.Encoder) error {
 			e.F64(c)
 		}
 	}
-	e.U64(uint64(len(d.res.SizeDists)))
-	for _, day := range checkpoint.SortedKeys(d.res.SizeDists) {
+	e.U64(uint64(len(c.res.SizeDists)))
+	for _, day := range checkpoint.SortedKeys(c.res.SizeDists) {
 		e.I32(day)
-		sizes := d.res.SizeDists[day]
+		sizes := c.res.SizeDists[day]
 		e.U64(uint64(len(sizes)))
 		for _, s := range sizes {
 			e.Int(s)
 		}
 	}
-	e.I32(d.res.LastDay)
+	e.I32(c.res.LastDay)
+}
+
+// loadResults restores what saveResults wrote.
+func (c *chain) loadResults(dec *checkpoint.Decoder) {
+	n := dec.Len()
+	c.res.Stats = make([]SnapshotStat, 0, min(n, 1<<16))
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		s := SnapshotStat{
+			Day: dec.I32(), Nodes: dec.Int(), Edges: dec.I64(),
+			Modularity: dec.F64(), AvgSimilarity: dec.F64(),
+			NumCommunities: dec.Int(), Top5Coverage: dec.F64(),
+		}
+		for j := range s.TopCoverage {
+			s.TopCoverage[j] = dec.F64()
+		}
+		c.res.Stats = append(c.res.Stats, s)
+	}
+	n = dec.Len()
+	c.res.SizeDists = make(map[int32][]int, min(n, 1<<16))
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		day := dec.I32()
+		sn := dec.Len()
+		sizes := make([]int, 0, min(sn, 1<<16))
+		for j := 0; j < sn && dec.Err() == nil; j++ {
+			sizes = append(sizes, dec.Int())
+		}
+		c.res.SizeDists[day] = sizes
+	}
+	c.res.LastDay = dec.I32()
+}
+
+// saveState serializes the detector through e.
+func (d *Detector) saveState(e *checkpoint.Encoder) error {
+	if d.err != nil {
+		// A latched Louvain failure is not a resumable state.
+		return d.err
+	}
+	d.saveSeed(e)
+	d.tracker.SaveState(e)
+	d.saveResults(e)
 	e.Bool(d.res.Final != nil)
 	if f := d.res.Final; f != nil {
 		e.I32(f.Day)
@@ -80,40 +134,11 @@ func (d *Detector) saveState(e *checkpoint.Encoder) error {
 
 // loadState restores a freshly constructed detector from dec.
 func (d *Detector) loadState(dec *checkpoint.Decoder) error {
-	hadPrev := dec.Bool()
-	if comm := dec.I32s(); hadPrev && comm != nil {
-		// Only the assignment is saved: the first run after a restore
-		// recounts its level-0 tallies.
-		d.prev = &louvain.Result{Community: comm}
-	}
+	d.loadSeed(dec)
 	if err := d.tracker.LoadState(dec); err != nil {
 		return err
 	}
-	n := dec.Len()
-	d.res.Stats = make([]SnapshotStat, 0, min(n, 1<<16))
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		s := SnapshotStat{
-			Day: dec.I32(), Nodes: dec.Int(), Edges: dec.I64(),
-			Modularity: dec.F64(), AvgSimilarity: dec.F64(),
-			NumCommunities: dec.Int(), Top5Coverage: dec.F64(),
-		}
-		for j := range s.TopCoverage {
-			s.TopCoverage[j] = dec.F64()
-		}
-		d.res.Stats = append(d.res.Stats, s)
-	}
-	n = dec.Len()
-	d.res.SizeDists = make(map[int32][]int, min(n, 1<<16))
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		day := dec.I32()
-		sn := dec.Len()
-		sizes := make([]int, 0, min(sn, 1<<16))
-		for j := 0; j < sn && dec.Err() == nil; j++ {
-			sizes = append(sizes, dec.Int())
-		}
-		d.res.SizeDists[day] = sizes
-	}
-	d.res.LastDay = dec.I32()
+	d.loadResults(dec)
 	if dec.Bool() {
 		f := &tracking.SnapshotResult{Day: dec.I32(), AvgSimilarity: dec.F64()}
 		cn := dec.Len()
@@ -140,6 +165,37 @@ func (d *Detector) loadState(dec *checkpoint.Decoder) error {
 		slices.SortFunc(f.Communities, func(a, b tracking.Community) int { return cmp.Compare(a.Nodes[0], b.Nodes[0]) })
 		d.res.Final = f
 	}
+	return dec.Err()
+}
+
+// saveState serializes the sweep detector through e: its seed chain and
+// results.
+func (d *sweepDetector) saveState(e *checkpoint.Encoder) error {
+	if d.err != nil {
+		return d.err
+	}
+	d.saveSeed(e)
+	d.saveResults(e)
+	return e.Err()
+}
+
+// loadState restores a freshly constructed sweep detector from dec. The
+// previous snapshot's communities are exactly the grouping of its Louvain
+// assignment, so they are rebuilt from it rather than stored. Grouping
+// indexes a slice by label, so a label outside [0, n) is
+// checkpoint.ErrCorrupt.
+func (d *sweepDetector) loadState(dec *checkpoint.Decoder) error {
+	d.loadSeed(dec)
+	if d.prev != nil {
+		comm := d.prev.Community
+		for u, c := range comm {
+			if c < 0 || int(c) >= len(comm) {
+				return fmt.Errorf("%w: node %d has Louvain label %d of %d nodes", checkpoint.ErrCorrupt, u, c, len(comm))
+			}
+		}
+		d.matcher.Advance(tracking.Assignment(comm), len(comm))
+	}
+	d.loadResults(dec)
 	return dec.Err()
 }
 
@@ -210,7 +266,7 @@ func (s *UsersStage) LoadState(data []byte) error {
 func (s *SweepStage) SaveState(w io.Writer) error {
 	s.tasks.join(nil)
 	e := checkpoint.NewEncoder(w)
-	e.U64(stageStateV1)
+	e.U64(sweepStateV2)
 	e.U64(uint64(len(s.dets)))
 	for i, det := range s.dets {
 		e.F64(s.deltas[i])
@@ -221,10 +277,16 @@ func (s *SweepStage) SaveState(w io.Writer) error {
 	return e.Flush()
 }
 
-// LoadState implements engine.Checkpointer.
+// LoadState implements engine.Checkpointer. It refuses a version-1
+// blob, whose full per-δ trackers this stage no longer keeps; a resume
+// then falls back to an older checkpoint or to day 0.
 func (s *SweepStage) LoadState(data []byte) error {
 	d := checkpoint.NewDecoder(data)
-	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
+	switch v := d.U64(); {
+	case d.Err() != nil:
+	case v == stageStateV1:
+		return fmt.Errorf("sweep: checkpoint state version 1 predates the stats-only sweep detectors (version %d)", sweepStateV2)
+	case v != sweepStateV2:
 		return fmt.Errorf("sweep: checkpoint state version %d", v)
 	}
 	if n := d.Len(); d.Err() == nil && n != len(s.dets) {

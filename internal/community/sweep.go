@@ -5,7 +5,10 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
+	"repro/internal/graph"
+	"repro/internal/louvain"
 	"repro/internal/trace"
+	"repro/internal/tracking"
 )
 
 // SweepStageName is the planner registry name of the δ-sweep stage.
@@ -17,14 +20,14 @@ const SweepStageName = "sweep"
 // graph plus this stage's snapshot schedule: at every scheduled snapshot
 // day the stage takes a compact read-only CSR view of the graph
 // (graph.Frozen, built once per snapshot day for the whole run — see
-// Snapshots). The per-δ detection layer is one Detector per δ — Louvain
-// seed chain and tracking state only — queued on the run's Pool against
-// that shared frozen view.
+// Snapshots). The per-δ detection layer is one sweepDetector per δ — the
+// Louvain seed chain plus the similarity of matched communities, all that
+// Fig 4 reads — queued on the run's Pool against that shared frozen view.
 //
 // A K-δ sweep therefore costs exactly one replay pass and one live graph,
 // plus K lightweight detector states, instead of the 1+K passes and 1+K
 // live graphs of running one community Stage per δ in its own replay
-// (TestSweepMatchesPerPass holds the two bit-identical).
+// (TestSweepMatchesPerPass holds their Stats and SizeDists bit-identical).
 //
 // The stage implements engine.Syncer for the engine's per-snapshot
 // barrier: Sync — called at every day boundary, before the next day's
@@ -37,7 +40,7 @@ const SweepStageName = "sweep"
 type SweepStage struct {
 	opt    Options
 	deltas []float64
-	dets   []*Detector
+	dets   []*sweepDetector
 	snaps  *Snapshots
 	tasks  tasks
 }
@@ -59,7 +62,7 @@ func NewSweepStage(opt Options, deltas []float64, pool *engine.Pool) *SweepStage
 	for _, delta := range s.deltas {
 		o := opt
 		o.Delta = delta
-		s.dets = append(s.dets, NewDetector(o))
+		s.dets = append(s.dets, newSweepDetector(o))
 	}
 	return s
 }
@@ -98,7 +101,7 @@ func (s *SweepStage) Sync(ctx context.Context, st *trace.State, day int32) error
 			// A cancelled run skips the snapshot: the aborted pass never
 			// reads detector results, and joins only count tokens.
 			if ctx == nil || ctx.Err() == nil {
-				det.AdvancePrepared(day, frozen, prep)
+				det.advance(day, frozen, prep)
 			}
 		})
 	}
@@ -107,12 +110,12 @@ func (s *SweepStage) Sync(ctx context.Context, st *trace.State, day int32) error
 
 // Finish implements engine.Stage: it joins the final snapshot's tasks and
 // seals every detector, reporting the first per-δ error (ErrNoSnapshots
-// when the trace never reached snapshot size, exactly like the per-pass
-// path).
+// when the trace never reached snapshot size, exactly like the community
+// Stage).
 func (s *SweepStage) Finish(_ *trace.State) error {
 	s.tasks.join(nil)
 	for i, det := range s.dets {
-		if err := det.Finish(); err != nil {
+		if err := det.seal(); err != nil {
 			return fmt.Errorf("δ=%v: %w", s.deltas[i], err)
 		}
 	}
@@ -123,5 +126,32 @@ func (s *SweepStage) Finish(_ *trace.State) error {
 func (s *SweepStage) Deltas() []float64 { return append([]float64(nil), s.deltas...) }
 
 // Result returns the i-th δ's pipeline result after a successful Finish;
-// nil before.
+// nil before. It holds Stats, SizeDists and LastDay only: the sweep keeps
+// no events, histories or final snapshot.
 func (s *SweepStage) Result(i int) *Result { return s.dets[i].Result() }
+
+// sweepDetector is one sweep δ's detection: the seed chain plus a
+// tracking.Matcher for the mean similarity of matched communities, which
+// is all fig4a–c read. Unlike a Detector it assigns no identities and
+// records no events, histories, features or ties; its Stats and SizeDists
+// equal a Detector's bit for bit.
+type sweepDetector struct {
+	chain
+	matcher *tracking.Matcher
+}
+
+func newSweepDetector(opt Options) *sweepDetector {
+	c := newChain(opt)
+	return &sweepDetector{chain: c, matcher: tracking.NewMatcher(c.opt.MinSize)}
+}
+
+// advance runs one snapshot over g and its Louvain view prep, like
+// Detector.AdvancePrepared.
+func (d *sweepDetector) advance(day int32, g graph.View, prep *louvain.Prepared) {
+	lr := d.louvain(day, prep)
+	if lr == nil {
+		return
+	}
+	cur, sim := d.matcher.Advance(tracking.Assignment(lr.Community), g.NumNodes())
+	d.record(day, g, lr.Modularity, cur, sim)
+}

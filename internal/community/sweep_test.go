@@ -1,13 +1,17 @@
 package community
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/louvain"
 	"repro/internal/trace"
 )
 
@@ -25,9 +29,10 @@ func sweepTrace(t *testing.T) *trace.Trace {
 
 // TestSweepMatchesPerPass is the shared-snapshot sweep's correctness
 // guarantee: for every δ, the SweepStage run off one shared pass (frozen
-// CSR snapshots, pool fan-out, per-snapshot barrier) must be bit-identical
-// — stats, size distributions, tracking events, and histories — to one
-// community Stage per δ, each in its own replay (runPass).
+// CSR snapshots, pool fan-out, per-snapshot barrier, stats-only
+// detectors) must give the same stats and size distributions, the sweep's
+// whole output, bit for bit as one community Stage per δ, each in its own
+// replay (runPass).
 func TestSweepMatchesPerPass(t *testing.T) {
 	tr := sweepTrace(t)
 	deltas := []float64{0.01, 0.04, 0.16}
@@ -71,17 +76,8 @@ func TestSweepMatchesPerPass(t *testing.T) {
 		if _, ok := got.SizeDists[139]; !ok {
 			t.Errorf("δ=%v: off-grid SizeDistDay 139 not served by its nearest snapshot", d)
 		}
-		if !reflect.DeepEqual(got.Events, ref.Events) {
-			t.Errorf("δ=%v: tracking events differ (%d vs %d)", d, len(got.Events), len(ref.Events))
-		}
-		if !reflect.DeepEqual(got.Histories, ref.Histories) {
-			t.Errorf("δ=%v: histories differ (%d vs %d)", d, len(got.Histories), len(ref.Histories))
-		}
 		if got.LastDay != ref.LastDay {
 			t.Errorf("δ=%v: last day %d vs %d", d, got.LastDay, ref.LastDay)
-		}
-		if !reflect.DeepEqual(got.Final, ref.Final) {
-			t.Errorf("δ=%v: final snapshots differ", d)
 		}
 	}
 }
@@ -209,5 +205,117 @@ func TestSnapshotsShareAndRelease(t *testing.T) {
 	}
 	if f3, _ := sn.take(43, st.Graph); f3 == f1 {
 		t.Fatal("a new snapshot day reused the previous day's view")
+	}
+}
+
+// TestSweepDetectorMatchesDetector holds the δ-sweep's stats-only
+// detectors to the full Detector they replace: over the small preset's
+// whole snapshot chain, each δ's Stats and SizeDists must be bit-identical
+// to a Detector's fed the same frozen snapshots, also when the sweep is
+// saved and restored into a fresh stage mid-chain (its previous
+// communities then come from regrouping the saved Louvain assignment).
+func TestSweepDetectorMatchesDetector(t *testing.T) {
+	tr, err := gen.Generate(gen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := []float64{0.01, 0.04, 0.16}
+	opt := DefaultOptions()
+	opt.SizeDistDays = []int32{110, 200, 297}
+	for _, roundTrip := range []bool{false, true} {
+		sw := NewSweepStage(opt, deltas, nil)
+		var ref []*Detector
+		for _, d := range deltas {
+			o := opt
+			o.Delta = d
+			ref = append(ref, NewDetector(o))
+		}
+		snaps, restored := 0, false
+		onDayEnd := func(st *trace.State, day int32) {
+			if !ref[0].due(day, st.Graph.NumNodes()) {
+				return
+			}
+			if err := sw.Sync(context.Background(), st, day); err != nil {
+				t.Fatal(err)
+			}
+			f := st.Graph.Freeze()
+			p := louvain.Prepare(f)
+			for _, d := range ref {
+				d.AdvancePrepared(day, f, p)
+			}
+			if snaps++; roundTrip && snaps == 40 {
+				var buf bytes.Buffer
+				if err := sw.SaveState(&buf); err != nil {
+					t.Fatal(err)
+				}
+				sw = NewSweepStage(opt, deltas, nil)
+				if err := sw.LoadState(buf.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+				restored = true
+			}
+		}
+		st, err := trace.ReplaySource(tr.Source(), trace.Hooks{OnDayEnd: onDayEnd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Finish(st); err != nil {
+			t.Fatal(err)
+		}
+		if roundTrip && !restored {
+			t.Fatalf("the chain has %d snapshots, too few to restore mid-chain", snaps)
+		}
+		for i, d := range ref {
+			if err := d.Finish(); err != nil {
+				t.Fatal(err)
+			}
+			got, want := sw.Result(i), d.Result()
+			if !reflect.DeepEqual(got.Stats, want.Stats) {
+				t.Errorf("round trip %v, δ=%v: stats differ from the Detector's", roundTrip, deltas[i])
+			}
+			if !reflect.DeepEqual(got.SizeDists, want.SizeDists) || len(got.SizeDists) != len(opt.SizeDistDays) {
+				t.Errorf("round trip %v, δ=%v: size dists %v, Detector's %v", roundTrip, deltas[i], got.SizeDists, want.SizeDists)
+			}
+			if got.LastDay != want.LastDay {
+				t.Errorf("round trip %v, δ=%v: last day %d, Detector's %d", roundTrip, deltas[i], got.LastDay, want.LastDay)
+			}
+		}
+	}
+}
+
+// TestSweepStateRejectsOldAndCorrupt: a version-1 sweep blob, which held
+// full per-δ trackers, is refused, and a saved Louvain label outside
+// [0, n) — which regrouping would index a slice with — is
+// checkpoint.ErrCorrupt.
+func TestSweepStateRejectsOldAndCorrupt(t *testing.T) {
+	blob := func(version uint64, comm []int32) []byte {
+		var buf bytes.Buffer
+		e := checkpoint.NewEncoder(&buf)
+		e.U64(version)
+		e.U64(1)
+		e.F64(0.04)
+		e.Bool(true)
+		e.I32s(comm)
+		e.U64(0) // stats
+		e.U64(0) // size dists
+		e.I32(20)
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	load := func(b []byte) error {
+		return NewSweepStage(DefaultOptions(), []float64{0.04}, nil).LoadState(b)
+	}
+	if err := load(blob(sweepStateV2, []int32{0, 0, 2})); err != nil {
+		t.Fatalf("valid blob: %v", err)
+	}
+	if err := load(blob(stageStateV1, []int32{0, 0, 2})); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 blob: err = %v, want a version-1 refusal", err)
+	}
+	for _, comm := range [][]int32{{0, 3, 1}, {0, -1, 1}} {
+		if err := load(blob(sweepStateV2, comm)); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("labels %v: err = %v, want ErrCorrupt", comm, err)
+		}
 	}
 }

@@ -413,15 +413,17 @@ func (t *refTracker) SaveState(e *checkpoint.Encoder) {
 // label churn of the golden test and Louvain's incremental seed chain over
 // growing random graphs, the latter on the live graph and on frozen
 // snapshots; every third snapshot the dense tracker continues from its own
-// restored checkpoint.
+// restored checkpoint. A Matcher run alone over the same sequence must
+// report the same communities and similarity bits, also when every third
+// snapshot it is restored by advancing a fresh one over the assignment.
 func TestTrackerMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, containment := range []float64{0, 0.5} {
-			tr, ref := NewTracker(3), newRefTracker(3)
+			tr, ref, m := NewTracker(3), newRefTracker(3), NewMatcher(3)
 			tr.MergeContainment, ref.MergeContainment = containment, containment
 			snap := 0
 			churn(seed, 14, func(day int32, g *graph.Graph, assign Assignment) {
-				tr = checkAdvanceMatches(t, tr, ref, day, g, assign, snap)
+				tr, m = checkAdvanceMatches(t, tr, ref, m, day, g, assign, snap)
 				snap++
 			})
 		}
@@ -429,7 +431,7 @@ func TestTrackerMatchesReference(t *testing.T) {
 	for _, delta := range []float64{1e-6, 0.01, 0.04, 0.1} {
 		for _, frozen := range []bool{false, true} {
 			for seed := int64(1); seed <= 2; seed++ {
-				tr, ref := NewTracker(4), newRefTracker(4)
+				tr, ref, m := NewTracker(4), newRefTracker(4), NewMatcher(4)
 				rng := stats.NewRand(seed)
 				g := graph.New(64)
 				var prev []int32
@@ -452,7 +454,7 @@ func TestTrackerMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					prev = lr.Community
-					tr = checkAdvanceMatches(t, tr, ref, int32(3*snap), v, Assignment(lr.Community), snap)
+					tr, m = checkAdvanceMatches(t, tr, ref, m, int32(3*snap), v, Assignment(lr.Community), snap)
 				}
 			}
 		}
@@ -480,15 +482,25 @@ func growClustered(g *graph.Graph, rng *rand.Rand) {
 	}
 }
 
-// checkAdvanceMatches advances both trackers by one snapshot and compares
-// them. It returns the dense tracker to continue with: every third
-// snapshot a copy restored from its checkpoint.
-func checkAdvanceMatches(t *testing.T, tr *Tracker, ref *refTracker, day int32, g graph.View, assign Assignment, snap int) *Tracker {
+// checkAdvanceMatches advances both trackers and the matcher by one
+// snapshot and compares them. It returns the dense tracker and matcher to
+// continue with: every third snapshot copies restored from the tracker's
+// checkpoint and from the snapshot's assignment.
+func checkAdvanceMatches(t *testing.T, tr *Tracker, ref *refTracker, m *Matcher, day int32, g graph.View, assign Assignment, snap int) (*Tracker, *Matcher) {
 	t.Helper()
 	got := tr.Advance(day, g, assign)
 	want := ref.Advance(day, g, assign)
 	if math.Float64bits(got.AvgSimilarity) != math.Float64bits(want.AvgSimilarity) {
 		t.Fatalf("snapshot %d: average similarity %v, reference %v", snap, got.AvgSimilarity, want.AvgSimilarity)
+	}
+	cur, sim := m.Advance(assign, g.NumNodes())
+	if math.Float64bits(sim) != math.Float64bits(got.AvgSimilarity) || len(cur) != len(got.Communities) {
+		t.Fatalf("snapshot %d: matcher has %d communities and similarity %v, tracker %d and %v", snap, len(cur), sim, len(got.Communities), got.AvgSimilarity)
+	}
+	for j, c := range cur {
+		if !slices.Equal(c.Nodes, got.Communities[j].Nodes) {
+			t.Fatalf("snapshot %d: matcher community %d differs from the tracker's", snap, j)
+		}
 	}
 	if len(got.Communities) != len(want.Communities) {
 		t.Fatalf("snapshot %d: %d communities, reference %d", snap, len(got.Communities), len(want.Communities))
@@ -523,12 +535,14 @@ func checkAdvanceMatches(t *testing.T, tr *Tracker, ref *refTracker, day int32, 
 		t.Fatalf("snapshot %d: SaveState bytes differ from the reference", snap)
 	}
 	if snap%3 != 2 {
-		return tr
+		return tr, m
 	}
 	restored := NewTracker(tr.MinSize)
 	restored.MergeContainment = tr.MergeContainment
 	if err := restored.LoadState(checkpoint.NewDecoder(b)); err != nil {
 		t.Fatalf("snapshot %d: restore: %v", snap, err)
 	}
-	return restored
+	rm := NewMatcher(m.MinSize)
+	rm.Advance(assign, g.NumNodes())
+	return restored, rm
 }

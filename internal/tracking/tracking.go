@@ -122,30 +122,24 @@ type tie struct {
 	n  int64 // edges between them
 }
 
-// Tracker matches communities across snapshots and accumulates events,
-// histories, and tie information.
+// Matcher groups each snapshot's community assignment into communities
+// of at least MinSize nodes and matches them against the previous
+// snapshot's by Jaccard similarity: every previous community's best
+// match, and for every current community the previous one whose identity
+// it carries. Tracker builds identities, events, features and ties on
+// it; a caller that needs only the mean similarity of matched
+// communities (the δ-sweep's Fig 4b) runs a Matcher alone.
 //
-// Everything per snapshot is indexed densely — communities by their
-// position in the snapshot, nodes by id, labels by value, histories by
-// id-1 (ids are allocated 1, 2, 3, …) — so a snapshot costs a handful of
-// passes over flat slices and no hash-map traffic. The node- and
-// label-indexed columns are reused from one snapshot to the next, so a
-// Tracker is single-goroutine.
-type Tracker struct {
+// Communities are indexed by their position in the snapshot, nodes by
+// id and labels by value, so a snapshot costs a handful of passes over
+// flat slices and no hash-map traffic. The node- and label-indexed
+// columns are reused from one snapshot to the next, so a Matcher is
+// single-goroutine.
+type Matcher struct {
 	// MinSize filters out communities smaller than this (the paper uses
 	// 10 to "avoid small cliques").
 	MinSize int
-	// MergeContainment is the minimum fraction of a dying community's
-	// nodes that must land in the destination (the community receiving
-	// the most of its members) for the event to count as a merge rather
-	// than a dissolution. The default 0 mirrors the paper, which treats
-	// merging as the only cause of community death: any vanishing
-	// community with surviving members is merged into its destination.
-	// Raise it (e.g. to 0.5) for a strict "contributed most of their
-	// nodes" reading — the ablation bench compares both.
-	MergeContainment float64
 
-	nextID int64
 	// seeded reports whether prev holds a snapshot to match against. A
 	// snapshot without any community clears it, so the next one starts
 	// over with births and no events.
@@ -157,6 +151,56 @@ type Tracker struct {
 	prevMember, member []int32
 	// labelSize and labelIndex are group's per-label scratch.
 	labelSize, labelIndex []int32
+}
+
+// NewMatcher creates a matcher with the given minimum community size.
+func NewMatcher(minSize int) *Matcher {
+	return &Matcher{MinSize: max(minSize, 1)}
+}
+
+// Advance groups assign, over max(len(assign), nodes) nodes, into the
+// snapshot's communities, in ascending order of their smallest node, and
+// returns them with the mean Jaccard similarity of the matched pairs:
+// the AvgSimilarity Tracker.Advance reports for the same sequence, 0
+// when nothing matched. The communities become the previous snapshot,
+// so they must not be modified. What Advance leaves behind depends only
+// on its arguments: advancing a fresh Matcher over the previous
+// snapshot's assignment restores one exactly.
+func (m *Matcher) Advance(assign Assignment, nodes int) ([]Community, float64) {
+	cur := m.group(assign, nodes)
+	sim := 0.0
+	if m.seeded {
+		sim = m.bestMatches(cur).avgSimilarity()
+	}
+	m.shift(cur)
+	return cur, sim
+}
+
+// shift makes cur the previous snapshot.
+func (m *Matcher) shift(cur []Community) {
+	m.prev, m.seeded = cur, len(cur) > 0
+	m.prevMember, m.member = m.member, m.prevMember
+}
+
+// Tracker matches communities across snapshots and accumulates events,
+// histories, and tie information. Histories are indexed by id-1 (ids are
+// allocated 1, 2, 3, …); like its Matcher, a Tracker is single-goroutine.
+type Tracker struct {
+	// Matcher groups and matches the snapshots; its MinSize is the
+	// tracker's minimum community size. Call Tracker.Advance, not the
+	// Matcher's.
+	Matcher
+	// MergeContainment is the minimum fraction of a dying community's
+	// nodes that must land in the destination (the community receiving
+	// the most of its members) for the event to count as a merge rather
+	// than a dissolution. The default 0 mirrors the paper, which treats
+	// merging as the only cause of community death: any vanishing
+	// community with surviving members is merged into its destination.
+	// Raise it (e.g. to 0.5) for a strict "contributed most of their
+	// nodes" reading — the ablation bench compares both.
+	MergeContainment float64
+
+	nextID int64
 	// Per prev community, its inter-community edge counts in ascending id
 	// order: community i's are ties[tieOff[i]:tieOff[i+1]].
 	tieOff  []int32
@@ -168,10 +212,7 @@ type Tracker struct {
 
 // NewTracker creates a tracker with the given minimum community size.
 func NewTracker(minSize int) *Tracker {
-	if minSize < 1 {
-		minSize = 1
-	}
-	return &Tracker{MinSize: minSize, lastDay: -1}
+	return &Tracker{Matcher: *NewMatcher(minSize), lastDay: -1}
 }
 
 // Assignment is a per-node community labeling, -1 for unassigned nodes.
@@ -223,21 +264,11 @@ func (r *SnapshotResult) Members() []int32 {
 // each maintaining a private live graph.
 func (t *Tracker) Advance(day int32, g graph.View, assign Assignment) *SnapshotResult {
 	t.lastDay = day
-	if t.seeded && t.prevMember == nil {
-		// Restored from a checkpoint: derive the column from prev.
-		t.prevMember = (&SnapshotResult{Communities: t.prev}).Members()
-	}
 	cur := t.group(assign, g.NumNodes())
-	simSum, simCount, selfSim := t.match(day, cur)
-
-	res := &SnapshotResult{Day: day, Communities: cur}
-	if simCount > 0 {
-		res.AvgSimilarity = simSum / float64(simCount)
-	}
+	avgSim, selfSim := t.match(day, cur)
 	t.recordFeatures(day, g, cur, selfSim)
-	t.prev, t.seeded = cur, len(cur) > 0
-	t.prevMember, t.member = t.member, t.prevMember
-	return res
+	t.shift(cur)
+	return &SnapshotResult{Day: day, Communities: cur, AvgSimilarity: avgSim}
 }
 
 // group collects the communities of assign with at least MinSize nodes, in
@@ -245,26 +276,26 @@ func (t *Tracker) Advance(day int32, g graph.View, assign Assignment) *SnapshotR
 // community index column over max(len(assign), nodes) nodes. Scanning
 // nodes in ascending order and opening a community at its first node
 // yields that order directly, with each member list already sorted.
-func (t *Tracker) group(assign Assignment, nodes int) []Community {
+func (m *Matcher) group(assign Assignment, nodes int) []Community {
 	labels := int32(0)
 	for _, c := range assign {
 		labels = max(labels, c+1)
 	}
-	size := refill(t.labelSize, int(labels), 0)
+	size := refill(m.labelSize, int(labels), 0)
 	for _, c := range assign {
 		if c >= 0 {
 			size[c]++
 		}
 	}
 	// index[c] is label c's community index once opened, -1 before.
-	index := refill(t.labelIndex, int(labels), -1)
-	member := refill(t.member, max(len(assign), nodes), -1)
-	t.labelSize, t.labelIndex, t.member = size, index, member
+	index := refill(m.labelIndex, int(labels), -1)
+	member := refill(m.member, max(len(assign), nodes), -1)
+	m.labelSize, m.labelIndex, m.member = size, index, member
 
 	flat := make([]graph.NodeID, 0, len(assign))
 	var cur []Community
 	for u, c := range assign {
-		if c < 0 || int(size[c]) < t.MinSize {
+		if c < 0 || int(size[c]) < m.MinSize {
 			continue
 		}
 		if index[c] < 0 {
@@ -287,31 +318,42 @@ type overlap struct {
 	n    int32
 }
 
-// match assigns identities to cur communities and emits events. It returns
-// the sum and count of matched similarities, and each cur community's
-// similarity to the incarnation whose identity it carries (0 for births).
-func (t *Tracker) match(day int32, cur []Community) (simSum float64, simCount int, selfSim []float64) {
-	selfSim = make([]float64, len(cur))
-	if !t.seeded {
-		for j := range cur {
-			cur[j].ID = t.newID(day)
-		}
-		return 0, 0, selfSim
+// matches is the best-match step between the previous snapshot's
+// communities (index i) and the current one's (index j). Every scan
+// breaks ties toward the lowest index.
+type matches struct {
+	bestNewFor []int     // prev i -> most similar cur j, -1 for none
+	bestNewSim []float64 // ... and that similarity
+	bestOldFor []int     // cur j -> most similar prev i, -1 for none
+	bestDest   []int     // prev i -> cur j receiving most of its nodes, -1 for none
+	bestOv     []int32   // ... and the nodes they share
+	// winner[j] is the prev community whose identity cur j carries, -1
+	// for a birth: of the claimants whose best match is j, the most
+	// similar one.
+	winner []int
+}
+
+// bestMatches matches cur against the previous snapshot, which must be
+// seeded.
+func (m *Matcher) bestMatches(cur []Community) *matches {
+	if m.prevMember == nil {
+		// Restored from a checkpoint: derive the column from prev.
+		m.prevMember = (&SnapshotResult{Communities: m.prev}).Members()
 	}
 	// Overlaps between prev i and cur j, counted per cur community in a
 	// dense per-prev counter and emitted with ascending i. For any fixed i
 	// the pairs then come in ascending j and for any fixed j in ascending
 	// i — all the best-match scans below need for their lowest-index
 	// tie-breaking.
-	count := make([]int32, len(t.prev))
+	count := make([]int32, len(m.prev))
 	var touched []int32
 	var pairs []overlap
 	for j, c := range cur {
 		for _, u := range c.Nodes {
-			if int(u) >= len(t.prevMember) {
+			if int(u) >= len(m.prevMember) {
 				break // nodes ascend; the rest joined after prev
 			}
-			if i := t.prevMember[u]; i >= 0 {
+			if i := m.prevMember[u]; i >= 0 {
 				if count[i] == 0 {
 					touched = append(touched, i)
 				}
@@ -325,13 +367,81 @@ func (t *Tracker) match(day int32, cur []Community) (simSum float64, simCount in
 		}
 		touched = touched[:0]
 	}
-	sim := func(i, j int, inter int32) float64 {
-		union := len(t.prev[i].Nodes) + len(cur[j].Nodes) - int(inter)
-		if union == 0 {
-			return 0
-		}
-		return float64(inter) / float64(union)
+	// Best matches in both directions, and each prev community's
+	// destination: the cur community receiving most of its nodes.
+	ms := &matches{
+		bestNewFor: refill[int](nil, len(m.prev), -1),
+		bestNewSim: make([]float64, len(m.prev)),
+		bestOldFor: refill[int](nil, len(cur), -1),
+		bestDest:   refill[int](nil, len(m.prev), -1),
+		bestOv:     make([]int32, len(m.prev)),
+		winner:     refill[int](nil, len(cur), -1),
 	}
+	bestOldSim := make([]float64, len(cur))
+	for _, p := range pairs {
+		s := jaccard(m.prev[p.i], cur[p.j], p.n)
+		if s > ms.bestNewSim[p.i] {
+			ms.bestNewSim[p.i], ms.bestNewFor[p.i] = s, int(p.j)
+		}
+		if s > bestOldSim[p.j] {
+			bestOldSim[p.j], ms.bestOldFor[p.j] = s, int(p.i)
+		}
+		if p.n > ms.bestOv[p.i] {
+			ms.bestOv[p.i], ms.bestDest[p.i] = p.n, int(p.j)
+		}
+	}
+	// Identity assignment: claimants per cur community are the prev
+	// communities whose best (Jaccard) match is j; the most similar
+	// claimant carries its identity forward, the lowest index on ties.
+	for i, j := range ms.bestNewFor {
+		if j >= 0 && (ms.winner[j] < 0 || ms.bestNewSim[i] > ms.bestNewSim[ms.winner[j]]) {
+			ms.winner[j] = i
+		}
+	}
+	return ms
+}
+
+// avgSimilarity is the mean similarity of every cur community to the
+// incarnation whose identity it carries, summed in cur order; 0 when
+// nothing matched.
+func (ms *matches) avgSimilarity() float64 {
+	sum, n := 0.0, 0
+	for _, i := range ms.winner {
+		if i >= 0 {
+			sum += ms.bestNewSim[i]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
+// jaccard is the Jaccard similarity of communities a and b, which share
+// inter nodes.
+func jaccard(a, b Community, inter int32) float64 {
+	union := len(a.Nodes) + len(b.Nodes) - int(inter)
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}
+
+// match assigns identities to cur communities and emits events. It returns
+// the mean similarity of the matched pairs (Matcher.Advance's), and each
+// cur community's similarity to the incarnation whose identity it carries
+// (0 for births).
+func (t *Tracker) match(day int32, cur []Community) (avgSim float64, selfSim []float64) {
+	selfSim = make([]float64, len(cur))
+	if !t.seeded {
+		for j := range cur {
+			cur[j].ID = t.newID(day)
+		}
+		return 0, selfSim
+	}
+	ms := t.bestMatches(cur)
+	bestNewSim, bestDest, bestOv := ms.bestNewSim, ms.bestDest, ms.bestOv
 	// containment is the fraction of prev community i's nodes that ended
 	// up in the cur community sharing inter of them. The paper's merge
 	// definition requires parents to "contribute most of their nodes" to
@@ -340,39 +450,9 @@ func (t *Tracker) match(day int32, cur []Community) (simSum float64, simCount in
 	containment := func(i int, inter int32) float64 {
 		return float64(inter) / float64(len(t.prev[i].Nodes))
 	}
-	// Best matches in both directions, and each prev community's
-	// destination: the cur community receiving most of its nodes.
-	bestNewFor := refill[int](nil, len(t.prev), -1) // prev i -> cur j (or -1)
-	bestNewSim := make([]float64, len(t.prev))
-	bestOldFor := refill[int](nil, len(cur), -1) // cur j -> prev i (or -1)
-	bestOldSim := make([]float64, len(cur))
-	bestDest := refill[int](nil, len(t.prev), -1) // prev i -> argmax_j overlap, or -1
-	bestOv := make([]int32, len(t.prev))
-	for _, p := range pairs {
-		s := sim(int(p.i), int(p.j), p.n)
-		if s > bestNewSim[p.i] {
-			bestNewSim[p.i], bestNewFor[p.i] = s, int(p.j)
-		}
-		if s > bestOldSim[p.j] {
-			bestOldSim[p.j], bestOldFor[p.j] = s, int(p.i)
-		}
-		if p.n > bestOv[p.i] {
-			bestOv[p.i], bestDest[p.i] = p.n, int(p.j)
-		}
-	}
-
-	// Identity assignment: claimants per cur community are the prev
-	// communities whose best (Jaccard) match is j; the most similar
-	// claimant carries its identity forward, the lowest index on ties.
-	winner := refill[int](nil, len(cur), -1)
-	for i, j := range bestNewFor {
-		if j >= 0 && (winner[j] < 0 || bestNewSim[i] > bestNewSim[winner[j]]) {
-			winner[j] = i
-		}
-	}
 	survived := make([]bool, len(t.prev))
 	for j := range cur {
-		i := winner[j]
+		i := ms.winner[j]
 		if i < 0 {
 			cur[j].ID = t.newID(day)
 			t.events = append(t.events, Event{Day: day, Type: Birth, ID: cur[j].ID})
@@ -381,8 +461,6 @@ func (t *Tracker) match(day int32, cur []Community) (simSum float64, simCount in
 		cur[j].ID = t.prev[i].ID
 		survived[i] = true
 		selfSim[j] = bestNewSim[i]
-		simSum += bestNewSim[i]
-		simCount++
 	}
 
 	// Merge/death classification for prev communities whose identity
@@ -432,7 +510,7 @@ func (t *Tracker) match(day int32, cur []Community) (simSum float64, simCount in
 			Type:             Merge,
 			ID:               p.ID,
 			Other:            cur[j].ID,
-			Similarity:       sim(i, j, bestOv[i]),
+			Similarity:       jaccard(p, cur[j], bestOv[i]),
 			SizeA:            len(p.Nodes),
 			SizeB:            sizeB,
 			StrongestTie:     tieComm != 0 && inUnion,
@@ -449,7 +527,7 @@ func (t *Tracker) match(day int32, cur []Community) (simSum float64, simCount in
 	first := make([]int, len(t.prev))  // largest child size
 	second := make([]int, len(t.prev)) // second largest
 	children := make([]int, len(t.prev))
-	for j, i := range bestOldFor {
+	for j, i := range ms.bestOldFor {
 		if i < 0 {
 			continue
 		}
@@ -475,7 +553,7 @@ func (t *Tracker) match(day int32, cur []Community) (simSum float64, simCount in
 		})
 	}
 
-	return simSum, simCount, selfSim
+	return ms.avgSimilarity(), selfSim
 }
 
 // refill returns n copies of v, in buf when it has the capacity.
