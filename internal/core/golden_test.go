@@ -79,8 +79,8 @@ var (
 			"fig9b": "dc935640cd60b05797d0ba4023b29095aa3f14c67925a03f86a63604eeaad188",
 			"fig9c": "2954de7977a7713f973334e34006e2742343bbf5992a39e0623568cae363ba97",
 		},
-		checkpoint: "9ebbd5c776dd2dbf6c6bdf55bb2006526673f6a44f687767aae785fd9441fa26",
-		content:    "9b2436b7c948c912f27bc2969501b9df987c8bf9c9ebd88529a371aca32a03a8",
+		checkpoint: "d1dbe4b190aebf7d2317b4c498df12bb20c0620d8648aafeda16e3c845150ad5",
+		content:    "626315816fdd62511864aa02289d7a2559e4dd821fff56eb5df6bd2e4e61e99d",
 	}
 
 	// goldenDefault480 is the default preset, seed 1, cut at day 480 (past
@@ -130,8 +130,8 @@ var (
 			"fig9b": "191f895e033499f64735a4bce4bb0e366678d931f3d8dae4833496284ad958ea",
 			"fig9c": "d0654f493ba1352293612df2e60ca84363dd02115c23b711590bc00d3b5e1e43",
 		},
-		checkpoint: "c058a0a589f5610c2794102f8576d84e50c4b760ab1870645b1103de47ca85bc",
-		content:    "c2d3053776591a609a1aa208e9e0ae4d579651e725e578e0b9264e0203eb231f",
+		checkpoint: "9fb6674cc0b990a1e5b4feb669ee3c025c590eb8de53f777fc9c6d46657191dd",
+		content:    "fc9a469f370c97cc48b826da4f8e4cc112bf36a8d93d7544c564e06482579980",
 	}
 )
 
