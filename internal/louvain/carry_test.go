@@ -31,20 +31,10 @@ func sameBits(a, b []float64) bool {
 // snapshot, and the carried tallies must equal tally's full recount bit
 // for bit.
 func TestSeedChainCarry(t *testing.T) {
-	cfg := gen.SmallConfig()
-	cfg.Days = 160
-	tr, err := gen.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := seedChainTrace(t)
 	for _, delta := range []float64{0.01, 0.1} {
 		var carried, dropped *Result
-		snaps := 0
-		onDayEnd := func(st *trace.State, day int32) {
-			if day < 20 || day%3 != 2 || st.Graph.NumNodes() < 64 {
-				return
-			}
-			p := Prepare(st.Graph.Freeze())
+		snaps := eachSnapshot(t, tr, func(day int32, p *Prepared) {
 			n := p.NumNodes()
 			opt := Options{Delta: delta, MaxLevels: 1, Seed: 1}
 			withCarry, without := opt, opt
@@ -77,15 +67,43 @@ func TestSeedChainCarry(t *testing.T) {
 					delta, day, a.Levels, a.Modularity, b.Levels, b.Modularity)
 			}
 			carried, dropped = a, b
-			snaps++
-		}
-		if _, err := trace.ReplaySource(tr.Source(), trace.Hooks{OnDayEnd: onDayEnd}); err != nil {
-			t.Fatal(err)
-		}
+		})
 		if snaps < 10 {
 			t.Fatalf("δ=%v: only %d snapshots", delta, snaps)
 		}
 	}
+}
+
+// seedChainTrace is the small preset's first 160 days.
+func seedChainTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	cfg := gen.SmallConfig()
+	cfg.Days = 160
+	tr, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// eachSnapshot replays tr and hands fn the Louvain view of a frozen
+// snapshot on every day of the community pipeline's schedule (from day
+// 20, every third day, once the graph has 64 nodes). It returns how many
+// snapshots there were.
+func eachSnapshot(t *testing.T, tr *trace.Trace, fn func(day int32, p *Prepared)) int {
+	t.Helper()
+	snaps := 0
+	onDayEnd := func(st *trace.State, day int32) {
+		if day < 20 || day%3 != 2 || st.Graph.NumNodes() < 64 {
+			return
+		}
+		fn(day, Prepare(st.Graph.Freeze()))
+		snaps++
+	}
+	if _, err := trace.ReplaySource(tr.Source(), trace.Hooks{OnDayEnd: onDayEnd}); err != nil {
+		t.Fatal(err)
+	}
+	return snaps
 }
 
 func communityOf(r *Result) []int32 {

@@ -16,6 +16,7 @@ package louvain
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -433,23 +434,45 @@ func localMove(w *wgraph, comm []int32, in, tot []float64, delta float64, rng *r
 				}
 				links[c] += w.weight(i)
 			}
-			// Candidates are visited in label order so that tie-breaking is
-			// deterministic.
-			slices.Sort(keys)
 			// Remove u from its community.
 			du := w.degree(u)
 			tot[cu] -= du
 			// Gain of joining community c (up to a constant factor):
-			// k_{u,in}(c) - tot_c * k_u / m2.
-			best := cu
-			bestGain := links[cu] - tot[cu]*du/m2
+			// k_{u,in}(c) - tot_c * k_u / m2. The move is decided by an
+			// ordered scan: from cu, take each candidate in ascending
+			// label order that beats the best so far by more than 1e-12.
+			// One unsorted pass first finds the top gain and the
+			// runner-up over every candidate, cu included. When the top
+			// beats the runner-up by the margin, the ordered scan picks
+			// the top in any visiting order: fl(x+1e-12) is monotone in
+			// x, so whatever best the scan holds before reaching the top
+			// is at most the runner-up and is beaten, and nothing beats
+			// the top afterwards. Only near-ties need the sort.
+			stay := links[cu] - tot[cu]*du/m2
+			best, bestGain := cu, stay
+			runnerUp := math.Inf(-1)
 			for _, c := range keys {
 				if c == cu {
 					continue
 				}
 				gain := links[c] - tot[c]*du/m2
-				if gain > bestGain+1e-12 {
-					best, bestGain = c, gain
+				if gain > bestGain {
+					best, bestGain, runnerUp = c, gain, bestGain
+				} else if gain > runnerUp {
+					runnerUp = gain
+				}
+			}
+			if bestGain <= runnerUp+1e-12 {
+				slices.Sort(keys)
+				best, bestGain = cu, stay
+				for _, c := range keys {
+					if c == cu {
+						continue
+					}
+					gain := links[c] - tot[c]*du/m2
+					if gain > bestGain+1e-12 {
+						best, bestGain = c, gain
+					}
 				}
 			}
 			if best != cu {

@@ -274,11 +274,15 @@ func refDensify(labels []int32) []int32 {
 }
 
 // TestLocalMoveMatchesReference runs the dense kernel and the map-based
-// reference side by side over growing random graphs, each snapshot seeded
-// with that implementation's previous assignment and -1 for the nodes
-// that joined since, and requires identical assignments, level counts and
-// modularity bits at every snapshot, for the paper's δ range, one level
-// and unbounded levels, and both the live graph and a frozen snapshot.
+// reference, which sorts every node's candidates, side by side. The inputs
+// are growing random graphs, for the paper's δ range, one level and
+// unbounded levels, and both the live graph and a frozen snapshot; the
+// community pipeline's seed chain over the small preset (TestSeedChainCarry's
+// snapshots); and a graph with a node exactly tied between two
+// communities. Every chain snapshot is seeded with that implementation's
+// previous assignment and -1 for the nodes that joined since, and
+// assignments, level counts and modularity bits must be identical at every
+// snapshot.
 func TestLocalMoveMatchesReference(t *testing.T) {
 	for _, delta := range []float64{1e-6, 0.01, 0.04, 0.1} {
 		for _, maxLevels := range []int{1, 0} {
@@ -287,6 +291,50 @@ func TestLocalMoveMatchesReference(t *testing.T) {
 					checkChainMatchesReference(t, delta, maxLevels, frozen, seed)
 				}
 			}
+		}
+	}
+
+	tr := seedChainTrace(t)
+	for _, delta := range []float64{0.01, 0.1} {
+		var got, want []int32
+		eachSnapshot(t, tr, func(day int32, p *Prepared) {
+			n := p.NumNodes()
+			a, err := RunPrepared(p, Options{Delta: delta, MaxLevels: 1, Seed: 1, Init: seedFrom(got, n)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := refRun(p, Options{Delta: delta, MaxLevels: 1, Seed: 1, Init: seedFrom(want, n)})
+			if !sameRun(a, b) {
+				t.Fatalf("seed chain δ=%v day %d: got (levels %d, Q %v), reference (levels %d, Q %v)", delta, day, a.Levels, a.Modularity, b.Levels, b.Modularity)
+			}
+			got, want = a.Community, b.Community
+		})
+	}
+
+	// Two 4-cliques, labels 0 (nodes 0-3) and 1 (nodes 4-7), and node 8
+	// in a community of its own with two arcs into each, listed into
+	// clique 1 first. Joining either clique gains exactly the same, so the
+	// ordered scan must take the lower label, 0.
+	g := graph.New(9)
+	for _, clique := range [][]graph.NodeID{{0, 1, 2, 3}, {4, 5, 6, 7}} {
+		for i, u := range clique {
+			for _, v := range clique[i+1:] {
+				g.AddEdge(u, v)
+			}
+		}
+	}
+	for _, v := range []graph.NodeID{4, 5, 0, 1} {
+		g.AddEdge(8, v)
+	}
+	p := Prepare(g)
+	for seed := int64(1); seed <= 4; seed++ {
+		opt := Options{Delta: 0.01, MaxLevels: 1, Seed: seed, Init: []int32{0, 0, 0, 0, 1, 1, 1, 1, 2}}
+		a, err := RunPrepared(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := refRun(p, opt); !sameRun(a, b) || a.Community[8] != a.Community[0] {
+			t.Fatalf("tie, seed %d: node 8 joined %v, reference %v; want the lower label's clique %v", seed, a.Community[8], b.Community[8], a.Community[0])
 		}
 	}
 }
