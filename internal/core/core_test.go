@@ -165,6 +165,9 @@ func TestHeadlineShapes(t *testing.T) {
 	if tab.Notes["gap_last"] <= 0 {
 		t.Errorf("alpha gap = %v", tab.Notes["gap_last"])
 	}
+	if first, last := tab.Notes["alpha_higher_first"], tab.Notes["alpha_higher_last"]; !(last < first) {
+		t.Errorf("α under the higher-degree rule did not fall: %v -> %v", first, last)
+	}
 
 	// Fig 8: 5Q loses more users than Xiaonei.
 	if res.Merge.InactiveAtMergeFiveQ <= res.Merge.InactiveAtMergeXiaonei {
@@ -172,10 +175,15 @@ func TestHeadlineShapes(t *testing.T) {
 			res.Merge.InactiveAtMergeFiveQ, res.Merge.InactiveAtMergeXiaonei)
 	}
 
-	// Fig 9c: distances end below 2.5 hops.
-	last := res.Merge.Distances[len(res.Merge.Distances)-1]
+	// Fig 9c: distances end below 2.5 hops, and shrink from the first
+	// sample to the last in both directions.
+	first, last := res.Merge.Distances[0], res.Merge.Distances[len(res.Merge.Distances)-1]
 	if last.XiaoneiTo5Q > 2.5 || math.IsNaN(last.XiaoneiTo5Q) {
 		t.Errorf("end distance %v", last.XiaoneiTo5Q)
+	}
+	if !(last.XiaoneiTo5Q < first.XiaoneiTo5Q) || !(last.FiveQToXiaonei < first.FiveQToXiaonei) {
+		t.Errorf("inter-OSN distance did not shrink: Xiaonei→5Q %v -> %v, 5Q→Xiaonei %v -> %v",
+			first.XiaoneiTo5Q, last.XiaoneiTo5Q, first.FiveQToXiaonei, last.FiveQToXiaonei)
 	}
 
 	// Fig 4a: larger δ gives no higher modularity at matching days.
