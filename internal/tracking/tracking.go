@@ -163,9 +163,9 @@ func NewMatcher(minSize int) *Matcher {
 // returns them with the mean Jaccard similarity of the matched pairs:
 // the AvgSimilarity Tracker.Advance reports for the same sequence, 0
 // when nothing matched. The communities become the previous snapshot,
-// so they must not be modified. What Advance leaves behind depends only
-// on its arguments: advancing a fresh Matcher over the previous
-// snapshot's assignment restores one exactly.
+// so their node lists must not be modified. What Advance leaves behind
+// depends only on its arguments: advancing a fresh Matcher over the
+// previous snapshot's assignment restores one exactly.
 func (m *Matcher) Advance(assign Assignment, nodes int) ([]Community, float64) {
 	cur := m.group(assign, nodes)
 	sim := 0.0
