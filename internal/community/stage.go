@@ -49,12 +49,6 @@ const (
 // Name implements engine.Stage.
 func (s *Stage) Name() string { return StageName }
 
-// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
-// is a no-op and OnDayEnd's snapshot reads the quiescent graph read-only
-// (the detector owns no graph — see Detector, and reads only the frozen
-// view once queued).
-func (s *Stage) OverlapSafe() {}
-
 // ColdStart makes every snapshot's Louvain start from singletons instead
 // of the previous snapshot's assignment. It is the baseline of the
 // incremental-seed ablation (DESIGN §5), not an analysis setting; call it
@@ -139,11 +133,6 @@ func NewUsersStage(buckets []SizeBucket, source func() *Result) *UsersStage {
 
 // Name implements engine.Stage.
 func (s *UsersStage) Name() string { return UsersStageName }
-
-// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
-// records activity in private per-node maps and OnDayEnd is a no-op (the
-// community join happens in Finish, post-pass).
-func (s *UsersStage) OverlapSafe() {}
 
 // OnEvent records per-node edge activity and inter-arrival gaps.
 func (s *UsersStage) OnEvent(_ *trace.State, ev trace.Event) {

@@ -51,7 +51,7 @@ type Config struct {
 
 	// Workers is the run's CPU budget: at most Workers goroutines run
 	// analysis work at once, the replay goroutine included. The δ-sweep
-	// and SVM tasks, the engine's per-day stage overlap, and the
+	// and SVM tasks, the engine's day-batch dispatch, and the
 	// sampled-BFS lane batches all draw on it (engine.Pool); above 1 the
 	// decode-ahead reader runs beside them. <= 0 selects GOMAXPROCS; 1
 	// runs everything sequentially on the caller's goroutine. It is a throughput knob, never a result knob:
@@ -64,8 +64,10 @@ type Config struct {
 	// OnProgress, when non-nil, is invoked at every day boundary of the
 	// shared streaming pass with the finished day and the cumulative
 	// number of events applied. Since the δ-sweep also rides the shared
-	// pass, this observes the whole run's replay. It must not block: it
-	// runs on the replay's goroutine.
+	// pass, this observes the whole run's replay. It fires once per day,
+	// in day order, one call at a time, but may run on a pool goroutine
+	// rather than the caller's. It must not block: the day barrier waits
+	// for it.
 	OnProgress func(day int32, events int64)
 
 	// CheckpointDir enables the checkpointed state plane (DESIGN.md §6):

@@ -510,7 +510,7 @@ type planExec struct {
 func (p *FigurePlan) instantiate(cfg Config, meta trace.Meta) *planExec {
 	cfg = cfg.withDefaults()
 	// One budget serves the whole run: the sweep/SVM tasks, the engine's
-	// per-day stage overlap, and the sampled-BFS lane batches all draw on
+	// day-batch dispatch, and the sampled-BFS lane batches all draw on
 	// its cfg.Workers tokens, one of which the replay goroutine holds.
 	rt := &planRT{cfg: cfg, meta: meta, res: &Result{Meta: meta, ResumedFromDay: -1}, pool: engine.NewPool(cfg.Workers), snaps: new(community.Snapshots)}
 	eng := engine.New()
@@ -525,12 +525,7 @@ func (p *FigurePlan) instantiate(cfg Config, meta trace.Meta) *planExec {
 	// when some analysis stage gives that pass a reason to run (with an
 	// empty δ list even a sweep-only plan subscribes nothing). By day-end
 	// every event has been dispatched to all subscribers, so position in
-	// the subscription order doesn't change the reported counts. The
-	// stage is deliberately NOT Overlappable: it stays inline on the
-	// replay goroutine, counting each event exactly once as it is
-	// applied (never the prefetch reader's decode-ahead), and its
-	// OnDayEnd fires after the parallel day barrier — so OnProgress is
-	// emitted once per day, in strict day order, at any worker count.
+	// the subscription order doesn't change the reported counts.
 	if cfg.OnProgress != nil && eng.Stages() > 0 {
 		eng.Subscribe(&progressStage{fn: cfg.OnProgress})
 	}

@@ -21,13 +21,24 @@ import (
 )
 
 // Stage is one analysis subscribed to the engine's single replay pass.
-// OnEvent fires for every trace event after it is applied to the shared
-// state; OnDayEnd fires at every day boundary (including empty days);
-// Finish runs after the pass completes, in subscription order, and is where
-// a stage assembles its result or reports that the trace cannot support it.
+// OnEvent fires for every trace event, in trace order; OnDayEnd fires at
+// every day boundary (including empty days); Finish runs after the pass
+// completes, in subscription order, and is where a stage assembles its
+// result or reports that the trace cannot support it.
 //
-// Stages must not mutate the shared state; it is owned by the engine and
-// visible to every other stage.
+// The contract, the same at every CPU budget:
+//
+//   - OnEvent runs at the day barrier: the engine replays the day's
+//     events to the stage after the whole day has been applied, so st is
+//     the end-of-day state, not the per-event prefix. OnEvent must not
+//     read it; it touches only the stage's own accumulators.
+//   - OnDayEnd follows the day's OnEvent calls and may read the shared
+//     state freely: at the barrier it is quiescent.
+//   - Stages must not mutate the shared state, and share no mutable state
+//     with each other: one stage's day work may run on a pool goroutine,
+//     concurrently with another's. The engine calls each stage's own
+//     callbacks from one goroutine at a time, in trace order, with a
+//     happens-before edge between days, so a stage needs no locking.
 type Stage interface {
 	Name() string
 	OnEvent(st *trace.State, ev trace.Event)
@@ -110,16 +121,15 @@ func (e *Engine) Hint(nodes, edges int) {
 	}
 }
 
-// SetPool gives the engine the run's CPU budget. With a budget of more
-// than one token the replay pipelines: the source is wrapped in
-// trace.Prefetch so decode runs ahead of apply on a reader goroutine, and
-// Overlappable stages' per-day work fans out on the pool at each day
-// barrier (see driver). No pool, or a budget of one — the default —
-// defers nothing. Either way every figure is bit-identical: the driver
-// preserves each stage's own event order and the barrier keeps
-// Sync/checkpoint semantics unchanged, so the budget is a throughput
-// knob, never a result knob (and is deliberately absent from the
-// checkpoint fingerprint — checkpoints written at one worker count
+// SetPool gives the engine the run's CPU budget. The stages' per-day work
+// fans out on it at each day barrier (see driver); no pool, or a budget
+// of one — the default — runs that work inline. With a budget of more
+// than one token the source is also wrapped in trace.Prefetch, so decode
+// runs ahead of apply on a reader goroutine. Either way every figure is
+// bit-identical: the driver preserves each stage's own event order and
+// the barrier keeps Sync/checkpoint semantics unchanged, so the budget is
+// a throughput knob, never a result knob (and is deliberately absent from
+// the checkpoint fingerprint — checkpoints written at one worker count
 // resume at any other).
 func (e *Engine) SetPool(p *Pool) { e.pool = p }
 

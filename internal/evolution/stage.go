@@ -79,11 +79,6 @@ const (
 // Name implements engine.Stage.
 func (s *Stage) Name() string { return StageName }
 
-// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
-// reads only the event itself (ages come from its private joinDay map)
-// and OnDayEnd is a no-op.
-func (s *Stage) OverlapSafe() {}
-
 func (s *Stage) flushDay() {
 	if s.curDay < 0 || s.dayTotal == 0 {
 		return
@@ -401,10 +396,6 @@ func NewAlphaStage(opt AlphaOptions) *AlphaStage {
 
 // Name implements engine.Stage.
 func (s *AlphaStage) Name() string { return AlphaStageName }
-
-// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
-// only feeds the private α tracker; OnDayEnd is a no-op.
-func (s *AlphaStage) OverlapSafe() {}
 
 // OnEvent forwards arrivals to the α tracker.
 func (s *AlphaStage) OnEvent(_ *trace.State, ev trace.Event) {

@@ -89,17 +89,11 @@ func NewStage(opt StageOptions) *Stage {
 // StageName is the stage's planner registry name.
 const StageName = "metrics"
 
-// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
-// only tallies arrival counts in private fields (it never reads the
-// shared state), and OnDayEnd reads the quiescent graph read-only for
-// the day's snapshot.
-func (s *Stage) OverlapSafe() {}
-
 // Name implements engine.Stage.
 func (s *Stage) Name() string { return StageName }
 
 // OnEvent counts the day's node and edge arrivals.
-func (s *Stage) OnEvent(st *trace.State, ev trace.Event) {
+func (s *Stage) OnEvent(_ *trace.State, ev trace.Event) {
 	switch ev.Kind {
 	case trace.AddNode:
 		s.addedNodes++

@@ -126,12 +126,6 @@ const StageName = "osnmerge"
 // Name implements engine.Stage.
 func (s *Stage) Name() string { return StageName }
 
-// OverlapSafe marks the stage for the engine's day-batch fan-out: OnEvent
-// writes only private census/gap accumulators, and OnDayEnd's sampled
-// distance measurement reads the quiescent graph and origin column
-// read-only.
-func (s *Stage) OverlapSafe() {}
-
 // OnEvent accumulates per-user inter-arrival statistics, the distance-
 // source census, and buffers post-merge edges for Finish.
 func (s *Stage) OnEvent(_ *trace.State, ev trace.Event) {
