@@ -167,7 +167,7 @@ func ParseDistDays(s string, days int32, opt community.Options) ([]int32, error)
 	if s != "" {
 		var out []int32
 		for _, d := range strings.Split(s, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(d))
+			v, err := strconv.ParseInt(strings.TrimSpace(d), 10, 32)
 			if err != nil {
 				return nil, fmt.Errorf("bad dist day %q: %v", d, err)
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/community"
 )
 
 // TestParseDeltaSweep pins the -deltas parser's contract: well-formed
@@ -54,6 +56,39 @@ func TestParseDeltaSweep(t *testing.T) {
 	for _, tc := range bad {
 		if got, err := ParseDeltaSweep(tc.in); err == nil {
 			t.Errorf("ParseDeltaSweep(%q) = %v, want error (%s)", tc.in, got, tc.why)
+		}
+	}
+}
+
+// TestParseDistDays pins the -dist-days parser: explicit lists parse in
+// order, an empty list follows the trace length, and a value that does
+// not fit a day (int32) is an error, never silently wrapped.
+func TestParseDistDays(t *testing.T) {
+	opt := community.Options{StartDay: 20, SnapshotEvery: 3}
+	good := []struct {
+		in   string
+		days int32
+		want []int32
+	}{
+		{"150, 225,297", 0, []int32{150, 225, 297}},
+		{"-1", 0, []int32{-1}},
+		{"2147483647", 0, []int32{2147483647}},
+		{"", 300, []int32{149, 224, 299}},
+		{"", 0, nil},
+	}
+	for _, tc := range good {
+		got, err := ParseDistDays(tc.in, tc.days, opt)
+		if err != nil {
+			t.Errorf("ParseDistDays(%q, %d) = error %v", tc.in, tc.days, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseDistDays(%q, %d) = %v, want %v", tc.in, tc.days, got, tc.want)
+		}
+	}
+	for _, in := range []string{"4294967316,100", "2147483648", "-2147483649", "100,,200", "day"} {
+		if got, err := ParseDistDays(in, 300, opt); err == nil {
+			t.Errorf("ParseDistDays(%q) = %v, want error", in, got)
 		}
 	}
 }
