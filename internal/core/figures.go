@@ -656,10 +656,3 @@ func (r *Result) fig9c() (*Table, error) {
 	}
 	return t, nil
 }
-
-// FitPowerLawXY re-exposes the power-law fitting helper so examples can fit
-// a size distribution straight from a figure table.
-func FitPowerLawXY(xs, ys []float64) (alpha float64, err error) {
-	a, _, _, err := stats.FitPowerLaw(xs, ys)
-	return a, err
-}

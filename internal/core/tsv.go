@@ -128,9 +128,3 @@ func (t *Table) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(&jt)
 }
-
-// WriteFigureTSV and WriteFigureJSON are the function forms of the table
-// encoders, for callers that hold the io.Writer rather than the table
-// (the daemon's content-type dispatch).
-func WriteFigureTSV(w io.Writer, t *Table) error  { return t.WriteTSV(w) }
-func WriteFigureJSON(w io.Writer, t *Table) error { return t.WriteJSON(w) }

@@ -14,14 +14,13 @@ import "math/rand"
 // keeps every sampled figure numerically identical to the pre-checkpoint
 // pipeline.
 type Source struct {
-	seed  int64
 	draws int64
 	src   rand.Source64
 }
 
 // NewSource returns a counting source seeded with seed.
 func NewSource(seed int64) *Source {
-	return &Source{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
+	return &Source{src: rand.NewSource(seed).(rand.Source64)}
 }
 
 // Int63 implements rand.Source.
@@ -39,12 +38,9 @@ func (s *Source) Uint64() uint64 {
 
 // Seed implements rand.Source, resetting the draw count.
 func (s *Source) Seed(seed int64) {
-	s.seed, s.draws = seed, 0
+	s.draws = 0
 	s.src.Seed(seed)
 }
-
-// SeedValue returns the seed the source currently derives from.
-func (s *Source) SeedValue() int64 { return s.seed }
 
 // Draws returns the number of generator steps taken since the last seed.
 func (s *Source) Draws() int64 { return s.draws }

@@ -51,23 +51,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the smallest and largest values in xs.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. The input is not modified.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -93,9 +76,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) { return Percentile(xs, 50) }
-
 // Pearson returns the Pearson correlation coefficient of the paired samples
 // (xs[i], ys[i]). It returns 0 if either side has zero variance.
 func Pearson(xs, ys []float64) (float64, error) {
@@ -117,20 +97,4 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// MSE returns the mean squared error between predicted and observed values.
-func MSE(pred, obs []float64) (float64, error) {
-	if len(pred) != len(obs) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	var ss float64
-	for i := range pred {
-		d := pred[i] - obs[i]
-		ss += d * d
-	}
-	return ss / float64(len(pred)), nil
 }

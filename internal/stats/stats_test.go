@@ -33,19 +33,6 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v,%v", lo, hi)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Fatalf("MinMax(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	for _, tc := range []struct {
@@ -120,19 +107,6 @@ func TestPearsonRange(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMSE(t *testing.T) {
-	got, err := MSE([]float64{1, 2}, []float64{3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 2, 1e-12) {
-		t.Fatalf("MSE = %v, want 2", got)
-	}
-	if _, err := MSE(nil, nil); err != ErrEmpty {
-		t.Fatalf("want ErrEmpty, got %v", err)
 	}
 }
 

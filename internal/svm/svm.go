@@ -232,53 +232,5 @@ func (m *Model) Evaluate(x [][]float64, y []int) Metrics {
 	return out
 }
 
-// CrossValidate performs k-fold cross validation and returns the mean
-// metrics across folds. Folds are contiguous after a seeded shuffle.
-func CrossValidate(x [][]float64, y []int, k int, opt Options) (Metrics, error) {
-	if k < 2 || len(x) < k {
-		return Metrics{}, errors.New("svm: need at least k examples and k >= 2")
-	}
-	rng := stats.NewRand(opt.Seed + 1)
-	idx := rng.Perm(len(x))
-	var agg Metrics
-	folds := 0
-	for f := 0; f < k; f++ {
-		lo := f * len(x) / k
-		hi := (f + 1) * len(x) / k
-		var trX, teX [][]float64
-		var trY, teY []int
-		for p, i := range idx {
-			if p >= lo && p < hi {
-				teX = append(teX, x[i])
-				teY = append(teY, y[i])
-			} else {
-				trX = append(trX, x[i])
-				trY = append(trY, y[i])
-			}
-		}
-		model, err := Train(trX, trY, opt)
-		if err != nil {
-			// A fold may end up single-class on tiny data; skip it.
-			if errors.Is(err, ErrSingleSide) {
-				continue
-			}
-			return Metrics{}, err
-		}
-		met := model.Evaluate(teX, teY)
-		agg.PosAccuracy += met.PosAccuracy
-		agg.NegAccuracy += met.NegAccuracy
-		agg.Accuracy += met.Accuracy
-		agg.N += met.N
-		folds++
-	}
-	if folds == 0 {
-		return Metrics{}, ErrSingleSide
-	}
-	agg.PosAccuracy /= float64(folds)
-	agg.NegAccuracy /= float64(folds)
-	agg.Accuracy /= float64(folds)
-	return agg, nil
-}
-
 // Norm returns the L2 norm of the weight vector (diagnostic).
 func (m *Model) Norm() float64 { return math.Sqrt(dot(m.W, m.W)) }

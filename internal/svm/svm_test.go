@@ -154,20 +154,6 @@ func TestEvaluateEmpty(t *testing.T) {
 	}
 }
 
-func TestCrossValidate(t *testing.T) {
-	x, y := separable2D(200, 15)
-	met, err := CrossValidate(x, y, 5, Options{Seed: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.Accuracy < 0.95 {
-		t.Fatalf("cv accuracy = %v", met.Accuracy)
-	}
-	if _, err := CrossValidate(x[:3], y[:3], 5, Options{}); err == nil {
-		t.Fatal("want error for too-few examples")
-	}
-}
-
 func TestNormPositive(t *testing.T) {
 	x, y := separable2D(50, 17)
 	m, _ := Train(x, y, Options{Seed: 18})
