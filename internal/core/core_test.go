@@ -174,6 +174,21 @@ func TestHeadlineShapes(t *testing.T) {
 		t.Errorf("duplicate asymmetry missing: %v vs %v",
 			res.Merge.InactiveAtMergeFiveQ, res.Merge.InactiveAtMergeXiaonei)
 	}
+	// Fig 8a: 5Q's active share stays below Xiaonei's at every post-merge
+	// sample, and ends below where it started.
+	x, q := res.Merge.ActiveXiaonei, res.Merge.ActiveFiveQ
+	if len(q) == 0 || len(q) != len(x) {
+		t.Fatalf("active curves: %d Xiaonei samples, %d 5Q samples", len(x), len(q))
+	}
+	for i := range q {
+		if !(q[i].All < x[i].All) {
+			t.Errorf("fig8a day %d after the merge: 5Q active %.1f%% not below Xiaonei's %.1f%%",
+				q[i].DaysAfter, q[i].All, x[i].All)
+		}
+	}
+	if first, last := q[0].All, q[len(q)-1].All; !(last < first) {
+		t.Errorf("fig8a: 5Q active share did not fall: %.1f%% -> %.1f%%", first, last)
+	}
 
 	// Fig 9c: distances end below 2.5 hops, and shrink from the first
 	// sample to the last in both directions.
