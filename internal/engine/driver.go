@@ -8,21 +8,23 @@ import (
 )
 
 // driver is the engine's one dispatch path: the hooks the replay loop
-// calls for one pass. onEvent only buffers the day's events; at each day
-// boundary the day's batch is replayed into every stage, followed by its
-// OnDayEnd, one stage per item of a Pool.Fan. A budget of one runs the
-// items inline, in subscription order; a larger budget runs them on
-// borrowed tokens too. Each stage sees its own events in trace order at
-// any budget, so results do not depend on it.
+// calls for one pass. At each day boundary it runs two Pool.Fans. The
+// first is the day's apply step: item 0 folds the day's batch into the
+// shared state while items 1..k replay the same batch into each stage's
+// OnEvent, which never reads that state. The second runs every stage's
+// OnDayEnd on the complete end-of-day state. A budget of one runs the
+// items inline, in order (the apply, then each stage's events, then each
+// stage's day end); a larger budget runs them on borrowed tokens too.
+// Each stage sees its own events in trace order at any budget, so
+// results do not depend on it.
 //
-// At a day end the driver runs, in order: the stages' day work (joined),
+// At a day end the driver runs, in order: the stages' OnDayEnds (joined),
 // every Syncer's Sync, and the checkpoint cadence — so the barrier always
 // sees every stage's day work complete and the shared state quiescent.
 type driver struct {
 	stages  []Stage
 	syncers []Syncer
 	pool    *Pool
-	batch   []trace.Event // the day's events, replayed at the day end
 
 	// ctx is the run's context, handed to Sync; nil when no barrier hook
 	// is armed. A barrier error is recorded in err and cancels ctx, which
@@ -53,25 +55,33 @@ func (e *Engine) newDriver(fromDay int32) *driver {
 	return d
 }
 
-// onEvent buffers the event for the day-batch replay.
-func (d *driver) onEvent(_ *trace.State, ev trace.Event) {
-	d.batch = append(d.batch, ev)
+// apply is the pass's apply step: the day's batch goes into the shared
+// state (item 0) and into every stage's OnEvent (items 1..k) at once.
+// An apply error is returned after the join, so the replay loop ends the
+// pass before the day's OnDayEnd.
+func (d *driver) apply(ctx context.Context, st *trace.State, batch []trace.Event) error {
+	var err error
+	d.pool.Fan(1+len(d.stages), func(_, i int) {
+		if i == 0 {
+			err = st.ApplyBatch(ctx, batch, nil)
+			return
+		}
+		s := d.stages[i-1]
+		for j := range batch {
+			s.OnEvent(st, batch[j])
+		}
+	})
+	return err
 }
 
-// onDayEnd is the day barrier. The stages' day tasks fan out on the pool
+// onDayEnd is the day barrier. The stages' OnDayEnds fan out on the pool
 // (the replay goroutine runs its share, borrowed tokens run the rest)
 // and join before anything else sees the day end. Days with no events
 // still fan the OnDayEnd work out.
 func (d *driver) onDayEnd(st *trace.State, day int32) {
-	batch := d.batch
 	d.pool.Fan(len(d.stages), func(_, i int) {
-		s := d.stages[i]
-		for j := range batch {
-			s.OnEvent(st, batch[j])
-		}
-		s.OnDayEnd(st, day)
+		d.stages[i].OnDayEnd(st, day)
 	})
-	d.batch = batch[:0] // the join makes the buffer reusable next day
 	for _, y := range d.syncers {
 		if err := y.Sync(d.ctx, st, day); err != nil {
 			d.fail(err)

@@ -28,12 +28,13 @@ import (
 //
 // The contract, the same at every CPU budget:
 //
-//   - OnEvent runs at the day barrier: the engine replays the day's
-//     events to the stage after the whole day has been applied, so st is
-//     the end-of-day state, not the per-event prefix. OnEvent must not
-//     read it; it touches only the stage's own accumulators.
-//   - OnDayEnd follows the day's OnEvent calls and may read the shared
-//     state freely: at the barrier it is quiescent.
+//   - OnEvent must not read st: the engine replays the day's events to
+//     the stage while the same events are being applied to the shared
+//     state, possibly on another goroutine. It touches only the stage's
+//     own accumulators.
+//   - OnDayEnd follows the day's OnEvent calls and the day's apply, and
+//     may read the shared state freely: at the barrier it is the
+//     complete end-of-day state, and quiescent.
 //   - Stages must not mutate the shared state, and share no mutable state
 //     with each other: one stage's day work may run on a pool goroutine,
 //     concurrently with another's. The engine calls each stage's own
@@ -121,11 +122,12 @@ func (e *Engine) Hint(nodes, edges int) {
 	}
 }
 
-// SetPool gives the engine the run's CPU budget. The stages' per-day work
-// fans out on it at each day barrier (see driver); no pool, or a budget
-// of one — the default — runs that work inline. With a budget of more
-// than one token the source is also wrapped in trace.Prefetch, so decode
-// runs ahead of apply on a reader goroutine. Either way every figure is
+// SetPool gives the engine the run's CPU budget. Each day's apply, the
+// stages' event replay and their day ends fan out on it at each day
+// boundary (see driver); no pool, or a budget of one — the default —
+// runs that work inline. With a budget of more than one token the source
+// is also wrapped in trace.Prefetch, so decode runs ahead of apply on a
+// reader goroutine. Either way every figure is
 // bit-identical: the driver preserves each stage's own event order and
 // the barrier keeps Sync/checkpoint semantics unchanged, so the budget is
 // a throughput knob, never a result knob (and is deliberately absent from
@@ -177,9 +179,12 @@ func (e *Engine) EnableCheckpoints(every int32, fn CheckpointFunc) {
 // memory is the shared State plus the stages' accumulators — O(state),
 // independent of the trace's event count.
 //
-// The replay checks ctx at every day boundary and, once cancelled, no
-// stage Finish runs — the pass aborts with ctx.Err() and the partially
-// built state. A nil ctx disables the checks (unless a subscribed Syncer
+// The replay checks ctx at every day boundary and before each event is
+// applied and, once cancelled, no stage Finish runs — the pass aborts
+// with ctx.Err() and the partially built state. An event the state
+// cannot apply (a duplicate edge, a self loop) fails the pass the same
+// way, with the error ReplaySource reports and before that day's
+// OnDayEnd. A nil ctx disables the checks (unless a subscribed Syncer
 // or the checkpoint hook needs the abort machinery, in which case an
 // internal background context stands in).
 func (e *Engine) RunSourceContext(ctx context.Context, src trace.Source) (*trace.State, error) {
@@ -227,7 +232,7 @@ func (e *Engine) run(ctx context.Context, src trace.Source, st *trace.State, fro
 		// and error positions exactly (see trace.Prefetch).
 		src = trace.Prefetch(src)
 	}
-	err := trace.ReplayFrom(ctx, st, src, trace.Hooks{OnEvent: d.onEvent, OnDayEnd: d.onDayEnd}, fromDay)
+	err := trace.ReplayFrom(ctx, st, src, trace.Hooks{Apply: d.apply, OnDayEnd: d.onDayEnd}, fromDay)
 	if d.err != nil {
 		return st, d.err
 	}

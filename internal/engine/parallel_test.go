@@ -11,26 +11,20 @@ import (
 
 // recStage records everything it observes: its own event sequence, the
 // day-end sequence, and the shared graph's edge count at each day end
-// (the observable that pins the barrier — a day-end that ran before the
-// day's events were applied would see too few edges). With readState set
-// it also reads the edge count inside OnEvent, which the Stage contract
-// fixes to the end-of-day state at every budget.
+// (the observable that pins the barrier — a day end that ran before the
+// day's events were applied would see too few edges). It reads the
+// shared state only in OnDayEnd: OnEvent runs beside the day's apply.
 type recStage struct {
-	name       string
-	readState  bool
-	events     []trace.Event
-	eventEdges []int64
-	days       []int32
-	edges      []int64
-	done       bool
+	name   string
+	events []trace.Event
+	days   []int32
+	edges  []int64
+	done   bool
 }
 
 func (r *recStage) Name() string { return r.name }
-func (r *recStage) OnEvent(st *trace.State, ev trace.Event) {
+func (r *recStage) OnEvent(_ *trace.State, ev trace.Event) {
 	r.events = append(r.events, ev)
-	if r.readState {
-		r.eventEdges = append(r.eventEdges, st.Graph.NumEdges())
-	}
 }
 func (r *recStage) OnDayEnd(st *trace.State, day int32) {
 	r.days = append(r.days, day)
@@ -59,14 +53,14 @@ func parallelTestEvents() []trace.Event {
 }
 
 // runRecorded runs one engine pass at the given worker count over n
-// recorder stages, the last of which reads the shared state in OnEvent.
+// recorder stages.
 func runRecorded(t *testing.T, workers, n int) []*recStage {
 	t.Helper()
 	e := New()
 	e.SetPool(NewPool(workers))
 	var recs []*recStage
 	for i := 0; i < n; i++ {
-		r := &recStage{name: string(rune('a' + i)), readState: i == n-1}
+		r := &recStage{name: string(rune('a' + i))}
 		recs = append(recs, r)
 		e.Subscribe(r)
 	}
@@ -77,13 +71,13 @@ func runRecorded(t *testing.T, workers, n int) []*recStage {
 }
 
 // TestParallelMatchesSequential holds every stage's observed sequence —
-// events in order, day ends in order, the shared graph's edge count at
-// each day barrier, and the edge count a stage reads inside OnEvent —
-// bit-identical between a budget of one token and larger budgets. Run
-// with -race this is also the data-race gate for the day-batch hand-off.
+// events in order, day ends in order, and the shared graph's edge count
+// at each day barrier — bit-identical between a budget of one token and
+// larger budgets. Run with -race this is also the data-race gate for the
+// day's fan-out: the recorders' OnEvent calls run beside the apply that
+// mutates the shared graph, and their OnDayEnd reads follow it.
 func TestParallelMatchesSequential(t *testing.T) {
 	seq := runRecorded(t, 1, 5)
-	checkEventState(t, seq[len(seq)-1])
 	for _, workers := range []int{2, 8} {
 		par := runRecorded(t, workers, 5)
 		for i := range seq {
@@ -92,18 +86,26 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// checkEventState asserts the Stage contract's OnEvent rule: every event
-// of a day is dispatched at the day barrier, so the state a stage reads
-// in OnEvent is that day's end-of-day state, never a per-event prefix.
-func checkEventState(t *testing.T, r *recStage) {
-	t.Helper()
-	endEdges := make(map[int32]int64, len(r.days))
-	for i, day := range r.days {
-		endEdges[day] = r.edges[i]
-	}
-	for i, ev := range r.events {
-		if got, want := r.eventEdges[i], endEdges[ev.Day]; got != want {
-			t.Fatalf("OnEvent on day %d read %d edges, want the end-of-day %d", ev.Day, got, want)
+// TestParallelDayEndSeesAppliedDay asserts the Stage contract's OnDayEnd
+// rule at budgets 1, 2 and 8: the state a stage reads in OnDayEnd holds
+// every event of that day and none of a later one, although the day's
+// apply ran beside the stages' OnEvent replay.
+func TestParallelDayEndSeesAppliedDay(t *testing.T) {
+	events := parallelTestEvents()
+	for _, workers := range []int{1, 2, 8} {
+		for _, r := range runRecorded(t, workers, 3) {
+			for i, day := range r.days {
+				var want int64
+				for _, ev := range events {
+					if ev.Kind == trace.AddEdge && ev.Day <= day {
+						want++
+					}
+				}
+				if got := r.edges[i]; got != want {
+					t.Fatalf("workers=%d stage %s: OnDayEnd on day %d read %d edges, want the end-of-day %d",
+						workers, r.name, day, got, want)
+				}
+			}
 		}
 	}
 }
@@ -113,9 +115,6 @@ func compareRec(t *testing.T, workers int, got, want *recStage) {
 	if !reflect.DeepEqual(got.events, want.events) {
 		t.Fatalf("stage %s at workers=%d: event sequence diverged", got.name, workers)
 	}
-	if !reflect.DeepEqual(got.eventEdges, want.eventEdges) {
-		t.Fatalf("stage %s at workers=%d: state read in OnEvent diverged", got.name, workers)
-	}
 	if !reflect.DeepEqual(got.days, want.days) {
 		t.Fatalf("stage %s at workers=%d: days %v, want %v", got.name, workers, got.days, want.days)
 	}
@@ -124,6 +123,47 @@ func compareRec(t *testing.T, workers int, got, want *recStage) {
 	}
 	if !got.done {
 		t.Fatalf("stage %s at workers=%d: Finish did not run", got.name, workers)
+	}
+}
+
+// TestParallelApplyErrorFailsRun feeds a duplicate edge in the middle of
+// a day through a pass with no Syncer and no checkpoints (so the driver
+// holds no cancel func) at budgets 1, 2 and 8. The pass must fail with
+// the error ReplaySource reports for the same trace, run no OnDayEnd for
+// the failed day and no Finish, and not panic.
+func TestParallelApplyErrorFailsRun(t *testing.T) {
+	events := []trace.Event{
+		{Kind: trace.AddNode, Day: 0, U: 0},
+		{Kind: trace.AddNode, Day: 0, U: 1},
+		{Kind: trace.AddEdge, Day: 0, U: 0, V: 1},
+		{Kind: trace.AddNode, Day: 1, U: 2},
+		{Kind: trace.AddEdge, Day: 1, U: 1, V: 0}, // duplicate of day 0's edge
+		{Kind: trace.AddEdge, Day: 1, U: 1, V: 2},
+		{Kind: trace.AddNode, Day: 2, U: 3},
+	}
+	_, want := trace.ReplaySource(trace.SliceSource(events), trace.Hooks{})
+	if want == nil {
+		t.Fatal("ReplaySource accepted a duplicate edge")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		e := New()
+		e.SetPool(NewPool(workers))
+		recs := []*recStage{{name: "a"}, {name: "b"}, {name: "c"}}
+		for _, r := range recs {
+			e.Subscribe(r)
+		}
+		_, err := runEvents(e, events)
+		if !errors.Is(err, want) || err.Error() != want.Error() {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, want)
+		}
+		for _, r := range recs {
+			if !reflect.DeepEqual(r.days, []int32{0}) {
+				t.Fatalf("workers=%d stage %s: day ends %v, want only day 0", workers, r.name, r.days)
+			}
+			if r.done {
+				t.Fatalf("workers=%d stage %s: Finish ran after a failed apply", workers, r.name)
+			}
+		}
 	}
 }
 

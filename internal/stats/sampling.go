@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 )
@@ -10,45 +9,6 @@ import (
 // randomized code in this repository takes an explicit RNG so experiments
 // are reproducible.
 func NewRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// ReservoirInt maintains a uniform random sample of fixed size k over a
-// stream of ints (Algorithm R).
-type ReservoirInt struct {
-	k      int
-	seen   int64
-	sample []int
-	rng    *rand.Rand
-}
-
-// NewReservoirInt creates a reservoir of capacity k using rng.
-func NewReservoirInt(k int, rng *rand.Rand) (*ReservoirInt, error) {
-	if k <= 0 {
-		return nil, errors.New("stats: reservoir capacity must be positive")
-	}
-	if rng == nil {
-		return nil, errors.New("stats: nil rng")
-	}
-	return &ReservoirInt{k: k, rng: rng, sample: make([]int, 0, k)}, nil
-}
-
-// Add offers one stream element to the reservoir.
-func (r *ReservoirInt) Add(v int) {
-	r.seen++
-	if len(r.sample) < r.k {
-		r.sample = append(r.sample, v)
-		return
-	}
-	j := r.rng.Int63n(r.seen)
-	if j < int64(r.k) {
-		r.sample[j] = v
-	}
-}
-
-// Sample returns the current sample (shared slice; do not modify).
-func (r *ReservoirInt) Sample() []int { return r.sample }
-
-// Seen returns the number of elements offered so far.
-func (r *ReservoirInt) Seen() int64 { return r.seen }
 
 // SampleWithoutReplacement returns k distinct values drawn uniformly from
 // [0, n). If k >= n it returns the full range in random order.
@@ -73,29 +33,6 @@ func SampleWithoutReplacement(n, k int, rng *rand.Rand) []int {
 	}
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
-}
-
-// WeightedChoice returns an index drawn proportionally to weights. Weights
-// must be non-negative with a positive sum.
-func WeightedChoice(weights []float64, rng *rand.Rand) (int, error) {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			return 0, errors.New("stats: negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		return 0, errors.New("stats: zero total weight")
-	}
-	r := rng.Float64() * total
-	for i, w := range weights {
-		r -= w
-		if r < 0 {
-			return i, nil
-		}
-	}
-	return len(weights) - 1, nil
 }
 
 // Pareto draws from a Pareto(xm, alpha) distribution: P(X > x) = (xm/x)^alpha

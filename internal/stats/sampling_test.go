@@ -6,57 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestReservoirFillsToCapacity(t *testing.T) {
-	rng := NewRand(1)
-	r, err := NewReservoirInt(5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		r.Add(i)
-	}
-	if len(r.Sample()) != 3 || r.Seen() != 3 {
-		t.Fatalf("sample %v seen %d", r.Sample(), r.Seen())
-	}
-	for i := 3; i < 100; i++ {
-		r.Add(i)
-	}
-	if len(r.Sample()) != 5 || r.Seen() != 100 {
-		t.Fatalf("sample %v seen %d", r.Sample(), r.Seen())
-	}
-}
-
-func TestReservoirErrors(t *testing.T) {
-	if _, err := NewReservoirInt(0, NewRand(1)); err == nil {
-		t.Fatal("want capacity error")
-	}
-	if _, err := NewReservoirInt(3, nil); err == nil {
-		t.Fatal("want nil-rng error")
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each of 20 items should appear in a size-5 reservoir with p=0.25.
-	counts := make([]int, 20)
-	rng := NewRand(42)
-	const trials = 4000
-	for trial := 0; trial < trials; trial++ {
-		r, _ := NewReservoirInt(5, rng)
-		for i := 0; i < 20; i++ {
-			r.Add(i)
-		}
-		for _, v := range r.Sample() {
-			counts[v]++
-		}
-	}
-	for i, c := range counts {
-		p := float64(c) / trials
-		if math.Abs(p-0.25) > 0.04 {
-			t.Fatalf("item %d selected with p=%v, want ~0.25", i, p)
-		}
-	}
-}
-
 func TestSampleWithoutReplacement(t *testing.T) {
 	rng := NewRand(3)
 	got := SampleWithoutReplacement(100, 10, rng)
@@ -106,36 +55,6 @@ func TestSampleWithoutReplacementProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWeightedChoice(t *testing.T) {
-	rng := NewRand(11)
-	w := []float64{0, 1, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 8000; i++ {
-		j, err := WeightedChoice(w, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[j]++
-	}
-	if counts[0] != 0 {
-		t.Fatalf("zero-weight item chosen %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if math.Abs(ratio-3) > 0.4 {
-		t.Fatalf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestWeightedChoiceErrors(t *testing.T) {
-	rng := NewRand(1)
-	if _, err := WeightedChoice([]float64{0, 0}, rng); err == nil {
-		t.Fatal("want zero-total error")
-	}
-	if _, err := WeightedChoice([]float64{1, -1}, rng); err == nil {
-		t.Fatal("want negative-weight error")
 	}
 }
 

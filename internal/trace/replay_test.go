@@ -34,6 +34,40 @@ func TestReplayContextCancel(t *testing.T) {
 	}
 }
 
+// TestReplayCancelMidDay cancels the context from an OnEvent hook in the
+// middle of a day: the per-event check must stop the pass before the next
+// event reaches the state, with context.Canceled and no day end for the
+// interrupted day.
+func TestReplayCancelMidDay(t *testing.T) {
+	tr := synthTrace(40) // 7 or 8 events a day
+	const stopAfter = 10 // the third event of day 1
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen int
+	var days []int32
+	st := NewState(8, 8)
+	err := ReplayFrom(ctx, st, SliceSource(tr.Events), Hooks{
+		OnEvent: func(_ *State, _ Event) {
+			if seen++; seen == stopAfter {
+				cancel()
+			}
+		},
+		OnDayEnd: func(_ *State, day int32) { days = append(days, day) },
+	}, 0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if seen != stopAfter {
+		t.Fatalf("OnEvent fired %d times, want %d", seen, stopAfter)
+	}
+	if got := int(st.Graph.NumNodes()) + int(st.Graph.NumEdges()); got != stopAfter {
+		t.Fatalf("state holds %d events, want the %d applied before the cancel", got, stopAfter)
+	}
+	if d := tr.Events[stopAfter-1].Day; st.Day != d || len(days) != int(d) {
+		t.Fatalf("stopped on day %d after day ends %v, want day %d with day ends before it", st.Day, days, d)
+	}
+}
+
 func TestReplayBuildsState(t *testing.T) {
 	st, err := ReplaySource(SliceSource(tinyTrace()), Hooks{})
 	if err != nil {
