@@ -134,7 +134,7 @@ func TestChainGoldenBytes(t *testing.T) {
 	)
 	blobs1 := [][]byte{{3}, {}}
 	var delta bytes.Buffer
-	if err := checkpoint.Write(&delta, checkpoint.Header{Day: 3, ParentDay: 1, ParentSum: 42, ConfigHash: 7, Stages: stages}, st, blobs1, deg, blobs0); err != nil {
+	if err := checkpoint.Write(&delta, checkpoint.Header{Day: 3, ParentDay: 1, ParentSum: 42, ConfigHash: 7, Stages: stages}, st, blobs1, deg, checkpoint.BlobSums(blobs0)); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range [][]byte{full.Bytes(), delta.Bytes()} {

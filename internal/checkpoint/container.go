@@ -1,9 +1,9 @@
 package checkpoint
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"slices"
@@ -71,19 +71,36 @@ type Header struct {
 // loadable without any parent.
 func (h Header) Full() bool { return h.ParentDay < 0 }
 
+// blobSeed keys BlobSum; it is drawn per process, so a BlobSum is never
+// written anywhere.
+var blobSeed = maphash.MakeSeed()
+
+// BlobSum hashes a stage blob. A writer keeps the sums of its parent's
+// blobs instead of the blobs themselves, to tell which blobs changed.
+func BlobSum(b []byte) uint64 { return maphash.Bytes(blobSeed, b) }
+
+// BlobSums returns the BlobSum of each blob.
+func BlobSums(blobs [][]byte) []uint64 {
+	out := make([]uint64, len(blobs))
+	for i, b := range blobs {
+		out[i] = BlobSum(b)
+	}
+	return out
+}
+
 // Write renders st as a patch against its parent checkpoint, straight
 // from the live state. parentDeg is the parent state's per-node degree
-// vector (Degrees) and parentBlobs its stage blobs; both are nil for a
-// full checkpoint (h.ParentDay < 0). blobs holds one blob per h.Stages
-// entry; a blob byte-identical to the parent's is written as unchanged.
-// An error that st does not extend the parent is returned before any
-// byte is written.
-func Write(w io.Writer, h Header, st *trace.State, blobs [][]byte, parentDeg []int32, parentBlobs [][]byte) error {
+// vector (Degrees) and parentSums the BlobSums of its stage blobs; both
+// are nil for a full checkpoint (h.ParentDay < 0). blobs holds one blob
+// per h.Stages entry; a blob whose BlobSum is the parent's is written as
+// unchanged. An error that st does not extend the parent is returned
+// before any byte is written.
+func Write(w io.Writer, h Header, st *trace.State, blobs [][]byte, parentDeg []int32, parentSums []uint64) error {
 	full := h.Full()
-	if len(blobs) != len(h.Stages) || (!full && len(parentBlobs) != len(blobs)) {
-		return fmt.Errorf("checkpoint: %d blobs (%d parent) for %d stages", len(blobs), len(parentBlobs), len(h.Stages))
+	if len(blobs) != len(h.Stages) || (!full && len(parentSums) != len(blobs)) {
+		return fmt.Errorf("checkpoint: %d blobs (%d parent) for %d stages", len(blobs), len(parentSums), len(h.Stages))
 	}
-	if full && (len(parentDeg) > 0 || parentBlobs != nil) {
+	if full && (len(parentDeg) > 0 || len(parentSums) > 0) {
 		return errors.New("checkpoint: full checkpoint given a parent")
 	}
 	g := st.Graph
@@ -143,7 +160,7 @@ func Write(w io.Writer, h Header, st *trace.State, blobs [][]byte, parentDeg []i
 	}
 	e.I32(st.Day)
 	for i, b := range blobs {
-		changed := full || !bytes.Equal(b, parentBlobs[i])
+		changed := full || BlobSum(b) != parentSums[i]
 		e.Bool(changed)
 		if changed {
 			e.Bytes(b)

@@ -51,7 +51,7 @@ func link(t *testing.T, day int32, st *trace.State, blobs [][]byte, parentDay in
 		deg = Degrees(parent)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, h, st, blobs, deg, parentBlobs); err != nil {
+	if err := Write(&buf, h, st, blobs, deg, BlobSums(parentBlobs)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -141,12 +141,12 @@ func TestWriteRejectsNonExtension(t *testing.T) {
 	blobs := [][]byte{nil, nil}
 	h := Header{Day: 5, ParentDay: 1, Stages: []string{"a", "b"}}
 	var buf bytes.Buffer
-	if err := Write(&buf, h, small, blobs, Degrees(big), blobs); err == nil {
+	if err := Write(&buf, h, small, blobs, Degrees(big), BlobSums(blobs)); err == nil {
 		t.Fatal("shrinking patch accepted")
 	}
 	deg := Degrees(small)
 	deg[0] += 5 // parent claims more neighbors than the child has
-	if err := Write(&buf, h, small, blobs, deg, blobs); err == nil {
+	if err := Write(&buf, h, small, blobs, deg, BlobSums(blobs)); err == nil {
 		t.Fatal("degree-shrink patch accepted")
 	}
 	if buf.Len() != 0 {

@@ -46,7 +46,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	)
 	var delta bytes.Buffer
 	if err := Write(&delta, Header{Day: 2, ParentDay: 1, ParentSum: 9, ConfigHash: 7, Stages: stages}, st,
-		[][]byte{{8, 13}, {}}, baseDeg, baseBlobs); err != nil {
+		[][]byte{{8, 13}, {}}, baseDeg, BlobSums(baseBlobs)); err != nil {
 		f.Fatal(err)
 	}
 
@@ -94,12 +94,12 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			// Accepted input must survive a deterministic re-encode/apply.
 			var parentDeg []int32
-			var parentBlobs [][]byte
+			var parentSums []uint64
 			if !c.Header.Full() {
-				parentDeg, parentBlobs = baseDeg, baseBlobs
+				parentDeg, parentSums = baseDeg, BlobSums(baseBlobs)
 			}
 			var buf bytes.Buffer
-			if err := Write(&buf, c.Header, c.State, c.Blobs, parentDeg, parentBlobs); err != nil {
+			if err := Write(&buf, c.Header, c.State, c.Blobs, parentDeg, parentSums); err != nil {
 				t.Fatalf("accepted checkpoint does not re-encode: %v", err)
 			}
 			again := on()

@@ -186,13 +186,13 @@ func (s *UsersStage) Finish(st *trace.State) error {
 		return ""
 	}
 
-	n := st.Graph.NumNodes()
-	for int32(len(s.nodes)) < int32(n) {
-		s.nodes = append(s.nodes, nodeActivity{})
-	}
 	var nbrs []graph.NodeID
-	for u := 0; u < n; u++ {
-		a := &s.nodes[u]
+	for u := 0; u < st.Graph.NumNodes(); u++ {
+		// A node past the end of s.nodes has no edge yet.
+		var a nodeActivity
+		if u < len(s.nodes) {
+			a = s.nodes[u]
+		}
 		cu := res.finalIndex(graph.NodeID(u))
 		key := "non-community"
 		if cu >= 0 {
@@ -218,15 +218,39 @@ func (s *UsersStage) Finish(st *trace.State) error {
 		}
 	}
 	for _, v := range out.LifetimesBySize {
-		sort.Float64s(v)
+		sortDays(v)
 	}
 	for _, v := range out.InRatioBySize {
 		sort.Float64s(v)
 	}
-	sort.Float64s(out.CommunityGaps)
-	sort.Float64s(out.NonCommunityGaps)
+	sortDays(out.CommunityGaps)
+	sortDays(out.NonCommunityGaps)
 	s.impact = out
 	return nil
+}
+
+// sortDays sorts v, whose values are whole day counts, with a counting
+// sort over its min..max range: the order sort.Float64s gives, in time
+// linear in len(v) plus the range, which is at most the trace's length.
+func sortDays(v []float64) {
+	if len(v) < 2 {
+		return
+	}
+	lo, hi := v[0], v[0]
+	for _, x := range v {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	counts := make([]int, int(hi-lo)+1)
+	for _, x := range v {
+		counts[int(x-lo)]++
+	}
+	i := 0
+	for k, c := range counts {
+		for x := lo + float64(k); c > 0; c-- {
+			v[i] = x
+			i++
+		}
+	}
 }
 
 // Impact returns the assembled Fig 7 result after Finish; nil before.

@@ -160,51 +160,36 @@ func fnvSum(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// ckptStages returns the subscribed stages that belong to the state
-// plane: everything except the observational progress display, which
-// must never gate resume compatibility — toggling a stderr progress line
-// between runs is not a different computation. (A resumed run's progress
-// counter therefore counts only the replayed delta.)
-func (x *planExec) ckptStages() []engine.Stage {
-	all := x.eng.Subscribed()
-	out := all[:0]
-	for _, s := range all {
-		if _, observational := s.(*progressStage); !observational {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ckptParent is the writer's summary of the last checkpoint it wrote (or
 // restored): exactly what the next patch needs — the parent's identity
-// (day, byte hash), its state shape (degree vector), its stage blobs for
-// unchanged-detection, and its position in the chain. Holding this
-// instead of the whole parent state keeps the delta path O(nodes) in
-// memory, not O(edges).
+// (day, byte hash), its state shape (degree vector), its stage blobs'
+// sums for unchanged-detection, and its position in the chain. Holding
+// this instead of the whole parent state keeps the delta path O(nodes)
+// in memory, not O(edges), and holding blob sums instead of the blobs
+// keeps it from duplicating the live stages a ResumeHandle keeps.
 type ckptParent struct {
 	day   int32
 	sum   uint64
 	deg   []int32
-	blobs [][]byte
-	depth int // 0 = full checkpoint, k = k-th delta in its chain
+	sums  []uint64 // checkpoint.BlobSums of the stage blobs
+	depth int      // 0 = full checkpoint, k = k-th delta in its chain
 }
 
 // ResumeHandle is a single-use, in-memory resume point: the end state of
 // a successful checkpointed pass whose last checkpoint is the state it
-// ended on. It holds what that checkpoint describes — the writer's parent
-// summary (day, object hash, chain depth, degree vector, raw stage
-// blobs) under the run's fingerprint and stage set — plus the live
-// shared state itself, so the next pass over the grown trace continues
-// from memory instead of fetching, hashing and decoding the chain. The
-// handle trusts its own last write exactly as a run already does between
-// cadence checkpoints. Get one from ContinueFigures; a pass given a
-// handle consumes it whether or not it can use it.
+// ended on. It holds that pass's exec — its live stages, engine and CPU
+// budget, and the checkpoint writer's parent summary (day, object hash,
+// chain depth, degree vector, stage blob sums) under the run's
+// fingerprint and stage set — plus the live shared state itself. A next
+// pass over the grown trace that the handle describes adopts the exec and
+// continues its stages where they stopped: it fetches, hashes and decodes
+// nothing, and calls no LoadState. The handle trusts its own last write
+// exactly as a run already does between cadence checkpoints. Get one from
+// ContinueFigures; a pass given a handle consumes it whether or not it
+// can use it, and a pass that fails leaves none.
 type ResumeHandle struct {
-	hash   uint64
-	names  []string
-	parent *ckptParent
-	st     *trace.State
+	x  *planExec
+	st *trace.State
 }
 
 // take empties h and returns its former contents (the zero value for a
@@ -219,20 +204,38 @@ func (h *ResumeHandle) take() ResumeHandle {
 	return v
 }
 
-// describes reports whether the handle is the candidate's object as this
-// run would load it: same fingerprint and stage set, same day.
+// describes reports whether the handle is the candidate's object as the
+// run x would load it — same fingerprint and stage set, same day — and
+// its exec's CPU budget is x's, so x can continue on its pool.
 func (h *ResumeHandle) describes(x *planExec, cand ckptCandidate) bool {
-	return h.st != nil && h.hash == x.ckptHash && h.parent.day == cand.day && slices.Equal(h.names, x.ckptNames)
+	w := h.x
+	return w != nil && w.ckptHash == x.ckptHash && w.parent.day == cand.day &&
+		slices.Equal(w.ckptNames, x.ckptNames) && w.rt.pool.Workers() == x.rt.pool.Workers()
 }
 
-// resumeHandle returns the pass's end state as a ResumeHandle when its
-// last checkpoint describes that state (nil otherwise: checkpoints off,
-// none written or restored, or state past the last one).
+// adopt makes the handle's exec the run in place of x, a fresh
+// instantiation of plan for this call: once the handle's state proves to
+// be src's prefix (checkPrefix), the exec is bound to x's config, meta
+// and plan, and resumes from its own end state. It returns nil when the
+// probe rejects the state.
+func (h *ResumeHandle) adopt(src trace.Source, plan *FigurePlan, x *planExec) *planExec {
+	w := h.x
+	if checkPrefix(src, h.st, w.parent.day) != nil {
+		return nil
+	}
+	w.bind(plan, x.rt.cfg, x.rt.meta)
+	w.resumeState, w.resumeDay, w.resumeWarm = h.st, w.parent.day, true
+	return w
+}
+
+// resumeHandle returns the pass's exec and end state as a ResumeHandle
+// when its last checkpoint describes that state (nil otherwise:
+// checkpoints off, none written or restored, or state past the last one).
 func (x *planExec) resumeHandle(st *trace.State) *ResumeHandle {
 	if x.parent == nil || x.parent.day != st.Day {
 		return nil
 	}
-	return &ResumeHandle{hash: x.ckptHash, names: x.ckptNames, parent: x.parent, st: st}
+	return &ResumeHandle{x: x, st: st}
 }
 
 // armCheckpoints enables checkpoint writing on the instantiated run and
@@ -248,7 +251,7 @@ func (x *planExec) armCheckpoints() {
 		}
 		x.backend = storage.NewDirBackend(cfg.CheckpointDir)
 	}
-	x.ckptNames = stageNames(x.ckptStages())
+	x.ckptNames = stageNames(x.stages)
 	x.ckptHash = configFingerprint(cfg, x.rt.meta, x.ckptNames)
 	every := cfg.CheckpointEvery
 	if every <= 0 {
@@ -268,9 +271,8 @@ func (x *planExec) armCheckpoints() {
 // requirement.
 func (x *planExec) writeCheckpoint(day int32, st *trace.State) error {
 	start := time.Now()
-	stages := x.ckptStages()
-	blobs := make([][]byte, 0, len(stages))
-	for _, s := range stages {
+	blobs := make([][]byte, 0, len(x.stages))
+	for _, s := range x.stages {
 		var buf bytes.Buffer
 		if err := s.(engine.Checkpointer).SaveState(&buf); err != nil {
 			return fmt.Errorf("stage %s: %w", s.Name(), err)
@@ -284,7 +286,7 @@ func (x *planExec) writeCheckpoint(day int32, st *trace.State) error {
 	if p := x.parent; p != nil && p.depth+1 < x.rt.cfg.CheckpointFullEvery && p.day < day {
 		dh := h
 		dh.ParentDay, dh.ParentSum = p.day, p.sum
-		if checkpoint.Write(&buf, dh, st, blobs, p.deg, p.blobs) == nil {
+		if checkpoint.Write(&buf, dh, st, blobs, p.deg, p.sums) == nil {
 			h, depth = dh, p.depth+1
 		}
 	}
@@ -297,7 +299,7 @@ func (x *planExec) writeCheckpoint(day int32, st *trace.State) error {
 	if err := x.backend.Put(checkpointFileName(day), buf.Bytes()); err != nil {
 		return err
 	}
-	x.parent = &ckptParent{day: day, sum: fnvSum(buf.Bytes()), deg: checkpoint.Degrees(st), blobs: blobs, depth: depth}
+	x.parent = &ckptParent{day: day, sum: fnvSum(buf.Bytes()), deg: checkpoint.Degrees(st), sums: checkpoint.BlobSums(blobs), depth: depth}
 	if obs := x.rt.cfg.CheckpointObserver; obs != nil {
 		obs(CheckpointStat{Day: day, Delta: depth > 0, Bytes: int64(buf.Len()), Elapsed: time.Since(start)})
 	}
@@ -431,12 +433,13 @@ var testCkptAfterScan func(attempt int)
 // a plan instantiation, returning the instantiation to run (with
 // resumeState set on success, clean for a day-0 replay otherwise).
 //
-// warm is the previous pass's end state (a taken ResumeHandle), or the
-// zero value. The candidate scan runs regardless; warm only replaces the
-// load of the candidate it describes — the newest compatible one, at the
-// day of the handle's last write, under this run's fingerprint and stage
-// set. Anything else, and a warm
-// restore that fails, goes to the backend path below.
+// warm is the previous pass's exec and end state (a taken ResumeHandle),
+// or the zero value. The candidate scan runs regardless; warm only
+// replaces the load of the candidate it describes — the newest compatible
+// one, at the day of the handle's last write, under this run's
+// fingerprint, stage set and CPU budget — and then its exec is the run.
+// Anything else, and a handle whose state is not the trace's prefix, goes
+// to the backend path below.
 //
 // The single-process assumption of the original resolution does not hold
 // for a serving daemon: a refresh pass may atomically put a new
@@ -459,11 +462,9 @@ func resolveResume(plan *FigurePlan, x *planExec, src trace.Source, meta trace.M
 		rescan := false
 		for i, cand := range cands {
 			if i == 0 && warm.describes(x, cand) {
-				if err := x.restore(src, warm.st, warm.names, warm.parent); err == nil {
-					x.resumeWarm = true
-					return x
+				if w := warm.adopt(src, plan, x); w != nil {
+					return w
 				}
-				x = plan.instantiate(cfg, meta)
 			}
 			err := x.loadCheckpointChain(src, cand)
 			if err == nil {
@@ -541,43 +542,50 @@ func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) err
 			return err
 		}
 	}
-	return x.restore(src, c.State, c.Header.Stages, &ckptParent{
+	return x.restore(src, c.State, c.Header.Stages, c.Blobs, &ckptParent{
 		day:   c.Header.Day,
 		sum:   candSum,
 		deg:   checkpoint.Degrees(c.State),
-		blobs: c.Blobs,
+		sums:  checkpoint.BlobSums(c.Blobs),
 		depth: len(links) - 1,
 	})
 }
 
-// restore is the restore tail both resume sources share: a checkpoint
-// chain decoded from the backend (loadCheckpointChain) and the previous
-// pass's end state (a ResumeHandle). It cross-checks st against the
-// source, restores every state-plane stage from its blob (names[i] names
-// the stage p.blobs[i] was saved by), and seeds the writer's parent
-// summary — so the run's next checkpoint can be a delta against p — and
-// the resume point. On error the stages may be partially restored.
-func (x *planExec) restore(src trace.Source, st *trace.State, names []string, p *ckptParent) error {
-	// Consistency probe: the restored graph must account for exactly the
-	// events the trace holds through the checkpoint day (every event is
-	// one node or one edge). This catches a trace regenerated with the
-	// same seed but different generator knobs — identical fingerprint,
-	// different stream — before it can silently serve stale results.
-	if n, ok := trace.EventsThrough(src, p.day); ok {
+// checkPrefix is the consistency probe of every resume: the state st at
+// the end of day must account for exactly the events the trace holds
+// through that day (every event is one node or one edge). This catches a
+// trace regenerated with the same seed but different generator knobs —
+// identical fingerprint, different stream — before it can silently serve
+// stale results.
+func checkPrefix(src trace.Source, st *trace.State, day int32) error {
+	if n, ok := trace.EventsThrough(src, day); ok {
 		applied := int64(st.Graph.NumNodes()) + st.Graph.NumEdges()
 		if n != applied {
-			return fmt.Errorf("core: checkpoint day %d accounts for %d events, trace holds %d — not this trace's prefix", p.day, applied, n)
+			return fmt.Errorf("core: checkpoint day %d accounts for %d events, trace holds %d — not this trace's prefix", day, applied, n)
 		}
 	}
-	stages := x.ckptStages()
-	if len(p.blobs) != len(stages) || len(names) != len(stages) {
-		return fmt.Errorf("core: checkpoint has %d stage blobs, run has %d stages", len(p.blobs), len(stages))
+	return nil
+}
+
+// restore is the tail of a resume from the backend: it cross-checks the
+// decoded chain's state st against the source, restores every stage from
+// its blob (names[i] names the stage blobs[i] was saved by), and seeds
+// the writer's parent summary — so the run's next checkpoint can be a
+// delta against p — and the resume point. On error the stages may be
+// partially restored.
+func (x *planExec) restore(src trace.Source, st *trace.State, names []string, blobs [][]byte, p *ckptParent) error {
+	if err := checkPrefix(src, st, p.day); err != nil {
+		return err
+	}
+	stages := x.stages
+	if len(blobs) != len(stages) || len(names) != len(stages) {
+		return fmt.Errorf("core: checkpoint has %d stage blobs, run has %d stages", len(blobs), len(stages))
 	}
 	for i, s := range stages {
 		if names[i] != s.Name() {
 			return fmt.Errorf("core: checkpoint blob %d is %q, run stage is %q", i, names[i], s.Name())
 		}
-		if err := s.(engine.Checkpointer).LoadState(p.blobs[i]); err != nil {
+		if err := s.(engine.Checkpointer).LoadState(blobs[i]); err != nil {
 			return fmt.Errorf("core: restore stage %s: %w", s.Name(), err)
 		}
 	}

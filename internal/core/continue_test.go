@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/engine"
 
 	"repro/internal/gen"
 	"repro/internal/trace"
@@ -112,4 +115,105 @@ func TestContinueFiguresHandle(t *testing.T) {
 	if one.ResumedInMemory {
 		t.Fatal("RunFigures continued in memory")
 	}
+}
+
+// TestFinishLeavesStagesResumable pins engine.Stage's Finish rule for
+// every checkpointed stage of the full plan: a pass that finishes at day
+// d and then continues the same live stages to the trace's last day e
+// must end with the SaveState bytes and the Result of a from-zero pass to
+// e. Day d has edges and its edge count is off the α interval, so the
+// first Finish builds both the open day's Fig 2c row and an off-interval
+// α sample.
+func TestFinishLeavesStagesResumable(t *testing.T) {
+	tr, err := gen.Generate(gen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := parallelTestConfig()
+	// The first day from 230 on (past the merge day, with communities and
+	// α samples) whose edges leave the running count off the α interval.
+	var cut int
+	edges := int64(0)
+	for i, ev := range tr.Events {
+		if ev.Kind == trace.AddEdge {
+			edges++
+		}
+		last := i+1 == len(tr.Events) || tr.Events[i+1].Day != ev.Day
+		if last && ev.Day >= 230 && ev.Kind == trace.AddEdge && edges%cfg.Alpha.Interval != 0 {
+			cut = i + 1
+			break
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no day qualifies as the first Finish")
+	}
+	dir := t.TempDir()
+	prefix := encodeTrace(t, &trace.Trace{Meta: tr.Meta, Events: tr.Events[:cut]}, filepath.Join(dir, "d.trace"))
+	full := encodeTrace(t, tr, filepath.Join(dir, "e.trace"))
+	d := prefix.Meta().Days - 1
+
+	ctx := context.Background()
+	plan := fullPlan()
+	x := plan.instantiate(cfg, prefix.Meta())
+	_, st, err := x.run(ctx, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.bind(plan, x.rt.cfg, full.Meta())
+	x.resumeState, x.resumeDay = st, d
+	got, _, err := x.run(ctx, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := plan.instantiate(cfg, full.Meta())
+	want, _, err := z.run(ctx, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRuns(t, fmt.Sprintf("finished at day %d, continued", d), want, got)
+	if len(x.stages) != len(z.stages) {
+		t.Fatalf("continued run has %d stages, from-zero run %d", len(x.stages), len(z.stages))
+	}
+	for i, s := range x.stages {
+		var a, b bytes.Buffer
+		if err := s.(engine.Checkpointer).SaveState(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := z.stages[i].(engine.Checkpointer).SaveState(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("stage %s: state after Finish at day %d and continuing differs from the from-zero state", s.Name(), d)
+		}
+	}
+}
+
+// TestHandleAtAnotherBudget: a handle from a pass at another CPU budget
+// is not continued, since its stages draw on that pass's pool. The pass
+// reads the checkpoint the handle describes back from the backend
+// instead, and still matches the from-zero run.
+func TestHandleAtAnotherBudget(t *testing.T) {
+	srcs := horizons(t, 270, 300)
+	figs := []string{"fig1d", "fig4a", "fig5a"}
+	cfg := resumeTestConfig(t.TempDir())
+	cfg.Resume, cfg.Workers = true, 2
+	_, h, err := ContinueFigures(nil, srcs[0], cfg, nil, figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Workers = 3
+	res, _, err := ContinueFigures(nil, srcs[1], cfg, h, figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ResumedInMemory || res.ResumedFromDay != 269 {
+		t.Fatalf("handle at another budget: ResumedInMemory %v from day %d, want the day-269 checkpoint", res.ResumedInMemory, res.ResumedFromDay)
+	}
+	plain := cfg
+	plain.CheckpointDir, plain.Resume = "", false
+	want, err := RunFigures(nil, srcs[1], plain, figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRuns(t, "other budget", want, res)
 }

@@ -116,6 +116,12 @@ func (r *Result) Figure(id string) (*Table, error) {
 // rrserved seals a Result before publishing it, and a refresh pass builds
 // an entirely new Result rather than touching a published one.
 //
+// A sealed Result serves its tables. Its stage-output fields (Growth,
+// Evolution, Community, ...) may share storage with the live stages once
+// the next pass runs: ContinueFigures continues those stages in place.
+// Read panels through Figure, not through the fields, once a later pass
+// may have started.
+//
 // Seal itself must not race with other access: call it from the goroutine
 // that built the Result, before sharing it.
 func (r *Result) Seal() {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/checkpoint"
 	"repro/internal/community"
 	"repro/internal/engine"
 	"repro/internal/evolution"
@@ -33,11 +32,12 @@ type StageSpec struct {
 	// Figures lists the panel ids this stage produces, in paper order.
 	Figures []string
 
-	// subscribe instantiates the stage and subscribes it to the shared
-	// engine pass; the one stage that only runs after it (svm) leaves it
-	// nil. The δ-sweep subscribes too — it fans per-snapshot detector
-	// tasks out on the pool from inside the pass (community.SweepStage).
-	subscribe func(rt *planRT, eng *engine.Engine)
+	// stage instantiates the stage the spec subscribes to the shared
+	// engine pass, or returns nil when there is none for this run; the
+	// one spec that only runs after the pass (svm) leaves it nil. The
+	// δ-sweep subscribes too — it fans per-snapshot detector tasks out on
+	// the pool from inside the pass (community.SweepStage).
+	stage func(rt *planRT) engine.Stage
 	// afterPass submits pool tasks that depend on the shared pass having
 	// finished (the SVM evaluation reads the community stage's result).
 	afterPass func(ctx context.Context, rt *planRT, pool *engine.Pool)
@@ -77,7 +77,7 @@ var stageRegistry = []*StageSpec{
 	{
 		Name:    metrics.StageName,
 		Figures: []string{"fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f"},
-		subscribe: func(rt *planRT, eng *engine.Engine) {
+		stage: func(rt *planRT) engine.Stage {
 			rt.metrics = metrics.NewStage(metrics.StageOptions{
 				MetricsEvery:      rt.cfg.MetricsEvery,
 				PathEvery:         rt.cfg.PathEvery,
@@ -86,7 +86,7 @@ var stageRegistry = []*StageSpec{
 				Seed:              rt.cfg.Seed,
 				Pool:              rt.pool,
 			})
-			eng.Subscribe(rt.metrics)
+			return rt.metrics
 		},
 		harvest: func(rt *planRT) {
 			rt.res.Growth = rt.metrics.Growth
@@ -104,9 +104,9 @@ var stageRegistry = []*StageSpec{
 	{
 		Name:    evolution.StageName,
 		Figures: []string{"fig2a", "fig2b", "fig2c"},
-		subscribe: func(rt *planRT, eng *engine.Engine) {
+		stage: func(rt *planRT) engine.Stage {
 			rt.evo = evolution.NewStage(rt.cfg.Evolution)
-			eng.Subscribe(rt.evo)
+			return rt.evo
 		},
 		harvest: func(rt *planRT) { rt.res.Evolution = rt.evo.Result() },
 		emitters: map[string]func(*Result) (*Table, error){
@@ -118,9 +118,9 @@ var stageRegistry = []*StageSpec{
 	{
 		Name:    evolution.AlphaStageName,
 		Figures: []string{"fig3a", "fig3b", "fig3c"},
-		subscribe: func(rt *planRT, eng *engine.Engine) {
+		stage: func(rt *planRT) engine.Stage {
 			rt.alpha = evolution.NewAlphaStage(rt.cfg.Alpha)
-			eng.Subscribe(rt.alpha)
+			return rt.alpha
 		},
 		harvest: func(rt *planRT) { rt.res.Alpha = rt.alpha.Result() },
 		emitters: map[string]func(*Result) (*Table, error){
@@ -132,10 +132,10 @@ var stageRegistry = []*StageSpec{
 	{
 		Name:    community.StageName,
 		Figures: []string{"fig5a", "fig5b", "fig5c", "fig6a", "fig6c"},
-		subscribe: func(rt *planRT, eng *engine.Engine) {
+		stage: func(rt *planRT) engine.Stage {
 			rt.comm = community.NewStage(rt.cfg.Community)
 			rt.comm.Share(rt.snaps, rt.pool)
-			eng.Subscribe(rt.comm)
+			return rt.comm
 		},
 		harvest: func(rt *planRT) { rt.res.Community = rt.comm.Result() },
 		emitters: map[string]func(*Result) (*Table, error){
@@ -150,12 +150,12 @@ var stageRegistry = []*StageSpec{
 		Name:    community.UsersStageName,
 		Deps:    []string{community.StageName},
 		Figures: []string{"fig7a", "fig7b", "fig7c"},
-		subscribe: func(rt *planRT, eng *engine.Engine) {
+		stage: func(rt *planRT) engine.Stage {
 			// The community stage subscribes first (registry order), so its
 			// Finish has sealed the final snapshot by the time this stage
 			// classifies users against it.
 			rt.users = community.NewUsersStage(nil, rt.comm.Result)
-			eng.Subscribe(rt.users)
+			return rt.users
 		},
 		harvest: func(rt *planRT) { rt.res.Users = rt.users.Impact() },
 		emitters: map[string]func(*Result) (*Table, error){
@@ -183,7 +183,7 @@ var stageRegistry = []*StageSpec{
 	{
 		Name:    community.SweepStageName,
 		Figures: []string{"fig4a", "fig4b", "fig4c"},
-		subscribe: func(rt *planRT, eng *engine.Engine) {
+		stage: func(rt *planRT) engine.Stage {
 			// The δ-sweep subscribes to the same shared pass as every
 			// other stage: the engine maintains the single evolving graph,
 			// and at each snapshot day the stage takes the day's one
@@ -193,11 +193,11 @@ var stageRegistry = []*StageSpec{
 			// source per δ. A no-figure plan reaches here with whatever
 			// δ list the config has; with an empty one nothing runs.
 			if len(rt.cfg.DeltaSweep) == 0 {
-				return
+				return nil
 			}
 			rt.sweep = community.NewSweepStage(rt.cfg.Community, rt.cfg.DeltaSweep, rt.pool)
 			rt.sweep.Share(rt.snaps)
-			eng.Subscribe(rt.sweep)
+			return rt.sweep
 		},
 		harvest: func(rt *planRT) {
 			if rt.sweep == nil {
@@ -225,15 +225,15 @@ var stageRegistry = []*StageSpec{
 	{
 		Name:    osnmerge.StageName,
 		Figures: []string{"fig8a", "fig8b", "fig8c", "fig9a", "fig9b", "fig9c"},
-		subscribe: func(rt *planRT, eng *engine.Engine) {
+		stage: func(rt *planRT) engine.Stage {
 			// The §5 analysis only exists for traces with a merge event;
 			// without one the stage stays unsubscribed and its figures
 			// report ErrStageSkipped.
 			if rt.meta.MergeDay < 0 {
-				return
+				return nil
 			}
 			rt.merge = osnmerge.NewStage(rt.meta.MergeDay, rt.cfg.Merge)
-			eng.Subscribe(rt.merge)
+			return rt.merge
 		},
 		harvest: func(rt *planRT) {
 			if rt.merge != nil {
@@ -448,9 +448,12 @@ func (p *FigurePlan) Figures() []string {
 	return out
 }
 
-// progressStage adapts Config.OnProgress to a named, checkpointable
-// stage: the cumulative event count is externalized so a resumed run's
-// progress line continues from the checkpoint's count instead of zero.
+// progressStage adapts Config.OnProgress to a named stage. It is not
+// part of the state plane — toggling a stderr progress line between runs
+// is not a different computation — so no checkpoint holds it, and a
+// resumed run counts only the days it replays. It implements
+// engine.Checkpointer with no state only because an engine with
+// checkpoints armed refuses a stage that does not.
 type progressStage struct {
 	events int64
 	fn     func(day int32, events int64)
@@ -460,28 +463,21 @@ func (p *progressStage) Name() string                          { return "progres
 func (p *progressStage) OnEvent(_ *trace.State, _ trace.Event) { p.events++ }
 func (p *progressStage) OnDayEnd(_ *trace.State, day int32)    { p.fn(day, p.events) }
 func (p *progressStage) Finish(_ *trace.State) error           { return nil }
-
-// SaveState implements engine.Checkpointer.
-func (p *progressStage) SaveState(w io.Writer) error {
-	e := checkpoint.NewEncoder(w)
-	e.I64(p.events)
-	return e.Flush()
-}
-
-// LoadState implements engine.Checkpointer.
-func (p *progressStage) LoadState(data []byte) error {
-	d := checkpoint.NewDecoder(data)
-	p.events = d.I64()
-	return d.Err()
-}
+func (p *progressStage) SaveState(io.Writer) error             { return nil }
+func (p *progressStage) LoadState([]byte) error                { return nil }
 
 // planExec is one instantiation of a FigurePlan over a concrete trace:
-// the engine with every plan stage subscribed, plus the runtime the specs
-// share. Split from run so tests can assert the subscription set.
+// the plan's stages, the engine they are subscribed to, plus the runtime
+// the specs share. Split from run so tests can assert the subscription
+// set. A successful checkpointed pass hands its exec on in a
+// ResumeHandle, and the next pass continues it (adopt).
 type planExec struct {
 	plan *FigurePlan
 	rt   *planRT
 	eng  *engine.Engine
+	// stages are the analysis stages in subscription order: the state
+	// plane, which the progress display is not part of.
+	stages []engine.Stage
 
 	// backend, ckptHash, and ckptNames identify where checkpoints live
 	// and which are compatible, when checkpointing is armed
@@ -495,43 +491,59 @@ type planExec struct {
 	// first full is written; writes fall back to full without it).
 	parent *ckptParent
 
-	// resumeState/resumeDay carry a restored checkpoint into run: the
-	// shared state at the end of resumeDay, with every subscribed stage
-	// already restored via LoadState. resumeWarm marks a state that came
-	// from a ResumeHandle rather than from the backend.
+	// resumeState/resumeDay carry the resume point into run: the shared
+	// state at the end of resumeDay, with every stage at that day too —
+	// restored via LoadState, or live from the previous pass.
+	// resumeWarm marks the live case (a ResumeHandle's exec).
 	resumeState *trace.State
 	resumeDay   int32
 	resumeWarm  bool
 }
 
 // instantiate builds the run: defaults the config, constructs each stage
-// from it (the stages that fan out get the run's CPU budget), and
-// subscribes the shared-pass stages in registry order.
+// from it (the stages that fan out get the run's CPU budget), and binds
+// the call's inputs (bind).
 func (p *FigurePlan) instantiate(cfg Config, meta trace.Meta) *planExec {
 	cfg = cfg.withDefaults()
 	// One budget serves the whole run: the sweep/SVM tasks, the engine's
 	// day-batch dispatch, and the sampled-BFS lane batches all draw on
 	// its cfg.Workers tokens, one of which the replay goroutine holds.
-	rt := &planRT{cfg: cfg, meta: meta, res: &Result{Meta: meta, ResumedFromDay: -1}, pool: engine.NewPool(cfg.Workers), snaps: new(community.Snapshots)}
-	eng := engine.New()
-	eng.Hint(int(meta.Nodes), int(meta.Edges))
-	eng.SetPool(rt.pool)
+	rt := &planRT{cfg: cfg, meta: meta, pool: engine.NewPool(cfg.Workers), snaps: new(community.Snapshots)}
+	x := &planExec{rt: rt}
 	for _, s := range p.specs {
-		if s.subscribe != nil {
-			s.subscribe(rt, eng)
+		if s.stage != nil {
+			if st := s.stage(rt); st != nil {
+				x.stages = append(x.stages, st)
+			}
 		}
 	}
+	x.bind(p, cfg, meta)
+	return x
+}
+
+// bind gives the exec one call's inputs that lie outside the checkpoint
+// fingerprint: the plan (its requested figures), the config (OnProgress,
+// CheckpointObserver and the storage knobs), the trace's meta, and a
+// fresh Result. It subscribes the stages, in registry order, to a new
+// engine on the exec's pool and arms checkpointing. instantiate binds a
+// new exec; a pass that adopts a ResumeHandle's exec binds it again.
+func (x *planExec) bind(p *FigurePlan, cfg Config, meta trace.Meta) {
+	x.plan = p
+	x.rt.cfg, x.rt.meta = cfg, meta
+	x.rt.res = &Result{Meta: meta, ResumedFromDay: -1}
+	x.eng = engine.New()
+	x.eng.Hint(int(meta.Nodes), int(meta.Edges))
+	x.eng.SetPool(x.rt.pool)
+	x.eng.Subscribe(x.stages...)
 	// The progress hook observes the shared pass, so it only subscribes
 	// when some analysis stage gives that pass a reason to run (with an
 	// empty δ list even a sweep-only plan subscribes nothing). By day-end
 	// every event has been dispatched to all subscribers, so position in
 	// the subscription order doesn't change the reported counts.
-	if cfg.OnProgress != nil && eng.Stages() > 0 {
-		eng.Subscribe(&progressStage{fn: cfg.OnProgress})
+	if cfg.OnProgress != nil && len(x.stages) > 0 {
+		x.eng.Subscribe(&progressStage{fn: cfg.OnProgress})
 	}
-	x := &planExec{plan: p, rt: rt, eng: eng}
 	x.armCheckpoints()
-	return x
 }
 
 // run executes the instantiated plan: the engine runs the shared pass
@@ -592,13 +604,14 @@ func (x *planExec) run(ctx context.Context, src trace.Source) (*Result, *trace.S
 }
 
 // runPlan is the execution entry shared by RunPlan and ContinueFigures.
-// With Config.Resume set it restores the latest compatible checkpoint —
-// latest checkpoint day not past the trace's last day, exact stage-set and
-// fingerprint match — from warm when warm is that checkpoint's end state,
-// else from the backend, and replays only the days after it; any restore
-// problem discards the instantiation and falls back to a from-zero run, so
-// resume is never worse than not resuming. A successful checkpointed pass returns its
-// own end state as the next pass's handle.
+// With Config.Resume set it resumes from the latest compatible checkpoint
+// — latest checkpoint day not past the trace's last day, exact stage-set
+// and fingerprint match — and replays only the days after it: by
+// continuing warm's exec when warm ended on that checkpoint, else by
+// restoring it from the backend. Any restore problem discards the
+// instantiation and falls back to a from-zero run, so resume is never
+// worse than not resuming. A successful checkpointed pass returns its own
+// exec and end state as the next pass's handle.
 func runPlan(ctx context.Context, src trace.Source, meta trace.Meta, cfg Config, plan *FigurePlan, warm ResumeHandle) (*Result, *ResumeHandle, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -653,11 +666,17 @@ func RunFigures(ctx context.Context, src trace.MetaSource, cfg Config, figures .
 // is the handle the previous pass returned (nil on a cold start or after
 // a failed pass), and is consumed whether or not it is used: when the
 // newest compatible checkpoint is the one that pass ended on, the run
-// continues from the pass's end state in memory instead of reading the
-// chain back from the backend; any other case resumes as RunFigures does.
-// The returned handle, nil when the pass leaves no usable end state, is
-// the resume point for the next pass. It holds this pass's state, which
-// the next pass mutates, so nothing else may keep it.
+// continues that pass's live stages and state in memory instead of
+// reading the chain back from the backend; any other case resumes as
+// RunFigures does. The returned handle, nil when the pass leaves no
+// usable end state, is the resume point for the next pass. It holds this
+// pass's stages and state, which the next pass mutates, so nothing else
+// may keep it.
+//
+// The returned Result is this pass's own, but once the next pass runs,
+// its stage-output fields (Growth, Community, ...) may share storage with
+// the live stages that pass mutates. Seal it before the next pass: a
+// sealed Result serves its tables, which nothing mutates.
 func ContinueFigures(ctx context.Context, src trace.MetaSource, cfg Config, from *ResumeHandle, figures ...string) (*Result, *ResumeHandle, error) {
 	warm := from.take()
 	plan, err := Plan(cfg, figures...)

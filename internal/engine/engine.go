@@ -40,6 +40,11 @@ import (
 //     concurrently with another's. The engine calls each stage's own
 //     callbacks from one goroutine at a time, in trace order, with a
 //     happens-before edge between days, so a stage needs no locking.
+//   - Finish builds the result from the stage's accumulators and leaves
+//     them as they were. A stage may be fed more days after a Finish (a
+//     resumed pass continues the live stages of the previous one), and
+//     must then reach exactly the state of a stage that never finished:
+//     the same SaveState bytes, the same next result.
 type Stage interface {
 	Name() string
 	OnEvent(st *trace.State, ev trace.Event)
@@ -151,12 +156,6 @@ func (e *Engine) Subscribe(stages ...Stage) {
 // Stages returns the number of subscribed stages, letting callers skip the
 // replay pass entirely when nothing is listening.
 func (e *Engine) Stages() int { return len(e.stages) }
-
-// Subscribed returns the subscribed stages in subscription order. The
-// checkpoint plane uses it to pair each stage with its serialized blob.
-func (e *Engine) Subscribed() []Stage {
-	return append([]Stage(nil), e.stages...)
-}
 
 // EnableCheckpoints arms the checkpoint hook: at every day boundary whose
 // day is a positive multiple of `every`, fn runs at the Sync barrier with

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -79,15 +80,16 @@ const (
 // Name implements engine.Stage.
 func (s *Stage) Name() string { return StageName }
 
-func (s *Stage) flushDay() {
+// openDay appends the open edge day's Fig 2c row to rows, if it has one.
+func (s *Stage) openDay(rows []MinAgeDay) []MinAgeDay {
 	if s.curDay < 0 || s.dayTotal == 0 {
-		return
+		return rows
 	}
 	fr := make([]float64, len(s.dayHits))
 	for i, h := range s.dayHits {
 		fr[i] = float64(h) / float64(s.dayTotal)
 	}
-	s.minAge = append(s.minAge, MinAgeDay{Day: s.curDay, Frac: fr, Total: s.dayTotal})
+	return append(rows, MinAgeDay{Day: s.curDay, Frac: fr, Total: s.dayTotal})
 }
 
 // growLastEdge extends the lastEdge column to cover node u, filling new
@@ -138,7 +140,7 @@ func (s *Stage) OnEvent(_ *trace.State, ev trace.Event) {
 	case trace.AddEdge:
 		s.hasEdges = true
 		if ev.Day != s.curDay {
-			s.flushDay()
+			s.minAge = s.openDay(s.minAge)
 			s.curDay = ev.Day
 			s.dayTotal = 0
 			for i := range s.dayHits {
@@ -180,12 +182,13 @@ func (s *Stage) OnEvent(_ *trace.State, ev trace.Event) {
 func (s *Stage) OnDayEnd(_ *trace.State, _ int32) {}
 
 // Finish assembles the Fig 2 Result; ErrNoEdges if the trace had no edges.
+// The open edge day's Fig 2c row goes into the Result only: the stage's
+// own rows stay as they were, so the pass can continue.
 func (s *Stage) Finish(_ *trace.State) error {
-	s.flushDay()
 	if !s.hasEdges {
 		return ErrNoEdges
 	}
-	res := &Result{MinAge: s.minAge}
+	res := &Result{MinAge: s.openDay(slices.Clip(s.minAge))}
 	for i, h := range s.hists {
 		b := InterArrivalBucket{Bucket: s.opt.Buckets[i], PDF: h.Buckets(), Samples: h.Total()}
 		if gamma, err := powerlaw.FitBucketPDF(b.PDF); err == nil {

@@ -143,7 +143,13 @@ func (s *Stage) OnDayEnd(st *trace.State, day int32) {
 }
 
 // Finish implements engine.Stage; the series are complete after the pass.
-func (s *Stage) Finish(st *trace.State) error { return nil }
+// It drops the path sampler's BFS scratch (three words per node per
+// worker): a continued pass regrows it on its next path day, and a
+// daemon does not keep it resident between advances.
+func (s *Stage) Finish(st *trace.State) error {
+	s.paths.workers = nil
+	return nil
+}
 
 // stageStateV1 versions the stage's checkpoint blob.
 const stageStateV1 = 1

@@ -2,6 +2,7 @@ package powerlaw
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/stats"
@@ -61,17 +62,19 @@ func (t *AlphaTracker) ObserveEdge(u, v graph.NodeID, day int32) {
 	t.random.ObserveEdge(u, v)
 	n := t.higher.Steps()
 	if n >= t.MinEdges && n%t.Interval == 0 {
-		t.snapshot(day)
+		t.samples = t.snapshot(t.samples, day)
 	}
 }
 
-func (t *AlphaTracker) snapshot(day int32) {
+// snapshot appends α fitted at the current edge count, stamped day, to
+// samples; a fit that fails leaves samples as they were.
+func (t *AlphaTracker) snapshot(samples []AlphaSample, day int32) []AlphaSample {
 	ah, _, mh, errH := t.higher.Fit()
 	ar, _, mr, errR := t.random.Fit()
 	if errH != nil || errR != nil {
-		return
+		return samples
 	}
-	t.samples = append(t.samples, AlphaSample{
+	return append(samples, AlphaSample{
 		Edges:       t.higher.Steps(),
 		Day:         day,
 		AlphaHigher: ah,
@@ -81,18 +84,17 @@ func (t *AlphaTracker) snapshot(day int32) {
 	})
 }
 
-// Finish takes a final checkpoint (if the stream did not end exactly on an
-// interval boundary) and returns all samples.
+// Finish returns all samples plus a final one if the stream did not end
+// exactly on an interval boundary. The final sample goes into the
+// returned slice only, so the tracker can keep observing.
 func (t *AlphaTracker) Finish(day int32) []AlphaSample {
+	out := slices.Clip(t.samples)
 	n := t.higher.Steps()
-	if n >= t.MinEdges && (len(t.samples) == 0 || t.samples[len(t.samples)-1].Edges != n) {
-		t.snapshot(day)
+	if n >= t.MinEdges && (len(out) == 0 || out[len(out)-1].Edges != n) {
+		out = t.snapshot(out, day)
 	}
-	return t.samples
+	return out
 }
-
-// Samples returns the checkpoints taken so far.
-func (t *AlphaTracker) Samples() []AlphaSample { return t.samples }
 
 // Estimator returns the underlying estimator for the given rule, for callers
 // that want the raw p_e(d) points (Figs 3a–3b).

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -361,4 +362,72 @@ func TestBackendOnlyServer(t *testing.T) {
 	if ck := st.Storage.Checkpoints; ck == nil || ck.Objects != len(objs) {
 		t.Fatalf("/statz checkpoints section %+v, want %d objects", ck, len(objs))
 	}
+}
+
+// TestPublishedGenerationSurvivesAdvance: a published generation keeps
+// serving the same bytes while the next advance continues the live
+// stages its Result came from. A reader holding generation k fetches
+// every panel of it for as long as advance k+1 runs (under -race in CI),
+// and each read must equal the bytes read before that advance started.
+func TestPublishedGenerationSurvivesAdvance(t *testing.T) {
+	dir := t.TempDir()
+	srcs := prefixTraces(t, dir, []int32{fxBaseDays, fxBaseDays + 5, fxBaseDays + 15})
+	srv := warmTestServer(t, srcs[0], filepath.Join(dir, "live.trace"), filepath.Join(dir, "ckpt"))
+	if advanced, _, err := srv.AdvanceTo(context.Background(), srcs[1]); err != nil || !advanced {
+		t.Fatalf("advance 1: advanced=%v err=%v", advanced, err)
+	}
+	gen := srv.Snapshot()
+	if gen.ResumedVia != "memory" {
+		t.Fatalf("advance 1 resumed via %q, want memory", gen.ResumedVia)
+	}
+	ids := gen.Res.Figures()
+	before := map[string][]byte{}
+	for _, id := range ids {
+		before[id] = encodeFigure(t, gen.Res, id, core.FormatTSV)
+	}
+
+	read := func() error {
+		for _, id := range ids {
+			tab, err := gen.Res.Figure(id)
+			if err != nil {
+				return fmt.Errorf("%s: %v", id, err)
+			}
+			var buf bytes.Buffer
+			if err := tab.Write(&buf, core.FormatTSV); err != nil {
+				return err
+			}
+			if !bytes.Equal(buf.Bytes(), before[id]) {
+				return fmt.Errorf("%s of day %d changed while the next advance ran", id, gen.Day)
+			}
+		}
+		return nil
+	}
+	done := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		for {
+			if err := read(); err != nil {
+				errc <- err
+				return
+			}
+			select {
+			case <-done:
+				errc <- nil
+				return
+			default:
+			}
+		}
+	}()
+	advanced, _, err := srv.AdvanceTo(context.Background(), srcs[2])
+	close(done)
+	if rerr := <-errc; rerr != nil {
+		t.Fatal(rerr)
+	}
+	if err != nil || !advanced || srv.Snapshot().ResumedVia != "memory" {
+		t.Fatalf("advance 2: advanced=%v err=%v via %q", advanced, err, srv.Snapshot().ResumedVia)
+	}
+	if err := read(); err != nil {
+		t.Fatal(err)
+	}
+	assertFromZero(t, srv, srcs[2])
 }

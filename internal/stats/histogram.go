@@ -6,68 +6,6 @@ import (
 	"sort"
 )
 
-// Histogram is a fixed-width linear histogram over [Min, Max).
-// Samples outside the range are counted in the under/overflow counters.
-type Histogram struct {
-	Min, Max  float64
-	Counts    []int64
-	Underflow int64
-	Overflow  int64
-	total     int64
-}
-
-// NewHistogram creates a histogram with n equal-width bins over [min, max).
-func NewHistogram(min, max float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, errors.New("stats: histogram needs at least one bin")
-	}
-	if !(min < max) {
-		return nil, errors.New("stats: histogram needs min < max")
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int64, n)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Min:
-		h.Underflow++
-	case x >= h.Max:
-		h.Overflow++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // guard against floating-point edge
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}
-
-// PDF returns the per-bin probability density (count / total / binwidth)
-// over in-range samples only.
-func (h *Histogram) PDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	in := h.total - h.Underflow - h.Overflow
-	if in == 0 {
-		return out
-	}
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(in) / w
-	}
-	return out
-}
-
 // LogHistogram bins positive samples into logarithmically spaced buckets,
 // the standard tool for visualizing power-law distributions (Figs 2a, 4c, 5a).
 type LogHistogram struct {

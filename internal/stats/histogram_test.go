@@ -6,67 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	if h.Underflow != 1 {
-		t.Fatalf("underflow = %d", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Fatalf("overflow = %d", h.Overflow)
-	}
-	want := []int64{2, 1, 1, 0, 1}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Fatalf("counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("want bin-count error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("want min<max error")
-	}
-}
-
-func TestHistogramPDFIntegratesToOne(t *testing.T) {
-	h, _ := NewHistogram(0, 1, 17)
-	rng := NewRand(7)
-	for i := 0; i < 10000; i++ {
-		h.Add(rng.Float64())
-	}
-	pdf := h.PDF()
-	w := 1.0 / 17
-	var integral float64
-	for _, d := range pdf {
-		integral += d * w
-	}
-	if !almostEq(integral, 1, 1e-9) {
-		t.Fatalf("integral = %v", integral)
-	}
-}
-
-func TestHistogramBinCenter(t *testing.T) {
-	h, _ := NewHistogram(0, 10, 5)
-	if got := h.BinCenter(0); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("center(0) = %v", got)
-	}
-	if got := h.BinCenter(4); !almostEq(got, 9, 1e-12) {
-		t.Fatalf("center(4) = %v", got)
-	}
-}
-
 func TestLogHistogram(t *testing.T) {
 	h, err := NewLogHistogram(2)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package stats provides the small numeric substrate used throughout the
-// reproduction: descriptive statistics, histograms (linear and logarithmic),
-// empirical distribution functions, least-squares fitting (linear and
-// polynomial), correlation, and deterministic sampling helpers.
+// reproduction: descriptive statistics, logarithmic histograms, empirical
+// distribution functions, least-squares line and polynomial fits,
+// and deterministic sampling helpers.
 //
 // Everything here is dependency-free and deterministic given a seed, so the
 // figure harnesses are reproducible run to run.
@@ -74,27 +74,4 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Pearson returns the Pearson correlation coefficient of the paired samples
-// (xs[i], ys[i]). It returns 0 if either side has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

@@ -66,50 +66,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	r, err := Pearson(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(r, 1, 1e-12) {
-		t.Fatalf("perfect positive correlation = %v", r)
-	}
-	neg := []float64{8, 6, 4, 2}
-	r, _ = Pearson(xs, neg)
-	if !almostEq(r, -1, 1e-12) {
-		t.Fatalf("perfect negative correlation = %v", r)
-	}
-	flat := []float64{5, 5, 5, 5}
-	r, _ = Pearson(xs, flat)
-	if r != 0 {
-		t.Fatalf("zero-variance correlation = %v, want 0", r)
-	}
-	if _, err := Pearson(xs, xs[:2]); err == nil {
-		t.Fatal("want length-mismatch error")
-	}
-}
-
-func TestPearsonRange(t *testing.T) {
-	// Property: |r| <= 1 for random inputs.
-	f := func(seedRaw int64) bool {
-		rng := NewRand(seedRaw)
-		n := 2 + rng.Intn(50)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-			ys[i] = rng.NormFloat64()
-		}
-		r, err := Pearson(xs, ys)
-		return err == nil && r >= -1.0000001 && r <= 1.0000001
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFitLine(t *testing.T) {
 	// y = 3 + 2x exactly.
 	xs := []float64{0, 1, 2, 3}
