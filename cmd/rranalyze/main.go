@@ -11,6 +11,8 @@
 //	rranalyze -trace grown.trace -out figures/ -checkpoint-dir ckpts -dist-days 150,225,297 -resume
 //	rranalyze -trace renren.trace -validate -progress -out figures/
 //	rranalyze -trace renren.seg -info -checkpoint-dir ckpts  # trace stats + checkpoint inventory
+//	rranalyze -trace renren.trace -only fig8c -out -         # print the tables to stdout
+//	rranalyze -list                                          # figure id -> producing stage
 //
 // Without -only every registered stage runs and all 30 panels are written;
 // the Fig 4 panels need -deltas. -dist-days defaults to three late snapshot
@@ -41,7 +43,7 @@ func main() {
 	log.SetPrefix("rranalyze: ")
 
 	tracePath := flag.String("trace", "", "input trace file (required)")
-	outDir := flag.String("out", "figures", "output directory for per-figure tables")
+	outDir := flag.String("out", "figures", "output directory for per-figure tables, or - to print them to stdout, each followed by a blank line")
 	format := flag.String("format", "tsv", "output format for figure tables: tsv or json (sets the file extension)")
 	only := flag.String("only", "", "comma-separated figure ids; plans and runs exactly the stages they need")
 	deltas := flag.String("deltas", "", "comma-separated Louvain δ values for the Fig 4 sweep, e.g. 0.01,0.04,0.16")
@@ -51,6 +53,7 @@ func main() {
 	checkpointFullEvery := flag.Int("checkpoint-full-every", 0, "tiered cadence: of every N checkpoints write 1 full and N-1 deltas against their predecessor (<=1 = all full)")
 	checkpointKeep := flag.Int("checkpoint-keep", 0, "retain only the newest N full checkpoints (plus their delta chains) under this config's fingerprint (0 = keep everything)")
 	resume := flag.Bool("resume", false, "resume from the latest compatible checkpoint in -checkpoint-dir instead of replaying from day 0")
+	list := flag.Bool("list", false, "print every figure id with the stage that produces it, and exit")
 	info := flag.Bool("info", false, "print trace stats (segment/compression figures for segmented traces) and the -checkpoint-dir inventory, then exit")
 	snapshotEvery := flag.Int("snapshot-every", 0, "community snapshot cadence in days (0 = default 3)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "CPU budget: at most N goroutines do analysis work at once, the replay included; 1 runs fully sequentially (results are bit-identical at any count)")
@@ -60,6 +63,18 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the pipeline run to this file")
 	flag.Parse()
 
+	if *list {
+		// The id -> stage mapping comes from the planner registry, so a
+		// newly registered stage shows up here without touching this tool.
+		for _, id := range core.AllFigures {
+			stage, err := core.StageFor(id)
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("%s\t%s\n", id, stage)
+		}
+		return
+	}
 	if *tracePath == "" {
 		flag.Usage()
 		os.Exit(2)
@@ -193,7 +208,12 @@ func main() {
 	} else if *resume {
 		log.Printf("no compatible checkpoint in %s; replayed from day 0 (checkpoints bind the exact config — e.g. the default -dist-days follow the trace length, so pin -dist-days across incremental runs)", *checkpointDir)
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	// -out - prints the tables in plan order, each followed by a blank
+	// line, and moves the summary line to stderr.
+	toStdout, report := *outDir == "-", os.Stdout
+	if toStdout {
+		report = os.Stderr
+	} else if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatalf("mkdir: %v", err)
 	}
 	written := 0
@@ -203,18 +223,32 @@ func main() {
 			log.Printf("skipping %s: %v", id, err)
 			continue
 		}
-		path := filepath.Join(*outDir, id+outFormat.Ext())
-		out, err := os.Create(path)
+		if toStdout {
+			if err = tab.Write(os.Stdout, outFormat); err == nil {
+				_, err = fmt.Println()
+			}
+		} else {
+			err = writeFile(filepath.Join(*outDir, id+outFormat.Ext()), tab, outFormat)
+		}
 		if err != nil {
-			log.Fatalf("create %s: %v", path, err)
+			log.Fatalf("write %s: %v", id, err)
 		}
-		if err := tab.Write(out, outFormat); err != nil {
-			log.Fatalf("write %s: %v", path, err)
-		}
-		out.Close()
 		written++
 	}
-	fmt.Printf("wrote %d figure tables to %s\n", written, *outDir)
+	fmt.Fprintf(report, "wrote %d figure tables to %s\n", written, *outDir)
+}
+
+// writeFile writes one figure table to path.
+func writeFile(path string, tab *core.Table, format core.Format) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tab.Write(out, format); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 // printInfo renders the -info report: trace identity, storage shape

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/trace"
 )
 
@@ -107,5 +110,86 @@ func TestInfoFormatLine(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: format line %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// runCLI runs the rranalyze command with args and returns its stdout.
+func runCLI(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(os.Args[0], append([]string{cliArg}, args...)...).Output()
+	if err != nil {
+		var stderr []byte
+		if ee, ok := err.(*exec.ExitError); ok {
+			stderr = ee.Stderr
+		}
+		t.Fatalf("rranalyze %v: %v\n%s", args, err, stderr)
+	}
+	return string(out)
+}
+
+// TestTraceFlagReadsSegmented: a segmented (rrgen -compress) trace
+// prints the same panel to stdout as the flat trace of the same
+// generator run.
+func TestTraceFlagReadsSegmented(t *testing.T) {
+	dir := t.TempDir()
+	flat, seg := filepath.Join(dir, "small.trace"), filepath.Join(dir, "small.rrs")
+	if _, err := gen.GenerateToFile(gen.SmallConfig(), flat); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.GenerateToSegFile(gen.SmallConfig(), seg); err != nil {
+		t.Fatal(err)
+	}
+	want := runCLI(t, "-trace", flat, "-only", "fig1a", "-out", "-")
+	if want == "" {
+		t.Fatal("flat run printed nothing")
+	}
+	if got := runCLI(t, "-trace", seg, "-only", "fig1a", "-out", "-"); got != want {
+		t.Fatalf("segmented output differs from flat:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestListWithoutTrace: -list needs no trace and prints every figure id
+// once, with the stage the planner registry says produces it.
+func TestListWithoutTrace(t *testing.T) {
+	var want strings.Builder
+	for _, id := range core.AllFigures {
+		stage, err := core.StageFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "%s\t%s\n", id, stage)
+	}
+	if got := runCLI(t, "-list"); got != want.String() {
+		t.Fatalf("-list printed:\n%s\nwant:\n%s", got, want.String())
+	}
+}
+
+// TestStdoutMatchesDir: the tables -out - prints are the files -out dir
+// writes, concatenated in plan order with a blank line after each.
+func TestStdoutMatchesDir(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "small.trace")
+	if _, err := gen.GenerateToFile(gen.SmallConfig(), path); err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"fig8c", "fig1a", "fig3c"}
+	plan, err := core.Plan(core.DefaultConfig(), ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-trace", path, "-only", strings.Join(ids, ",")}
+	out := filepath.Join(dir, "figs")
+	runCLI(t, append(args, "-out", out)...)
+	var want strings.Builder
+	for _, id := range plan.Figures() {
+		b, err := os.ReadFile(filepath.Join(out, id+".tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(b)
+		want.WriteString("\n")
+	}
+	if got := runCLI(t, append(args, "-out", "-")...); got != want.String() {
+		t.Fatalf("-out - printed:\n%s\nwant:\n%s", got, want.String())
 	}
 }

@@ -6,11 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
-
 	"repro/internal/gen"
+	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -115,6 +116,84 @@ func TestContinueFiguresHandle(t *testing.T) {
 	if one.ResumedInMemory {
 		t.Fatal("RunFigures continued in memory")
 	}
+}
+
+// errPutFault is the failure failingBackend injects.
+var errPutFault = errors.New("injected Put failure")
+
+// failingBackend is a DirBackend whose Put fails from the failFrom-th
+// call on (counting from 1; 0 never fails), so a test can fail a chosen
+// checkpoint write.
+type failingBackend struct {
+	*storage.DirBackend
+	mu       sync.Mutex
+	puts     int
+	failFrom int
+}
+
+func (b *failingBackend) Put(name string, data []byte) error {
+	b.mu.Lock()
+	b.puts++
+	fail := b.failFrom > 0 && b.puts >= b.failFrom
+	b.mu.Unlock()
+	if fail {
+		return errPutFault
+	}
+	return b.DirBackend.Put(name, data)
+}
+
+// failNext makes every Put from the next one on fail (on = true), or
+// none (on = false).
+func (b *failingBackend) failNext(on bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.failFrom = 0
+	if on {
+		b.failFrom = b.puts + 1
+	}
+}
+
+// TestWarmAdvanceCheckpointWriteFails: a warm pass whose checkpoint
+// write fails returns the error and no handle, and the next pass, given
+// no handle, resumes from the newest intact checkpoint on the same
+// backend and matches the from-zero run.
+func TestWarmAdvanceCheckpointWriteFails(t *testing.T) {
+	srcs := horizons(t, 270, 300)
+	base, grown := srcs[0], srcs[1]
+	figs := []string{"fig1a", "fig2a", "fig3c", "fig5a", "fig4a", "fig8c"}
+
+	fb := &failingBackend{DirBackend: storage.NewDirBackend(t.TempDir())}
+	cfg := resumeTestConfig("")
+	cfg.CheckpointBackend = fb
+	cfg.Resume = true
+	cfg.CheckpointFullEvery = 2
+	_, h, err := ContinueFigures(nil, base, cfg, nil, figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h == nil {
+		t.Fatal("cold pass returned no handle")
+	}
+	fb.failNext(true)
+	res, next, err := ContinueFigures(nil, grown, cfg, h, figs...)
+	if !errors.Is(err, errPutFault) || res != nil || next != nil {
+		t.Fatalf("warm pass with a failed checkpoint write: err %v, result %v, handle %v", err, res != nil, next != nil)
+	}
+	fb.failNext(false)
+	retry, _, err := ContinueFigures(nil, grown, cfg, nil, figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retry.ResumedInMemory || retry.ResumedFromDay != 269 {
+		t.Fatalf("retry: ResumedInMemory %v from day %d, want the day-269 checkpoint", retry.ResumedInMemory, retry.ResumedFromDay)
+	}
+	plain := cfg
+	plain.CheckpointBackend, plain.Resume = nil, false
+	want, err := RunFigures(nil, grown, plain, figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareRuns(t, "retry after a failed write", want, retry)
 }
 
 // TestFinishLeavesStagesResumable pins engine.Stage's Finish rule for

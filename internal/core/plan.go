@@ -303,7 +303,7 @@ func init() {
 
 // Registry returns descriptive copies of the registered stage specs in
 // execution order — the figure id → stage mapping tooling consumes (e.g.
-// `figures -list`).
+// `rranalyze -list`).
 func Registry() []StageSpec {
 	out := make([]StageSpec, len(stageRegistry))
 	for i, s := range stageRegistry {

@@ -50,7 +50,7 @@ func reportLatencies(b *testing.B, lats []time.Duration) {
 //     rebuild and republish the state in the background — the isolation
 //     claim under load.
 //   - CLIEquivalentFig1a: what the same panel costs as a one-shot
-//     `figures -only fig1a` style run (full plan execution per query) —
+//     `rranalyze -only fig1a` style run (full plan execution per query) —
 //     the baseline the warm path's ≥10x speedup criterion divides by.
 //
 // All arms run at the test-scale preset; -benchtime=1x in the CI smoke.

@@ -2,9 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,38 +13,6 @@ import (
 // room to back-patch) or files whose writer never reached Close (the
 // poisoned count slot means the event stream's extent is unknown).
 var ErrNotAppendable = errors.New("trace: file is not appendable")
-
-// fixedHeaderLen is the streaming Encoder's header size: magic, the
-// 2-byte uvarint of encMetaPad, the padded meta slot, the padded count.
-const fixedHeaderLen = len(magic) + 2 + encMetaPad + encCountPad
-
-// parseFixedHeader decodes the streaming Encoder's fixed-width header
-// from hdr. It rejects the one-shot Encode layout (whose meta length is
-// the JSON's exact size, not encMetaPad) and a poisoned count slot.
-func parseFixedHeader(hdr []byte) (meta Meta, count uint64, err error) {
-	if len(hdr) < fixedHeaderLen {
-		return meta, 0, fmt.Errorf("%w: %d-byte file is shorter than a finalized header", ErrNotAppendable, len(hdr))
-	}
-	if [4]byte(hdr[:4]) != magic {
-		return meta, 0, ErrBadMagic
-	}
-	metaLen, n := binary.Uvarint(hdr[4:])
-	if n <= 0 || metaLen != encMetaPad {
-		return meta, 0, fmt.Errorf("%w: header meta slot is not the fixed-width encoder layout", ErrNotAppendable)
-	}
-	metaStart := 4 + n
-	if err := json.Unmarshal(bytes.TrimRight(hdr[metaStart:metaStart+encMetaPad], " "), &meta); err != nil {
-		return meta, 0, fmt.Errorf("trace: bad meta: %w", err)
-	}
-	count, err = binary.ReadUvarint(bytes.NewReader(hdr[metaStart+encMetaPad : fixedHeaderLen]))
-	if err != nil {
-		return meta, 0, fmt.Errorf("%w: count slot is not finalized (writer crashed before Close?)", ErrNotAppendable)
-	}
-	if count > maxEventCount {
-		return meta, 0, fmt.Errorf("%w: %d events", ErrCountTooLarge, count)
-	}
-	return meta, count, nil
-}
 
 // OpenAppend reopens a finalized streaming-Encoder file for in-place
 // extension and returns an Encoder positioned after its last event: the
@@ -74,9 +39,14 @@ func OpenAppend(f *os.File) (*Encoder, error) {
 	if [4]byte(hdr[:4]) == segMagic {
 		return nil, fmt.Errorf("%w: segmented (compressed) traces cannot be extended in place; regenerate, or write a fresh segmented trace and tail it", ErrNotAppendable)
 	}
-	meta, count, err := parseFixedHeader(hdr)
-	if err != nil {
+	meta, count, finalized, err := parseFixedHeader(hdr, magic)
+	switch {
+	case errors.Is(err, errNotFixedHeader):
+		return nil, fmt.Errorf("%w: %v", ErrNotAppendable, err)
+	case err != nil:
 		return nil, err
+	case !finalized:
+		return nil, fmt.Errorf("%w: count slot is not finalized (writer crashed before Close?)", ErrNotAppendable)
 	}
 
 	idx, eventsEnd := readDayIndexOff(f, count)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -360,6 +361,13 @@ const (
 	maxIndexEntries = 1 << 24
 )
 
+// appendTrailer appends the fixed trailer both streaming encoders end
+// their footer with: the footer's length, then the end magic.
+func appendTrailer(footer []byte) []byte {
+	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(footer)))
+	return append(footer, indexEndMagic[:]...)
+}
+
 // appendDayIndex renders the index footer (magic through CRC, no
 // trailer).
 func appendDayIndex(dst []byte, idx []DayIndexEntry) []byte {
@@ -541,6 +549,46 @@ func renderFixedHeader(mag [4]byte, meta Meta, count uint64, poison bool) ([]byt
 	return append(hdr, cnt[:]...), nil
 }
 
+// fixedHeaderLen is the fixed-width header's size: magic, the 2-byte
+// uvarint of encMetaPad, the padded meta slot, the padded count.
+const fixedHeaderLen = len(magic) + 2 + encMetaPad + encCountPad
+
+// errNotFixedHeader marks a header too short for, or not in, the
+// fixed-width layout renderFixedHeader writes (the one-shot Encode
+// layout's meta length is the JSON's exact size, not encMetaPad).
+var errNotFixedHeader = errors.New("trace: not a fixed-width header")
+
+// parseFixedHeader decodes the fixed-width header renderFixedHeader
+// writes under mag. finalized=false (with nil err) means the count slot
+// is still poisoned: the writer has not closed.
+func parseFixedHeader(hdr []byte, mag [4]byte) (meta Meta, count uint64, finalized bool, err error) {
+	if len(hdr) < len(mag) {
+		return meta, 0, false, io.ErrUnexpectedEOF
+	}
+	if [4]byte(hdr[:4]) != mag {
+		return meta, 0, false, ErrBadMagic
+	}
+	if len(hdr) < fixedHeaderLen {
+		return meta, 0, false, fmt.Errorf("%w: %d-byte header is truncated", errNotFixedHeader, len(hdr))
+	}
+	metaLen, n := binary.Uvarint(hdr[4:])
+	if n <= 0 || metaLen != encMetaPad {
+		return meta, 0, false, fmt.Errorf("%w: bad meta slot", errNotFixedHeader)
+	}
+	metaStart := 4 + n
+	if err := json.Unmarshal(bytes.TrimRight(hdr[metaStart:metaStart+encMetaPad], " "), &meta); err != nil {
+		return meta, 0, false, fmt.Errorf("trace: bad meta: %w", err)
+	}
+	count, cerr := binary.ReadUvarint(bytes.NewReader(hdr[metaStart+encMetaPad : fixedHeaderLen]))
+	if cerr != nil {
+		return meta, 0, false, nil
+	}
+	if count > maxEventCount {
+		return meta, 0, false, fmt.Errorf("%w: %d events", ErrCountTooLarge, count)
+	}
+	return meta, count, true, nil
+}
+
 // Write appends one event. Events must arrive in non-decreasing day
 // order, exactly as a replay or generator emits them. The first event of
 // every new day is recorded in the day index that Close appends.
@@ -596,11 +644,7 @@ func (e *Encoder) Close() error {
 		return nil
 	}
 	e.closed = true
-	footer := appendDayIndex(nil, e.index)
-	var trailer [indexTrailerLen]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(len(footer)))
-	copy(trailer[8:], indexEndMagic[:])
-	footer = append(footer, trailer[:]...)
+	footer := appendTrailer(appendDayIndex(nil, e.index))
 	if _, err := e.bw.Write(footer); err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -533,11 +532,7 @@ func (e *SegEncoder) Close() error {
 	if err := e.ensureHeader(); err != nil {
 		return err
 	}
-	footer := appendSegFooter(nil, e.segs, e.index)
-	var trailer [indexTrailerLen]byte
-	binary.LittleEndian.PutUint64(trailer[:8], uint64(len(footer)))
-	copy(trailer[8:], indexEndMagic[:])
-	footer = append(footer, trailer[:]...)
+	footer := appendTrailer(appendSegFooter(nil, e.segs, e.index))
 	if _, err := e.ws.Write(footer); err != nil {
 		return err
 	}
@@ -680,37 +675,6 @@ func parseSegFooter(b []byte) ([]segEntry, []DayIndexEntry, error) {
 	return segs, idx, nil
 }
 
-// parseSegHeader decodes the fixed header of a segmented trace.
-// finalized=false (with nil err) means the count slot is still poisoned:
-// the writer has not closed, which TailProbe tolerates and open rejects.
-func parseSegHeader(hdr []byte) (meta Meta, count uint64, finalized bool, err error) {
-	if len(hdr) < len(segMagic) {
-		return meta, 0, false, io.ErrUnexpectedEOF
-	}
-	if [4]byte(hdr[:4]) != segMagic {
-		return meta, 0, false, ErrBadMagic
-	}
-	if len(hdr) < fixedHeaderLen {
-		return meta, 0, false, fmt.Errorf("trace: truncated segmented header")
-	}
-	metaLen, n := binary.Uvarint(hdr[4:])
-	if n <= 0 || metaLen != encMetaPad {
-		return meta, 0, false, errors.New("trace: bad segmented header meta slot")
-	}
-	metaStart := 4 + n
-	if err := json.Unmarshal(bytes.TrimRight(hdr[metaStart:metaStart+encMetaPad], " "), &meta); err != nil {
-		return meta, 0, false, fmt.Errorf("trace: bad meta: %w", err)
-	}
-	count, cerr := binary.ReadUvarint(bytes.NewReader(hdr[metaStart+encMetaPad : fixedHeaderLen]))
-	if cerr != nil {
-		return meta, 0, false, nil
-	}
-	if count > maxEventCount {
-		return meta, 0, false, fmt.Errorf("%w: %d events", ErrCountTooLarge, count)
-	}
-	return meta, count, true, nil
-}
-
 // openSegBytes opens a segmented trace held in memory (tests, fuzzing).
 func openSegBytes(data []byte) (*FileSource, error) {
 	return openSegBlob(bytesBlob{data: data}, int64(len(data)), "segmented bytes")
@@ -747,7 +711,7 @@ func openFramed(h *blobHandle, size int64, label string) (*FileSource, error) {
 	if err := h.readFull(hdr, 0); err != nil {
 		return nil, fmt.Errorf("trace: %s: header: %w", label, err)
 	}
-	meta, count, finalized, err := parseSegHeader(hdr)
+	meta, count, finalized, err := parseFixedHeader(hdr, segMagic)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", label, err)
 	}

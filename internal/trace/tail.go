@@ -227,7 +227,7 @@ func (p *TailProbe) probeSeg(f *os.File, fi os.FileInfo) (*TailSnapshot, error) 
 	if _, err := f.ReadAt(hdr, 0); err != nil {
 		return nil, err // header not fully written yet: back off
 	}
-	meta, count, hdrFinal, err := parseSegHeader(hdr)
+	meta, count, hdrFinal, err := parseFixedHeader(hdr, segMagic)
 	if err != nil {
 		return nil, err
 	}
