@@ -79,6 +79,20 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// The checkpoint flags act only on a checkpoint directory; without one
+	// they would be ignored silently.
+	if *checkpointDir == "" {
+		switch {
+		case *resume:
+			log.Fatal("-resume needs -checkpoint-dir")
+		case *checkpointEvery != 0:
+			log.Fatal("-checkpoint-every needs -checkpoint-dir")
+		case *checkpointFullEvery != 0:
+			log.Fatal("-checkpoint-full-every needs -checkpoint-dir")
+		case *checkpointKeep != 0:
+			log.Fatal("-checkpoint-keep needs -checkpoint-dir")
+		}
+	}
 	outFormat, err := core.ParseFormat(*format)
 	if err != nil {
 		log.Fatal(err)
@@ -130,9 +144,6 @@ func main() {
 	// The checkpointed state plane: write day-addressed snapshots while
 	// analyzing, and resume from the latest compatible one after the
 	// trace file gained days (see README's incremental workflow).
-	if *resume && *checkpointDir == "" {
-		log.Fatal("-resume needs -checkpoint-dir")
-	}
 	cfg.CheckpointDir = *checkpointDir
 	cfg.CheckpointEvery = int32(*checkpointEvery)
 	cfg.CheckpointFullEvery = *checkpointFullEvery
@@ -197,7 +208,9 @@ func main() {
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			log.Fatalf("memprofile: %v", err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			log.Fatalf("memprofile: %v", err)
+		}
 	}
 	if res.ResumedFromDay >= 0 {
 		if res.ResumedFromDay >= meta.Days-1 {

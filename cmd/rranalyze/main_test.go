@@ -193,3 +193,25 @@ func TestStdoutMatchesDir(t *testing.T) {
 		t.Fatalf("-out - printed:\n%s\nwant:\n%s", got, want.String())
 	}
 }
+
+// TestCheckpointFlagsNeedDir: each checkpoint flag without
+// -checkpoint-dir exits non-zero with a message naming it, before the
+// trace is opened (the trace path here does not exist).
+func TestCheckpointFlagsNeedDir(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.trace")
+	for _, args := range [][]string{
+		{"-resume"},
+		{"-checkpoint-every", "7"},
+		{"-checkpoint-full-every", "4"},
+		{"-checkpoint-keep", "2"},
+	} {
+		out, err := exec.Command(os.Args[0], append([]string{cliArg, "-trace", missing}, args...)...).CombinedOutput()
+		if err == nil {
+			t.Errorf("rranalyze %v without -checkpoint-dir exited 0:\n%s", args, out)
+			continue
+		}
+		if want := args[0] + " needs -checkpoint-dir"; !strings.Contains(string(out), want) {
+			t.Errorf("rranalyze %v: output lacks %q:\n%s", args, want, out)
+		}
+	}
+}

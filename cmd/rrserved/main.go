@@ -89,6 +89,23 @@ func main() {
 		log.Error("-follow and -refresh-every are mutually exclusive")
 		os.Exit(2)
 	}
+	// The checkpoint flags act only on a checkpoint directory; without one
+	// they would be ignored silently.
+	if *checkpointDir == "" {
+		var name string
+		switch {
+		case *checkpointEvery != 0:
+			name = "-checkpoint-every"
+		case *checkpointFullEvery != 0:
+			name = "-checkpoint-full-every"
+		case *checkpointKeep != 0:
+			name = "-checkpoint-keep"
+		}
+		if name != "" {
+			log.Error(name + " needs -checkpoint-dir")
+			os.Exit(2)
+		}
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

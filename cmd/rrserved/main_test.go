@@ -108,6 +108,27 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestCheckpointFlagsNeedDir: each checkpoint flag without
+// -checkpoint-dir exits non-zero with a message naming it, before the
+// trace is opened (the trace path here does not exist).
+func TestCheckpointFlagsNeedDir(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.trace")
+	for _, args := range [][]string{
+		{"-checkpoint-every", "7"},
+		{"-checkpoint-full-every", "4"},
+		{"-checkpoint-keep", "2"},
+	} {
+		out, err := exec.Command(os.Args[0], append([]string{cliArg, "-trace", missing}, args...)...).CombinedOutput()
+		if err == nil {
+			t.Errorf("rrserved %v without -checkpoint-dir exited 0:\n%s", args, out)
+			continue
+		}
+		if want := args[0] + " needs -checkpoint-dir"; !strings.Contains(string(out), want) {
+			t.Errorf("rrserved %v: output lacks %q:\n%s", args, want, out)
+		}
+	}
+}
+
 // rranalyzeFig1a is what `rranalyze -trace path -only fig1a` writes to
 // fig1a.tsv: the minimal plan for the panel under the default config.
 func rranalyzeFig1a(t *testing.T, path string) string {

@@ -143,6 +143,28 @@ func TestGrowthSeriesConsistency(t *testing.T) {
 func TestHeadlineShapes(t *testing.T) {
 	res := fullRun(t)
 
+	// Fig 1a: arrivals accelerate. The last 30-day window adds far more
+	// nodes than the first (61 and 1,999 at the small preset); both lie
+	// outside the merge's 30-day bump.
+	const window = 30
+	lastDay := res.Growth[len(res.Growth)-1].Day
+	if merge := res.Meta.MergeDay; merge < window || merge+window > lastDay-window+1 {
+		t.Fatalf("merge day %d leaves no 30-day window on both sides (last day %d)", merge, lastDay)
+	}
+	var firstArrivals, lastArrivals int64
+	for _, g := range res.Growth {
+		switch {
+		case g.Day < window:
+			firstArrivals += g.NodesAdded
+		case g.Day > lastDay-window:
+			lastArrivals += g.NodesAdded
+		}
+	}
+	if lastArrivals < 10*firstArrivals {
+		t.Errorf("fig1a: node arrivals did not accelerate: %d in days 0–%d, %d in the last %d days",
+			firstArrivals, window-1, lastArrivals, window)
+	}
+
 	// Fig 1c: average degree grows over the pre-merge period.
 	var early, late float64
 	for _, m := range res.Metrics {

@@ -168,6 +168,22 @@ func TestResumeMatchesFromZero(t *testing.T) {
 				// The full plan is goldenSmall's run.
 				checkGolden(t, "from-zero", goldenSmall, base)
 				checkGoldenCheckpoint(t, "from-zero", goldenSmall, dir, days[len(days)-1])
+			} else {
+				// A minimal plan serves every panel of the stages it ran,
+				// not only the one requested.
+				plan, err := Plan(cfg, tc.figures...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range AllFigures {
+					stage, err := StageFor(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := base.Figure(id); plan.Has(stage) && err != nil {
+						t.Errorf("%s: figure %s of planned stage %s: %v", tc.name, id, stage, err)
+					}
+				}
 			}
 
 			// Checkpointing itself must not perturb results.
