@@ -93,6 +93,9 @@ func main() {
 			log.Fatal("-checkpoint-keep needs -checkpoint-dir")
 		}
 	}
+	if *workers < 1 {
+		log.Fatalf("-workers must be >= 1, got %d", *workers)
+	}
 	outFormat, err := core.ParseFormat(*format)
 	if err != nil {
 		log.Fatal(err)
@@ -119,9 +122,6 @@ func main() {
 		*tracePath, meta.Nodes, meta.Edges, meta.Days, meta.MergeDay)
 
 	cfg := core.DefaultConfig()
-	if *workers < 1 {
-		log.Fatalf("-workers must be >= 1, got %d", *workers)
-	}
 	cfg.Workers = *workers
 	if *snapshotEvery > 0 {
 		cfg.Community.SnapshotEvery = int32(*snapshotEvery)

@@ -195,23 +195,28 @@ func TestStdoutMatchesDir(t *testing.T) {
 }
 
 // TestCheckpointFlagsNeedDir: each checkpoint flag without
-// -checkpoint-dir exits non-zero with a message naming it, before the
-// trace is opened (the trace path here does not exist).
+// -checkpoint-dir, and a -workers below 1, exits non-zero with a message
+// naming the flag, before the trace is opened (the trace path here does
+// not exist).
 func TestCheckpointFlagsNeedDir(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.trace")
-	for _, args := range [][]string{
-		{"-resume"},
-		{"-checkpoint-every", "7"},
-		{"-checkpoint-full-every", "4"},
-		{"-checkpoint-keep", "2"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-resume"}, "-resume needs -checkpoint-dir"},
+		{[]string{"-checkpoint-every", "7"}, "-checkpoint-every needs -checkpoint-dir"},
+		{[]string{"-checkpoint-full-every", "4"}, "-checkpoint-full-every needs -checkpoint-dir"},
+		{[]string{"-checkpoint-keep", "2"}, "-checkpoint-keep needs -checkpoint-dir"},
+		{[]string{"-workers", "0"}, "-workers must be >= 1"},
 	} {
-		out, err := exec.Command(os.Args[0], append([]string{cliArg, "-trace", missing}, args...)...).CombinedOutput()
+		out, err := exec.Command(os.Args[0], append([]string{cliArg, "-trace", missing}, c.args...)...).CombinedOutput()
 		if err == nil {
-			t.Errorf("rranalyze %v without -checkpoint-dir exited 0:\n%s", args, out)
+			t.Errorf("rranalyze %v exited 0:\n%s", c.args, out)
 			continue
 		}
-		if want := args[0] + " needs -checkpoint-dir"; !strings.Contains(string(out), want) {
-			t.Errorf("rranalyze %v: output lacks %q:\n%s", args, want, out)
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("rranalyze %v: output lacks %q:\n%s", c.args, c.want, out)
 		}
 	}
 }

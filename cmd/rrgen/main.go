@@ -14,9 +14,9 @@
 // -append extends an existing trace file in place instead of rewriting
 // it: the prefix days are verified against a re-simulation (any config
 // drift aborts before a byte is written) and only the new days' events
-// are encoded, flushed at each day barrier so a concurrent
-// `rrserved -follow` picks the days up as they seal. The extended file
-// is byte-identical to a from-scratch generation at the longer horizon.
+// are encoded, flushed at each day barrier so a concurrent `rrserved`
+// picks the days up as they seal. The extended file is byte-identical
+// to a from-scratch generation at the longer horizon.
 package main
 
 import (

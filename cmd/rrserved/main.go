@@ -10,21 +10,21 @@
 //	curl localhost:8080/figures/fig1a
 //	curl "localhost:8080/figures/fig4a?delta=0.01,0.04&format=json"
 //	curl localhost:8080/statz
-//	curl -X POST localhost:8080/refresh   # after the trace gained days
+//	curl -X POST localhost:8080/refresh   # probe now instead of at the next poll
 //
-// With -follow the daemon tail-follows a trace a writer is still
-// appending to (e.g. `rrgen -append` in another process): every newly
-// sealed day is detected by a cheap tail probe, applied through the
-// incremental checkpoint resume, and republished — served figures stay
-// continuously fresh, and /statz reports the ingest lag:
-//
-//	rrserved -trace renren.trace -checkpoint-dir ckpts -follow -poll 2s
+// The daemon reads the trace only through a tail probe, finalized or
+// still being appended to (e.g. `rrgen -append` in another process):
+// every -poll it looks for newly sealed days, applies them through the
+// incremental checkpoint resume, and republishes — served figures stay
+// continuously fresh, and /statz reports the ingest lag. A daemon started
+// before its trace holds a sealed day waits for one.
 //
 // The tiered checkpoint cadence keeps the state plane's footprint flat
-// under -follow: most checkpoints become small deltas against their
-// predecessor, and retention prunes chains the resume can no longer pick:
+// while the trace grows: most checkpoints become small deltas against
+// their predecessor, and retention prunes chains the resume can no longer
+// pick:
 //
-//	rrserved -trace renren.trace -checkpoint-dir ckpts -follow \
+//	rrserved -trace renren.trace -checkpoint-dir ckpts \
 //	    -checkpoint-full-every 4 -checkpoint-keep 2
 //
 // See DESIGN.md §8 for the serving architecture and §9 for the live
@@ -48,7 +48,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/serve"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -61,9 +60,7 @@ func main() {
 	deltas := flag.String("deltas", "0.0001,0.01,0.04,0.1,0.3", "warm Louvain δ grid for the fig4 panels; requests with other δ-sets run cold plans")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "CPU budget of each plan run: at most N goroutines do its analysis work at once, the replay included; 1 runs it fully sequentially")
 	cacheMB := flag.Int64("cache-mb", 64, "result cache cap in MiB")
-	refreshEvery := flag.Duration("refresh-every", 0, "poll the trace file at this interval and republish when it gained days (0 = only explicit POST /refresh); the file must be finalized at every poll — for a file under a live writer use -follow")
-	follow := flag.Bool("follow", false, "tail-follow a growing trace: probe for newly sealed days and republish as they land, tolerating in-progress writes and torn tails (mutually exclusive with -refresh-every)")
-	poll := flag.Duration("poll", 500*time.Millisecond, "tail probe interval in -follow mode (backs off up to 10x while the file is idle)")
+	poll := flag.Duration("poll", 500*time.Millisecond, "tail probe interval: newly sealed days are published within about this long (backs off up to 10x while the file is idle)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "community snapshot cadence override")
 	distDays := flag.String("dist-days", "", "comma-separated size-distribution days (default: three late snapshot days of the trace at startup, pinned so refreshes keep resuming)")
 	logLevel := flag.String("log-level", "info", "slog level: debug, info, warn, or error")
@@ -85,8 +82,8 @@ func main() {
 		log.Error("-workers must be >= 1", "got", *workers)
 		os.Exit(2)
 	}
-	if *follow && *refreshEvery > 0 {
-		log.Error("-follow and -refresh-every are mutually exclusive")
+	if *poll <= 0 {
+		log.Error("-poll must be > 0", "got", *poll)
 		os.Exit(2)
 	}
 	// The checkpoint flags act only on a checkpoint directory; without one
@@ -107,44 +104,8 @@ func main() {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// The trace probe. In -follow mode every open — including this
-	// startup one — goes through the tail prober, which reads only the
-	// sealed prefix of a file a writer may still be appending to; the
-	// daemon waits for the first sealed day rather than failing when it
-	// wins the race against the writer.
-	var meta trace.Meta
-	var tailer *ingest.Tailer
-	var openSealed func() (trace.MetaSource, error)
-	if *follow {
-		tailer = ingest.NewTailer(ingest.Options{Path: *tracePath, Poll: *poll, Log: log})
-		openSealed = tailer.OpenSealed
-		src, err := openSealed()
-		for err != nil {
-			log.Info("waiting for a sealed trace prefix", "trace", *tracePath, "err", err)
-			select {
-			case <-ctx.Done():
-				os.Exit(1)
-			case <-time.After(*poll):
-			}
-			src, err = openSealed()
-		}
-		meta = src.Meta()
-	} else {
-		// OpenTrace sniffs the magic: flat and compressed segmented
-		// traces are both servable (the latter only finalized, so not
-		// under -follow, which tails a growing flat file).
-		src, err := trace.OpenTrace(*tracePath)
-		if err != nil {
-			log.Error("open trace", "err", err)
-			os.Exit(1)
-		}
-		meta = src.Meta()
-	}
-
-	// The warm configuration. SizeDistDays is pinned from the trace's
+	// The warm configuration, parsed before the trace is waited for so a
+	// bad flag fails at once. SizeDistDays is pinned from the trace's
 	// length at startup (not re-derived on refresh): the days are part of
 	// the config fingerprint, and shifting them with every appended day
 	// would invalidate the checkpoints the incremental refresh resumes
@@ -161,6 +122,27 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.DeltaSweep = vs
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	// Every open — this startup one, each poll and each POST /refresh —
+	// goes through the tail probe, which reads only the sealed prefix of
+	// the file, finalized or still growing, flat or segmented. The daemon
+	// waits for the first sealed day rather than failing when it wins the
+	// race against the writer.
+	tailer := ingest.NewTailer(ingest.Options{Path: *tracePath, Poll: *poll, Log: log})
+	src, err := tailer.OpenSealed()
+	for err != nil {
+		log.Info("waiting for a sealed trace prefix", "trace", *tracePath, "err", err)
+		select {
+		case <-ctx.Done():
+			os.Exit(1)
+		case <-time.After(*poll):
+		}
+		src, err = tailer.OpenSealed()
+	}
+	meta := src.Meta()
 	if cfg.Community.SizeDistDays, err = core.ParseDistDays(*distDays, meta.Days, cfg.Community); err != nil {
 		log.Error("bad -dist-days", "err", err)
 		os.Exit(2)
@@ -177,7 +159,7 @@ func main() {
 		Config:              cfg,
 		CacheBytes:          *cacheMB << 20,
 		Log:                 log,
-		Open:                openSealed, // nil outside -follow: default finalized-file probe
+		Open:                tailer.OpenSealed,
 	})
 	if err != nil {
 		log.Error("load", "err", err)
@@ -185,33 +167,14 @@ func main() {
 	}
 	defer srv.Close()
 
-	if *follow {
-		applier := ingest.NewApplier(srv, tailer)
-		srv.RegisterStatz("ingest", applier.Statz)
-		go func() {
-			if err := applier.Run(ctx); ctx.Err() == nil {
-				log.Error("follow loop exited", "err", err)
-			}
-		}()
-		log.Info("following", "trace", *tracePath, "poll", *poll)
-	}
-
-	if *refreshEvery > 0 {
-		go func() {
-			t := time.NewTicker(*refreshEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if _, _, err := srv.Refresh(ctx); err != nil && ctx.Err() == nil {
-						log.Error("periodic refresh", "err", err)
-					}
-				}
-			}
-		}()
-	}
+	applier := ingest.NewApplier(srv, tailer)
+	srv.RegisterStatz("ingest", applier.Statz)
+	go func() {
+		if err := applier.Run(ctx); ctx.Err() == nil {
+			log.Error("follow loop exited", "err", err)
+		}
+	}()
+	log.Info("following", "trace", *tracePath, "poll", *poll)
 
 	handler := srv.Handler()
 	if *pprofFlag {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -41,7 +42,62 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cmd := exec.Command(os.Args[0], cliArg, "-trace", path, "-addr", "127.0.0.1:0", "-deltas", "0.1", "-workers", "2")
+	d := startDaemon(t, "-trace", path, "-addr", "127.0.0.1:0", "-deltas", "0.1", "-workers", "2")
+	got, status := d.get(t, "/figures/fig1a")
+	if status != http.StatusOK {
+		t.Fatalf("GET /figures/fig1a: status %d\n%s", status, got)
+	}
+	if want := rranalyzeFig1a(t, path); string(got) != want {
+		t.Errorf("served fig1a differs from rranalyze's:\n%s\nwant:\n%s", got, want)
+	}
+
+	log := d.stop(t)
+	if !strings.Contains(log, "msg=\"shutting down\"") {
+		t.Errorf("no shutdown line in the log:\n%s", log)
+	}
+}
+
+// TestServeFollowsAppend: the daemon, started on a finalized trace with
+// no extra flag, picks up days a writer appends in place and publishes
+// them by itself — no POST /refresh.
+func TestServeFollowsAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "live.trace")
+	cfg := gen.SmallConfig()
+	cfg.Days = 200
+	if _, err := gen.GenerateToFile(cfg, path); err != nil {
+		t.Fatal(err)
+	}
+
+	d := startDaemon(t, "-trace", path, "-addr", "127.0.0.1:0", "-deltas", "0.1", "-workers", "2", "-poll", "20ms")
+	if day := d.lastDay(t); day != 199 {
+		t.Fatalf("/healthz last_day %d after the warm load, want 199", day)
+	}
+	cfg.Days = 210
+	if _, err := gen.AppendToFile(cfg, path); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for d.lastDay(t) != 209 {
+		if time.Now().After(deadline) {
+			t.Fatalf("/healthz never reached last_day 209 (at %d)", d.lastDay(t))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	d.stop(t)
+}
+
+// daemon is an rrserved subprocess serving on an ephemeral port.
+type daemon struct {
+	cmd     *exec.Cmd
+	addr    string
+	logDone chan string
+}
+
+// startDaemon runs rrserved with args and waits for its "serving" line.
+// The daemon is killed when the test ends unless stop ran first.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{cliArg}, args...)...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +105,7 @@ func TestServeSmoke(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { cmd.Process.Kill() })
 
 	// Drain the log for the daemon's whole life, handing the bound address
 	// over once and keeping every line for the shutdown check.
@@ -57,7 +113,7 @@ func TestServeSmoke(t *testing.T) {
 	// test has stopped listening (a failed test kills the daemon, which
 	// ends the scan).
 	addrc := make(chan string, 1)
-	logDone := make(chan string, 1)
+	d := &daemon{cmd: cmd, logDone: make(chan string, 1)}
 	go func() {
 		var all strings.Builder
 		sc := bufio.NewScanner(stderr)
@@ -68,63 +124,86 @@ func TestServeSmoke(t *testing.T) {
 				addrc <- strings.Fields(line[i+len("addr="):])[0]
 			}
 		}
-		logDone <- all.String()
+		d.logDone <- all.String()
 	}()
-	var addr string
 	select {
-	case addr = <-addrc:
+	case d.addr = <-addrc:
 	case <-time.After(60 * time.Second):
 		t.Fatal("no serving line within 60s")
 	}
-	if strings.HasSuffix(addr, ":0") {
-		t.Fatalf("serving line names the requested port, not the bound one: %s", addr)
+	if strings.HasSuffix(d.addr, ":0") {
+		t.Fatalf("serving line names the requested port, not the bound one: %s", d.addr)
 	}
+	return d
+}
 
-	resp, err := http.Get("http://" + addr + "/figures/fig1a")
+// get fetches path and returns the body and status.
+func (d *daemon) get(t *testing.T, path string) ([]byte, int) {
+	t.Helper()
+	resp, err := http.Get("http://" + d.addr + path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /figures/fig1a: %s\n%s", resp.Status, got)
-	}
-	if want := rranalyzeFig1a(t, path); string(got) != want {
-		t.Errorf("served fig1a differs from rranalyze's:\n%s\nwant:\n%s", got, want)
-	}
+	return body, resp.StatusCode
+}
 
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+// lastDay is /healthz's last_day.
+func (d *daemon) lastDay(t *testing.T) int32 {
+	t.Helper()
+	body, status := d.get(t, "/healthz")
+	var h struct {
+		LastDay int32 `json:"last_day"`
+	}
+	if status != http.StatusOK || json.Unmarshal(body, &h) != nil {
+		t.Fatalf("GET /healthz: status %d\n%s", status, body)
+	}
+	return h.LastDay
+}
+
+// stop sends SIGINT, requires a clean exit and returns the daemon's log.
+func (d *daemon) stop(t *testing.T) string {
+	t.Helper()
+	if err := d.cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
-	log := <-logDone
-	if err := cmd.Wait(); err != nil {
+	log := <-d.logDone
+	if err := d.cmd.Wait(); err != nil {
 		t.Fatalf("daemon exit after SIGINT: %v\n%s", err, log)
 	}
-	if !strings.Contains(log, "msg=\"shutting down\"") {
-		t.Errorf("no shutdown line in the log:\n%s", log)
-	}
+	return log
 }
 
 // TestCheckpointFlagsNeedDir: each checkpoint flag without
-// -checkpoint-dir exits non-zero with a message naming it, before the
-// trace is opened (the trace path here does not exist).
+// -checkpoint-dir, and a -poll that is not positive, exits non-zero with
+// a message naming the flag, before the daemon waits for the trace (the
+// trace path here does not exist, so a check after the wait would hang).
 func TestCheckpointFlagsNeedDir(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.trace")
-	for _, args := range [][]string{
-		{"-checkpoint-every", "7"},
-		{"-checkpoint-full-every", "4"},
-		{"-checkpoint-keep", "2"},
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-checkpoint-every", "7"}, "-checkpoint-every needs -checkpoint-dir"},
+		{[]string{"-checkpoint-full-every", "4"}, "-checkpoint-full-every needs -checkpoint-dir"},
+		{[]string{"-checkpoint-keep", "2"}, "-checkpoint-keep needs -checkpoint-dir"},
+		{[]string{"-poll", "0"}, "-poll must be > 0"},
 	} {
-		out, err := exec.Command(os.Args[0], append([]string{cliArg, "-trace", missing}, args...)...).CombinedOutput()
+		// A check the daemon missed would leave it waiting for the trace:
+		// the timeout turns that into a failure instead of a hang.
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		out, err := exec.CommandContext(ctx, os.Args[0], append([]string{cliArg, "-trace", missing}, c.args...)...).CombinedOutput()
+		cancel()
 		if err == nil {
-			t.Errorf("rrserved %v without -checkpoint-dir exited 0:\n%s", args, out)
+			t.Errorf("rrserved %v exited 0:\n%s", c.args, out)
 			continue
 		}
-		if want := args[0] + " needs -checkpoint-dir"; !strings.Contains(string(out), want) {
-			t.Errorf("rrserved %v: output lacks %q:\n%s", args, want, out)
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("rrserved %v: output lacks %q:\n%s", c.args, c.want, out)
 		}
 	}
 }

@@ -173,7 +173,7 @@ type ApplyStats struct {
 	SealedDay     int32         `json:"sealed_day"`     // last day the tail probe sealed
 	PublishedDay  int32         `json:"published_day"`  // last day the server has published
 	DaysBehind    int32         `json:"days_behind"`    // sealed - published
-	AppliedEvents int64         `json:"applied_events"` // events in the last applied prefix
+	AppliedEvents int64         `json:"applied_events"` // events the last publish added
 	Applies       int64         `json:"applies"`        // successful AdvanceTo publishes
 	Errors        int64         `json:"errors"`         // failed applies
 	LastApply     time.Duration `json:"last_apply_ns"`  // duration of the last publish
@@ -186,15 +186,13 @@ type Applier struct {
 	srv    *serve.Server
 	tailer *Tailer
 
-	mu     sync.Mutex
-	sealed int32
-	events int64
-	stats  ApplyStats
+	mu    sync.Mutex
+	stats ApplyStats
 }
 
 // NewApplier returns an applier pushing tailer's sealed prefixes into srv.
 func NewApplier(srv *serve.Server, tailer *Tailer) *Applier {
-	return &Applier{srv: srv, tailer: tailer, sealed: -1}
+	return &Applier{srv: srv, tailer: tailer}
 }
 
 // Run follows the trace until ctx is done. Returns ctx.Err().
@@ -208,13 +206,16 @@ func (a *Applier) Run(ctx context.Context) error {
 func (a *Applier) apply(ctx context.Context, snap *trace.TailSnapshot) error {
 	a.mu.Lock()
 	a.stats.SealedDay = snap.SealedDay
-	prevEvents := a.events
 	a.mu.Unlock()
 
 	src := snap.Source()
 	if src == nil {
 		return nil // nothing sealed yet; Follow backs off
 	}
+	// The baseline is what the server has published, not what this
+	// applier last applied: the warm load and a POST /refresh advance it
+	// without the applier.
+	prev := a.srv.Snapshot().Meta
 	t0 := time.Now()
 	advanced, day, err := a.srv.AdvanceTo(ctx, src)
 	took := time.Since(t0)
@@ -227,13 +228,11 @@ func (a *Applier) apply(ctx context.Context, snap *trace.TailSnapshot) error {
 	}
 	a.stats.PublishedDay = day
 	if advanced {
-		a.sealed = snap.SealedDay
-		a.events = snap.Events
 		a.stats.Applies++
-		a.stats.AppliedEvents = snap.Events
+		a.stats.AppliedEvents = snap.Events - (prev.Nodes + prev.Edges)
 		a.stats.LastApply = took
 		if secs := took.Seconds(); secs > 0 {
-			a.stats.EventsPerSec = float64(snap.Events-prevEvents) / secs
+			a.stats.EventsPerSec = float64(a.stats.AppliedEvents) / secs
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -242,5 +243,142 @@ func copyOver(t *testing.T, src, dst string) {
 	}
 	if err := os.WriteFile(dst, raw, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFollowStatsCountAppliedEvents: /statz's applied_events and
+// events_per_sec count only the events an advance added. The first
+// followed advance after the warm load is the case that matters: its
+// baseline is the published snapshot, which the applier did not publish.
+func TestFollowStatsCountAppliedEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "live.trace")
+	base, err := gen.GenerateToFile(liveGenConfig(70), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailer := NewTailer(Options{Path: path, Poll: 2 * time.Millisecond, Log: quietLog()})
+	srv, err := serve.NewServer(context.Background(), serve.Options{
+		TracePath: path,
+		Config:    liveCoreConfig(),
+		Log:       quietLog(),
+		Open:      tailer.OpenSealed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	grown, err := gen.AppendToFile(liveGenConfig(90), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The file is finalized before the follow loop starts, so one apply
+	// publishes all 20 new days.
+	applier := NewApplier(srv, tailer)
+	ctx, cancel := context.WithCancel(context.Background())
+	followDone := make(chan error, 1)
+	go func() { followDone <- applier.Run(ctx) }()
+	deadline := time.Now().Add(60 * time.Second)
+	for srv.Snapshot().Day != 89 {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never published day 89 (at %d)", srv.Snapshot().Day)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	<-followDone
+
+	stats := applier.Statz().(ApplyStats)
+	want := grown.Nodes + grown.Edges - (base.Nodes + base.Edges)
+	if stats.Applies != 1 || stats.AppliedEvents != want {
+		t.Fatalf("applies %d, applied_events %d; want 1 apply of %d events", stats.Applies, stats.AppliedEvents, want)
+	}
+	if got := stats.EventsPerSec * stats.LastApply.Seconds(); math.Abs(got-float64(want)) > 1e-6*float64(want) {
+		t.Fatalf("events_per_sec × last apply = %.1f events, want %d", got, want)
+	}
+}
+
+// TestRefreshThroughTailer: a server whose every open goes through
+// Tailer.OpenSealed advances on Refresh after the trace file is
+// atomically replaced by a longer encoding, flat or segmented, and
+// every table equals a from-zero run over the longer file. A finalized
+// segmented snapshot keeps the frame-cache identity OpenTrace gives the
+// same file, so a cold custom-δ plan over it reads cached frames.
+func TestRefreshThroughTailer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(gen.Config, string) (trace.Meta, error)
+	}{
+		{"flat", gen.GenerateToFile},
+		{"segmented", gen.GenerateToSegFile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "live.trace")
+			longer := filepath.Join(dir, "longer.trace")
+			if _, err := tc.write(liveGenConfig(70), path); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tc.write(liveGenConfig(90), longer); err != nil {
+				t.Fatal(err)
+			}
+			tailer := NewTailer(Options{Path: path, Log: quietLog()})
+			srv, err := serve.NewServer(context.Background(), serve.Options{
+				TracePath:     path,
+				CheckpointDir: filepath.Join(dir, "ckpt"),
+				Config:        liveCoreConfig(),
+				Log:           quietLog(),
+				Open:          tailer.OpenSealed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if day := srv.Snapshot().Day; day != 69 {
+				t.Fatalf("warm load published day %d, want 69", day)
+			}
+
+			if err := os.Rename(longer, path); err != nil {
+				t.Fatal(err)
+			}
+			advanced, day, err := srv.Refresh(context.Background())
+			if err != nil || !advanced || day != 89 {
+				t.Fatalf("refresh: advanced=%v day=%d err=%v; want an advance to 89", advanced, day, err)
+			}
+
+			refSrc, err := trace.OpenTrace(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := core.RunFigures(nil, refSrc, liveCoreConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Seal()
+			res := srv.Snapshot().Res
+			for _, id := range ref.Figures() {
+				want, _ := ref.Figure(id)
+				got, err := res.Figure(id)
+				if err != nil || !got.Equal(want) {
+					t.Errorf("%s: refreshed table differs from the from-zero run (err %v)", id, err)
+				}
+			}
+
+			if tc.name != "segmented" {
+				return
+			}
+			h := srv.Handler()
+			for i, delta := range []string{"0.02,0.08", "0.03"} {
+				before := trace.ReadFrameCacheStats().Hits
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", "/figures/fig4a?delta="+delta, nil))
+				if rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+					t.Fatalf("cold fig4a?delta=%s: status %d, X-Cache %q", delta, rec.Code, rec.Header().Get("X-Cache"))
+				}
+				if hits := trace.ReadFrameCacheStats().Hits; i == 1 && hits <= before {
+					t.Fatalf("second cold plan read no cached frame (hits %d -> %d)", before, hits)
+				}
+			}
+		})
 	}
 }

@@ -78,10 +78,11 @@ type Options struct {
 	// Log receives request and lifecycle records (default slog.Default).
 	Log *slog.Logger
 	// Open, when set, replaces the default trace probe: it returns the
-	// MetaSource the warm pass and every refresh read. The ingest plane
-	// points it at the tail prober's sealed prefix, so a refresh can
-	// never decode a torn tail or a half-written day. Defaults to opening
-	// TracePath as a finalized trace file.
+	// MetaSource the warm pass and every refresh read. cmd/rrserved
+	// points it at the ingest plane's tail probe (ingest.Tailer's
+	// OpenSealed), so a refresh can never decode a torn tail or a
+	// half-written day. Defaults to opening TracePath as a finalized
+	// trace file.
 	Open func() (trace.MetaSource, error)
 }
 
@@ -131,9 +132,6 @@ type Server struct {
 	// waiters ride must not die because the leader's client hung up.
 	baseCtx context.Context
 	cancel  context.CancelFunc
-
-	refreshMu  sync.Mutex
-	refreshing *refreshFlight
 
 	// applyMu serializes snapshot advances (Refresh and the ingest
 	// plane's AdvanceTo); Close acquires it to drain an in-flight apply
@@ -339,44 +337,12 @@ func (s *Server) publish(snap *Snapshot) {
 	s.cache.DropOtherDays(snap.Day)
 }
 
-// refreshFlight coalesces concurrent Refresh calls onto one pass.
-type refreshFlight struct {
-	done     chan struct{}
-	advanced bool
-	day      int32
-	err      error
-}
-
-// Refresh re-probes the trace file and, if it gained days, runs the warm
-// plan over the new content (resuming from the latest checkpoint when
-// armed) and publishes the fresh snapshot. Concurrent calls coalesce
-// onto the in-flight pass. It returns whether the published day
-// advanced and the now-current last day.
+// Refresh re-probes the trace and, if it gained days, advances the
+// published snapshot through AdvanceTo. It returns whether the published
+// day advanced and the now-current last day. Concurrent calls need no
+// coalescing: AdvanceTo serializes them, and a call whose probe saw no
+// day past the published one is a no-op.
 func (s *Server) Refresh(ctx context.Context) (advanced bool, day int32, err error) {
-	s.refreshMu.Lock()
-	if f := s.refreshing; f != nil {
-		s.refreshMu.Unlock()
-		select {
-		case <-f.done:
-			return f.advanced, f.day, f.err
-		case <-ctx.Done():
-			return false, 0, ctx.Err()
-		}
-	}
-	f := &refreshFlight{done: make(chan struct{})}
-	s.refreshing = f
-	s.refreshMu.Unlock()
-
-	f.advanced, f.day, f.err = s.refresh(ctx)
-	s.refreshMu.Lock()
-	s.refreshing = nil
-	s.refreshMu.Unlock()
-	close(f.done)
-	return f.advanced, f.day, f.err
-}
-
-// refresh is one ingest pass: probe, advance, publish.
-func (s *Server) refresh(ctx context.Context) (bool, int32, error) {
 	if s.closed.Load() {
 		return false, s.snap.Load().Day, ErrClosed
 	}

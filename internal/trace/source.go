@@ -212,11 +212,7 @@ func OpenTrace(path string) (*FileSource, error) {
 			return nil, err
 		}
 		s.Path, s.blob = path, fileBlob{path: path}
-		// Path plus size plus event count: stable across re-opens of the
-		// same finalized container, distinct the moment the file grows or
-		// is rewritten in place (live-ingest tails), so stale frames are
-		// never served — they just age out of the LRU under a dead key.
-		s.cacheID = fmt.Sprintf("file:%s|%d|%d", path, fi.Size(), s.events)
+		s.cacheID = fileCacheID(path, fi.Size(), s.events)
 		return s, nil
 	}
 	meta, events, start, err := parseStreamHeader(f)
@@ -232,6 +228,15 @@ func OpenTrace(path string) (*FileSource, error) {
 		start:  start,
 		index:  index,
 	}, nil
+}
+
+// fileCacheID is the frame-cache identity of a finalized container file:
+// path plus size plus event count. It is stable across re-opens of the
+// same finalized container and distinct the moment the file grows or is
+// rewritten in place (live-ingest tails), so stale frames are never
+// served — they just age out of the LRU under a dead key.
+func fileCacheID(path string, size int64, events uint64) string {
+	return fmt.Sprintf("file:%s|%d|%d", path, size, events)
 }
 
 // readDayIndexOff reads the day-index footer from the end of the file,

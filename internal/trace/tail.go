@@ -406,6 +406,7 @@ func (p *TailProbe) snapshot(finalized bool, anomaly error) *TailSnapshot {
 	switch {
 	case finalized:
 		s.Finalized = true
+		s.size = p.fi.Size()
 		s.Meta = p.headerMeta
 		s.SealedDay = p.headerMeta.Days - 1
 		s.Events = int64(p.cur.count)
@@ -499,6 +500,7 @@ type TailSnapshot struct {
 	Anomaly error
 
 	start int64
+	size  int64 // file size of a Finalized snapshot, for its frame-cache identity
 	index []DayIndexEntry
 	segs  []segEntry // non-nil for a segmented file; offsets above are raw-stream
 }
@@ -507,14 +509,15 @@ type TailSnapshot struct {
 // the probed file, count-bounded by the snapshot's event count, so a
 // writer appending past the sealed prefix — or finalizing the file —
 // never perturbs an open pass, and for a segmented file the frames past
-// the sealed boundary are never fetched. Frames are served uncached: a
-// growing file has no stable frame-cache identity. Returns nil when the
-// snapshot holds no sealed events.
+// the sealed boundary are never fetched. A Finalized snapshot's frames go
+// through the frame cache under the identity OpenTrace gives the same
+// file; a growing file has no stable identity, so its frames are served
+// uncached. Returns nil when the snapshot holds no sealed events.
 func (s *TailSnapshot) Source() MetaSource {
 	if s.Events <= 0 {
 		return nil
 	}
-	return &FileSource{
+	fs := &FileSource{
 		Path:   s.Path,
 		blob:   fileBlob{path: s.Path},
 		meta:   s.Meta,
@@ -524,4 +527,8 @@ func (s *TailSnapshot) Source() MetaSource {
 		framed: s.segs != nil, // a sealed event lives in some frame
 		segs:   s.segs,
 	}
+	if s.Finalized {
+		fs.cacheID = fileCacheID(s.Path, s.size, fs.events)
+	}
+	return fs
 }
