@@ -130,17 +130,11 @@ func main() {
 	// goes through the tail probe, which reads only the sealed prefix of
 	// the file, finalized or still growing, flat or segmented. The daemon
 	// waits for the first sealed day rather than failing when it wins the
-	// race against the writer.
+	// race against the writer, backing off as an idle follow does.
 	tailer := ingest.NewTailer(ingest.Options{Path: *tracePath, Poll: *poll, Log: log})
-	src, err := tailer.OpenSealed()
-	for err != nil {
-		log.Info("waiting for a sealed trace prefix", "trace", *tracePath, "err", err)
-		select {
-		case <-ctx.Done():
-			os.Exit(1)
-		case <-time.After(*poll):
-		}
-		src, err = tailer.OpenSealed()
+	src, err := tailer.WaitSealed(ctx)
+	if err != nil {
+		os.Exit(1)
 	}
 	meta := src.Meta()
 	if cfg.Community.SizeDistDays, err = core.ParseDistDays(*distDays, meta.Days, cfg.Community); err != nil {

@@ -208,6 +208,63 @@ func TestCheckpointFlagsNeedDir(t *testing.T) {
 	}
 }
 
+// TestStartupWaitBacksOff: a daemon pointed at a trace that does not
+// exist waits for it on the follow loop's backoff and logs the wait once
+// per distinct error, not once per probe; SIGINT still ends the wait.
+func TestStartupWaitBacksOff(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.trace")
+	cmd := exec.Command(os.Args[0], cliArg, "-trace", missing, "-addr", "127.0.0.1:0", "-poll", "10ms")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cmd.Process.Kill() })
+
+	const waitMsg = `msg="waiting for a sealed trace prefix"`
+	first := make(chan struct{})
+	logDone := make(chan string, 1)
+	go func() {
+		var all strings.Builder
+		seen := false
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			line := sc.Text()
+			all.WriteString(line + "\n")
+			if !seen && strings.Contains(line, waitMsg) {
+				seen = true
+				close(first)
+			}
+		}
+		logDone <- all.String()
+	}()
+	select {
+	case <-first:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no wait line within 30s")
+	}
+	// At a fixed 10ms poll this second would take about 100 probes.
+	time.Sleep(time.Second)
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	var log string
+	select {
+	case log = <-logDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon still running 30s after SIGINT")
+	}
+	_ = cmd.Wait()
+	if !cmd.ProcessState.Exited() {
+		t.Errorf("daemon did not exit by itself after SIGINT during the wait (%v):\n%s", cmd.ProcessState, log)
+	}
+	if n := strings.Count(log, waitMsg); n > 2 {
+		t.Errorf("%d wait lines in about 1s at -poll 10ms, want at most 2:\n%s", n, log)
+	}
+}
+
 // rranalyzeFig1a is what `rranalyze -trace path -only fig1a` writes to
 // fig1a.tsv: the minimal plan for the panel under the default config.
 func rranalyzeFig1a(t *testing.T, path string) string {

@@ -1,10 +1,13 @@
 package community
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/stats"
 	"repro/internal/svm"
 	"repro/internal/trace"
 	"repro/internal/tracking"
@@ -212,6 +215,75 @@ func TestBuildMergeDataset(t *testing.T) {
 	if len(ds2.X) > len(ds.X) {
 		t.Fatal("exclusion grew the dataset")
 	}
+}
+
+// TestBuildMergeDatasetPrefixColumns pins BuildMergeDataset's one-pass
+// columns to the per-sample rebuild it replaced (buildMergeDatasetRebuild,
+// kept here as the reference): X, Y and Age bit-identical, with and
+// without the birthday exclusion.
+func TestBuildMergeDatasetPrefixColumns(t *testing.T) {
+	_, res := pipeline(t)
+	for _, exclude := range []int32{-1, 150} {
+		got, want := BuildMergeDataset(res, exclude), buildMergeDatasetRebuild(res, exclude)
+		if len(want.X) == 0 {
+			t.Fatalf("exclude %d: empty reference dataset", exclude)
+		}
+		if !slices.Equal(got.Y, want.Y) || !slices.Equal(got.Age, want.Age) || len(got.X) != len(want.X) {
+			t.Fatalf("exclude %d: %d samples, labels or ages differ from the reference's %d", exclude, len(got.X), len(want.X))
+		}
+		for i := range want.X {
+			for j := range want.X[i] {
+				if math.Float64bits(got.X[i][j]) != math.Float64bits(want.X[i][j]) {
+					t.Fatalf("exclude %d: sample %d feature %d = %v, reference %v", exclude, i, j, got.X[i][j], want.X[i][j])
+				}
+			}
+		}
+	}
+}
+
+// buildMergeDatasetRebuild is BuildMergeDataset as it was before the
+// prefix columns: it rebuilds the running size, in-ratio and similarity
+// slices from index 0 for every sample.
+func buildMergeDatasetRebuild(res *Result, excludeBirthDay int32) *MergeDataset {
+	ds := &MergeDataset{}
+	every := res.Opt.SnapshotEvery
+	for _, h := range res.Histories {
+		if excludeBirthDay >= 0 && h.Birth == excludeBirthDay {
+			continue
+		}
+		fs := h.Features
+		for i := 2; i < len(fs); i++ {
+			cur, prev, prev2 := fs[i], fs[i-1], fs[i-2]
+			var size, in, sim []float64
+			for j := 0; j <= i; j++ {
+				size = append(size, float64(fs[j].Size))
+				in = append(in, fs[j].InRatio)
+				sim = append(sim, fs[j].SelfSim)
+			}
+			d1s := float64(cur.Size - prev.Size)
+			d1i := cur.InRatio - prev.InRatio
+			d1m := cur.SelfSim - prev.SelfSim
+			d2s := d1s - float64(prev.Size-prev2.Size)
+			d2i := d1i - (prev.InRatio - prev2.InRatio)
+			d2m := d1m - (prev.SelfSim - prev2.SelfSim)
+			age := cur.Day - h.Birth
+			x := []float64{
+				float64(cur.Size), cur.InRatio, cur.SelfSim,
+				stats.StdDev(size), stats.StdDev(in), stats.StdDev(sim),
+				sign(d1s), sign(d1i), sign(d1m),
+				sign(d2s), sign(d2i), sign(d2m),
+				float64(age),
+			}
+			label := -1
+			if i == len(fs)-1 && h.MergedInto != 0 && h.Death >= 0 && h.Death <= cur.Day+every {
+				label = 1
+			}
+			ds.X = append(ds.X, x)
+			ds.Y = append(ds.Y, label)
+			ds.Age = append(ds.Age, age)
+		}
+	}
+	return ds
 }
 
 func TestEvaluateMergePrediction(t *testing.T) {

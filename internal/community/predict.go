@@ -43,20 +43,25 @@ func sign(x float64) float64 {
 func BuildMergeDataset(res *Result, excludeBirthDay int32) *MergeDataset {
 	ds := &MergeDataset{}
 	every := res.Opt.SnapshotEvery
+	// One history's metric columns, reused across histories: sample i's
+	// running stddev is over the prefix [:i+1].
+	var size, in, sim []float64
 	for _, h := range res.Histories {
 		if excludeBirthDay >= 0 && h.Birth == excludeBirthDay {
 			continue
 		}
 		fs := h.Features
+		if len(fs) < 3 {
+			continue
+		}
+		size, in, sim = size[:0], in[:0], sim[:0]
+		for _, f := range fs {
+			size = append(size, float64(f.Size))
+			in = append(in, f.InRatio)
+			sim = append(sim, f.SelfSim)
+		}
 		for i := 2; i < len(fs); i++ {
 			cur, prev, prev2 := fs[i], fs[i-1], fs[i-2]
-			// Running stddev over the history up to i.
-			var size, in, sim []float64
-			for j := 0; j <= i; j++ {
-				size = append(size, float64(fs[j].Size))
-				in = append(in, fs[j].InRatio)
-				sim = append(sim, fs[j].SelfSim)
-			}
 			d1s := float64(cur.Size - prev.Size)
 			d1i := cur.InRatio - prev.InRatio
 			d1m := cur.SelfSim - prev.SelfSim
@@ -66,7 +71,7 @@ func BuildMergeDataset(res *Result, excludeBirthDay int32) *MergeDataset {
 			age := cur.Day - h.Birth
 			x := []float64{
 				float64(cur.Size), cur.InRatio, cur.SelfSim,
-				stats.StdDev(size), stats.StdDev(in), stats.StdDev(sim),
+				stats.StdDev(size[:i+1]), stats.StdDev(in[:i+1]), stats.StdDev(sim[:i+1]),
 				sign(d1s), sign(d1i), sign(d1m),
 				sign(d2s), sign(d2i), sign(d2m),
 				float64(age),

@@ -28,7 +28,7 @@ type Stage struct {
 // its detector inline, until Share hands it a run's shared snapshots and
 // Pool.
 func NewStage(opt Options) *Stage {
-	return &Stage{det: NewDetector(opt), snaps: new(Snapshots).join(), tasks: newTasks(nil, 1)}
+	return &Stage{det: NewDetector(opt), snaps: new(Snapshots).join(), tasks: newTasks(nil)}
 }
 
 // Share makes the stage take its snapshot views from sn, which the run's
@@ -36,7 +36,7 @@ func NewStage(opt Options) *Stage {
 // CPU budget (nil: inline); call it before the pass starts.
 func (s *Stage) Share(sn *Snapshots, pool *engine.Pool) {
 	s.snaps = sn.join()
-	s.tasks = newTasks(pool, 1)
+	s.tasks = newTasks(pool)
 }
 
 // StageName and UsersStageName are the planner registry names of the two

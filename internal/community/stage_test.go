@@ -104,3 +104,51 @@ func TestSweepWithoutPool(t *testing.T) {
 		}
 	}
 }
+
+// TestTasksJoinedTwice: two joins at once, as the end-of-run SaveState
+// runs beside Finish, both return once every queued task has finished,
+// and both see the tasks' writes. A join whose context is cancelled
+// returns at once and leaves the tasks outstanding for a later join.
+func TestTasksJoinedTwice(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		pool := engine.NewPool(workers)
+		q := newTasks(pool)
+		done := make([]bool, 4)
+		for i := range done {
+			q.queue(func() { done[i] = true })
+		}
+		pool.Fan(2, func(_, _ int) {
+			if err := q.join(nil); err != nil {
+				t.Error(err)
+			}
+			for i, d := range done {
+				if !d {
+					t.Errorf("workers=%d: task %d unfinished after its join", workers, i)
+				}
+			}
+		})
+		if err := pool.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pool := engine.NewPool(2)
+	q := newTasks(pool)
+	gate := make(chan struct{})
+	q.queue(func() { <-gate })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := q.join(ctx); err != context.Canceled {
+		t.Fatalf("cancelled join: err %v, want context.Canceled", err)
+	}
+	close(gate)
+	if err := q.join(nil); err != nil {
+		t.Fatal(err)
+	}
+	if q.outstanding != 0 {
+		t.Fatalf("%d tasks outstanding after a join", q.outstanding)
+	}
+	if err := pool.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -259,10 +259,11 @@ func (s *UsersStage) LoadState(data []byte) error {
 }
 
 // SaveState implements engine.Checkpointer for the δ-sweep. It runs at
-// the engine's Sync barrier on the replay goroutine, so it first joins
-// the detector tasks still in flight from the current snapshot — the
-// per-δ states must be quiescent before serialization. Each detector's
-// state is recorded under its δ so a mismatched sweep grid fails loudly.
+// the engine's Sync barrier, or beside Finish at the end of the run, so
+// it first joins the detector tasks still in flight from the current
+// snapshot — the per-δ states must be quiescent before serialization.
+// Each detector's state is recorded under its δ so a mismatched sweep
+// grid fails loudly.
 func (s *SweepStage) SaveState(w io.Writer) error {
 	s.tasks.join(nil)
 	e := checkpoint.NewEncoder(w)

@@ -57,7 +57,7 @@ func NewSweepStage(opt Options, deltas []float64, pool *engine.Pool) *SweepStage
 		opt:    opt,
 		deltas: append([]float64(nil), deltas...),
 		snaps:  new(Snapshots).join(),
-		tasks:  newTasks(pool, len(deltas)),
+		tasks:  newTasks(pool),
 	}
 	for _, delta := range s.deltas {
 		o := opt

@@ -98,8 +98,8 @@ func parseCheckpointName(name string) (day int32, ok bool) {
 // resume runs configured for deltas and vice versa. Two runs with equal
 // fingerprints accumulate identical stage state day by day, so a
 // checkpoint from one can seed the other. (The post-pass SVM evaluation
-// re-runs from the community result on every run, resumed or not, so it
-// constrains nothing.)
+// is derived from the community result on every run, resumed or not, so
+// it constrains nothing.)
 func configFingerprint(cfg Config, meta trace.Meta, stages []string) uint64 {
 	has := map[string]bool{}
 	for _, s := range stages {
@@ -163,16 +163,35 @@ func fnvSum(b []byte) uint64 {
 // ckptParent is the writer's summary of the last checkpoint it wrote (or
 // restored): exactly what the next patch needs — the parent's identity
 // (day, byte hash), its state shape (degree vector), its stage blobs'
-// sums for unchanged-detection, and its position in the chain. Holding
-// this instead of the whole parent state keeps the delta path O(nodes)
-// in memory, not O(edges), and holding blob sums instead of the blobs
-// keeps it from duplicating the live stages a ResumeHandle keeps.
+// sums for unchanged-detection, and its position in the chain — plus the
+// blob and object lengths the next write pre-sizes its buffers from.
+// Holding this instead of the whole parent state keeps the delta path
+// O(nodes) in memory, not O(edges), and holding blob sums instead of the
+// blobs keeps it from duplicating the live stages a ResumeHandle keeps.
 type ckptParent struct {
 	day   int32
 	sum   uint64
 	deg   []int32
 	sums  []uint64 // checkpoint.BlobSums of the stage blobs
 	depth int      // 0 = full checkpoint, k = k-th delta in its chain
+	lens  []int    // each stage blob's length
+	size  int      // the object's length
+}
+
+// blobLens lists each blob's length.
+func blobLens(blobs [][]byte) []int {
+	out := make([]int, len(blobs))
+	for i, b := range blobs {
+		out[i] = len(b)
+	}
+	return out
+}
+
+// presize grows buf for an object about as long as the previous one of
+// its kind, n bytes, plus room for a day's growth, so the encoder's
+// spills append without regrowing the buffer.
+func presize(buf *bytes.Buffer, n int) {
+	buf.Grow(n + n/16)
 }
 
 // ResumeHandle is a single-use, in-memory resume point: the end state of
@@ -271,9 +290,13 @@ func (x *planExec) armCheckpoints() {
 // requirement.
 func (x *planExec) writeCheckpoint(day int32, st *trace.State) error {
 	start := time.Now()
+	p := x.parent
 	blobs := make([][]byte, 0, len(x.stages))
-	for _, s := range x.stages {
+	for i, s := range x.stages {
 		var buf bytes.Buffer
+		if p != nil {
+			presize(&buf, p.lens[i])
+		}
 		if err := s.(engine.Checkpointer).SaveState(&buf); err != nil {
 			return fmt.Errorf("stage %s: %w", s.Name(), err)
 		}
@@ -281,9 +304,12 @@ func (x *planExec) writeCheckpoint(day int32, st *trace.State) error {
 	}
 
 	var buf bytes.Buffer
+	if p != nil {
+		presize(&buf, p.size)
+	}
 	h := checkpoint.Header{Day: day, ParentDay: -1, ConfigHash: x.ckptHash, Stages: x.ckptNames}
 	depth := 0
-	if p := x.parent; p != nil && p.depth+1 < x.rt.cfg.CheckpointFullEvery && p.day < day {
+	if p != nil && p.depth+1 < x.rt.cfg.CheckpointFullEvery && p.day < day {
 		dh := h
 		dh.ParentDay, dh.ParentSum = p.day, p.sum
 		if checkpoint.Write(&buf, dh, st, blobs, p.deg, p.sums) == nil {
@@ -299,7 +325,8 @@ func (x *planExec) writeCheckpoint(day int32, st *trace.State) error {
 	if err := x.backend.Put(checkpointFileName(day), buf.Bytes()); err != nil {
 		return err
 	}
-	x.parent = &ckptParent{day: day, sum: fnvSum(buf.Bytes()), deg: checkpoint.Degrees(st), sums: checkpoint.BlobSums(blobs), depth: depth}
+	x.parent = &ckptParent{day: day, sum: fnvSum(buf.Bytes()), deg: checkpoint.Degrees(st), sums: checkpoint.BlobSums(blobs), depth: depth,
+		lens: blobLens(blobs), size: buf.Len()}
 	if obs := x.rt.cfg.CheckpointObserver; obs != nil {
 		obs(CheckpointStat{Day: day, Delta: depth > 0, Bytes: int64(buf.Len()), Elapsed: time.Since(start)})
 	}
@@ -548,6 +575,8 @@ func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) err
 		deg:   checkpoint.Degrees(c.State),
 		sums:  checkpoint.BlobSums(c.Blobs),
 		depth: len(links) - 1,
+		lens:  blobLens(c.Blobs),
+		size:  len(links[0]),
 	})
 }
 

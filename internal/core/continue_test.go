@@ -296,3 +296,120 @@ func TestHandleAtAnotherBudget(t *testing.T) {
 	}
 	compareRuns(t, "other budget", want, res)
 }
+
+// TestFinishBesideCheckpoint: the end-of-run checkpoint is written beside
+// the Finish chain. Over the full plan with checkpoints on, budgets of 2
+// and 8 tokens (where the two may run at once) must write the very
+// end-of-run object a budget of 1 (checkpoint first, then Finish, inline)
+// writes, and every budget's Result must match a from-zero run without
+// checkpoints. Under -race this runs SaveState against Finish on every
+// stage of the plan.
+func TestFinishBesideCheckpoint(t *testing.T) {
+	tr, err := gen.Generate(gen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := encodeTrace(t, tr, filepath.Join(t.TempDir(), "beside.trace"))
+	last := checkpointFileName(src.Meta().Days - 1)
+
+	plain := parallelTestConfig()
+	want, err := RunPlan(nil, src, plain, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for _, workers := range []int{1, 2, 8} {
+		dir := t.TempDir()
+		cfg := resumeTestConfig(dir)
+		cfg.CheckpointFullEvery = 2
+		cfg.Workers = workers
+		got, err := RunPlan(nil, src, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareRuns(t, fmt.Sprintf("workers=%d", workers), want, got)
+		b, err := storage.NewDirBackend(dir).Get(last)
+		if err != nil {
+			t.Fatalf("workers=%d: end-of-run checkpoint: %v", workers, err)
+		}
+		if first == nil {
+			first = b
+		} else if !bytes.Equal(b, first) {
+			t.Errorf("workers=%d: end-of-run checkpoint %s differs from the budget-1 run's (%d vs %d bytes)", workers, last, len(b), len(first))
+		}
+	}
+}
+
+// TestMergePredictionMemo: one-day warm advances over a window holding
+// two snapshot days. The Fig 6b evaluation is reused on the days that
+// took no snapshot and recomputed on the days that did; on every day
+// fig6b equals a from-zero RunFigures over the same prefix.
+func TestMergePredictionMemo(t *testing.T) {
+	tr, err := gen.Generate(gen.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	// cfg snapshots every 6 days: passes ending on days 285..296 take
+	// snapshots on days 290 and 296.
+	prefix := func(days int32) *trace.FileSource {
+		var n int
+		for n < len(tr.Events) && tr.Events[n].Day < days {
+			n++
+		}
+		return encodeTrace(t, &trace.Trace{Meta: tr.Meta, Events: tr.Events[:n]}, filepath.Join(dir, fmt.Sprintf("d%d.trace", days)))
+	}
+	cfg := resumeTestConfig(t.TempDir())
+	cfg.Resume = true
+	plain := cfg
+	plain.CheckpointDir, plain.Resume = "", false
+
+	var h *ResumeHandle
+	// The previous pass's Result shares its Community with the live
+	// stage, so its last snapshot day is kept apart.
+	var prev *Result
+	var prevTab *Table
+	var prevLast int32
+	snapshots, moved := 0, false
+	for days := int32(286); days <= 297; days++ {
+		src := prefix(days)
+		res, next, err := ContinueFigures(nil, src, cfg, h, "fig6b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = next
+		tab, err := res.Figure("fig6b")
+		if err != nil {
+			t.Fatalf("day %d: %v", days-1, err)
+		}
+		zero, err := RunFigures(nil, src, plain, "fig6b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := zero.Figure("fig6b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tab.Equal(want) {
+			t.Errorf("day %d: warm fig6b differs from the from-zero run", days-1)
+		}
+		if prev != nil {
+			if !res.ResumedInMemory {
+				t.Fatalf("day %d: pass did not continue in memory", days-1)
+			}
+			switch {
+			case res.Community.LastDay != prevLast:
+				snapshots++
+				moved = moved || !tab.Equal(prevTab)
+			case len(res.MergeBins) == 0 || &res.MergeBins[0] != &prev.MergeBins[0]:
+				t.Errorf("day %d: no new snapshot since day %d, but the evaluation was not reused", days-1, prevLast)
+			}
+		}
+		prev, prevTab, prevLast = res, tab, res.Community.LastDay
+	}
+	// Without a snapshot that moves fig6b, a memo that is never
+	// invalidated would pass.
+	if snapshots < 2 || !moved {
+		t.Fatalf("window holds %d snapshots, fig6b moved: %v; want at least 2 and a move", snapshots, moved)
+	}
+}

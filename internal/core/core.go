@@ -101,7 +101,8 @@ type Config struct {
 	// CheckpointObserver, when non-nil, is invoked after every
 	// successful checkpoint write with the written object's stats — the
 	// serving daemon's /statz storage section hangs off it. Called on
-	// the replay goroutine; it must not block.
+	// the replay goroutine, or for the end-of-run checkpoint possibly on
+	// a pool goroutine beside the stages' Finish; it must not block.
 	CheckpointObserver func(CheckpointStat)
 	// Resume makes RunPlan restore the latest compatible checkpoint in
 	// CheckpointDir — same stage set and config fingerprint, checkpoint
@@ -264,22 +265,46 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// applyMergePrediction trains and evaluates the Fig 6b SVM merge predictor
-// over a community result and copies the outcome into res. Evaluation
-// errors (e.g. a dataset too small to split) leave the result fields empty;
-// the figure then reports ErrStageSkipped, matching the pipeline's historic
-// behavior.
-func applyMergePrediction(res *Result, cr *community.Result, mergeDay int32, seed int64) {
+// mergePrediction is one Fig 6b evaluation together with its inputs: the
+// community result's last snapshot day, the merge day the dataset
+// excludes, and the SVM seed. The community histories it reads change
+// only on snapshot days, so a run keeps the last one and reuses it while
+// its inputs are unchanged (see the svm spec).
+type mergePrediction struct {
+	lastDay, mergeDay int32
+	seed              int64
+	bins              []community.AgeBinAccuracy
+	overall           MergeAccuracy
+}
+
+// predictMerges trains and evaluates the Fig 6b SVM merge predictor over
+// a community result. Evaluation errors (e.g. a dataset too small to
+// split) leave the outcome empty; the figure then reports
+// ErrStageSkipped, matching the pipeline's historic behavior.
+func predictMerges(cr *community.Result, mergeDay int32, seed int64) *mergePrediction {
+	p := &mergePrediction{lastDay: cr.LastDay, mergeDay: mergeDay, seed: seed}
 	ds := community.BuildMergeDataset(cr, mergeDay)
 	bins, overall, err := community.EvaluateMergePrediction(ds, 10, svmOptions(seed))
 	if err != nil {
-		return
+		return p
 	}
-	res.MergeBins = bins
-	res.MergeOverall = MergeAccuracy{
+	p.bins = bins
+	p.overall = MergeAccuracy{
 		PosAccuracy: overall.PosAccuracy,
 		NegAccuracy: overall.NegAccuracy,
 		Accuracy:    overall.Accuracy,
 		N:           overall.N,
 	}
+	return p
+}
+
+// covers reports whether p was computed from these inputs.
+func (p *mergePrediction) covers(cr *community.Result, mergeDay int32, seed int64) bool {
+	return p != nil && p.lastDay == cr.LastDay && p.mergeDay == mergeDay && p.seed == seed
+}
+
+// apply copies the outcome into res. Results that share the bins never
+// mutate them.
+func (p *mergePrediction) apply(res *Result) {
+	res.MergeBins, res.MergeOverall = p.bins, p.overall
 }

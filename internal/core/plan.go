@@ -60,6 +60,11 @@ type planRT struct {
 	// snaps freezes the shared graph once per snapshot day for the
 	// community stage and the δ-sweep together.
 	snaps *community.Snapshots
+	// merges is the last Fig 6b evaluation. It lives as long as the
+	// stages (bind and adopt keep it, instantiate starts without it) and
+	// is written only by the svm task, which the pass joins before the
+	// next one reads it.
+	merges *mergePrediction
 
 	metrics *metrics.Stage
 	evo     *evolution.Stage
@@ -171,8 +176,15 @@ var stageRegistry = []*StageSpec{
 		afterPass: func(ctx context.Context, rt *planRT, pool *engine.Pool) {
 			// The SVM evaluation depends on the community stage's result but
 			// not on the other finishers; it joins the concurrent fan-out.
+			// A pass that took no new snapshot reuses the last one.
+			cr, mergeDay, seed := rt.comm.Result(), rt.meta.MergeDay, rt.cfg.Seed
+			if rt.merges.covers(cr, mergeDay, seed) {
+				rt.merges.apply(rt.res)
+				return
+			}
 			pool.GoContext(ctx, func() error {
-				applyMergePrediction(rt.res, rt.comm.Result(), rt.meta.MergeDay, rt.cfg.Seed)
+				rt.merges = predictMerges(cr, mergeDay, seed)
+				rt.merges.apply(rt.res)
 				return nil
 			})
 		},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -160,5 +161,50 @@ func testResumeSourceContext(t *testing.T, pool *Pool) {
 	}
 	if stRes.Graph.NumNodes() != stFull.Graph.NumNodes() || stRes.Graph.NumEdges() != stFull.Graph.NumEdges() {
 		t.Fatal("resumed state diverged")
+	}
+}
+
+// TestEndOfRunCheckpointBesideFinish pins the end-of-run fan: the
+// checkpoint and the Finish chain both run, a budget of one runs the
+// checkpoint first, and a checkpoint error wins over a Finish error.
+func TestEndOfRunCheckpointBesideFinish(t *testing.T) {
+	forBudgets(t, testEndOfRunCheckpointBesideFinish)
+}
+
+func testEndOfRunCheckpointBesideFinish(t *testing.T, pool *Pool) {
+	errCkpt, errFinish := errors.New("disk full"), errors.New("too few snapshots")
+	for _, c := range []struct {
+		ckpt, finish, want error
+	}{
+		{nil, nil, nil},
+		{nil, errFinish, errFinish},
+		{errCkpt, nil, errCkpt},
+		{errCkpt, errFinish, errCkpt},
+	} {
+		var mu sync.Mutex
+		var order []string
+		log := func(s string) {
+			mu.Lock()
+			order = append(order, s)
+			mu.Unlock()
+		}
+		e := New()
+		e.SetPool(pool)
+		e.Subscribe(&ckptStage{Funcs: Funcs{StageName: "count", Done: func(*trace.State) error {
+			log("finish")
+			return c.finish
+		}}})
+		// Cadence 100: only the end-of-run checkpoint, at day 5, fires.
+		e.EnableCheckpoints(100, func(int32, *trace.State) error {
+			log("checkpoint")
+			return c.ckpt
+		})
+		_, err := runEvents(e, testEvents())
+		if !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {
+			t.Errorf("checkpoint %v, Finish %v: err = %v, want %v", c.ckpt, c.finish, err, c.want)
+		}
+		if len(order) != 2 || (pool.Workers() == 1 && order[0] != "checkpoint") {
+			t.Errorf("checkpoint %v, Finish %v: ran %v, want the checkpoint and Finish (checkpoint first at a budget of one)", c.ckpt, c.finish, order)
+		}
 	}
 }

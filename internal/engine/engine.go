@@ -45,6 +45,9 @@ import (
 //     resumed pass continues the live stages of the previous one), and
 //     must then reach exactly the state of a stage that never finished:
 //     the same SaveState bytes, the same next result.
+//   - SaveState (Checkpointer) may run concurrently with Finish: the
+//     end-of-run checkpoint is written beside the Finish chain. Neither
+//     may write what the other reads.
 type Stage interface {
 	Name() string
 	OnEvent(st *trace.State, ev trace.Event)
@@ -80,9 +83,12 @@ type Syncer interface {
 // fed the remaining days must end in exactly the state a from-zero run
 // reaches — including any RNG it owns.
 //
-// SaveState runs at the engine's Sync barrier on the replay goroutine; a
-// stage with in-flight fan-out (the δ-sweep) must join its tasks before
-// serializing.
+// SaveState runs at the engine's Sync barrier on the replay goroutine,
+// or, for the end-of-run checkpoint, beside the Finish chain, possibly on
+// a pool goroutine and concurrently with the stage's own Finish. A stage
+// with in-flight fan-out (the δ-sweep) must join its tasks before
+// serializing, in a way that is safe when Finish joins them at the same
+// time.
 type Checkpointer interface {
 	SaveState(w io.Writer) error
 	LoadState(data []byte) error
@@ -93,7 +99,8 @@ type Checkpointer interface {
 // calls it at the Sync barrier — after every stage's OnDayEnd and Sync
 // for that day, before the next day's events mutate the shared graph. A
 // non-nil error aborts the replay at that boundary, exactly like a Sync
-// error.
+// error. The end-of-run call runs beside the stages' Finish chain,
+// possibly on a pool goroutine; its error fails the pass.
 type CheckpointFunc func(day int32, st *trace.State) error
 
 // Engine composes subscribed stages over one replay pass.
@@ -160,9 +167,11 @@ func (e *Engine) Stages() int { return len(e.stages) }
 // EnableCheckpoints arms the checkpoint hook: at every day boundary whose
 // day is a positive multiple of `every`, fn runs at the Sync barrier with
 // the quiescent shared state, and once more at the last replayed day
-// after the pass completes (before any stage Finish) — the end-of-run
-// checkpoint an incremental workflow resumes from, so a later run over a
-// grown trace replays exactly the appended days. Arming checkpoints
+// after the pass completes (beside the Finish chain; Finish output never
+// enters a checkpoint) — the end-of-run checkpoint an incremental
+// workflow resumes from, so a later run over a grown trace replays
+// exactly the appended days. fn may therefore run concurrently with the
+// stages' Finish, on another goroutine. Arming checkpoints
 // makes hidden stage state an error: every subscribed stage must
 // implement Checkpointer or the run refuses to start — a checkpoint that
 // silently omitted a stage would resume into wrong results.
@@ -202,7 +211,8 @@ func (e *Engine) ResumeSourceContext(ctx context.Context, src trace.Source, st *
 
 // run is the pass behind RunSourceContext and ResumeSourceContext: one
 // trace.ReplayFrom loop driven by one driver, then the end-of-run
-// checkpoint and every stage's Finish.
+// checkpoint beside the Finish chain; Finish output never enters a
+// checkpoint.
 func (e *Engine) run(ctx context.Context, src trace.Source, st *trace.State, fromDay int32) (*trace.State, error) {
 	if e.ckptFn != nil {
 		for _, s := range e.stages {
@@ -238,17 +248,35 @@ func (e *Engine) run(ctx context.Context, src trace.Source, st *trace.State, fro
 	if err != nil {
 		return st, err
 	}
-	// The end-of-run checkpoint: the state as of the last replayed day,
-	// written before any Finish (Finish seals results but must never
-	// count as replay state). A resume that replayed nothing new skips
-	// it — the checkpoint it restored is already that state.
-	if err := d.checkpoint(st, st.Day); err != nil {
-		return st, err
+	// The end-of-run checkpoint (the state as of the last replayed day)
+	// and the in-order Finish chain are the two items of one fan, joined
+	// before the pass returns. Both only read: Finish leaves every
+	// accumulator as it was, so the checkpoint is the replay state and
+	// Finish output never enters it. A budget of one runs them inline,
+	// checkpoint first. A resume that replayed nothing new skips the
+	// checkpoint — the one it restored is already that state. A
+	// checkpoint error wins over a Finish error.
+	var ckptErr, finishErr error
+	e.pool.Fan(2, func(_, i int) {
+		if i == 0 {
+			ckptErr = d.checkpoint(st, st.Day)
+			return
+		}
+		finishErr = e.finish(st)
+	})
+	if ckptErr != nil {
+		return st, ckptErr
 	}
+	return st, finishErr
+}
+
+// finish runs every stage's Finish in subscription order and reports the
+// first error with the stage's name wrapped in.
+func (e *Engine) finish(st *trace.State) error {
 	for _, s := range e.stages {
 		if err := s.Finish(st); err != nil {
-			return st, fmt.Errorf("%s: %w", s.Name(), err)
+			return fmt.Errorf("%s: %w", s.Name(), err)
 		}
 	}
-	return st, nil
+	return nil
 }

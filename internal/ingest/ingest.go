@@ -159,12 +159,50 @@ func (t *Tailer) Follow(ctx context.Context, apply func(context.Context, *trace.
 		}
 		if advanced {
 			wait = t.opt.Poll
-		} else if wait = wait * 8 / 5; wait > t.opt.MaxPoll {
-			wait = t.opt.MaxPoll
+		} else {
+			wait = t.backoff(wait)
 		}
-		// Jitter ±10% so a fleet of followers doesn't stat in lockstep.
-		timer.Reset(wait/10*9 + time.Duration(rand.Int63n(int64(wait/5)+1)))
+		timer.Reset(jitter(wait))
 	}
+}
+
+// WaitSealed is OpenSealed retried on Follow's backoff schedule until the
+// file holds a sealed day or ctx is done: the startup wait of a daemon
+// that may win the race against its writer, or be pointed at a path that
+// does not exist yet. It logs the first failure and every change of
+// error, not each retry.
+func (t *Tailer) WaitSealed(ctx context.Context) (trace.MetaSource, error) {
+	wait := t.opt.Poll
+	var last string
+	for {
+		src, err := t.OpenSealed()
+		if err == nil {
+			return src, nil
+		}
+		if msg := err.Error(); msg != last {
+			last = msg
+			t.log.LogAttrs(ctx, slog.LevelInfo, "waiting for a sealed trace prefix",
+				slog.String("trace", t.opt.Path), slog.String("err", msg))
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(jitter(wait)):
+		}
+		wait = t.backoff(wait)
+	}
+}
+
+// backoff is the wait after an idle poll, one that sealed no new day:
+// ×8/5 the last one, capped at MaxPoll.
+func (t *Tailer) backoff(wait time.Duration) time.Duration {
+	return min(wait*8/5, t.opt.MaxPoll)
+}
+
+// jitter spreads a wait by ±10% so a fleet of followers doesn't stat in
+// lockstep.
+func jitter(wait time.Duration) time.Duration {
+	return wait/10*9 + time.Duration(rand.Int63n(int64(wait/5)+1))
 }
 
 // ApplyStats is a point-in-time view of the ingest plane's progress,
