@@ -134,7 +134,11 @@ func main() {
 	tailer := ingest.NewTailer(ingest.Options{Path: *tracePath, Poll: *poll, Log: log})
 	src, err := tailer.WaitSealed(ctx)
 	if err != nil {
-		os.Exit(1)
+		// WaitSealed fails only when ctx is done: SIGINT or SIGTERM before
+		// the trace had a sealed day is a deliberate stop, as it is once
+		// serving.
+		log.Info("shutting down")
+		return
 	}
 	meta := src.Meta()
 	if cfg.Community.SizeDistDays, err = core.ParseDistDays(*distDays, meta.Days, cfg.Community); err != nil {

@@ -260,6 +260,9 @@ func TestStartupWaitBacksOff(t *testing.T) {
 	if !cmd.ProcessState.Exited() {
 		t.Errorf("daemon did not exit by itself after SIGINT during the wait (%v):\n%s", cmd.ProcessState, log)
 	}
+	if code := cmd.ProcessState.ExitCode(); code != 0 {
+		t.Errorf("SIGINT during the wait exited %d, want 0 as once serving:\n%s", code, log)
+	}
 	if n := strings.Count(log, waitMsg); n > 2 {
 		t.Errorf("%d wait lines in about 1s at -poll 10ms, want at most 2:\n%s", n, log)
 	}

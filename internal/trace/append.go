@@ -49,9 +49,13 @@ func OpenAppend(f *os.File) (*Encoder, error) {
 		return nil, fmt.Errorf("%w: count slot is not finalized (writer crashed before Close?)", ErrNotAppendable)
 	}
 
-	idx, eventsEnd := readDayIndexOff(f, count)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	idx, eventsEnd := readDayIndex(&blobHandle{ra: f}, fi.Size(), int64(fixedHeaderLen))
 	prevDay := int32(0)
-	if idx != nil {
+	if eventsEnd >= 0 && validIndex(idx, meta.Days, count, int64(fixedHeaderLen), eventsEnd) {
 		// The index's last entry marks the first event of the final day;
 		// every event after it shares that day.
 		if len(idx) > 0 {
@@ -60,6 +64,7 @@ func OpenAppend(f *os.File) (*Encoder, error) {
 	} else {
 		// No (valid) footer: one decode pass rebuilds the index and finds
 		// the stream's end.
+		idx = nil
 		if _, err := f.Seek(int64(fixedHeaderLen), io.SeekStart); err != nil {
 			return nil, err
 		}

@@ -133,7 +133,7 @@ func TestOpenAppendWithoutFooter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, footOff := readDayIndexOff(f, maxEventCount)
+	_, footOff := readDayIndex(&blobHandle{ra: f}, int64(len(readAll(t, path))), 0)
 	if footOff < 0 {
 		t.Fatal("prefix file has no footer")
 	}

@@ -579,9 +579,14 @@ func parseFixedHeader(hdr []byte, mag [4]byte) (meta Meta, count uint64, finaliz
 	if err := json.Unmarshal(bytes.TrimRight(hdr[metaStart:metaStart+encMetaPad], " "), &meta); err != nil {
 		return meta, 0, false, fmt.Errorf("trace: bad meta: %w", err)
 	}
-	count, cerr := binary.ReadUvarint(bytes.NewReader(hdr[metaStart+encMetaPad : fixedHeaderLen]))
-	if cerr != nil {
+	count, cn := binary.Uvarint(hdr[metaStart+encMetaPad : fixedHeaderLen])
+	switch {
+	case cn <= 0:
 		return meta, 0, false, nil
+	case cn != encCountPad:
+		// A canonical count: one-shot Encode output whose meta happens
+		// to fill the slot.
+		return meta, 0, false, fmt.Errorf("%w: count is not padded", errNotFixedHeader)
 	}
 	if count > maxEventCount {
 		return meta, 0, false, fmt.Errorf("%w: %d events", ErrCountTooLarge, count)

@@ -195,3 +195,44 @@ func TestSegBackendBlobUncached(t *testing.T) {
 		t.Fatalf("blob container populated the frame cache: %d new entries", after.Entries-before.Entries)
 	}
 }
+
+// TestTailProbeFrameLoadsCountAsMisses pins how the tail probe shows in
+// ReadFrameCacheStats. A probe that decodes frames loads each one once
+// through the cursors' loader, uncached because a growing file has no
+// stable identity: every load counts as a miss and as inflated bytes,
+// and none is stored. A trusted probe of a finalized file loads none.
+func TestTailProbeFrameLoadsCountAsMisses(t *testing.T) {
+	resetFrameCache(t, DefaultFrameCacheBytes)
+	dir := t.TempDir()
+	final, footerless := filepath.Join(dir, "final.rrs"), filepath.Join(dir, "footerless.rrs")
+	encodeSegToFile(t, synthTrace(257), final, true)
+	writeFile(t, footerless, stripSegFooter(t, final))
+
+	before := ReadFrameCacheStats()
+	snap, err := NewTailProbe(footerless).Probe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := ReadFrameCacheStats()
+	var raw uint64
+	for _, s := range snap.segs {
+		raw += uint64(s.rawLen)
+	}
+	if len(snap.segs) < 3 {
+		t.Fatalf("need >= 3 frames, got %d", len(snap.segs))
+	}
+	if after.Misses-before.Misses != uint64(len(snap.segs)) || after.InflatedBytes-before.InflatedBytes != raw {
+		t.Fatalf("probe of %d frames (%d raw bytes) counted %d misses, %d inflated bytes",
+			len(snap.segs), raw, after.Misses-before.Misses, after.InflatedBytes-before.InflatedBytes)
+	}
+	if after.Hits != before.Hits || after.Entries != before.Entries {
+		t.Fatalf("probe used the frame cache: %d hits, %d entries", after.Hits-before.Hits, after.Entries-before.Entries)
+	}
+
+	if _, err := NewTailProbe(final).Probe(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ReadFrameCacheStats(); got != after {
+		t.Fatalf("trusted probe touched the frame cache: %+v, was %+v", got, after)
+	}
+}

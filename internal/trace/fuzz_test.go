@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"path/filepath"
 	"testing"
 )
 
@@ -74,6 +76,87 @@ func FuzzDecode(f *testing.F) {
 			if tr2.Events[i] != tr.Events[i] {
 				t.Fatalf("event %d round trip: %+v -> %+v", i, tr.Events[i], tr2.Events[i])
 			}
+		}
+	})
+}
+
+// FuzzTailProbe holds the tail probe to its contract on arbitrary file
+// contents: probing never panics, a snapshot with sealed events gives a
+// Source that replays exactly those events, each on a sealed day, and a
+// second probe of the unchanged file reports the same sealed prefix.
+// One load is exempt from the replay check by design: the first probe
+// of a finalized file trusts its header and footer without reading the
+// event bytes, as OpenTrace does, so corruption inside those bytes
+// shows only when the source replays them. Such a replay may fail, but
+// one that succeeds still yields exactly the sealed count.
+func FuzzTailProbe(f *testing.F) {
+	tr := synthTrace(129)
+	var ws seekBuffer
+	enc, err := NewEncoder(&ws)
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc.SetSeed(tr.Meta.Seed)
+	for _, ev := range tr.Events {
+		if err := enc.Write(ev); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := enc.Close(); err != nil {
+		f.Fatal(err)
+	}
+	seg := encodeSegBytes(f, tr, true)
+	for _, full := range [][]byte{ws.buf, seg} {
+		f.Add(full)
+		f.Add(full[:len(full)*2/3]) // cut mid-event or mid-frame
+	}
+	footLen := int(binary.LittleEndian.Uint64(seg[len(seg)-indexTrailerLen:]))
+	f.Add(seg[:len(seg)-indexTrailerLen-footLen])
+
+	path := filepath.Join(f.TempDir(), "trace")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		writeFile(t, path, data)
+		p := NewTailProbe(path)
+		snap, err := p.Probe()
+		if err != nil {
+			return // not probeable yet: the caller backs off
+		}
+		trusted := !p.sealedValid
+		again, err := p.Probe()
+		if err != nil {
+			t.Fatalf("re-probe of the unchanged file: %v", err)
+		}
+		if again.SealedDay != snap.SealedDay || again.Events != snap.Events {
+			t.Fatalf("re-probe sealed day %d with %d events, first probe day %d with %d",
+				again.SealedDay, again.Events, snap.SealedDay, snap.Events)
+		}
+		if snap.Events <= 0 {
+			return
+		}
+		cur, err := snap.Source().Open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		var n int64
+		for {
+			ev, ok, err := cur.Next()
+			if err != nil {
+				if trusted {
+					return
+				}
+				t.Fatalf("sealed event %d of %d: %v", n, snap.Events, err)
+			}
+			if !ok {
+				break
+			}
+			if ev.Day > snap.SealedDay && !trusted {
+				t.Fatalf("sealed event %d is on day %d, past sealed day %d", n, ev.Day, snap.SealedDay)
+			}
+			n++
+		}
+		if n != snap.Events {
+			t.Fatalf("source replayed %d events, snapshot seals %d", n, snap.Events)
 		}
 	})
 }

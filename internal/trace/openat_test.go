@@ -226,6 +226,67 @@ func TestCorruptIndexReadsAsAbsent(t *testing.T) {
 	}
 }
 
+// TestEmptyIndexReadsAsAbsent: a well-formed day index with no entries
+// cannot describe a non-empty stream, in either container. Trusting it
+// made OpenAt past day 0 return an exhausted cursor and EventsThrough
+// the whole count; it must read as absent instead, and the tail probe,
+// which then decodes, must answer with an index of its own.
+func TestEmptyIndexReadsAsAbsent(t *testing.T) {
+	tr := synthTrace(129)
+	const day = 16
+	want := suffixFrom(tr.Events, day)
+	through, _ := EventsThrough(SliceSource(tr.Events), day-1)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name   string
+		write  func(path string)
+		footer func(s *FileSource) []byte
+	}{
+		{"flat", func(path string) { encodeToFile(t, tr, path) },
+			func(*FileSource) []byte { return appendDayIndex(nil, nil) }},
+		{"segmented", func(path string) { encodeSegToFile(t, tr, path, true) },
+			func(s *FileSource) []byte { return appendSegFooter(nil, s.segs, nil) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(dir, c.name)
+			c.write(path)
+			s, err := OpenTrace(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFile(t, path, append(stripSegFooter(t, path), appendTrailer(c.footer(s))...))
+
+			s, err = OpenTrace(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Index() != nil {
+				t.Fatal("empty index accepted for a non-empty stream")
+			}
+			cur, err := s.OpenAt(day)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameEvents(t, "OpenAt", drainCursor(t, cur), want)
+			cur.Close()
+			if n, ok := EventsThrough(s, day-1); ok {
+				t.Fatalf("EventsThrough(%d) = %d from an absent index", day-1, n)
+			}
+
+			snap, err := NewTailProbe(path).Probe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !snap.Finalized || snap.Events != int64(len(tr.Events)) {
+				t.Fatalf("probe: %+v", snap)
+			}
+			if n, ok := EventsThrough(snap.Source(), day-1); !ok || n != through {
+				t.Fatalf("probe EventsThrough(%d) = %d, %v; want %d", day-1, n, ok, through)
+			}
+		})
+	}
+}
+
 // TestEventsThrough covers the checkpoint plane's consistency probe.
 func TestEventsThrough(t *testing.T) {
 	tr := synthTrace(120)

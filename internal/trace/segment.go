@@ -70,6 +70,10 @@ const (
 	// maxSegFrameLen bounds the lengths a frame or footer entry may
 	// declare before any allocation trusts them.
 	maxSegFrameLen = 1 << 30
+	// maxRawEventLen is the longest raw event a frame can decode to: a
+	// kind byte and three int32 uvarints (day delta, u, v) of at most 5
+	// bytes each.
+	maxRawEventLen = 16
 )
 
 var (
@@ -77,10 +81,10 @@ var (
 	// checksum or its payload contradicts the frame header. The wrapped
 	// message carries the segment ordinal and file byte offset.
 	ErrSegmentCorrupt = errors.New("trace: segment corrupt")
-	// ErrNotFinalized is returned when opening a segmented trace whose
-	// writer never reached Close (poisoned count slot, or frames beyond
-	// what the header accounts for).
-	ErrNotFinalized = errors.New("trace: segmented trace is not finalized")
+	// ErrNotFinalized is returned when opening a trace whose writer never
+	// reached Close (poisoned count slot, or segmented frames beyond what
+	// the header accounts for).
+	ErrNotFinalized = errors.New("trace: file is not finalized")
 )
 
 // segEntry is one frame's position in both address spaces: the file
@@ -104,13 +108,13 @@ func (s segEntry) rawEnd() int64  { return s.rawStart + s.rawLen }
 
 // plausible reports whether a frame header can describe a real frame
 // following one whose last day was prevLast: both lengths in (0,
-// maxSegFrameLen], at least one event and no more events than raw bytes,
-// and days that continue the stream. The frame CRC covers only the
-// payload, so every reader checks this before an allocation trusts the
-// header's lengths.
+// maxSegFrameLen], at least one event, between 1 and maxRawEventLen raw
+// bytes per event, and days that continue the stream. The frame CRC
+// covers only the payload, so every reader checks this before an
+// allocation trusts the header's lengths.
 func (s segEntry) plausible(prevLast int32) bool {
 	return s.compLen > 0 && s.compLen <= maxSegFrameLen && s.rawLen > 0 && s.rawLen <= maxSegFrameLen &&
-		s.events > 0 && int64(s.events) <= s.rawLen &&
+		s.events > 0 && int64(s.events) <= s.rawLen && s.rawLen <= maxRawEventLen*int64(s.events) &&
 		s.prevDay == prevLast && s.firstDay >= s.prevDay && s.lastDay >= s.firstDay
 }
 
@@ -619,8 +623,6 @@ func parseSegFooter(b []byte) ([]segEntry, []DayIndexEntry, error) {
 		return nil, nil, fmt.Errorf("trace: footer declares %d segments", count)
 	}
 	segs := make([]segEntry, 0, min(count, 1<<16))
-	fileOff, rawStart, firstEvent := int64(fixedHeaderLen), int64(0), uint64(0)
-	prevLast := int32(0)
 	for i := uint64(0); i < count; i++ {
 		var vs [6]uint64
 		for j := range vs {
@@ -628,30 +630,22 @@ func parseSegFooter(b []byte) ([]segEntry, []DayIndexEntry, error) {
 				return nil, nil, err
 			}
 		}
+		at := frameEnd(segs)
 		s := segEntry{
-			fileOff:    fileOff,
+			fileOff:    at.fileOff,
 			compLen:    int64(vs[0]),
 			rawLen:     int64(vs[1]),
-			rawStart:   rawStart,
+			rawStart:   at.rawStart,
 			events:     vs[2],
-			firstEvent: firstEvent,
+			firstEvent: at.firstEvent,
+			firstDay:   int32(vs[3]),
+			lastDay:    int32(vs[4]),
+			prevDay:    int32(vs[5]),
 		}
-		if vs[0] == 0 || vs[0] > maxSegFrameLen || vs[1] == 0 || vs[1] > maxSegFrameLen ||
-			vs[2] == 0 || vs[2] > vs[1] ||
-			vs[3] > math.MaxInt32 || vs[4] > math.MaxInt32 || vs[5] > math.MaxInt32 {
+		if vs[2] > vs[1] || vs[3] > math.MaxInt32 || vs[4] > math.MaxInt32 || vs[5] > math.MaxInt32 || !s.plausible(at.prevDay) {
 			return nil, nil, errors.New("trace: segment footer entry out of range")
 		}
-		s.firstDay, s.lastDay, s.prevDay = int32(vs[3]), int32(vs[4]), int32(vs[5])
-		if s.firstDay < s.prevDay || s.lastDay < s.firstDay || s.prevDay != prevLast {
-			if i > 0 || s.prevDay != 0 {
-				return nil, nil, errors.New("trace: segment footer days not monotone")
-			}
-		}
-		prevLast = s.lastDay
 		segs = append(segs, s)
-		fileOff = s.fileEnd()
-		rawStart = s.rawEnd()
-		firstEvent += s.events
 	}
 	idxLen, err := next()
 	if err != nil {
@@ -666,100 +660,7 @@ func parseSegFooter(b []byte) ([]segEntry, []DayIndexEntry, error) {
 			return nil, nil, err
 		}
 	}
-	if len(idx) > 0 {
-		last := idx[len(idx)-1]
-		if last.Event >= firstEvent || last.Offset >= rawStart {
-			return nil, nil, errors.New("trace: segment footer index beyond stream")
-		}
-	}
 	return segs, idx, nil
-}
-
-// openSegBytes opens a segmented trace held in memory (tests, fuzzing).
-func openSegBytes(data []byte) (*FileSource, error) {
-	return openSegBlob(bytesBlob{data: data}, int64(len(data)), "segmented bytes")
-}
-
-// openSegBlob opens a segmented container of size bytes held in blob,
-// served uncached: a memory blob carries no process-stable identity for
-// the frame cache to key on.
-func openSegBlob(blob traceBlob, size int64, label string) (*FileSource, error) {
-	h, err := blob.open()
-	if err != nil {
-		return nil, err
-	}
-	defer h.Close()
-	s, err := openFramed(h, size, label)
-	if err != nil {
-		return nil, err
-	}
-	s.blob = blob
-	return s, nil
-}
-
-// openFramed validates the header and footer of a segmented container
-// of size bytes read through h, and returns its source without a blob.
-// Only finalized containers open; one whose writer is still running (or
-// crashed) is rejected with ErrNotFinalized. A missing or damaged footer
-// is tolerated by scanning the frame headers (the day index then reads
-// as absent, exactly like a flat file with a damaged index footer).
-func openFramed(h *blobHandle, size int64, label string) (*FileSource, error) {
-	hdr := make([]byte, fixedHeaderLen)
-	if size < int64(fixedHeaderLen) {
-		hdr = hdr[:size]
-	}
-	if err := h.readFull(hdr, 0); err != nil {
-		return nil, fmt.Errorf("trace: %s: header: %w", label, err)
-	}
-	meta, count, finalized, err := parseFixedHeader(hdr, segMagic)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", label, err)
-	}
-	if !finalized {
-		return nil, fmt.Errorf("%w: %s: count slot not back-patched (writer in progress or crashed before Close)", ErrNotFinalized, label)
-	}
-	segs, idx, ok := readSegFooter(h, size)
-	if !ok {
-		// Footer missing or damaged: rebuild the segment table from the
-		// frame headers. The day index is gone, which costs seek
-		// acceleration, never correctness.
-		if segs, err = scanSegFrames(h, size); err != nil {
-			return nil, fmt.Errorf("trace: %s: %w", label, err)
-		}
-		idx = nil
-	}
-	var total uint64
-	for _, s := range segs {
-		if s.fileEnd() > size {
-			return nil, fmt.Errorf("%w: %s: segment table overruns the file", ErrSegmentCorrupt, label)
-		}
-		total += s.events
-	}
-	if total != count {
-		return nil, fmt.Errorf("%w: %s: frames hold %d events, header promises %d", ErrNotFinalized, label, total, count)
-	}
-	if len(idx) > 0 && count > 0 {
-		last := idx[len(idx)-1]
-		if last.Event >= count {
-			idx = nil
-		}
-	}
-	return &FileSource{meta: meta, events: count, index: idx, framed: true, segs: segs}, nil
-}
-
-// readSegFooter locates and parses the footer via the fixed trailer at
-// the end of the blob. ok=false means absent-or-invalid, never an error:
-// the frame scan is the fallback.
-func readSegFooter(h *blobHandle, size int64) ([]segEntry, []DayIndexEntry, bool) {
-	buf, _, ok := readFooter(h, size, int64(fixedHeaderLen))
-	if !ok {
-		return nil, nil, false
-	}
-	segs, idx, err := parseSegFooter(buf)
-	if err != nil {
-		return nil, nil, false
-	}
-	return segs, idx, true
 }
 
 // parseFrameHeader decodes the frame header hdr found at file offset
@@ -779,36 +680,48 @@ func parseFrameHeader(hdr []byte, off, rawStart int64, firstEvent uint64) segEnt
 	}
 }
 
-// scanSegFrames rebuilds the segment table by walking the frame headers
-// (32 bytes per ~1 MiB frame — payloads are not read; a cursor's CRC
-// check still guards them). The walk stops at the first thing that is
-// not a frame header: the footer, a torn tail, or garbage. The caller's
-// event-count cross-check decides whether what was found is the whole
-// stream.
-func scanSegFrames(h *blobHandle, size int64) ([]segEntry, error) {
-	var segs []segEntry
-	off := int64(fixedHeaderLen)
-	rawStart, firstEvent := int64(0), uint64(0)
-	prevLast := int32(0)
-	for off+segFrameHdrLen <= size {
+// frameEnd returns where the frame after the table's last one starts, in
+// both address spaces: its file and raw offsets and first event ordinal,
+// with the day watermark in force there as prevDay. For an empty table
+// that is the stream's start.
+func frameEnd(segs []segEntry) segEntry {
+	if len(segs) == 0 {
+		return segEntry{fileOff: int64(fixedHeaderLen)}
+	}
+	last := segs[len(segs)-1]
+	return segEntry{fileOff: last.fileEnd(), rawStart: last.rawEnd(), firstEvent: last.firstEvent + last.events, prevDay: last.lastDay}
+}
+
+// scanSegFrames is the one frame walk: it extends the frame table segs
+// with the complete frames that follow its last one in a size-byte
+// container, reading only their headers (32 bytes per ~1 MiB frame; the
+// loader's CRC check guards the payloads). openContainer rebuilds a
+// footer-less table with it, and TailProbe resumes it on every probe.
+// The walk stops at the first thing that is not a complete frame: the
+// footer, a torn tail, or garbage. A header no real frame can have is
+// ErrSegmentCorrupt, returned with the frames before it.
+func scanSegFrames(h *blobHandle, size int64, segs []segEntry) ([]segEntry, error) {
+	for {
+		at := frameEnd(segs)
+		if at.fileOff+segFrameHdrLen > size {
+			return segs, nil
+		}
 		var hdr [segFrameHdrLen]byte
-		if err := h.readFull(hdr[:], off); err != nil {
-			return nil, err
+		if err := h.readFull(hdr[:], at.fileOff); err != nil {
+			return segs, err
 		}
 		if [4]byte(hdr[:4]) != segFrameMagic {
-			break
+			return segs, nil
 		}
-		s := parseFrameHeader(hdr[:], off, rawStart, firstEvent)
-		if !s.plausible(prevLast) || s.fileEnd() > size {
-			break
+		s := parseFrameHeader(hdr[:], at.fileOff, at.rawStart, at.firstEvent)
+		if !s.plausible(at.prevDay) {
+			return segs, fmt.Errorf("%w: segment %d at byte %d: implausible frame header", ErrSegmentCorrupt, len(segs), at.fileOff)
+		}
+		if s.fileEnd() > size {
+			return segs, nil // a torn frame write
 		}
 		segs = append(segs, s)
-		off = s.fileEnd()
-		rawStart = s.rawEnd()
-		firstEvent += s.events
-		prevLast = s.lastDay
 	}
-	return segs, nil
 }
 
 // segStreamReader presents a run of frames as one contiguous raw event
@@ -841,7 +754,8 @@ func (r *segStreamReader) Read(p []byte) (int, error) {
 
 // loadFrame fetches frame r.next whole, verifies its header against the
 // segment table and its payload against the stored CRC, and decodes its
-// raw bytes.
+// raw bytes. It is the one frame loader: cursors and the tail probe
+// both read frames through it.
 func (r *segStreamReader) loadFrame() error {
 	seg := r.segs[r.next]
 	key := frameCacheKey{blob: r.cacheID, off: seg.fileOff}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -72,6 +73,23 @@ func encodeSegBytes(t testing.TB, tr *Trace, flushEveryDay bool) []byte {
 		t.Fatal(err)
 	}
 	return ws.buf
+}
+
+// openSegBytes opens a container held in memory, served uncached: a
+// memory blob has no process-stable identity for the frame cache.
+func openSegBytes(data []byte) (*FileSource, error) {
+	s, err := openContainer(&blobHandle{ra: bytes.NewReader(data)}, int64(len(data)), "segmented bytes")
+	if err != nil {
+		return nil, err
+	}
+	s.blob = bytesBlob{data: data}
+	return s, nil
+}
+
+type bytesBlob struct{ data []byte }
+
+func (b bytesBlob) open() (*blobHandle, error) {
+	return &blobHandle{ra: bytes.NewReader(b.data)}, nil
 }
 
 // TestSegRoundtripMatchesFlat is the tentpole's correctness bar at the
@@ -358,8 +376,8 @@ func TestSegFooterStrippedRebuild(t *testing.T) {
 	}
 }
 
-// stripSegFooter returns the bytes of the segmented trace at path
-// without its footer and trailer.
+// stripSegFooter returns the bytes of the trace at path without its
+// footer and trailer (both containers end in the same trailer).
 func stripSegFooter(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -391,6 +409,29 @@ func TestSegFooterStrippedImplausibleFrame(t *testing.T) {
 
 	if s, err := OpenTrace(path); err == nil {
 		t.Fatalf("footer-less trace with a %d-byte frame opened (%d events)", 0xF0000000, s.Events())
+	}
+	snap, err := NewTailProbe(path).Probe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(snap.Anomaly, ErrSegmentCorrupt) || snap.Events != 0 {
+		t.Fatalf("TailProbe: anomaly %v with %d events, want ErrSegmentCorrupt and none", snap.Anomaly, snap.Events)
+	}
+}
+
+// TestSegFrameLongerThanItsEvents: a frame header may not declare more
+// raw bytes than its events can render to (maxRawEventLen each), or a
+// cursor would pre-size a buffer to that length before finding out. Both
+// readers refuse the header before loading the frame.
+func TestSegFrameLongerThanItsEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.trace")
+	encodeSegToFile(t, synthTrace(129), path, true)
+	data := stripSegFooter(t, path)
+	binary.LittleEndian.PutUint32(data[fixedHeaderLen+8:], maxSegFrameLen) // the first frame's rawLen
+	writeFile(t, path, data)
+
+	if _, err := OpenTrace(path); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("open = %v, want ErrSegmentCorrupt", err)
 	}
 	snap, err := NewTailProbe(path).Probe()
 	if err != nil {

@@ -2,8 +2,8 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -191,43 +191,156 @@ type FileSource struct {
 // magic. It reads the header and the footer (a flat file's day index, a
 // segmented file's segment table), never the events. A flat index-less
 // file still opens, and OpenAt then decodes and discards the prefix; a
-// segmented file must be finalized (ErrNotFinalized otherwise), and a
-// missing or damaged footer is rebuilt by scanning the frame headers
-// without its day index. This is the open every consumer of a trace
-// path uses.
+// file must be finalized (ErrNotFinalized otherwise), and a segmented
+// file's missing or damaged footer is rebuilt by scanning the frame
+// headers without its day index. This is the open every consumer of a
+// trace path uses.
 func OpenTrace(path string) (*FileSource, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var mag [4]byte
-	if _, err := f.ReadAt(mag[:], 0); err == nil && mag == segMagic {
-		fi, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		s, err := openFramed(&blobHandle{ra: f}, fi.Size(), path)
-		if err != nil {
-			return nil, err
-		}
-		s.Path, s.blob = path, fileBlob{path: path}
-		s.cacheID = fileCacheID(path, fi.Size(), s.events)
-		return s, nil
-	}
-	meta, events, start, err := parseStreamHeader(f)
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
+		return nil, err
 	}
-	index, _ := readDayIndexOff(f, events) // best effort; nil means "no index"
-	return &FileSource{
-		Path:   path,
-		blob:   fileBlob{path: path},
-		meta:   meta,
-		events: events,
-		start:  start,
-		index:  index,
-	}, nil
+	s, err := openContainer(&blobHandle{ra: f}, fi.Size(), path)
+	if err != nil {
+		return nil, err
+	}
+	s.Path, s.blob = path, fileBlob{path: path}
+	if s.framed {
+		s.cacheID = fileCacheID(path, fi.Size(), s.events)
+	}
+	return s, nil
+}
+
+// openContainer builds the source of a size-byte container read through
+// h from its header and footer, without a blob. Only finalized
+// containers open. A segmented container whose footer is missing or
+// damaged gets its frame table from the frame walk; its day index is
+// gone, which costs seek acceleration, never correctness.
+func openContainer(h *blobHandle, size int64, label string) (*FileSource, error) {
+	hd, err := readHead(h, size)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %s: %w", label, err)
+	}
+	if !hd.final {
+		return nil, fmt.Errorf("%w: %s: count slot not back-patched (writer in progress or crashed before Close)", ErrNotFinalized, label)
+	}
+	s := &FileSource{meta: hd.meta, events: hd.count, start: hd.start, index: hd.index, framed: hd.framed, segs: hd.segs}
+	if hd.framed && hd.footer < 0 {
+		if s.segs, err = scanSegFrames(h, size, nil); err != nil {
+			return nil, fmt.Errorf("trace: %s: %w", label, err)
+		}
+		if n := frameEnd(s.segs).firstEvent; n != hd.count {
+			return nil, fmt.Errorf("%w: %s: frames hold %d events, header promises %d", ErrNotFinalized, label, n, hd.count)
+		}
+	}
+	return s, nil
+}
+
+// containerHead is what a trace container's header and footer say, read
+// without touching the event stream.
+type containerHead struct {
+	framed bool // a segmented (RRS1) container
+	meta   Meta
+	count  uint64 // the declared event count; 0 while the slot is poisoned
+	final  bool   // the count slot is back-patched: the writer's Close ran
+	start  int64  // raw offset of the first event
+	// footer is the file offset of a footer that parses, -1 when there
+	// is none; end is the raw offset where that footer says the event
+	// stream ends.
+	footer, end int64
+	segs        []segEntry      // a segmented footer's frame table
+	index       []DayIndexEntry // the footer's day index; nil unless validIndex holds
+}
+
+// readHead is the one read of a container's header and footer, for a
+// size-byte container read through h: OpenTrace and openContainer build
+// a source from it, and TailProbe re-reads it on every probe. A poisoned
+// count slot is no error here (final=false, count 0); each caller
+// decides what a running writer's file is worth. A segmented footer is
+// kept only if its frames run from the header right up to it and, once
+// the header is final, hold exactly the declared events.
+func readHead(h *blobHandle, size int64) (containerHead, error) {
+	hd := containerHead{footer: -1}
+	hdr := make([]byte, min(size, int64(fixedHeaderLen)))
+	if err := h.readFull(hdr, 0); err != nil {
+		return hd, err
+	}
+	var err error
+	if len(hdr) >= len(segMagic) && [4]byte(hdr[:4]) == segMagic {
+		hd.framed = true // start 0: frames address the raw stream
+		if hd.meta, hd.count, hd.final, err = parseFixedHeader(hdr, segMagic); err != nil {
+			return hd, err
+		}
+		buf, off, ok := readFooter(h, size, int64(fixedHeaderLen))
+		if !ok {
+			return hd, nil
+		}
+		segs, idx, err := parseSegFooter(buf)
+		at := frameEnd(segs)
+		if err != nil || at.fileOff != off || hd.final && at.firstEvent != hd.count {
+			return hd, nil
+		}
+		hd.footer, hd.end, hd.segs, hd.index = off, at.rawStart, segs, idx
+	} else {
+		hd.start = int64(fixedHeaderLen)
+		hd.meta, hd.count, hd.final, err = parseFixedHeader(hdr, magic)
+		if errors.Is(err, errNotFixedHeader) {
+			// One-shot Encode output: a variable-width header.
+			n0 := h.n
+			br := bufio.NewReader(io.NewSectionReader(h, 0, size))
+			dec, derr := NewDecoder(br)
+			if derr != nil {
+				return hd, derr
+			}
+			hd.meta, hd.count, hd.final, err = dec.Meta(), dec.Events(), true, nil
+			hd.start = h.n - n0 - int64(br.Buffered())
+		}
+		if err != nil {
+			return hd, err
+		}
+		hd.index, hd.footer = readDayIndex(h, size, hd.start)
+		hd.end = hd.footer
+	}
+	if !validIndex(hd.index, hd.meta.Days, hd.count, hd.start, hd.end) {
+		hd.index = nil
+	}
+	return hd, nil
+}
+
+// readDayIndex reads a flat container's day-index footer, which must
+// start at or past start, and the file offset it starts at: where the
+// event stream ends. (nil, -1) means absent or unparseable.
+func readDayIndex(h *blobHandle, size, start int64) ([]DayIndexEntry, int64) {
+	buf, off, ok := readFooter(h, size, start)
+	if !ok {
+		return nil, -1
+	}
+	idx, err := parseDayIndex(buf)
+	if err != nil {
+		return nil, -1
+	}
+	return idx, off
+}
+
+// validIndex is the one day-index validity rule: the entries span
+// exactly the declared stream of count events on days below days,
+// between raw offsets start and end — none for an empty stream,
+// otherwise the first at the first event and the last before the count,
+// the day count and the end. An index failing it reads as absent, never
+// as a wrong seek target: OpenAt trusts an entry's event ordinal for the
+// resumed decoder's remaining count, and the tail probe trusts a
+// finalized file's index instead of decoding.
+func validIndex(idx []DayIndexEntry, days int32, count uint64, start, end int64) bool {
+	if len(idx) == 0 {
+		return count == 0
+	}
+	last := idx[len(idx)-1]
+	return idx[0].Offset == start && last.Event < count && last.Day < days && last.Offset < end
 }
 
 // fileCacheID is the frame-cache identity of a finalized container file:
@@ -237,35 +350,6 @@ func OpenTrace(path string) (*FileSource, error) {
 // served — they just age out of the LRU under a dead key.
 func fileCacheID(path string, size int64, events uint64) string {
 	return fmt.Sprintf("file:%s|%d|%d", path, size, events)
-}
-
-// readDayIndexOff reads the day-index footer from the end of the file,
-// and the byte offset the footer starts at — equivalently, where the
-// event stream ends. Appenders truncate the file there before extending
-// it; the tail prober uses it to bound its decode. Any failure — no
-// trailer, short file, checksum mismatch, entries that point outside
-// the file or past events — yields (nil, -1): an index is an
-// accelerator, never a correctness requirement.
-func readDayIndexOff(f *os.File, events uint64) ([]DayIndexEntry, int64) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, -1
-	}
-	buf, off, ok := readFooter(&blobHandle{ra: f}, fi.Size(), 0)
-	if !ok {
-		return nil, -1
-	}
-	idx, err := parseDayIndex(buf)
-	if err != nil {
-		return nil, -1
-	}
-	if len(idx) > 0 {
-		last := idx[len(idx)-1]
-		if last.Event >= events || last.Offset >= off {
-			return nil, -1
-		}
-	}
-	return idx, off
 }
 
 // readFooter returns the footer that the fixed trailer at the end of a
@@ -339,7 +423,7 @@ func (s *FileSource) openAt(off int64, skipped uint64, prevDay int32) (Cursor, e
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.rawReader(h, off)
+	r, err := s.rawReader(h, off, math.MaxInt64)
 	if err != nil {
 		h.Close()
 		return nil, err
@@ -348,23 +432,26 @@ func (s *FileSource) openAt(off int64, skipped uint64, prevDay int32) (Cursor, e
 	return &fileCursor{h: h, dec: dec}, nil
 }
 
-// rawReader maps the raw event stream from raw offset off onto the
-// container's bytes, read through h. In a flat container a raw offset
-// is a file offset. In a segmented one the frame table maps it to a
-// frame, and segStreamReader fetches, verifies and inflates each frame
-// (or takes it from the frame cache) as the decoder crosses it; the
-// bytes before off inside the first frame are discarded.
-func (s *FileSource) rawReader(h *blobHandle, off int64) (io.Reader, error) {
+// rawReader maps the raw event stream between raw offsets off and end
+// onto the container's bytes, read through h: the one mapper every
+// cursor and the tail probe decode through. In a flat container a raw
+// offset is a file offset. In a segmented one the frame table maps it
+// to a frame, and segStreamReader fetches, verifies and inflates each
+// frame (or takes it from the frame cache) as the decoder crosses it;
+// the bytes before off inside the first frame are discarded, and no
+// frame starting at or past end is read.
+func (s *FileSource) rawReader(h *blobHandle, off, end int64) (io.Reader, error) {
 	if !s.framed {
-		return io.NewSectionReader(h, off, math.MaxInt64-off), nil
+		return io.NewSectionReader(h, off, end-off), nil
 	}
-	k := sort.Search(len(s.segs), func(k int) bool { return s.segs[k].rawEnd() > off })
-	if k == len(s.segs) && off > 0 {
+	segs := s.segs[:sort.Search(len(s.segs), func(k int) bool { return s.segs[k].rawStart >= end })]
+	k := sort.Search(len(segs), func(k int) bool { return segs[k].rawEnd() > off })
+	if k == len(segs) && off > 0 {
 		return nil, fmt.Errorf("%w: raw offset %d points past the segment table", ErrSegmentCorrupt, off)
 	}
-	sr := &segStreamReader{h: h, segs: s.segs, next: k, cacheID: s.cacheID}
-	if k < len(s.segs) && off > s.segs[k].rawStart {
-		if _, err := io.CopyN(io.Discard, sr, off-s.segs[k].rawStart); err != nil {
+	sr := &segStreamReader{h: h, segs: segs, next: k, cacheID: s.cacheID}
+	if k < len(segs) && off > segs[k].rawStart {
+		if _, err := io.CopyN(io.Discard, sr, off-segs[k].rawStart); err != nil {
 			return nil, err
 		}
 	}
@@ -417,8 +504,8 @@ func (c *fileCursor) Close() error { return c.h.Close() }
 // accounting observes that skipped frames are not even read.
 func (c *fileCursor) bytesRead() int64 { return c.h.n }
 
-// traceBlob abstracts where a container's bytes live: a local file, a
-// storage backend object, or an in-memory buffer (tests, fuzzing).
+// traceBlob abstracts where a container's bytes live: a local file, or
+// an in-memory buffer (tests, fuzzing).
 type traceBlob interface {
 	open() (*blobHandle, error)
 }
@@ -465,12 +552,6 @@ func (b fileBlob) open() (*blobHandle, error) {
 		return nil, err
 	}
 	return &blobHandle{ra: f, c: f}, nil
-}
-
-type bytesBlob struct{ data []byte }
-
-func (b bytesBlob) open() (*blobHandle, error) {
-	return &blobHandle{ra: bytes.NewReader(b.data)}, nil
 }
 
 // countingReader counts the bytes read through it — the tail probe and

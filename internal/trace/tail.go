@@ -2,12 +2,8 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 )
 
@@ -45,15 +41,23 @@ import (
 //
 // Probes are incremental: each call decodes only the bytes appended
 // since the previous call (the first probe of an already-finalized file
-// trusts its header and footer outright, like OpenTrace). A
+// trusts its header and footer outright, like OpenTrace). Both
+// containers are probed the same way: the header and footer are read as
+// OpenTrace reads them (readHead), a segmented file's new frames are
+// found by the one frame walk (scanSegFrames), and one decode loop reads
+// the raw stream through FileSource's mapper (rawReader), whose frame
+// loader fetches, checks and inflates each frame for cursors too. A
 // TailProbe is not safe for concurrent use; callers serialize Probe.
 type TailProbe struct {
 	path string
 	fi   os.FileInfo // identity of the file the state below describes
 
-	start       int64 // byte offset of the first event (end of header)
-	headerMeta  Meta
-	headerCount uint64
+	// The container as read so far: the header's meta, the raw offset
+	// of the first event, and a segmented file's frames.
+	headerMeta Meta
+	start      int64
+	framed     bool
+	segs       []segEntry // every complete frame the walk has found
 
 	cur     tailPos // decode frontier: boundary after the last complete event
 	curDay  int32   // day-delta watermark at the frontier
@@ -66,24 +70,10 @@ type TailProbe struct {
 	// day barrier (or a reset) re-derives the sealed state by decoding
 
 	index []DayIndexEntry // first-event-of-day entries, entries never mutated
-
-	seg *segProbe // non-nil while probing a segmented (RRS1) file
 }
 
-// segProbe is the extra frontier state a segmented file needs: the scan
-// position in *file* coordinates (frames are fetched and checksummed
-// whole), while the inherited cur/sealed positions run in *raw-stream*
-// coordinates — the address space the day index and any snapshot source
-// operate in. Each complete frame is decompressed exactly once, when the
-// scan first crosses it.
-type segProbe struct {
-	frameOff int64 // file offset of the next unscanned frame
-	rawOff   int64 // raw-stream offset corresponding to frameOff
-	segs     []segEntry
-}
-
-// tailPos is one event boundary in the stream: a byte offset and how many
-// events precede it.
+// tailPos is one event boundary in the raw stream: an offset and how
+// many events precede it.
 type tailPos struct {
 	off   int64
 	count uint64
@@ -96,24 +86,21 @@ func NewTailProbe(path string) *TailProbe { return &TailProbe{path: path} }
 // reset clears all decode state; the next Probe re-derives it from
 // scratch.
 func (p *TailProbe) reset() {
-	p.fi = nil
-	p.cur = tailPos{}
-	p.curDay = 0
-	p.curMeta = Meta{MergeDay: -1}
-	p.sealed = tailPos{}
-	p.sealedMeta = Meta{MergeDay: -1}
-	p.trailingDay = -1
-	p.sealedValid = true
-	p.index = nil
-	p.seg = nil
+	*p = TailProbe{
+		path:        p.path,
+		curMeta:     Meta{MergeDay: -1},
+		sealedMeta:  Meta{MergeDay: -1},
+		trailingDay: -1,
+		sealedValid: true,
+	}
 }
 
 // Probe re-examines the file and returns the current sealed-prefix
 // snapshot. An error means the file could not be probed at all (missing,
-// unreadable, or its header is not yet decodable — a from-scratch writer
-// that has not finalized); the caller backs off and retries. Tail decode
-// anomalies ride on the snapshot instead: the sealed prefix they leave
-// behind is still valid.
+// unreadable, or its header is not yet decodable — a from-scratch flat
+// writer that has not finalized); the caller backs off and retries. Tail
+// decode anomalies ride on the snapshot instead: the sealed prefix they
+// leave behind is still valid.
 func (p *TailProbe) Probe() (*TailSnapshot, error) {
 	f, err := os.Open(p.path)
 	if err != nil {
@@ -124,241 +111,129 @@ func (p *TailProbe) Probe() (*TailSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Dispatch on the container magic: a segmented (compressed) file has
-	// its own frame-at-a-time probing path.
-	var mag [4]byte
-	if _, err := f.ReadAt(mag[:], 0); err != nil {
-		return nil, err // shorter than a magic: not probeable yet
-	}
-	if mag == segMagic {
-		return p.probeSeg(f, fi)
-	}
-	// The header is re-read every probe: an appender's Close back-patches
-	// it in place (and a from-scratch writer's header stays poisoned —
-	// undecodable — until its Close, which surfaces here as an error).
-	meta, count, start, err := parseStreamHeader(f)
+	// The header and footer are re-read every probe: a writer's Close
+	// appends the footer and back-patches the header in place.
+	h := &blobHandle{ra: f}
+	hd, err := readHead(h, fi.Size())
 	if err != nil {
 		return nil, err
 	}
-	// The footer bounds the event stream when present. Validity here is
-	// structural (magic, CRC) only — during the writer's Close there is a
-	// moment when the new footer is on disk but the header is still old,
-	// and using the stale count to judge the footer would misplace the
-	// stream's end.
-	idx, footOff := readDayIndexOff(f, maxEventCount)
-	eventsEnd := fi.Size()
-	if footOff >= 0 {
-		eventsEnd = footOff
+	if !hd.final && !hd.framed {
+		// The flat Encoder writes its header before the seed and merge
+		// day are set (SegEncoder holds its header back until the first
+		// frame), so a poisoned flat header vouches for nothing yet.
+		return nil, fmt.Errorf("%w: %s: count slot not back-patched", ErrNotFinalized, p.path)
 	}
-
-	fresh := p.fi == nil || !os.SameFile(p.fi, fi) || p.seg != nil || p.start != start || eventsEnd < p.cur.off
-	if fresh {
+	// The footer, when present, bounds the event stream. Its count is
+	// not checked here: during an appender's Close there is a moment
+	// when the new footer is on disk but the header is still old.
+	visible := fi.Size()
+	if hd.footer >= 0 {
+		visible = hd.footer
+	}
+	if p.fi == nil || !os.SameFile(p.fi, fi) || p.framed != hd.framed || p.start != hd.start || visible < p.readTo() {
 		p.reset()
-		p.start = start
-		p.cur.off = start
-		// A finalized file on a clean slate: trust header and footer the
-		// way OpenTrace does, skipping the O(events) decode.
-		trust := footOff >= 0 && idx != nil &&
-			(count == 0) == (len(idx) == 0) &&
-			(len(idx) == 0 || (idx[len(idx)-1].Event < count && idx[len(idx)-1].Offset < footOff))
-		if trust {
-			lastDay := int32(0)
-			if len(idx) > 0 {
-				lastDay = idx[len(idx)-1].Day
-			}
-			return p.trustFinalized(fi, meta, count, eventsEnd, lastDay, idx), nil
+		p.framed, p.start, p.cur.off = hd.framed, hd.start, hd.start
+		if hd.final && hd.index != nil {
+			// A finalized file on a clean slate: trust header and footer
+			// the way OpenTrace does, skipping the O(events) decode.
+			return p.trustFinalized(fi, hd), nil
 		}
 	}
 	p.fi = fi
-	p.headerMeta, p.headerCount = meta, count
+	p.headerMeta = hd.meta
 
-	// Decode forward from the frontier over the newly visible bytes.
+	// The visible end of the event stream: a segmented file's ends with
+	// its last complete frame; a frame still being written is a torn
+	// tail to wait out.
+	end, walkErr := visible, error(nil)
+	if p.framed {
+		p.segs, walkErr = scanSegFrames(h, visible, p.segs)
+		end = frameEnd(p.segs).rawStart
+	}
 	var anomaly error
-	if eventsEnd > p.cur.off {
-		base := p.cur.off
-		cr := &countingReader{r: io.NewSectionReader(f, base, eventsEnd-base)}
-		br := bufio.NewReader(cr)
-		dec := resumeDecoder(br, p.headerMeta, maxEventCount, p.curDay)
-		for {
-			ev, ok, err := dec.Next()
-			if err != nil {
-				if errors.Is(err, ErrTruncated) {
-					// The stream ran out: either exactly at our frontier
-					// (a clean boundary) or inside an event (a torn tail
-					// write). Both are normal under a live writer; a
-					// finalized stream ending mid-event is not.
-					if footOff >= 0 && p.cur.off != eventsEnd {
-						anomaly = fmt.Errorf("trace: finalized stream ends mid-event: %w", err)
-					}
-				} else {
-					anomaly = err
-				}
-				break
-			}
-			if !ok {
-				break
-			}
-			if !p.observe(ev, base+cr.n-int64(br.Buffered())) {
-				// Appended events continue the trusted file's final day:
-				// rescan from scratch to re-derive the sealed boundary.
-				p.reset()
-				return p.Probe()
-			}
+	if end > p.cur.off {
+		var rescan bool
+		if anomaly, rescan = p.decode(h, end, hd.footer >= 0); rescan {
+			p.reset()
+			return p.Probe()
 		}
 	}
-
-	finalized := footOff >= 0 && anomaly == nil &&
-		p.cur.off == eventsEnd && p.cur.count == p.headerCount
+	if anomaly == nil {
+		anomaly = walkErr
+	}
+	// Finalized: Close ran, and the decode reached the footer with the
+	// header's count, on days the header's day count covers.
+	finalized := hd.final && hd.footer >= 0 && anomaly == nil &&
+		p.cur.off == end && p.cur.count == hd.count && (hd.count == 0 || p.curDay < hd.meta.Days)
 	return p.snapshot(finalized, anomaly), nil
 }
 
-// probeSeg is Probe for the segmented container. The sealing rule and
-// all tolerance properties are the flat path's; what differs is the unit
-// of progress: only *fully-flushed frames* are consumed. A frame whose
-// header or payload has not completely hit the disk is a torn tail to
-// wait out; a frame that is complete but fails its checksum is an
-// anomaly that never advances the frontier. Within each complete frame
-// the payload is checksum-verified, decompressed once, and its events
-// run through the same day-barrier sealing machine — so a day is sealed
-// only when a later-day event has been observed in some fully-flushed
-// frame (or the footer finalizes the file).
-func (p *TailProbe) probeSeg(f *os.File, fi os.FileInfo) (*TailSnapshot, error) {
-	hdr := make([]byte, fixedHeaderLen)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, err // header not fully written yet: back off
+// readTo is the file offset up to which the probe has read the event
+// stream: the frontier in a flat file, the last frame found in a
+// segmented one.
+func (p *TailProbe) readTo() int64 {
+	if p.framed {
+		return frameEnd(p.segs).fileOff
 	}
-	meta, count, hdrFinal, err := parseFixedHeader(hdr, segMagic)
+	return p.cur.off
+}
+
+// decode runs the raw stream from the frontier to end through the
+// sealing machine. It returns the anomaly that stopped it, if any, and
+// rescan=true when the events continue the final day of a
+// trusted-finalized load (the file was extended in place): the sealed
+// boundary then lies in a prefix never decoded. A segmented file's
+// frame loads are uncached (a growing file has no stable identity), so
+// they count as frame-cache misses.
+func (p *TailProbe) decode(h *blobHandle, end int64, footer bool) (anomaly error, rescan bool) {
+	fs := FileSource{framed: p.framed, segs: p.segs}
+	r, err := fs.rawReader(h, p.cur.off, end)
 	if err != nil {
-		return nil, err
+		return err, false
 	}
-	// A mid-write header's count slot is poisoned; the probe treats the
-	// count as unknown (zero floor) and finds the extent by scanning.
-	if !hdrFinal {
-		count = 0
-	}
-	h := &blobHandle{ra: f}
-
-	fresh := p.fi == nil || !os.SameFile(p.fi, fi) || p.seg == nil || fi.Size() < p.seg.frameOff
-	if fresh {
-		p.reset()
-		p.start = 0 // snapshot offsets run in raw-stream coordinates
-		p.seg = &segProbe{frameOff: int64(fixedHeaderLen)}
-		if hdrFinal {
-			// Finalized file on a clean slate: trust header and footer the
-			// way OpenTrace does, skipping the O(events) decode.
-			if segs, idx, ok := readSegFooter(h, fi.Size()); ok {
-				var total uint64
-				end := segProbe{frameOff: int64(fixedHeaderLen), segs: segs}
-				lastDay := int32(0)
-				for _, s := range segs {
-					total += s.events
-					end.frameOff, end.rawOff, lastDay = s.fileEnd(), s.rawEnd(), s.lastDay
-				}
-				if total == count {
-					*p.seg = end
-					return p.trustFinalized(fi, meta, count, end.rawOff, lastDay, idx), nil
-				}
-			}
-		}
-	}
-	p.fi = fi
-	p.headerMeta, p.headerCount = meta, count
-
-	var anomaly error
-	sp := p.seg
-scan:
+	base := p.cur.off
+	cr := &countingReader{r: r}
+	br := bufio.NewReader(cr)
+	dec := resumeDecoder(br, p.headerMeta, maxEventCount, p.curDay)
 	for {
-		if fi.Size() < sp.frameOff+segFrameHdrLen {
-			break // no complete frame header yet: wait
-		}
-		var fh [segFrameHdrLen]byte
-		if err := h.readFull(fh[:], sp.frameOff); err != nil {
-			anomaly = err
-			break
-		}
-		if [4]byte(fh[:4]) != segFrameMagic {
-			break // the footer (or trailing garbage) starts here
-		}
-		seg := parseFrameHeader(fh[:], sp.frameOff, sp.rawOff, p.cur.count)
-		ordinal := len(sp.segs)
-		if !seg.plausible(p.curDay) {
-			anomaly = fmt.Errorf("%w: segment %d at byte %d: implausible frame header", ErrSegmentCorrupt, ordinal, sp.frameOff)
-			break
-		}
-		if fi.Size() < seg.fileEnd() {
-			break // torn frame write: wait for the rest
-		}
-		payload := make([]byte, seg.compLen)
-		if err := h.readFull(payload, sp.frameOff+segFrameHdrLen); err != nil {
-			anomaly = err
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fh[28:]) {
-			anomaly = fmt.Errorf("%w: segment %d at byte %d: checksum mismatch", ErrSegmentCorrupt, ordinal, sp.frameOff)
-			break
-		}
-		// Decode the whole frame before applying any of it, so a frame
-		// that fails mid-decode leaves the frontier exactly where it was.
-		raw, ierr := inflateFrame(payload, seg)
-		if ierr != nil {
-			anomaly = fmt.Errorf("%w: segment %d at byte %d: %v", ErrSegmentCorrupt, ordinal, sp.frameOff, ierr)
-			break
-		}
-		cr := &countingReader{r: bytes.NewReader(raw)}
-		br := bufio.NewReader(cr)
-		dec := resumeDecoder(br, p.headerMeta, seg.events, p.curDay)
-		evs := make([]Event, 0, seg.events)
-		offs := make([]int64, 0, seg.events)
-		for {
-			ev, ok, derr := dec.Next()
-			if derr != nil {
-				anomaly = fmt.Errorf("%w: segment %d at byte %d: %v", ErrSegmentCorrupt, ordinal, sp.frameOff, derr)
-				break scan
+		ev, ok, err := dec.Next()
+		switch {
+		case errors.Is(err, ErrTruncated):
+			// The stream ran out: either exactly at the frontier (a clean
+			// boundary) or inside an event (a torn tail write). Both are
+			// normal under a live writer; a finalized stream ending
+			// mid-event is not.
+			if footer && p.cur.off != end {
+				return fmt.Errorf("trace: finalized stream ends mid-event: %w", err), false
 			}
-			if !ok {
-				break
-			}
-			evs = append(evs, ev)
-			offs = append(offs, sp.rawOff+cr.n-int64(br.Buffered()))
+			return nil, false
+		case err != nil:
+			return err, false
+		case !ok:
+			return nil, false
+		case !p.observe(ev, base+cr.n-int64(br.Buffered())):
+			return nil, true
 		}
-		if uint64(len(evs)) != seg.events || offs[len(offs)-1] != sp.rawOff+seg.rawLen {
-			anomaly = fmt.Errorf("%w: segment %d at byte %d: payload contradicts frame header", ErrSegmentCorrupt, ordinal, sp.frameOff)
-			break
-		}
-		for i, ev := range evs {
-			if !p.observe(ev, offs[i]) {
-				// Events continued past a trusted-finalized load (the file
-				// was rebuilt in place): rescan from scratch.
-				p.reset()
-				return p.Probe()
-			}
-		}
-		sp.segs = append(sp.segs, seg)
-		sp.frameOff = seg.fileEnd()
-		sp.rawOff += seg.rawLen
 	}
-
-	finalized := false
-	if anomaly == nil && hdrFinal && p.cur.count == count {
-		_, _, finalized = readSegFooter(h, fi.Size())
-	}
-	return p.snapshot(finalized, anomaly), nil
 }
 
 // trustFinalized loads a finalized file on a clean slate from its header
 // and footer alone, skipping the O(events) decode: the frontier is the
-// stream's end, raw offset end, on the final day lastDay. The sealed
-// state is deliberately left unset (sealedValid=false) — if the file is
-// later reopened for append, the first new day barrier re-derives it,
-// cheaper than a full decode.
-func (p *TailProbe) trustFinalized(fi os.FileInfo, meta Meta, count uint64, end int64, lastDay int32, idx []DayIndexEntry) *TailSnapshot {
+// stream's end on its final day. The sealed state is deliberately left
+// unset (sealedValid=false) — if the file is later reopened for append,
+// the first new day barrier re-derives it, cheaper than a full decode.
+func (p *TailProbe) trustFinalized(fi os.FileInfo, hd containerHead) *TailSnapshot {
 	p.fi = fi
-	p.headerMeta, p.headerCount = meta, count
-	p.cur = tailPos{off: end, count: count}
-	p.curMeta = meta
-	p.curDay = lastDay
+	p.headerMeta = hd.meta
+	p.segs = hd.segs
+	p.cur = tailPos{off: hd.end, count: hd.count}
+	p.curMeta = hd.meta
+	if n := len(hd.index); n > 0 {
+		p.curDay = hd.index[n-1].Day
+	}
 	p.sealedValid = false
-	p.index = idx
+	p.index = hd.index
 	return p.snapshot(true, nil)
 }
 
@@ -397,8 +272,8 @@ func (p *TailProbe) snapshot(finalized bool, anomaly error) *TailSnapshot {
 		FrontierOffset: p.cur.off,
 		start:          p.start,
 	}
-	if p.seg != nil {
-		s.segs = p.seg.segs[:len(p.seg.segs):len(p.seg.segs)]
+	if p.framed {
+		s.segs = p.segs[:len(p.segs):len(p.segs)]
 	}
 	if p.cur.count == 0 {
 		s.FrontierDay = -1
@@ -450,21 +325,6 @@ func (p *TailProbe) snapshot(finalized bool, anomaly error) *TailSnapshot {
 		s.index = p.index[:k:k]
 	}
 	return s
-}
-
-// parseStreamHeader reads the trace header (either layout) and returns
-// its meta, declared count, and the byte offset of the first event.
-func parseStreamHeader(f *os.File) (Meta, uint64, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return Meta{}, 0, 0, err
-	}
-	cr := &countingReader{r: f}
-	br := bufio.NewReader(cr)
-	dec, err := NewDecoder(br)
-	if err != nil {
-		return Meta{}, 0, 0, err
-	}
-	return dec.Meta(), dec.Events(), cr.n - int64(br.Buffered()), nil
 }
 
 // TailSnapshot is one probe's view of a growing trace: the sealed prefix

@@ -247,13 +247,14 @@ func eventLayout(t *testing.T, path string) (evs []Event, ends []int64) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	meta, count, start, err := parseStreamHeader(f)
+	hd, err := readHead(&blobHandle{ra: f}, int64(len(readAll(t, path))))
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := hd.start
 	cr := &countingReader{r: io.NewSectionReader(f, start, 1<<62)}
 	br := bufio.NewReader(cr)
-	dec := resumeDecoder(br, meta, count, 0)
+	dec := resumeDecoder(br, hd.meta, hd.count, 0)
 	for {
 		ev, ok, err := dec.Next()
 		if err != nil {
@@ -448,6 +449,48 @@ func TestTailSourceMatchesFileSource(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestTailProbeHeaderDaysBelowStream: a finalized header whose day count
+// stops short of the stream's last day vouches for neither the footer's
+// index nor the final day, in either container. The probe decodes
+// instead, seals through the day before the last one it saw, and its
+// source never replays an event past the sealed day.
+func TestTailProbeHeaderDaysBelowStream(t *testing.T) {
+	tr := synthTrace(129)
+	last := tr.Meta.Days - 1
+	for _, c := range []struct {
+		name  string
+		mag   [4]byte
+		write func(path string)
+	}{
+		{"flat", magic, func(path string) { encodeToFile(t, tr, path) }},
+		{"segmented", segMagic, func(path string) { encodeSegToFile(t, tr, path, true) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), c.name)
+			c.write(path)
+			short := tr.Meta
+			short.Days -= 10
+			hdr, err := renderFixedHeader(c.mag, short, uint64(len(tr.Events)), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := readAll(t, path)
+			copy(data, hdr)
+			writeFile(t, path, data)
+
+			s, err := NewTailProbe(path).Probe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Finalized || s.SealedDay != last-1 || s.Events != int64(sealedUpTo(tr.Events, last)) {
+				t.Fatalf("Finalized=%v SealedDay=%d Events=%d, want false, %d, %d",
+					s.Finalized, s.SealedDay, s.Events, last-1, sealedUpTo(tr.Events, last))
+			}
+			sameEvents(t, "sealed replay", drain(t, s.Source()), tr.Events[:s.Events])
 		})
 	}
 }
