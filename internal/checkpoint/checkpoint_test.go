@@ -144,7 +144,7 @@ func TestFileRoundTrip(t *testing.T) {
 	h := Header{Day: 3, ParentDay: -1, ConfigHash: 0xDEADBEEF, Stages: []string{"metrics", "sweep"}}
 	blobs := [][]byte{{1, 2, 3}, nil}
 	var buf bytes.Buffer
-	if err := Write(&buf, h, st, blobs, nil, nil); err != nil {
+	if err := Write(&buf, h, st, blobs, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -168,7 +168,7 @@ func TestFileRoundTrip(t *testing.T) {
 
 	// Determinism: a second Write of the same inputs is bit-identical.
 	var buf2 bytes.Buffer
-	if err := Write(&buf2, h, st, blobs, nil, nil); err != nil {
+	if err := Write(&buf2, h, st, blobs, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, buf2.Bytes()) {
@@ -188,7 +188,7 @@ func TestFileRoundTrip(t *testing.T) {
 func TestTypedErrors(t *testing.T) {
 	st := testState(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, Header{Day: 1, ParentDay: -1}, st, nil, nil, nil); err != nil {
+	if err := Write(&buf, Header{Day: 1, ParentDay: -1}, st, nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

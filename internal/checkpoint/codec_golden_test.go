@@ -123,7 +123,7 @@ func TestChainGoldenBytes(t *testing.T) {
 	stages := []string{"m", "s"}
 	blobs0 := [][]byte{{1, 2}, {}}
 	var full bytes.Buffer
-	if err := checkpoint.Write(&full, checkpoint.Header{Day: 1, ParentDay: -1, ConfigHash: 7, Stages: stages}, st, blobs0, nil, nil); err != nil {
+	if err := checkpoint.Write(&full, checkpoint.Header{Day: 1, ParentDay: -1, ConfigHash: 7, Stages: stages}, st, blobs0, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	deg := checkpoint.Degrees(st)
@@ -134,7 +134,7 @@ func TestChainGoldenBytes(t *testing.T) {
 	)
 	blobs1 := [][]byte{{3}, {}}
 	var delta bytes.Buffer
-	if err := checkpoint.Write(&delta, checkpoint.Header{Day: 3, ParentDay: 1, ParentSum: 42, ConfigHash: 7, Stages: stages}, st, blobs1, deg, checkpoint.BlobSums(blobs0)); err != nil {
+	if err := checkpoint.Write(&delta, checkpoint.Header{Day: 3, ParentDay: 1, ParentSum: 42, ConfigHash: 7, Stages: stages}, st, blobs1, nil, deg, checkpoint.BlobSums(blobs0)); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range [][]byte{full.Bytes(), delta.Bytes()} {

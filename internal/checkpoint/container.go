@@ -47,11 +47,20 @@ const FormatVersion = 2
 //	per new node: varint join day; then per new node: one origin byte
 //	varint  state day watermark
 //	per stage, in header order: one flag byte — 0 the blob is unchanged
-//	        since the parent, 1 a length-prefixed blob follows
+//	        since the parent, 1 a length-prefixed blob follows, 2 a
+//	        length-prefixed patch follows (deltas only: the stage's growth
+//	        since the parent, see engine.Patcher)
 //	end magic "RRCE"
 var (
 	fileMagic    = [4]byte{'R', 'R', 'C', '1'}
 	fileEndMagic = [4]byte{'R', 'R', 'C', 'E'}
+)
+
+// The flag byte before each stage's section.
+const (
+	blobUnchanged = 0
+	blobWhole     = 1
+	blobPatch     = 2
 )
 
 // Header identifies a checkpoint: the day it was taken (the shared state
@@ -92,15 +101,16 @@ func BlobSums(blobs [][]byte) []uint64 {
 // from the live state. parentDeg is the parent state's per-node degree
 // vector (Degrees) and parentSums the BlobSums of its stage blobs; both
 // are nil for a full checkpoint (h.ParentDay < 0). blobs holds one blob
-// per h.Stages entry; a blob whose BlobSum is the parent's is written as
-// unchanged. An error that st does not extend the parent is returned
-// before any byte is written.
-func Write(w io.Writer, h Header, st *trace.State, blobs [][]byte, parentDeg []int32, parentSums []uint64) error {
+// per h.Stages entry. patch[i] marks blobs[i] as a stage patch against
+// the parent (deltas only; nil marks none); a whole blob whose BlobSum
+// is the parent's is written as unchanged. An error that st does not
+// extend the parent is returned before any byte is written.
+func Write(w io.Writer, h Header, st *trace.State, blobs [][]byte, patch []bool, parentDeg []int32, parentSums []uint64) error {
 	full := h.Full()
-	if len(blobs) != len(h.Stages) || (!full && len(parentSums) != len(blobs)) {
-		return fmt.Errorf("checkpoint: %d blobs (%d parent) for %d stages", len(blobs), len(parentSums), len(h.Stages))
+	if len(blobs) != len(h.Stages) || (!full && len(parentSums) != len(blobs)) || (patch != nil && len(patch) != len(blobs)) {
+		return fmt.Errorf("checkpoint: %d blobs (%d parent, %d patch flags) for %d stages", len(blobs), len(parentSums), len(patch), len(h.Stages))
 	}
-	if full && (len(parentDeg) > 0 || len(parentSums) > 0) {
+	if full && (len(parentDeg) > 0 || len(parentSums) > 0 || slices.Contains(patch, true)) {
 		return errors.New("checkpoint: full checkpoint given a parent")
 	}
 	g := st.Graph
@@ -160,9 +170,15 @@ func Write(w io.Writer, h Header, st *trace.State, blobs [][]byte, parentDeg []i
 	}
 	e.I32(st.Day)
 	for i, b := range blobs {
-		changed := full || BlobSum(b) != parentSums[i]
-		e.Bool(changed)
-		if changed {
+		flag := byte(blobUnchanged)
+		switch {
+		case patch != nil && patch[i]:
+			flag = blobPatch
+		case full || BlobSum(b) != parentSums[i]:
+			flag = blobWhole
+		}
+		e.buf = append(e.buf, flag)
+		if flag != blobUnchanged {
 			e.Bytes(b)
 		}
 	}
@@ -213,9 +229,12 @@ type Chain struct {
 	Header Header
 	// State is the shared state that link describes.
 	State *trace.State
-	// Blobs holds each stage's blob as of that link, in Header.Stages
-	// order.
-	Blobs [][]byte
+	// Blobs holds each stage's last whole blob in the chain, in
+	// Header.Stages order, and Patches the stage patches written after
+	// it, oldest first: the stage's state as of the newest link is
+	// LoadState(Blobs[i]) followed by LoadPatch of each Patches[i].
+	Blobs   [][]byte
+	Patches [][][]byte
 }
 
 // Apply decodes one checkpoint object and applies it on top of the chain.
@@ -243,6 +262,7 @@ func (c *Chain) Apply(data []byte) error {
 		// cap; past it the graph grows as rows arrive.
 		c.State = trace.NewState(capLen(nn), 0)
 		c.Blobs = make([][]byte, len(h.Stages))
+		c.Patches = make([][][]byte, len(h.Stages))
 	}
 	st, g := c.State, c.State.Graph
 	if pn != g.NumNodes() {
@@ -303,10 +323,19 @@ func (c *Chain) Apply(data []byte) error {
 	}
 	st.Day = day
 	for i := range h.Stages {
-		if d.Bool() {
-			c.Blobs[i] = d.Bytes()
-		} else if h.Full() && d.err == nil {
-			d.fail(fmt.Errorf("%w: full checkpoint without stage %q", ErrCorrupt, h.Stages[i]))
+		flag := d.raw(1)
+		if flag == nil {
+			return d.err
+		}
+		switch {
+		case flag[0] == blobWhole:
+			c.Blobs[i], c.Patches[i] = d.Bytes(), nil
+		case flag[0] > blobPatch:
+			return d.fail(fmt.Errorf("%w: stage %q flag %d", ErrCorrupt, h.Stages[i], flag[0]))
+		case h.Full():
+			return d.fail(fmt.Errorf("%w: full checkpoint without stage %q", ErrCorrupt, h.Stages[i]))
+		case flag[0] == blobPatch:
+			c.Patches[i] = append(c.Patches[i], d.Bytes())
 		}
 	}
 	if err := d.expect(fileEndMagic, fmt.Errorf("%w: bad end magic", ErrCorrupt)); err != nil {

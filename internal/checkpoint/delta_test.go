@@ -51,7 +51,7 @@ func link(t *testing.T, day int32, st *trace.State, blobs [][]byte, parentDay in
 		deg = Degrees(parent)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, h, st, blobs, deg, BlobSums(parentBlobs)); err != nil {
+	if err := Write(&buf, h, st, blobs, nil, deg, BlobSums(parentBlobs)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -141,12 +141,12 @@ func TestWriteRejectsNonExtension(t *testing.T) {
 	blobs := [][]byte{nil, nil}
 	h := Header{Day: 5, ParentDay: 1, Stages: []string{"a", "b"}}
 	var buf bytes.Buffer
-	if err := Write(&buf, h, small, blobs, Degrees(big), BlobSums(blobs)); err == nil {
+	if err := Write(&buf, h, small, blobs, nil, Degrees(big), BlobSums(blobs)); err == nil {
 		t.Fatal("shrinking patch accepted")
 	}
 	deg := Degrees(small)
 	deg[0] += 5 // parent claims more neighbors than the child has
-	if err := Write(&buf, h, small, blobs, deg, BlobSums(blobs)); err == nil {
+	if err := Write(&buf, h, small, blobs, nil, deg, BlobSums(blobs)); err == nil {
 		t.Fatal("degree-shrink patch accepted")
 	}
 	if buf.Len() != 0 {
@@ -154,7 +154,7 @@ func TestWriteRejectsNonExtension(t *testing.T) {
 	}
 	full := h
 	full.ParentDay = -1
-	if err := Write(&buf, full, small, blobs, deg, nil); err == nil {
+	if err := Write(&buf, full, small, blobs, nil, deg, nil); err == nil {
 		t.Fatal("full checkpoint with a parent degree vector accepted")
 	}
 }

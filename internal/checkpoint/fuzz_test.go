@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -15,8 +17,9 @@ import (
 // same state (the codec is deterministic). Every input is tried both ways
 // a link is read: as a full checkpoint on an empty chain, and as a patch
 // on top of a fixed base. The seed corpus covers a real full checkpoint,
-// a real patch against the base, version skew, truncation inside every
-// layer, and headers that declare absurd lengths.
+// a real patch against the base, one whose stage section is a stage
+// patch, version skew, truncation inside every layer, and headers that
+// declare absurd lengths.
 func FuzzCheckpointDecode(f *testing.F) {
 	st := trace.NewState(4, 4)
 	apply := func(evs ...trace.Event) {
@@ -34,7 +37,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	stages := []string{"metrics", "evolution"}
 	baseBlobs := [][]byte{{1, 1, 2, 3, 5}, {}}
 	var valid bytes.Buffer
-	if err := Write(&valid, Header{Day: 1, ParentDay: -1, ConfigHash: 7, Stages: stages}, st, baseBlobs, nil, nil); err != nil {
+	if err := Write(&valid, Header{Day: 1, ParentDay: -1, ConfigHash: 7, Stages: stages}, st, baseBlobs, nil, nil, nil); err != nil {
 		f.Fatal(err)
 	}
 	base := append([]byte(nil), valid.Bytes()...)
@@ -46,7 +49,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	)
 	var delta bytes.Buffer
 	if err := Write(&delta, Header{Day: 2, ParentDay: 1, ParentSum: 9, ConfigHash: 7, Stages: stages}, st,
-		[][]byte{{8, 13}, {}}, baseDeg, BlobSums(baseBlobs)); err != nil {
+		[][]byte{{8, 13}, {}}, nil, baseDeg, BlobSums(baseBlobs)); err != nil {
 		f.Fatal(err)
 	}
 
@@ -77,6 +80,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	// A real patch, whole and cut inside its grown rows.
 	f.Add(delta.Bytes())
 	f.Add(append([]byte{}, delta.Bytes()[:delta.Len()/2]...))
+	// A patch link whose evolution section is a stage patch.
+	var patched bytes.Buffer
+	if err := Write(&patched, Header{Day: 2, ParentDay: 1, ParentSum: 9, ConfigHash: 7, Stages: stages}, st,
+		[][]byte{{8, 13}, {21}}, []bool{false, true}, baseDeg, BlobSums(baseBlobs)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(patched.Bytes())
 
 	empty := func() *Chain { return new(Chain) }
 	onBase := func() *Chain {
@@ -95,11 +105,19 @@ func FuzzCheckpointDecode(f *testing.F) {
 			// Accepted input must survive a deterministic re-encode/apply.
 			var parentDeg []int32
 			var parentSums []uint64
+			blobs := c.Blobs
+			var patch []bool
 			if !c.Header.Full() {
 				parentDeg, parentSums = baseDeg, BlobSums(baseBlobs)
+				blobs, patch = slices.Clone(c.Blobs), make([]bool, len(c.Blobs))
+				for i, p := range c.Patches {
+					if len(p) > 0 {
+						blobs[i], patch[i] = p[len(p)-1], true
+					}
+				}
 			}
 			var buf bytes.Buffer
-			if err := Write(&buf, c.Header, c.State, c.Blobs, parentDeg, parentSums); err != nil {
+			if err := Write(&buf, c.Header, c.State, blobs, patch, parentDeg, parentSums); err != nil {
 				t.Fatalf("accepted checkpoint does not re-encode: %v", err)
 			}
 			again := on()
@@ -107,7 +125,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 				t.Fatalf("re-encoded checkpoint does not apply: %v", err)
 			}
 			if again.Header.Day != c.Header.Day || again.Header.ConfigHash != c.Header.ConfigHash ||
-				len(again.Blobs) != len(c.Blobs) {
+				len(again.Blobs) != len(c.Blobs) || !reflect.DeepEqual(again.Patches, c.Patches) {
 				t.Fatalf("round trip diverged: %+v vs %+v", again.Header, c.Header)
 			}
 			if again.State.Day != c.State.Day || again.State.Graph.NumNodes() != c.State.Graph.NumNodes() ||

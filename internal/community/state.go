@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/louvain"
 	"repro/internal/tracking"
@@ -231,12 +232,26 @@ func (s *UsersStage) SaveState(w io.Writer) error {
 		e.I32(a.lastEdge)
 		e.Bool(a.hasEdge)
 	}
-	e.U64(uint64(len(s.gaps)))
-	for _, g := range s.gaps {
+	saveGaps(e, s.gaps)
+	return e.Flush()
+}
+
+// saveGaps writes buffered inter-arrival gaps.
+func saveGaps(e *checkpoint.Encoder, gaps []nodeGap) {
+	e.U64(uint64(len(gaps)))
+	for _, g := range gaps {
 		e.I32(g.u)
 		e.I32(g.gap)
 	}
-	return e.Flush()
+}
+
+// loadGaps appends the gaps saveGaps wrote to gaps.
+func loadGaps(d *checkpoint.Decoder, gaps []nodeGap) []nodeGap {
+	n := d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		gaps = append(gaps, nodeGap{u: d.I32(), gap: d.I32()})
+	}
+	return gaps
 }
 
 // LoadState implements engine.Checkpointer.
@@ -250,11 +265,90 @@ func (s *UsersStage) LoadState(data []byte) error {
 	for i := 0; i < n && d.Err() == nil; i++ {
 		s.nodes = append(s.nodes, nodeActivity{lastEdge: d.I32(), hasEdge: d.Bool()})
 	}
-	n = d.Len()
-	s.gaps = make([]nodeGap, 0, min(n, 1<<16))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		s.gaps = append(s.gaps, nodeGap{u: d.I32(), gap: d.I32()})
+	s.gaps = loadGaps(d, nil)
+	return d.Err()
+}
+
+// usersPatchV1 versions the Fig 7 stage's patch blobs.
+const usersPatchV1 = 1
+
+// usersMark is the state a save captured: the last edge day any user
+// saw and the columns' lengths. Every later edge has a later day, so
+// the users active since the mark are those whose last edge is past
+// day.
+type usersMark struct {
+	day         int32
+	nodes, gaps int
+}
+
+// Mark implements engine.Patcher.
+func (s *UsersStage) Mark() engine.Mark {
+	m := usersMark{day: -1, nodes: len(s.nodes), gaps: len(s.gaps)}
+	for _, a := range s.nodes {
+		if a.hasEdge {
+			m.day = max(m.day, a.lastEdge)
+		}
 	}
+	return m
+}
+
+// SavePatch implements engine.Patcher: the mark it extends, the rows of
+// the users with an edge since, and the gaps appended since. The node
+// column's new length is implied: the column grows only to cover an
+// edge's endpoints, so its last row is that of a user active since.
+func (s *UsersStage) SavePatch(w io.Writer, since engine.Mark) error {
+	m, ok := since.(usersMark)
+	if !ok || m.nodes > len(s.nodes) || m.gaps > len(s.gaps) {
+		return fmt.Errorf("users: patch against a mark this stage did not make")
+	}
+	active := func(a nodeActivity) bool { return a.hasEdge && a.lastEdge > m.day }
+	e := checkpoint.NewEncoder(w)
+	e.U64(usersPatchV1)
+	e.I32(m.day)
+	e.Int(m.nodes)
+	e.Int(m.gaps)
+	n := 0
+	for _, a := range s.nodes {
+		if active(a) {
+			n++
+		}
+	}
+	e.U64(uint64(n))
+	for u, a := range s.nodes {
+		if active(a) {
+			e.I32(int32(u))
+			e.I32(a.lastEdge)
+		}
+	}
+	saveGaps(e, s.gaps[m.gaps:])
+	return e.Flush()
+}
+
+// LoadPatch implements engine.Patcher.
+func (s *UsersStage) LoadPatch(data []byte) error {
+	d := checkpoint.NewDecoder(data)
+	if v := d.U64(); d.Err() == nil && v != usersPatchV1 {
+		return fmt.Errorf("users: checkpoint patch version %d", v)
+	}
+	m := usersMark{day: d.I32(), nodes: d.Int(), gaps: d.Int()}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if have := s.Mark(); m != have {
+		return fmt.Errorf("users: patch against %+v, stage is at %+v", m, have)
+	}
+	n := d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		u, day := d.I32(), d.I32()
+		if u < 0 || day <= m.day {
+			return fmt.Errorf("users: checkpoint patch row %d at day %d", u, day)
+		}
+		for int32(len(s.nodes)) <= u {
+			s.nodes = append(s.nodes, nodeActivity{})
+		}
+		s.nodes[u] = nodeActivity{lastEdge: day, hasEdge: true}
+	}
+	s.gaps = loadGaps(d, s.gaps)
 	return d.Err()
 }
 

@@ -60,10 +60,14 @@ const (
 // an unbounded tour of the backend.
 const maxChainDepth = 64
 
-// ckptHeaderProbe is how many bytes of an object the header scan reads.
-// Headers are a few hundred bytes (magic, hashes, stage names); 64 KiB
-// is a comfortable ceiling even at maxSections stages.
-const ckptHeaderProbe = 1 << 16
+// ckptHeaderPrefix is how many bytes of an object the header scan reads
+// first: a header is about 100 bytes (magic, hashes, stage names). A
+// header that does not fit is read again from a ckptHeaderProbe prefix,
+// a comfortable ceiling even at maxSections stages.
+const (
+	ckptHeaderPrefix = 4 << 10
+	ckptHeaderProbe  = 64 << 10
+)
 
 // checkpointFileName renders the canonical day-addressed object name of
 // a checkpoint, full or not: the kind is in the header.
@@ -163,19 +167,64 @@ func fnvSum(b []byte) uint64 {
 // ckptParent is the writer's summary of the last checkpoint it wrote (or
 // restored): exactly what the next patch needs — the parent's identity
 // (day, byte hash), its state shape (degree vector), its stage blobs'
-// sums for unchanged-detection, and its position in the chain — plus the
-// blob and object lengths the next write pre-sizes its buffers from.
-// Holding this instead of the whole parent state keeps the delta path
-// O(nodes) in memory, not O(edges), and holding blob sums instead of the
+// sums for unchanged-detection, each engine.Patcher stage's mark for its
+// stage patch, and its position in the chain — plus the blob and object
+// lengths the next full write pre-sizes its buffers from. Holding this
+// instead of the whole parent state keeps the delta path O(nodes) in
+// memory, not O(edges), and holding blob sums and marks instead of the
 // blobs keeps it from duplicating the live stages a ResumeHandle keeps.
+// The writer commits a new summary only once the object's Put succeeds,
+// so a failed write leaves the marks of the last object that exists.
 type ckptParent struct {
 	day   int32
 	sum   uint64
 	deg   []int32
-	sums  []uint64 // checkpoint.BlobSums of the stage blobs
-	depth int      // 0 = full checkpoint, k = k-th delta in its chain
-	lens  []int    // each stage blob's length
-	size  int      // the object's length
+	sums  []uint64      // checkpoint.BlobSums of the stage blobs; a patched stage's entry is unused
+	marks []engine.Mark // each Patcher stage's Mark (nil for the other stages)
+	depth int           // 0 = full checkpoint, k = k-th delta in its chain
+	lens  []int         // each stage's last whole blob's length
+	size  int           // the last full object's length
+}
+
+// savedStages is one checkpoint's stage sections: each stage's blob,
+// whether it is a patch, and each Patcher stage's mark after the save.
+type savedStages struct {
+	blobs [][]byte
+	patch []bool
+	marks []engine.Mark
+}
+
+// saveStages serializes every stage for the next object. With delta set,
+// each Patcher stage writes its patch against the parent's mark; every
+// other stage writes its whole SaveState, pre-sized from the parent's
+// blob of that stage.
+func (x *planExec) saveStages(p *ckptParent, delta bool) (savedStages, error) {
+	out := savedStages{
+		blobs: make([][]byte, len(x.stages)),
+		patch: make([]bool, len(x.stages)),
+		marks: make([]engine.Mark, len(x.stages)),
+	}
+	for i, s := range x.stages {
+		var buf bytes.Buffer
+		pt, patcher := s.(engine.Patcher)
+		var err error
+		if out.patch[i] = delta && patcher && p.marks[i] != nil; out.patch[i] {
+			err = pt.SavePatch(&buf, p.marks[i])
+		} else {
+			if p != nil {
+				presize(&buf, p.lens[i])
+			}
+			err = s.(engine.Checkpointer).SaveState(&buf)
+		}
+		if err != nil {
+			return savedStages{}, fmt.Errorf("stage %s: %w", s.Name(), err)
+		}
+		out.blobs[i] = buf.Bytes()
+		if patcher {
+			out.marks[i] = pt.Mark()
+		}
+	}
+	return out, nil
 }
 
 // blobLens lists each blob's length.
@@ -198,7 +247,7 @@ func presize(buf *bytes.Buffer, n int) {
 // a successful checkpointed pass whose last checkpoint is the state it
 // ended on. It holds that pass's exec — its live stages, engine and CPU
 // budget, and the checkpoint writer's parent summary (day, object hash,
-// chain depth, degree vector, stage blob sums) under the run's
+// chain depth, degree vector, stage blob sums, patch marks) under the run's
 // fingerprint and stage set — plus the live shared state itself. A next
 // pass over the grown trace that the handle describes adopts the exec and
 // continues its stages where they stopped: it fetches, hashes and decodes
@@ -282,51 +331,59 @@ func (x *planExec) armCheckpoints() {
 // writeCheckpoint serializes the run at one day boundary. At the tiered
 // cadence (Config.CheckpointFullEvery = F) one checkpoint in F is full
 // and the rest are patches against the previous checkpoint: what the
-// append-only replay appended since, plus only the stage blobs whose
-// bytes actually changed. Whole objects go through the backend's atomic
-// Put, so readers only ever see complete checkpoints. Any reason a patch
-// can't be written (first checkpoint, a state that does not extend the
-// parent) falls back to a full — a delta is an optimization, never a
-// requirement.
+// append-only replay appended since, each engine.Patcher stage's patch
+// against its mark, and only the other stage blobs whose bytes actually
+// changed. Whole objects go through the backend's atomic Put, so readers
+// only ever see complete checkpoints. Any reason a patch can't be written
+// (first checkpoint, a state that does not extend the parent) falls back
+// to a full — a delta is an optimization, never a requirement.
 func (x *planExec) writeCheckpoint(day int32, st *trace.State) error {
 	start := time.Now()
 	p := x.parent
-	blobs := make([][]byte, 0, len(x.stages))
-	for i, s := range x.stages {
-		var buf bytes.Buffer
-		if p != nil {
-			presize(&buf, p.lens[i])
-		}
-		if err := s.(engine.Checkpointer).SaveState(&buf); err != nil {
-			return fmt.Errorf("stage %s: %w", s.Name(), err)
-		}
-		blobs = append(blobs, buf.Bytes())
-	}
-
 	var buf bytes.Buffer
-	if p != nil {
-		presize(&buf, p.size)
-	}
 	h := checkpoint.Header{Day: day, ParentDay: -1, ConfigHash: x.ckptHash, Stages: x.ckptNames}
+	var saved savedStages
 	depth := 0
 	if p != nil && p.depth+1 < x.rt.cfg.CheckpointFullEvery && p.day < day {
+		var err error
+		if saved, err = x.saveStages(p, true); err != nil {
+			return err
+		}
 		dh := h
 		dh.ParentDay, dh.ParentSum = p.day, p.sum
-		if checkpoint.Write(&buf, dh, st, blobs, p.deg, p.sums) == nil {
+		if checkpoint.Write(&buf, dh, st, saved.blobs, saved.patch, p.deg, p.sums) == nil {
 			h, depth = dh, p.depth+1
 		}
 	}
 	if depth == 0 {
+		var err error
+		if saved, err = x.saveStages(p, false); err != nil {
+			return err
+		}
 		buf.Reset()
-		if err := checkpoint.Write(&buf, h, st, blobs, nil, nil); err != nil {
+		if p != nil {
+			presize(&buf, p.size)
+		}
+		if err := checkpoint.Write(&buf, h, st, saved.blobs, nil, nil, nil); err != nil {
 			return err
 		}
 	}
 	if err := x.backend.Put(checkpointFileName(day), buf.Bytes()); err != nil {
 		return err
 	}
-	x.parent = &ckptParent{day: day, sum: fnvSum(buf.Bytes()), deg: checkpoint.Degrees(st), sums: checkpoint.BlobSums(blobs), depth: depth,
-		lens: blobLens(blobs), size: buf.Len()}
+	next := &ckptParent{day: day, sum: fnvSum(buf.Bytes()), deg: checkpoint.Degrees(st), marks: saved.marks, depth: depth,
+		sums: make([]uint64, len(saved.blobs)), lens: make([]int, len(saved.blobs)), size: buf.Len()}
+	for i, b := range saved.blobs {
+		if saved.patch[i] {
+			next.sums[i], next.lens[i] = p.sums[i], p.lens[i]
+		} else {
+			next.sums[i], next.lens[i] = checkpoint.BlobSum(b), len(b)
+		}
+	}
+	if depth > 0 {
+		next.size = p.size
+	}
+	x.parent = next
 	if obs := x.rt.cfg.CheckpointObserver; obs != nil {
 		obs(CheckpointStat{Day: day, Delta: depth > 0, Bytes: int64(buf.Len()), Elapsed: time.Since(start)})
 	}
@@ -432,10 +489,20 @@ func (x *planExec) matches(h checkpoint.Header) bool {
 }
 
 // readHeaderAt decodes an object's header from a bounded prefix of it —
-// resolution scans many candidates and must not pay whole-object reads
-// for each.
+// resolution and retention scan every candidate and must not pay
+// whole-object reads for each. It reads ckptHeaderPrefix bytes, and a
+// ckptHeaderProbe prefix only when the header runs past them.
 func readHeaderAt(b storage.Backend, name string) (checkpoint.Header, error) {
-	rc, err := b.OpenRange(name, 0, ckptHeaderProbe)
+	h, err := readHeaderPrefix(b, name, ckptHeaderPrefix)
+	if errors.Is(err, checkpoint.ErrTruncated) {
+		h, err = readHeaderPrefix(b, name, ckptHeaderProbe)
+	}
+	return h, err
+}
+
+// readHeaderPrefix decodes an object's header from its first n bytes.
+func readHeaderPrefix(b storage.Backend, name string, n int64) (checkpoint.Header, error) {
+	rc, err := b.OpenRange(name, 0, n)
 	if err != nil {
 		return checkpoint.Header{}, err
 	}
@@ -569,14 +636,14 @@ func (x *planExec) loadCheckpointChain(src trace.Source, cand ckptCandidate) err
 			return err
 		}
 	}
-	return x.restore(src, c.State, c.Header.Stages, c.Blobs, &ckptParent{
+	return x.restore(src, c.State, c.Header.Stages, c.Blobs, c.Patches, &ckptParent{
 		day:   c.Header.Day,
 		sum:   candSum,
 		deg:   checkpoint.Degrees(c.State),
 		sums:  checkpoint.BlobSums(c.Blobs),
 		depth: len(links) - 1,
 		lens:  blobLens(c.Blobs),
-		size:  len(links[0]),
+		size:  len(links[len(links)-1]),
 	})
 }
 
@@ -598,18 +665,20 @@ func checkPrefix(src trace.Source, st *trace.State, day int32) error {
 
 // restore is the tail of a resume from the backend: it cross-checks the
 // decoded chain's state st against the source, restores every stage from
-// its blob (names[i] names the stage blobs[i] was saved by), and seeds
-// the writer's parent summary — so the run's next checkpoint can be a
-// delta against p — and the resume point. On error the stages may be
-// partially restored.
-func (x *planExec) restore(src trace.Source, st *trace.State, names []string, blobs [][]byte, p *ckptParent) error {
+// its base blob and then its patches in order (names[i] names the stage
+// blobs[i] and patches[i] were saved by), and seeds the writer's parent
+// summary — so the run's next checkpoint can be a delta against p, with
+// each Patcher stage's mark taken from its restored state — and the
+// resume point. On error the stages may be partially restored.
+func (x *planExec) restore(src trace.Source, st *trace.State, names []string, blobs [][]byte, patches [][][]byte, p *ckptParent) error {
 	if err := checkPrefix(src, st, p.day); err != nil {
 		return err
 	}
 	stages := x.stages
-	if len(blobs) != len(stages) || len(names) != len(stages) {
+	if len(blobs) != len(stages) || len(patches) != len(stages) || len(names) != len(stages) {
 		return fmt.Errorf("core: checkpoint has %d stage blobs, run has %d stages", len(blobs), len(stages))
 	}
+	p.marks = make([]engine.Mark, len(stages))
 	for i, s := range stages {
 		if names[i] != s.Name() {
 			return fmt.Errorf("core: checkpoint blob %d is %q, run stage is %q", i, names[i], s.Name())
@@ -617,6 +686,19 @@ func (x *planExec) restore(src trace.Source, st *trace.State, names []string, bl
 		if err := s.(engine.Checkpointer).LoadState(blobs[i]); err != nil {
 			return fmt.Errorf("core: restore stage %s: %w", s.Name(), err)
 		}
+		pt, patcher := s.(engine.Patcher)
+		if !patcher {
+			if len(patches[i]) > 0 {
+				return fmt.Errorf("core: checkpoint patches stage %s, which takes no patches", s.Name())
+			}
+			continue
+		}
+		for k, patch := range patches[i] {
+			if err := pt.LoadPatch(patch); err != nil {
+				return fmt.Errorf("core: restore stage %s, patch %d: %w", s.Name(), k+1, err)
+			}
+		}
+		p.marks[i] = pt.Mark()
 	}
 	x.parent = p
 	x.resumeState, x.resumeDay = st, p.day

@@ -88,11 +88,38 @@ type Syncer interface {
 // a pool goroutine and concurrently with the stage's own Finish. A stage
 // with in-flight fan-out (the δ-sweep) must join its tasks before
 // serializing, in a way that is safe when Finish joins them at the same
-// time.
+// time. A full checkpoint holds every stage's SaveState; a delta holds
+// it only for stages that are not a Patcher, and only when its bytes
+// changed.
 type Checkpointer interface {
 	SaveState(w io.Writer) error
 	LoadState(data []byte) error
 }
+
+// Patcher is the optional Checkpointer extension of a stage whose state
+// is mostly append-only logs. A delta checkpoint carries its patch, the
+// stage's growth since the checkpoint before, instead of its whole
+// SaveState. Mark describes the state the stage is in, taken right after
+// a SaveState or SavePatch; the writer keeps it until the next
+// checkpoint. SavePatch writes what changed since that mark: the logs'
+// tails and the small columns that change in place. LoadPatch applies
+// one patch to a stage in exactly the state its mark described, reached
+// by LoadState of the base blob and then LoadPatch of each earlier
+// patch, in order. A patch records the state it was taken against, and
+// LoadPatch refuses a stage in any other. The contract is SaveState's:
+// the base and its patches restore the SaveState bytes of the stage that
+// wrote them. Mark and SavePatch only read, like SaveState, and run where
+// it does.
+type Patcher interface {
+	Checkpointer
+	Mark() Mark
+	SavePatch(w io.Writer, since Mark) error
+	LoadPatch(data []byte) error
+}
+
+// Mark is a Patcher's opaque description of its saved state; only the
+// stage that made it reads it.
+type Mark any
 
 // CheckpointFunc writes one checkpoint of the run: st is the shared state
 // at the end of `day`, quiescent until the function returns. The engine

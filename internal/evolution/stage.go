@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/powerlaw"
 	"repro/internal/stats"
@@ -248,8 +249,12 @@ func (s *Stage) Finish(_ *trace.State) error {
 // Result returns the assembled analysis after Finish; nil before.
 func (s *Stage) Result() *Result { return s.res }
 
-// stageStateV1 versions the two §3 stages' checkpoint blobs.
-const stageStateV1 = 1
+// stageStateV1 versions the two §3 stages' checkpoint blobs, and
+// patchV1 the Stage's patch blobs.
+const (
+	stageStateV1 = 1
+	patchV1      = 1
+)
 
 // SaveState implements engine.Checkpointer: the per-node join/activity
 // columns, the per-bucket inter-arrival histograms, and the Fig 2c
@@ -281,14 +286,7 @@ func (s *Stage) SaveState(w io.Writer) error {
 		e.I32s(days)
 	}
 	e.Bool(s.hasEdges)
-	e.U64(uint64(len(s.hists)))
-	for _, h := range s.hists {
-		e.U64(uint64(len(h.Counts)))
-		for _, i := range checkpoint.SortedKeys(h.Counts) {
-			e.Int(i)
-			e.I64(h.Counts[i])
-		}
-	}
+	s.saveHists(e)
 	nLast := 0
 	for _, d := range s.lastEdge {
 		if d >= 0 {
@@ -302,16 +300,38 @@ func (s *Stage) SaveState(w io.Writer) error {
 			e.I32(d)
 		}
 	}
-	e.U64(uint64(len(s.minAge)))
-	for _, m := range s.minAge {
+	saveMinAge(e, s.minAge)
+	s.saveOpenDay(e)
+	return e.Flush()
+}
+
+// saveHists writes the inter-arrival histograms' bucket counts.
+func (s *Stage) saveHists(e *checkpoint.Encoder) {
+	e.U64(uint64(len(s.hists)))
+	for _, h := range s.hists {
+		e.U64(uint64(len(h.Counts)))
+		for _, i := range checkpoint.SortedKeys(h.Counts) {
+			e.Int(i)
+			e.I64(h.Counts[i])
+		}
+	}
+}
+
+// saveMinAge writes Fig 2c rows.
+func saveMinAge(e *checkpoint.Encoder, rows []MinAgeDay) {
+	e.U64(uint64(len(rows)))
+	for _, m := range rows {
 		e.I32(m.Day)
 		e.F64s(m.Frac)
 		e.I64(m.Total)
 	}
+}
+
+// saveOpenDay writes the open edge day's Fig 2c accumulators.
+func (s *Stage) saveOpenDay(e *checkpoint.Encoder) {
 	e.I32(s.curDay)
 	e.I64(s.dayTotal)
 	e.I64s(s.dayHits)
-	return e.Flush()
 }
 
 // LoadState implements engine.Checkpointer.
@@ -334,17 +354,8 @@ func (s *Stage) LoadState(data []byte) error {
 		}
 	}
 	s.hasEdges = d.Bool()
-	if hn := d.Len(); d.Err() == nil && hn != len(s.hists) {
-		return fmt.Errorf("evolution: checkpoint has %d histograms, stage %d", hn, len(s.hists))
-	}
-	for _, h := range s.hists {
-		cn := d.Len()
-		counts := make(map[int]int64, min(cn, 1<<16))
-		for i := 0; i < cn && d.Err() == nil; i++ {
-			k := d.Int()
-			counts[k] = d.I64()
-		}
-		h.RestoreCounts(counts)
+	if err := s.loadHists(d); err != nil {
+		return err
 	}
 	n = d.Len()
 	s.lastEdge = nil
@@ -357,14 +368,137 @@ func (s *Stage) LoadState(data []byte) error {
 		s.growLastEdge(u)
 		s.lastEdge[u] = day
 	}
-	n = d.Len()
-	s.minAge = make([]MinAgeDay, 0, min(n, 1<<16))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		s.minAge = append(s.minAge, MinAgeDay{Day: d.I32(), Frac: d.F64s(), Total: d.I64()})
+	s.minAge = loadMinAge(d, nil)
+	s.loadOpenDay(d)
+	return d.Err()
+}
+
+// loadHists restores what saveHists wrote.
+func (s *Stage) loadHists(d *checkpoint.Decoder) error {
+	if hn := d.Len(); d.Err() == nil && hn != len(s.hists) {
+		return fmt.Errorf("evolution: checkpoint has %d histograms, stage %d", hn, len(s.hists))
 	}
+	for _, h := range s.hists {
+		cn := d.Len()
+		counts := make(map[int]int64, min(cn, 1<<16))
+		for i := 0; i < cn && d.Err() == nil; i++ {
+			k := d.Int()
+			counts[k] = d.I64()
+		}
+		h.RestoreCounts(counts)
+	}
+	return nil
+}
+
+// loadMinAge appends the rows saveMinAge wrote to rows.
+func loadMinAge(d *checkpoint.Decoder, rows []MinAgeDay) []MinAgeDay {
+	n := d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		rows = append(rows, MinAgeDay{Day: d.I32(), Frac: d.F64s(), Total: d.I64()})
+	}
+	return rows
+}
+
+// loadOpenDay restores what saveOpenDay wrote.
+func (s *Stage) loadOpenDay(d *checkpoint.Decoder) {
 	s.curDay = d.I32()
 	s.dayTotal = d.I64()
 	s.dayHits = d.I64s()
+}
+
+// patchMark is the state a save captured: the last edge day and the
+// logs' lengths. Every later edge has a later day, so a list's growth
+// since the mark is its entries past day.
+type patchMark struct {
+	day              int32
+	joinDays, minAge int
+	lists            int
+	total            int64
+}
+
+// Mark implements engine.Patcher.
+func (s *Stage) Mark() engine.Mark {
+	return patchMark{day: s.curDay, joinDays: len(s.joinDay), minAge: len(s.minAge), lists: s.edgeDays.NumLists(), total: s.edgeDays.Total()}
+}
+
+// SavePatch implements engine.Patcher: the mark it extends, the join
+// days and edge days appended since (the edge days as per-list suffixes,
+// like the graph's delta), the Fig 2c rows closed since, and the
+// histograms and open day rewritten whole. lastEdge is not written: a
+// user's last edge day is the last entry of its edge-day list.
+func (s *Stage) SavePatch(w io.Writer, since engine.Mark) error {
+	m, ok := since.(patchMark)
+	if !ok || m.joinDays > len(s.joinDay) || m.minAge > len(s.minAge) || m.lists > s.edgeDays.NumLists() {
+		return fmt.Errorf("evolution: patch against a mark this stage did not make")
+	}
+	e := checkpoint.NewEncoder(w)
+	e.U64(patchV1)
+	e.I32(m.day)
+	e.Int(m.joinDays)
+	e.Int(m.minAge)
+	e.Int(m.lists)
+	e.I64(m.total)
+	e.I32s(s.joinDay[m.joinDays:])
+	grown := 0
+	for u := 0; u < s.edgeDays.NumLists(); u++ {
+		if last, ok := s.edgeDays.Last(u); ok && last > m.day {
+			grown++
+		}
+	}
+	e.U64(uint64(grown))
+	var days []int32
+	for u := 0; u < s.edgeDays.NumLists(); u++ {
+		if last, ok := s.edgeDays.Last(u); !ok || last <= m.day {
+			continue
+		}
+		days = s.edgeDays.AppendTo(days[:0], u)
+		k := len(days)
+		for k > 0 && days[k-1] > m.day {
+			k--
+		}
+		e.I32(int32(u))
+		e.I32s(days[k:])
+	}
+	e.Bool(s.hasEdges)
+	s.saveHists(e)
+	saveMinAge(e, s.minAge[m.minAge:])
+	s.saveOpenDay(e)
+	return e.Flush()
+}
+
+// LoadPatch implements engine.Patcher.
+func (s *Stage) LoadPatch(data []byte) error {
+	d := checkpoint.NewDecoder(data)
+	if v := d.U64(); d.Err() == nil && v != patchV1 {
+		return fmt.Errorf("evolution: checkpoint patch version %d", v)
+	}
+	m := patchMark{day: d.I32(), joinDays: d.Int(), minAge: d.Int(), lists: d.Int(), total: d.I64()}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if have := s.Mark(); m != have {
+		return fmt.Errorf("evolution: patch against %+v, stage is at %+v", m, have)
+	}
+	s.joinDay = append(s.joinDay, d.I32s()...)
+	n := d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		u := d.I32()
+		days := d.I32s()
+		if u < 0 || len(days) == 0 || days[0] <= m.day {
+			return fmt.Errorf("evolution: checkpoint patch edgeDays id %d with %d days", u, len(days))
+		}
+		for _, day := range days {
+			s.edgeDays.Append(int(u), day)
+		}
+		s.growLastEdge(u)
+		s.lastEdge[u] = days[len(days)-1]
+	}
+	s.hasEdges = d.Bool()
+	if err := s.loadHists(d); err != nil {
+		return err
+	}
+	s.minAge = loadMinAge(d, s.minAge)
+	s.loadOpenDay(d)
 	return d.Err()
 }
 

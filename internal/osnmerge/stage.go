@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/checkpoint"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -425,8 +426,12 @@ func (s *Stage) Finish(st *trace.State) error {
 // before.
 func (s *Stage) Result() *Result { return s.res }
 
-// stageStateV1 versions the stage's checkpoint blob.
-const stageStateV1 = 1
+// stageStateV1 versions the stage's checkpoint blob, and patchV1 its
+// patch blobs.
+const (
+	stageStateV1 = 1
+	patchV1      = 1
+)
 
 // SaveState implements engine.Checkpointer: the per-user gap statistics,
 // the buffered post-merge edges, the origin census, the sampled distance
@@ -473,22 +478,32 @@ func (s *Stage) SaveState(w io.Writer) error {
 			e.I64(n)
 		}
 	}
-	e.U64(uint64(len(s.post)))
-	for _, p := range s.post {
+	savePost(e, s.post)
+	e.I32s(s.xiaonei)
+	e.I32s(s.fiveQ)
+	saveDistances(e, s.distances)
+	e.I64(s.src.Draws())
+	return e.Flush()
+}
+
+// savePost writes buffered post-merge edges.
+func savePost(e *checkpoint.Encoder, post []postEdge) {
+	e.U64(uint64(len(post)))
+	for _, p := range post {
 		e.I32(p.day)
 		e.I32(p.u)
 		e.I32(p.v)
 	}
-	e.I32s(s.xiaonei)
-	e.I32s(s.fiveQ)
-	e.U64(uint64(len(s.distances)))
-	for _, dp := range s.distances {
+}
+
+// saveDistances writes Fig 9c distance points.
+func saveDistances(e *checkpoint.Encoder, pts []DistancePoint) {
+	e.U64(uint64(len(pts)))
+	for _, dp := range pts {
 		e.I32(dp.DaysAfter)
 		e.F64(dp.XiaoneiTo5Q)
 		e.F64(dp.FiveQToXiaonei)
 	}
-	e.I64(s.src.Draws())
-	return e.Flush()
 }
 
 // LoadState implements engine.Checkpointer.
@@ -529,24 +544,121 @@ func (s *Stage) LoadState(data []byte) error {
 		s.growGaps(u)
 		s.gapN[u] = v
 	}
-	n = d.Len()
-	s.post = make([]postEdge, 0, min(n, 1<<16))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		s.post = append(s.post, postEdge{day: d.I32(), u: d.I32(), v: d.I32()})
-	}
+	s.post = loadPost(d, nil)
 	s.xiaonei = d.I32s()
 	s.fiveQ = d.I32s()
-	n = d.Len()
-	s.distances = make([]DistancePoint, 0, min(n, 1<<16))
+	s.distances = loadDistances(d, nil)
+	return s.loadDraws(d)
+}
+
+// loadPost appends the edges savePost wrote to post.
+func loadPost(d *checkpoint.Decoder, post []postEdge) []postEdge {
+	n := d.Len()
 	for i := 0; i < n && d.Err() == nil; i++ {
-		s.distances = append(s.distances, DistancePoint{
-			DaysAfter: d.I32(), XiaoneiTo5Q: d.F64(), FiveQToXiaonei: d.F64(),
-		})
+		post = append(post, postEdge{day: d.I32(), u: d.I32(), v: d.I32()})
 	}
+	return post
+}
+
+// loadDistances appends the points saveDistances wrote to pts.
+func loadDistances(d *checkpoint.Decoder, pts []DistancePoint) []DistancePoint {
+	n := d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		pts = append(pts, DistancePoint{DaysAfter: d.I32(), XiaoneiTo5Q: d.F64(), FiveQToXiaonei: d.F64()})
+	}
+	return pts
+}
+
+// loadDraws reads the sampler RNG's position last and restores it.
+func (s *Stage) loadDraws(d *checkpoint.Decoder) error {
 	draws := d.I64()
 	if err := d.Err(); err != nil {
 		return err
 	}
 	s.src.Restore(s.opt.Seed, draws)
 	return nil
+}
+
+// patchMark is the state a save captured: the last event day and the
+// logs' lengths. Every later edge has a later day, so the users whose
+// gap statistics changed since the mark are those whose last edge is
+// past day.
+type patchMark struct {
+	day                             int32
+	post, xiaonei, fiveQ, distances int
+}
+
+// Mark implements engine.Patcher.
+func (s *Stage) Mark() engine.Mark {
+	return patchMark{day: s.lastDay, post: len(s.post), xiaonei: len(s.xiaonei), fiveQ: len(s.fiveQ), distances: len(s.distances)}
+}
+
+// SavePatch implements engine.Patcher: the mark it extends, the rows of
+// the users with an edge since (last edge day, gap sum and count), the
+// post-merge edges, census entries and distance points appended since,
+// and the sampler's position.
+func (s *Stage) SavePatch(w io.Writer, since engine.Mark) error {
+	m, ok := since.(patchMark)
+	if !ok || m.post > len(s.post) || m.xiaonei > len(s.xiaonei) || m.fiveQ > len(s.fiveQ) || m.distances > len(s.distances) {
+		return fmt.Errorf("osnmerge: patch against a mark this stage did not make")
+	}
+	e := checkpoint.NewEncoder(w)
+	e.U64(patchV1)
+	e.I32(m.day)
+	e.Int(m.post)
+	e.Int(m.xiaonei)
+	e.Int(m.fiveQ)
+	e.Int(m.distances)
+	e.I32(s.lastDay)
+	touched := 0
+	for _, d := range s.lastEdge {
+		if d > m.day {
+			touched++
+		}
+	}
+	e.U64(uint64(touched))
+	for u, d := range s.lastEdge {
+		if d > m.day {
+			e.I32(int32(u))
+			e.I32(d)
+			e.I64(s.gapSum[u])
+			e.I64(s.gapN[u])
+		}
+	}
+	savePost(e, s.post[m.post:])
+	e.I32s(s.xiaonei[m.xiaonei:])
+	e.I32s(s.fiveQ[m.fiveQ:])
+	saveDistances(e, s.distances[m.distances:])
+	e.I64(s.src.Draws())
+	return e.Flush()
+}
+
+// LoadPatch implements engine.Patcher.
+func (s *Stage) LoadPatch(data []byte) error {
+	d := checkpoint.NewDecoder(data)
+	if v := d.U64(); d.Err() == nil && v != patchV1 {
+		return fmt.Errorf("osnmerge: checkpoint patch version %d", v)
+	}
+	m := patchMark{day: d.I32(), post: d.Int(), xiaonei: d.Int(), fiveQ: d.Int(), distances: d.Int()}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if have := s.Mark(); m != have {
+		return fmt.Errorf("osnmerge: patch against %+v, stage is at %+v", m, have)
+	}
+	s.lastDay = d.I32()
+	n := d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		u, day, sum, cnt := d.I32(), d.I32(), d.I64(), d.I64()
+		if u < 0 || day <= m.day {
+			return fmt.Errorf("osnmerge: checkpoint patch row %d at day %d", u, day)
+		}
+		s.growGaps(u)
+		s.lastEdge[u], s.gapSum[u], s.gapN[u] = day, sum, cnt
+	}
+	s.post = loadPost(d, s.post)
+	s.xiaonei = append(s.xiaonei, d.I32s()...)
+	s.fiveQ = append(s.fiveQ, d.I32s()...)
+	s.distances = loadDistances(d, s.distances)
+	return s.loadDraws(d)
 }

@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -63,6 +66,73 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Fatalf("input mutated: %v", xs)
+	}
+}
+
+// sortPercentile is Percentile as it was before it selected its ranks:
+// copy, sort.Float64s, interpolate.
+func sortPercentile(xs []float64, p float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if len(sorted) == 1 {
+		return sorted[0]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestPercentileMatchesSort holds the selecting Percentile bit-identical
+// to the sorting one on random inputs full of ties and NaNs (drawn from a
+// few values), on distinct values, and on sorted and reversed input, at
+// n = 1 and 2 and larger, and p = 0, 50, 99, 100 and random p.
+func TestPercentileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draw := func(n int, ties bool) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			switch {
+			case !ties:
+				xs[i] = rng.NormFloat64() * 1e3
+			case rng.Intn(8) == 0:
+				xs[i] = math.NaN()
+			default:
+				xs[i] = float64(rng.Intn(5)) * 0.5
+			}
+		}
+		return xs
+	}
+	var inputs [][]float64
+	for _, n := range []int{1, 2, 3, 5, 17, 100, 1000, 4099} {
+		for rep := 0; rep < 6; rep++ {
+			inputs = append(inputs, draw(n, rep%2 == 0))
+		}
+		asc := draw(n, false)
+		sort.Float64s(asc)
+		desc := append([]float64(nil), asc...)
+		slices.Reverse(desc)
+		inputs = append(inputs, asc, desc)
+	}
+	for _, xs := range inputs {
+		for _, p := range []float64{0, 50, 99, 100, rng.Float64() * 100} {
+			in := append([]float64(nil), xs...)
+			got, err := Percentile(in, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := sortPercentile(xs, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d p=%v: Percentile = %v, sorting reference %v", len(xs), p, got, want)
+			}
+			for i := range xs {
+				if math.Float64bits(in[i]) != math.Float64bits(xs[i]) {
+					t.Fatalf("n=%d p=%v: input mutated at %d", len(xs), p, i)
+				}
+			}
+		}
 	}
 }
 
