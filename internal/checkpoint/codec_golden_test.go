@@ -79,7 +79,7 @@ func TestEncoderGoldenBytes(t *testing.T) {
 // change to these strings is a format change.
 var chainGolden = [2]string{
 	"" +
-		"52524331" + "02" + "07" + // magic, version 2, config hash 7
+		"52524331" + "03" + "07" + // magic, version 3, config hash 7
 		"02" + "01" + "00" + // day 1, parent day -1 (full), parent sum 0
 		"02" + "016d" + "0173" + // stages "m", "s"
 		"00" + "03" + "00" + // 0 parent nodes, 3 new, 0 grown
@@ -89,7 +89,7 @@ var chainGolden = [2]string{
 		"01020102" + "0100" + // m: changed, {1, 2}; s: changed, empty
 		"52524345", // end magic
 	"" +
-		"52524331" + "02" + "07" + // magic, version 2, config hash 7
+		"52524331" + "03" + "07" + // magic, version 3, config hash 7
 		"06" + "02" + "2a" + // day 3, parent day 1, parent sum 42
 		"02" + "016d" + "0173" + // stages "m", "s"
 		"03" + "01" + "02" + // 3 parent nodes, 1 new, 2 grown

@@ -16,7 +16,7 @@ import (
 // reader seeing any other version returns ErrVersion — checkpoints are a
 // cache of replayable computation, so version skew falls back to a
 // from-zero run rather than attempting migration.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // Every checkpoint is a patch against its parent checkpoint. The replay
 // state is append-only: a later day never removes a node or an edge and

@@ -79,7 +79,7 @@ var (
 			"fig9b": "dc935640cd60b05797d0ba4023b29095aa3f14c67925a03f86a63604eeaad188",
 			"fig9c": "2954de7977a7713f973334e34006e2742343bbf5992a39e0623568cae363ba97",
 		},
-		checkpoint: "d1dbe4b190aebf7d2317b4c498df12bb20c0620d8648aafeda16e3c845150ad5",
+		checkpoint: "54d18f9bed2eff6e1470ec54378f81347646d6115ece44cb45dfbe51b34bf820",
 		content:    "626315816fdd62511864aa02289d7a2559e4dd821fff56eb5df6bd2e4e61e99d",
 	}
 
@@ -130,7 +130,7 @@ var (
 			"fig9b": "191f895e033499f64735a4bce4bb0e366678d931f3d8dae4833496284ad958ea",
 			"fig9c": "d0654f493ba1352293612df2e60ca84363dd02115c23b711590bc00d3b5e1e43",
 		},
-		checkpoint: "9fb6674cc0b990a1e5b4feb669ee3c025c590eb8de53f777fc9c6d46657191dd",
+		checkpoint: "9e91129096e2d371e17f4d2f455352a11f2846a2d7b26436f51374eab61c63c7",
 		content:    "fc9a469f370c97cc48b826da4f8e4cc112bf36a8d93d7544c564e06482579980",
 	}
 )
