@@ -223,54 +223,24 @@ func (s *Stage) LoadState(data []byte) error {
 }
 
 // SaveState implements engine.Checkpointer for the Fig 7 stage: the
-// per-node activity columns and the buffered inter-arrival gaps.
+// patch against the empty mark, a fresh stage's. It holds the rows of
+// the users with an edge and the buffered inter-arrival gaps.
 func (s *UsersStage) SaveState(w io.Writer) error {
-	e := checkpoint.NewEncoder(w)
-	e.U64(stageStateV1)
-	e.U64(uint64(len(s.nodes)))
-	for _, a := range s.nodes {
-		e.I32(a.lastEdge)
-		e.Bool(a.hasEdge)
-	}
-	saveGaps(e, s.gaps)
-	return e.Flush()
+	return s.SavePatch(w, usersMark{day: -1})
 }
 
-// saveGaps writes buffered inter-arrival gaps.
-func saveGaps(e *checkpoint.Encoder, gaps []nodeGap) {
-	e.U64(uint64(len(gaps)))
-	for _, g := range gaps {
-		e.I32(g.u)
-		e.I32(g.gap)
-	}
-}
-
-// loadGaps appends the gaps saveGaps wrote to gaps.
-func loadGaps(d *checkpoint.Decoder, gaps []nodeGap) []nodeGap {
-	n := d.Len()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		gaps = append(gaps, nodeGap{u: d.I32(), gap: d.I32()})
-	}
-	return gaps
-}
-
-// LoadState implements engine.Checkpointer.
+// LoadState implements engine.Checkpointer: it applies the blob to a
+// fresh stage.
 func (s *UsersStage) LoadState(data []byte) error {
-	d := checkpoint.NewDecoder(data)
-	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
-		return fmt.Errorf("users: checkpoint state version %d", v)
-	}
-	n := d.Len()
-	s.nodes = make([]nodeActivity, 0, min(n, 1<<16))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		s.nodes = append(s.nodes, nodeActivity{lastEdge: d.I32(), hasEdge: d.Bool()})
-	}
-	s.gaps = loadGaps(d, nil)
-	return d.Err()
+	*s = *NewUsersStage(s.buckets, s.source)
+	return s.LoadPatch(data)
 }
 
-// usersPatchV1 versions the Fig 7 stage's patch blobs.
-const usersPatchV1 = 1
+// usersPatchV2 versions the Fig 7 stage's blobs: its whole state is its
+// patch against the empty mark, so the two share one layout. Version 1
+// wrote the whole state as a dense row dump; its blobs and patches are
+// refused.
+const usersPatchV2 = 2
 
 // usersMark is the state a save captured: the last edge day any user
 // saw and the columns' lengths. Every later edge has a later day, so
@@ -303,7 +273,7 @@ func (s *UsersStage) SavePatch(w io.Writer, since engine.Mark) error {
 	}
 	active := func(a nodeActivity) bool { return a.hasEdge && a.lastEdge > m.day }
 	e := checkpoint.NewEncoder(w)
-	e.U64(usersPatchV1)
+	e.U64(usersPatchV2)
 	e.I32(m.day)
 	e.Int(m.nodes)
 	e.Int(m.gaps)
@@ -320,14 +290,18 @@ func (s *UsersStage) SavePatch(w io.Writer, since engine.Mark) error {
 			e.I32(a.lastEdge)
 		}
 	}
-	saveGaps(e, s.gaps[m.gaps:])
+	e.U64(uint64(len(s.gaps) - m.gaps))
+	for _, g := range s.gaps[m.gaps:] {
+		e.I32(g.u)
+		e.I32(g.gap)
+	}
 	return e.Flush()
 }
 
 // LoadPatch implements engine.Patcher.
 func (s *UsersStage) LoadPatch(data []byte) error {
 	d := checkpoint.NewDecoder(data)
-	if v := d.U64(); d.Err() == nil && v != usersPatchV1 {
+	if v := d.U64(); d.Err() == nil && v != usersPatchV2 {
 		return fmt.Errorf("users: checkpoint patch version %d", v)
 	}
 	m := usersMark{day: d.I32(), nodes: d.Int(), gaps: d.Int()}
@@ -348,7 +322,10 @@ func (s *UsersStage) LoadPatch(data []byte) error {
 		}
 		s.nodes[u] = nodeActivity{lastEdge: day, hasEdge: true}
 	}
-	s.gaps = loadGaps(d, s.gaps)
+	n = d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s.gaps = append(s.gaps, nodeGap{u: d.I32(), gap: d.I32()})
+	}
 	return d.Err()
 }
 

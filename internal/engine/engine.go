@@ -106,10 +106,13 @@ type Checkpointer interface {
 // one patch to a stage in exactly the state its mark described, reached
 // by LoadState of the base blob and then LoadPatch of each earlier
 // patch, in order. A patch records the state it was taken against, and
-// LoadPatch refuses a stage in any other. The contract is SaveState's:
-// the base and its patches restore the SaveState bytes of the stage that
-// wrote them. Mark and SavePatch only read, like SaveState, and run where
-// it does.
+// LoadPatch refuses a stage in any other. A Patcher's whole blob is its
+// patch against the empty mark, the one a fresh stage reports: SaveState
+// is SavePatch against that mark and LoadState is LoadPatch on a fresh
+// stage, so the stage has one encoder and one decoder. The contract is
+// SaveState's: the base and its patches restore the SaveState bytes of
+// the stage that wrote them. Mark and SavePatch only read, like
+// SaveState, and run where it does.
 type Patcher interface {
 	Checkpointer
 	Mark() Mark

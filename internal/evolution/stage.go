@@ -249,161 +249,27 @@ func (s *Stage) Finish(_ *trace.State) error {
 // Result returns the assembled analysis after Finish; nil before.
 func (s *Stage) Result() *Result { return s.res }
 
-// stageStateV1 versions the two §3 stages' checkpoint blobs, and
-// patchV1 the Stage's patch blobs.
+// stageStateV1 versions the alpha stage's checkpoint blob, and patchV2
+// the Stage's blobs: its whole state is its patch against the empty
+// mark, so the two share one layout. Version 1 wrote the whole state in
+// a layout of its own; its blobs and patches are refused.
 const (
 	stageStateV1 = 1
-	patchV1      = 1
+	patchV2      = 2
 )
 
-// SaveState implements engine.Checkpointer: the per-node join/activity
-// columns, the per-bucket inter-arrival histograms, and the Fig 2c
-// accumulators. The edgeDays buffer is the stage's largest hidden state
-// — serializing it is what makes the Fig 2b normalized-lifetime pass
-// resumable.
-func (s *Stage) SaveState(w io.Writer) error {
-	e := checkpoint.NewEncoder(w)
-	e.U64(stageStateV1)
-	e.I32s(s.joinDay)
-	// Non-empty lists serialize as (id, days) pairs in ascending id order
-	// — the exact bytes the former map-of-slices form emitted via
-	// SortedKeys, so checkpoints stay byte-identical across the
-	// representation change.
-	nLists := 0
-	for u := 0; u < s.edgeDays.NumLists(); u++ {
-		if s.edgeDays.Len(u) > 0 {
-			nLists++
-		}
-	}
-	e.U64(uint64(nLists))
-	var days []int32
-	for u := 0; u < s.edgeDays.NumLists(); u++ {
-		if s.edgeDays.Len(u) == 0 {
-			continue
-		}
-		e.I32(int32(u))
-		days = s.edgeDays.AppendTo(days[:0], u)
-		e.I32s(days)
-	}
-	e.Bool(s.hasEdges)
-	s.saveHists(e)
-	nLast := 0
-	for _, d := range s.lastEdge {
-		if d >= 0 {
-			nLast++
-		}
-	}
-	e.U64(uint64(nLast))
-	for u, d := range s.lastEdge {
-		if d >= 0 {
-			e.I32(int32(u))
-			e.I32(d)
-		}
-	}
-	saveMinAge(e, s.minAge)
-	s.saveOpenDay(e)
-	return e.Flush()
-}
+// SaveState implements engine.Checkpointer: the patch against the empty
+// mark, a fresh stage's. It holds the join days, every edge-day list
+// (the stage's largest hidden state, which makes the Fig 2b
+// normalized-lifetime pass resumable), the inter-arrival histograms and
+// the Fig 2c accumulators.
+func (s *Stage) SaveState(w io.Writer) error { return s.SavePatch(w, patchMark{day: -1}) }
 
-// saveHists writes the inter-arrival histograms' bucket counts.
-func (s *Stage) saveHists(e *checkpoint.Encoder) {
-	e.U64(uint64(len(s.hists)))
-	for _, h := range s.hists {
-		e.U64(uint64(len(h.Counts)))
-		for _, i := range checkpoint.SortedKeys(h.Counts) {
-			e.Int(i)
-			e.I64(h.Counts[i])
-		}
-	}
-}
-
-// saveMinAge writes Fig 2c rows.
-func saveMinAge(e *checkpoint.Encoder, rows []MinAgeDay) {
-	e.U64(uint64(len(rows)))
-	for _, m := range rows {
-		e.I32(m.Day)
-		e.F64s(m.Frac)
-		e.I64(m.Total)
-	}
-}
-
-// saveOpenDay writes the open edge day's Fig 2c accumulators.
-func (s *Stage) saveOpenDay(e *checkpoint.Encoder) {
-	e.I32(s.curDay)
-	e.I64(s.dayTotal)
-	e.I64s(s.dayHits)
-}
-
-// LoadState implements engine.Checkpointer.
+// LoadState implements engine.Checkpointer: it applies the blob to a
+// fresh stage.
 func (s *Stage) LoadState(data []byte) error {
-	d := checkpoint.NewDecoder(data)
-	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
-		return fmt.Errorf("evolution: checkpoint state version %d", v)
-	}
-	s.joinDay = d.I32s()
-	n := d.Len()
-	s.edgeDays = graph.Int32Lists{}
-	for i := 0; i < n && d.Err() == nil; i++ {
-		u := d.I32()
-		days := d.I32s()
-		if u < 0 {
-			return fmt.Errorf("evolution: checkpoint edgeDays id %d", u)
-		}
-		for _, day := range days {
-			s.edgeDays.Append(int(u), day)
-		}
-	}
-	s.hasEdges = d.Bool()
-	if err := s.loadHists(d); err != nil {
-		return err
-	}
-	n = d.Len()
-	s.lastEdge = nil
-	for i := 0; i < n && d.Err() == nil; i++ {
-		u := d.I32()
-		day := d.I32()
-		if u < 0 {
-			return fmt.Errorf("evolution: checkpoint lastEdge id %d", u)
-		}
-		s.growLastEdge(u)
-		s.lastEdge[u] = day
-	}
-	s.minAge = loadMinAge(d, nil)
-	s.loadOpenDay(d)
-	return d.Err()
-}
-
-// loadHists restores what saveHists wrote.
-func (s *Stage) loadHists(d *checkpoint.Decoder) error {
-	if hn := d.Len(); d.Err() == nil && hn != len(s.hists) {
-		return fmt.Errorf("evolution: checkpoint has %d histograms, stage %d", hn, len(s.hists))
-	}
-	for _, h := range s.hists {
-		cn := d.Len()
-		counts := make(map[int]int64, min(cn, 1<<16))
-		for i := 0; i < cn && d.Err() == nil; i++ {
-			k := d.Int()
-			counts[k] = d.I64()
-		}
-		h.RestoreCounts(counts)
-	}
-	return nil
-}
-
-// loadMinAge appends the rows saveMinAge wrote to rows.
-func loadMinAge(d *checkpoint.Decoder, rows []MinAgeDay) []MinAgeDay {
-	n := d.Len()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		rows = append(rows, MinAgeDay{Day: d.I32(), Frac: d.F64s(), Total: d.I64()})
-	}
-	return rows
-}
-
-// loadOpenDay restores what saveOpenDay wrote.
-func (s *Stage) loadOpenDay(d *checkpoint.Decoder) {
-	s.curDay = d.I32()
-	s.dayTotal = d.I64()
-	s.dayHits = d.I64s()
+	*s = *NewStage(s.opt)
+	return s.LoadPatch(data)
 }
 
 // patchMark is the state a save captured: the last edge day and the
@@ -432,7 +298,7 @@ func (s *Stage) SavePatch(w io.Writer, since engine.Mark) error {
 		return fmt.Errorf("evolution: patch against a mark this stage did not make")
 	}
 	e := checkpoint.NewEncoder(w)
-	e.U64(patchV1)
+	e.U64(patchV2)
 	e.I32(m.day)
 	e.Int(m.joinDays)
 	e.Int(m.minAge)
@@ -460,16 +326,30 @@ func (s *Stage) SavePatch(w io.Writer, since engine.Mark) error {
 		e.I32s(days[k:])
 	}
 	e.Bool(s.hasEdges)
-	s.saveHists(e)
-	saveMinAge(e, s.minAge[m.minAge:])
-	s.saveOpenDay(e)
+	e.U64(uint64(len(s.hists)))
+	for _, h := range s.hists {
+		e.U64(uint64(len(h.Counts)))
+		for _, i := range checkpoint.SortedKeys(h.Counts) {
+			e.Int(i)
+			e.I64(h.Counts[i])
+		}
+	}
+	e.U64(uint64(len(s.minAge) - m.minAge))
+	for _, r := range s.minAge[m.minAge:] {
+		e.I32(r.Day)
+		e.F64s(r.Frac)
+		e.I64(r.Total)
+	}
+	e.I32(s.curDay)
+	e.I64(s.dayTotal)
+	e.I64s(s.dayHits)
 	return e.Flush()
 }
 
 // LoadPatch implements engine.Patcher.
 func (s *Stage) LoadPatch(data []byte) error {
 	d := checkpoint.NewDecoder(data)
-	if v := d.U64(); d.Err() == nil && v != patchV1 {
+	if v := d.U64(); d.Err() == nil && v != patchV2 {
 		return fmt.Errorf("evolution: checkpoint patch version %d", v)
 	}
 	m := patchMark{day: d.I32(), joinDays: d.Int(), minAge: d.Int(), lists: d.Int(), total: d.I64()}
@@ -494,11 +374,25 @@ func (s *Stage) LoadPatch(data []byte) error {
 		s.lastEdge[u] = days[len(days)-1]
 	}
 	s.hasEdges = d.Bool()
-	if err := s.loadHists(d); err != nil {
-		return err
+	if hn := d.Len(); d.Err() == nil && hn != len(s.hists) {
+		return fmt.Errorf("evolution: checkpoint has %d histograms, stage %d", hn, len(s.hists))
 	}
-	s.minAge = loadMinAge(d, s.minAge)
-	s.loadOpenDay(d)
+	for _, h := range s.hists {
+		cn := d.Len()
+		counts := make(map[int]int64, min(cn, 1<<16))
+		for i := 0; i < cn && d.Err() == nil; i++ {
+			k := d.Int()
+			counts[k] = d.I64()
+		}
+		h.RestoreCounts(counts)
+	}
+	n = d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s.minAge = append(s.minAge, MinAgeDay{Day: d.I32(), Frac: d.F64s(), Total: d.I64()})
+	}
+	s.curDay = d.I32()
+	s.dayTotal = d.I64()
+	s.dayHits = d.I64s()
 	return d.Err()
 }
 

@@ -426,157 +426,23 @@ func (s *Stage) Finish(st *trace.State) error {
 // before.
 func (s *Stage) Result() *Result { return s.res }
 
-// stageStateV1 versions the stage's checkpoint blob, and patchV1 its
-// patch blobs.
-const (
-	stageStateV1 = 1
-	patchV1      = 1
-)
+// patchV2 versions the stage's blobs: its whole state is its patch
+// against the empty mark, so the two share one layout. Version 1 wrote
+// the whole state in a layout of its own; its blobs and patches are
+// refused.
+const patchV2 = 2
 
-// SaveState implements engine.Checkpointer: the per-user gap statistics,
-// the buffered post-merge edges, the origin census, the sampled distance
+// SaveState implements engine.Checkpointer: the patch against the empty
+// mark, a fresh stage's. It holds the per-user gap statistics, the
+// buffered post-merge edges, the origin census, the sampled distance
 // series, and the distance sampler RNG's position.
-func (s *Stage) SaveState(w io.Writer) error {
-	e := checkpoint.NewEncoder(w)
-	e.U64(stageStateV1)
-	e.I32(s.lastDay)
-	// The columns serialize as sparse (id, value) pairs in ascending id
-	// order — the exact bytes the former map form emitted via SortedKeys,
-	// so checkpoints stay byte-identical across the representation change.
-	// A user is present in lastEdge iff it has seen an edge (>= 0), and in
-	// gapSum/gapN iff it has at least one gap (the two always co-exist).
-	nLast := 0
-	for _, d := range s.lastEdge {
-		if d >= 0 {
-			nLast++
-		}
-	}
-	e.U64(uint64(nLast))
-	for u, d := range s.lastEdge {
-		if d >= 0 {
-			e.I32(int32(u))
-			e.I32(d)
-		}
-	}
-	nGap := 0
-	for _, n := range s.gapN {
-		if n > 0 {
-			nGap++
-		}
-	}
-	e.U64(uint64(nGap))
-	for u, n := range s.gapN {
-		if n > 0 {
-			e.I32(int32(u))
-			e.I64(s.gapSum[u])
-		}
-	}
-	e.U64(uint64(nGap))
-	for u, n := range s.gapN {
-		if n > 0 {
-			e.I32(int32(u))
-			e.I64(n)
-		}
-	}
-	savePost(e, s.post)
-	e.I32s(s.xiaonei)
-	e.I32s(s.fiveQ)
-	saveDistances(e, s.distances)
-	e.I64(s.src.Draws())
-	return e.Flush()
-}
+func (s *Stage) SaveState(w io.Writer) error { return s.SavePatch(w, patchMark{day: -1}) }
 
-// savePost writes buffered post-merge edges.
-func savePost(e *checkpoint.Encoder, post []postEdge) {
-	e.U64(uint64(len(post)))
-	for _, p := range post {
-		e.I32(p.day)
-		e.I32(p.u)
-		e.I32(p.v)
-	}
-}
-
-// saveDistances writes Fig 9c distance points.
-func saveDistances(e *checkpoint.Encoder, pts []DistancePoint) {
-	e.U64(uint64(len(pts)))
-	for _, dp := range pts {
-		e.I32(dp.DaysAfter)
-		e.F64(dp.XiaoneiTo5Q)
-		e.F64(dp.FiveQToXiaonei)
-	}
-}
-
-// LoadState implements engine.Checkpointer.
+// LoadState implements engine.Checkpointer: it applies the blob to a
+// fresh stage.
 func (s *Stage) LoadState(data []byte) error {
-	d := checkpoint.NewDecoder(data)
-	if v := d.U64(); d.Err() == nil && v != stageStateV1 {
-		return fmt.Errorf("osnmerge: checkpoint state version %d", v)
-	}
-	s.lastDay = d.I32()
-	s.lastEdge, s.gapSum, s.gapN = nil, nil, nil
-	n := d.Len()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		u := d.I32()
-		day := d.I32()
-		if u < 0 {
-			return fmt.Errorf("osnmerge: checkpoint lastEdge id %d", u)
-		}
-		s.growGaps(u)
-		s.lastEdge[u] = day
-	}
-	n = d.Len()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		u := d.I32()
-		v := d.I64()
-		if u < 0 {
-			return fmt.Errorf("osnmerge: checkpoint gapSum id %d", u)
-		}
-		s.growGaps(u)
-		s.gapSum[u] = v
-	}
-	n = d.Len()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		u := d.I32()
-		v := d.I64()
-		if u < 0 {
-			return fmt.Errorf("osnmerge: checkpoint gapN id %d", u)
-		}
-		s.growGaps(u)
-		s.gapN[u] = v
-	}
-	s.post = loadPost(d, nil)
-	s.xiaonei = d.I32s()
-	s.fiveQ = d.I32s()
-	s.distances = loadDistances(d, nil)
-	return s.loadDraws(d)
-}
-
-// loadPost appends the edges savePost wrote to post.
-func loadPost(d *checkpoint.Decoder, post []postEdge) []postEdge {
-	n := d.Len()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		post = append(post, postEdge{day: d.I32(), u: d.I32(), v: d.I32()})
-	}
-	return post
-}
-
-// loadDistances appends the points saveDistances wrote to pts.
-func loadDistances(d *checkpoint.Decoder, pts []DistancePoint) []DistancePoint {
-	n := d.Len()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		pts = append(pts, DistancePoint{DaysAfter: d.I32(), XiaoneiTo5Q: d.F64(), FiveQToXiaonei: d.F64()})
-	}
-	return pts
-}
-
-// loadDraws reads the sampler RNG's position last and restores it.
-func (s *Stage) loadDraws(d *checkpoint.Decoder) error {
-	draws := d.I64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	s.src.Restore(s.opt.Seed, draws)
-	return nil
+	*s = *NewStage(s.mergeDay, s.opt)
+	return s.LoadPatch(data)
 }
 
 // patchMark is the state a save captured: the last event day and the
@@ -603,7 +469,7 @@ func (s *Stage) SavePatch(w io.Writer, since engine.Mark) error {
 		return fmt.Errorf("osnmerge: patch against a mark this stage did not make")
 	}
 	e := checkpoint.NewEncoder(w)
-	e.U64(patchV1)
+	e.U64(patchV2)
 	e.I32(m.day)
 	e.Int(m.post)
 	e.Int(m.xiaonei)
@@ -625,10 +491,20 @@ func (s *Stage) SavePatch(w io.Writer, since engine.Mark) error {
 			e.I64(s.gapN[u])
 		}
 	}
-	savePost(e, s.post[m.post:])
+	e.U64(uint64(len(s.post) - m.post))
+	for _, p := range s.post[m.post:] {
+		e.I32(p.day)
+		e.I32(p.u)
+		e.I32(p.v)
+	}
 	e.I32s(s.xiaonei[m.xiaonei:])
 	e.I32s(s.fiveQ[m.fiveQ:])
-	saveDistances(e, s.distances[m.distances:])
+	e.U64(uint64(len(s.distances) - m.distances))
+	for _, dp := range s.distances[m.distances:] {
+		e.I32(dp.DaysAfter)
+		e.F64(dp.XiaoneiTo5Q)
+		e.F64(dp.FiveQToXiaonei)
+	}
 	e.I64(s.src.Draws())
 	return e.Flush()
 }
@@ -636,7 +512,7 @@ func (s *Stage) SavePatch(w io.Writer, since engine.Mark) error {
 // LoadPatch implements engine.Patcher.
 func (s *Stage) LoadPatch(data []byte) error {
 	d := checkpoint.NewDecoder(data)
-	if v := d.U64(); d.Err() == nil && v != patchV1 {
+	if v := d.U64(); d.Err() == nil && v != patchV2 {
 		return fmt.Errorf("osnmerge: checkpoint patch version %d", v)
 	}
 	m := patchMark{day: d.I32(), post: d.Int(), xiaonei: d.Int(), fiveQ: d.Int(), distances: d.Int()}
@@ -656,9 +532,20 @@ func (s *Stage) LoadPatch(data []byte) error {
 		s.growGaps(u)
 		s.lastEdge[u], s.gapSum[u], s.gapN[u] = day, sum, cnt
 	}
-	s.post = loadPost(d, s.post)
+	n = d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s.post = append(s.post, postEdge{day: d.I32(), u: d.I32(), v: d.I32()})
+	}
 	s.xiaonei = append(s.xiaonei, d.I32s()...)
 	s.fiveQ = append(s.fiveQ, d.I32s()...)
-	s.distances = loadDistances(d, s.distances)
-	return s.loadDraws(d)
+	n = d.Len()
+	for i := 0; i < n && d.Err() == nil; i++ {
+		s.distances = append(s.distances, DistancePoint{DaysAfter: d.I32(), XiaoneiTo5Q: d.F64(), FiveQToXiaonei: d.F64()})
+	}
+	draws := d.I64()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	s.src.Restore(s.opt.Seed, draws)
+	return nil
 }
