@@ -79,8 +79,8 @@ var (
 			"fig9b": "dc935640cd60b05797d0ba4023b29095aa3f14c67925a03f86a63604eeaad188",
 			"fig9c": "2954de7977a7713f973334e34006e2742343bbf5992a39e0623568cae363ba97",
 		},
-		checkpoint: "54d18f9bed2eff6e1470ec54378f81347646d6115ece44cb45dfbe51b34bf820",
-		content:    "626315816fdd62511864aa02289d7a2559e4dd821fff56eb5df6bd2e4e61e99d",
+		checkpoint: "d15eda9fa0c2bbc981b0bb321b5904172e73059e8edde9a7acf07db3d5aafd8b",
+		content:    "f567f12e6a3cafcde0f0c73e7cfdf0f1af723c3720ace92bf5569486d8b5bfec",
 	}
 
 	// goldenDefault480 is the default preset, seed 1, cut at day 480 (past
@@ -130,8 +130,8 @@ var (
 			"fig9b": "191f895e033499f64735a4bce4bb0e366678d931f3d8dae4833496284ad958ea",
 			"fig9c": "d0654f493ba1352293612df2e60ca84363dd02115c23b711590bc00d3b5e1e43",
 		},
-		checkpoint: "9e91129096e2d371e17f4d2f455352a11f2846a2d7b26436f51374eab61c63c7",
-		content:    "fc9a469f370c97cc48b826da4f8e4cc112bf36a8d93d7544c564e06482579980",
+		checkpoint: "718c77784e7d1064b0da594e347520807bbf5acfd2ae495e4132c4bd03c205fd",
+		content:    "563f33394f63330f2186e658ff501ccbe1d8f42a248c42a94b110a25c794e9ab",
 	}
 )
 
