@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -140,9 +141,82 @@ func TestGrowthSeriesConsistency(t *testing.T) {
 	}
 }
 
+// TestHeadlineShapes holds the small golden run (seed 1) to the paper's
+// qualitative shapes (DESIGN §5), fig3c's α fall included.
 func TestHeadlineShapes(t *testing.T) {
 	res := fullRun(t)
+	checkHeadlineShapes(t, res)
 
+	// Fig 3c: α under the higher-degree rule falls. At the small preset
+	// this holds at some seeds only; TestAlphaFallsAcrossSeeds asserts it
+	// where it holds at every seed, on the default preset.
+	tab, err := res.Figure("fig3c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, last := tab.Notes["alpha_higher_first"], tab.Notes["alpha_higher_last"]; !(last < first) {
+		t.Errorf("α under the higher-degree rule did not fall: %v -> %v", first, last)
+	}
+}
+
+// TestHeadlineShapesAcrossSeeds asserts every TestHeadlineShapes claim
+// but fig3c's α fall at seeds 1–5 of the small preset, each a full plan
+// under the golden run's config.
+func TestHeadlineShapesAcrossSeeds(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			res := fullRun(t)
+			if seed != 1 {
+				gcfg := gen.SmallConfig()
+				gcfg.Seed = seed
+				tr, err := gen.Generate(gcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res, err = RunPlan(context.Background(), tr.Source(), parallelTestConfig(), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkHeadlineShapes(t, res)
+		})
+	}
+}
+
+// TestAlphaFallsAcrossSeeds: fig3c's α under the higher-degree rule ends
+// below its first sample on the default preset at seeds 1–3, through a
+// fig3c-only plan at DefaultConfig(). That is the scale where the
+// generator's PA decay bends α down (TestPADecayBendsAlphaDown).
+func TestAlphaFallsAcrossSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-preset traces")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		gcfg := gen.DefaultConfig()
+		gcfg.Seed = seed
+		tr, err := gen.Generate(gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunFigures(context.Background(), tr.Source(), DefaultConfig(), "fig3c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := res.Figure("fig3c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, last := tab.Notes["alpha_higher_first"], tab.Notes["alpha_higher_last"]
+		t.Logf("seed %d: α %.3f -> %.3f", seed, first, last)
+		if !(last < first) {
+			t.Errorf("seed %d: α under the higher-degree rule did not fall: %v -> %v", seed, first, last)
+		}
+	}
+}
+
+// checkHeadlineShapes asserts the paper's qualitative shapes that hold on
+// the small preset at every seed TestHeadlineShapesAcrossSeeds runs.
+func checkHeadlineShapes(t *testing.T, res *Result) {
+	t.Helper()
 	// Fig 1a: arrivals accelerate. The last 30-day window adds far more
 	// nodes than the first (61 and 1,999 at the small preset); both lie
 	// outside the merge's 30-day bump.
@@ -179,16 +253,13 @@ func TestHeadlineShapes(t *testing.T) {
 		t.Errorf("avg degree did not grow pre-merge: %v -> %v", early, late)
 	}
 
-	// Fig 3c: α decays and the higher rule dominates.
+	// Fig 3c: the higher rule dominates.
 	tab, err := res.Figure("fig3c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tab.Notes["gap_last"] <= 0 {
 		t.Errorf("alpha gap = %v", tab.Notes["gap_last"])
-	}
-	if first, last := tab.Notes["alpha_higher_first"], tab.Notes["alpha_higher_last"]; !(last < first) {
-		t.Errorf("α under the higher-degree rule did not fall: %v -> %v", first, last)
 	}
 
 	// Fig 8: 5Q loses more users than Xiaonei.
