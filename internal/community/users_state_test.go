@@ -21,8 +21,8 @@ var usersEvents = []trace.Event{
 }
 
 // TestUsersStateIsPatchAgainstEmpty: the Fig 7 stage's SaveState is the
-// patch against a fresh stage's mark, LoadState restores it into a stage
-// with the same bytes, and blobs of the version-1 layout, a whole blob
+// patch against a fresh stage's mark, LoadState restores it, whatever the
+// stage held before, and blobs of the version-1 layout, a whole blob
 // and a patch that version-1 code wrote for usersEvents, fail LoadState
 // and LoadPatch instead of being read as patches.
 func TestUsersStateIsPatchAgainstEmpty(t *testing.T) {
@@ -41,6 +41,9 @@ func TestUsersStateIsPatchAgainstEmpty(t *testing.T) {
 		t.Fatal("SaveState differs from the patch against a fresh stage's mark")
 	}
 	r := NewUsersStage(nil, nil)
+	for _, ev := range usersEvents[:3] {
+		r.OnEvent(nil, ev)
+	}
 	if err := r.LoadState(whole.Bytes()); err != nil {
 		t.Fatal(err)
 	}

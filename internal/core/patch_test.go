@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -402,9 +403,10 @@ func TestLongCheckpointHeader(t *testing.T) {
 }
 
 // TestResumeRefusesVersion1StageBlobs: a backend holding only checkpoints
-// whose Patcher blobs are tagged version 1, the layout from before a
-// Patcher's whole blob was its patch against the empty mark, resumes from
-// day 0 and matches the from-zero run.
+// whose blobs of one Patcher stage are tagged version 1, the layout from
+// before a Patcher's whole blob was its patch against the empty mark,
+// resumes from day 0 and matches the from-zero run, for each of the three
+// stages.
 func TestResumeRefusesVersion1StageBlobs(t *testing.T) {
 	src := horizons(t, 300)[0]
 	cfg := resumeTestConfig(t.TempDir())
@@ -417,52 +419,51 @@ func TestResumeRefusesVersion1StageBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patchers := map[string]bool{}
+	var patchers []string
 	for _, s := range plan.instantiate(cfg, src.Meta()).stages {
 		if _, ok := s.(engine.Patcher); ok {
-			patchers[s.Name()] = true
+			patchers = append(patchers, s.Name())
 		}
 	}
 	if len(patchers) != 3 {
 		t.Fatalf("plan has %d patching stages, want 3 (evolution, users, osnmerge)", len(patchers))
 	}
 	days := checkpointDays(t, cfg.CheckpointDir)
-	for _, day := range days {
-		path := filepath.Join(cfg.CheckpointDir, checkpointFileName(day))
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var c checkpoint.Chain
-		if err := c.Apply(raw); err != nil {
-			t.Fatal(err)
-		}
-		for i, name := range c.Header.Stages {
-			if !patchers[name] {
-				continue
+	for _, stage := range patchers {
+		dir := t.TempDir()
+		for _, day := range days {
+			name := checkpointFileName(day)
+			raw, err := os.ReadFile(filepath.Join(cfg.CheckpointDir, name))
+			if err != nil {
+				t.Fatal(err)
 			}
+			var c checkpoint.Chain
+			if err := c.Apply(raw); err != nil {
+				t.Fatal(err)
+			}
+			i := slices.Index(c.Header.Stages, stage)
 			// The version is the blob's first varint.
-			if c.Blobs[i][0] != 2 {
-				t.Fatalf("day %d: stage %s blob version byte %d, want 2", day, name, c.Blobs[i][0])
+			if i < 0 || c.Blobs[i][0] != 2 {
+				t.Fatalf("day %d: no version-2 blob of stage %s", day, stage)
 			}
 			c.Blobs[i] = append([]byte{1}, c.Blobs[i][1:]...)
+			var buf bytes.Buffer
+			if err := checkpoint.Write(&buf, c.Header, c.State, c.Blobs, nil, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		var buf bytes.Buffer
-		if err := checkpoint.Write(&buf, c.Header, c.State, c.Blobs, nil, nil, nil); err != nil {
-			t.Fatal(err)
+		rcfg := cfg
+		rcfg.CheckpointDir, rcfg.Resume = dir, true
+		res, err := RunFigures(nil, src, rcfg, figs...)
+		if err != nil {
+			t.Fatalf("version-1 %s blobs broke the run: %v", stage, err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+		if res.ResumedFromDay != -1 {
+			t.Fatalf("resumed from day %d over %d checkpoints with version-1 %s blobs", res.ResumedFromDay, len(days), stage)
 		}
+		compareRuns(t, "version-1 "+stage+" blobs", base, res)
 	}
-	rcfg := cfg
-	rcfg.Resume = true
-	res, err := RunFigures(nil, src, rcfg, figs...)
-	if err != nil {
-		t.Fatalf("version-1 stage blobs broke the run: %v", err)
-	}
-	if res.ResumedFromDay != -1 {
-		t.Fatalf("resumed from day %d over %d checkpoints with version-1 stage blobs", res.ResumedFromDay, len(days))
-	}
-	compareRuns(t, "version-1 stage blobs", base, res)
 }
