@@ -191,25 +191,30 @@ func TestAlphaFallsAcrossSeeds(t *testing.T) {
 		t.Skip("default-preset traces")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		gcfg := gen.DefaultConfig()
-		gcfg.Seed = seed
-		tr, err := gen.Generate(gcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := RunFigures(context.Background(), tr.Source(), DefaultConfig(), "fig3c")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, err := res.Figure("fig3c")
-		if err != nil {
-			t.Fatal(err)
-		}
-		first, last := tab.Notes["alpha_higher_first"], tab.Notes["alpha_higher_last"]
-		t.Logf("seed %d: α %.3f -> %.3f", seed, first, last)
-		if !(last < first) {
-			t.Errorf("seed %d: α under the higher-degree rule did not fall: %v -> %v", seed, first, last)
-		}
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			// Generating a default-preset trace is most of a seed's cost
+			// and runs on one goroutine, so the seeds share the CPUs.
+			t.Parallel()
+			gcfg := gen.DefaultConfig()
+			gcfg.Seed = seed
+			tr, err := gen.Generate(gcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunFigures(context.Background(), tr.Source(), DefaultConfig(), "fig3c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := res.Figure("fig3c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, last := tab.Notes["alpha_higher_first"], tab.Notes["alpha_higher_last"]
+			t.Logf("α %.3f -> %.3f", first, last)
+			if !(last < first) {
+				t.Errorf("α under the higher-degree rule did not fall: %v -> %v", first, last)
+			}
+		})
 	}
 }
 

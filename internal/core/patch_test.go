@@ -408,7 +408,7 @@ func TestLongCheckpointHeader(t *testing.T) {
 // resumes from day 0 and matches the from-zero run, for each of the three
 // stages.
 func TestResumeRefusesVersion1StageBlobs(t *testing.T) {
-	src := horizons(t, 300)[0]
+	src := horizons(t, 200)[0]
 	cfg := resumeTestConfig(t.TempDir())
 	figs := []string{"fig2a", "fig7a", "fig8c"}
 	base, err := RunFigures(nil, src, cfg, figs...)
