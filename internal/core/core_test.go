@@ -160,22 +160,20 @@ func TestHeadlineShapes(t *testing.T) {
 }
 
 // TestHeadlineShapesAcrossSeeds asserts every TestHeadlineShapes claim
-// but fig3c's α fall at seeds 1–5 of the small preset, each a full plan
-// under the golden run's config.
+// but fig3c's α fall at seeds 2–5 of the small preset (TestHeadlineShapes
+// runs seed 1), each a full plan under the golden run's config.
 func TestHeadlineShapesAcrossSeeds(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(2); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			res := fullRun(t)
-			if seed != 1 {
-				gcfg := gen.SmallConfig()
-				gcfg.Seed = seed
-				tr, err := gen.Generate(gcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res, err = RunPlan(context.Background(), tr.Source(), parallelTestConfig(), nil); err != nil {
-					t.Fatal(err)
-				}
+			gcfg := gen.SmallConfig()
+			gcfg.Seed = seed
+			tr, err := gen.Generate(gcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunPlan(context.Background(), tr.Source(), parallelTestConfig(), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
 			checkHeadlineShapes(t, res)
 		})
