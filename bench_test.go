@@ -8,11 +8,8 @@
 package repro
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -209,25 +206,20 @@ func BenchmarkReplayAllocs(b *testing.B) {
 	events := int(meta.Nodes + meta.Edges)
 	b.Logf("trace: %d nodes, %d edges (%d events)", meta.Nodes, meta.Edges, events)
 
+	src, err := trace.OpenTrace(path)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("Decode", func(b *testing.B) {
-		f, err := os.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<20)
 		pass := func() {
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				b.Fatal(err)
-			}
-			br.Reset(f)
-			d, err := trace.NewDecoder(br)
+			cur, err := src.Open()
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer cur.Close()
 			n := 0
 			for {
-				_, ok, err := d.Next()
+				_, ok, err := cur.Next()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -240,9 +232,10 @@ func BenchmarkReplayAllocs(b *testing.B) {
 				b.Fatalf("decoded %d events, want %d", n, events)
 			}
 		}
-		// The gate: a whole decode pass may allocate only its fixed setup
-		// (decoder, meta) — zero per event. One extra allocation per event
-		// would overshoot this by four orders of magnitude.
+		// The gate: a whole decode pass through the production cursor may
+		// allocate only its fixed setup (handle, read buffer, decoder,
+		// cursor) — zero per event. One extra allocation per event would
+		// overshoot this by four orders of magnitude.
 		allocs := testing.AllocsPerRun(1, pass)
 		if allocs > 64 {
 			b.Fatalf("decode pass allocated %.0f times for %d events (%.4f/event): decode must be zero-alloc per event",
@@ -256,18 +249,25 @@ func BenchmarkReplayAllocs(b *testing.B) {
 	})
 
 	b.Run("Apply", func(b *testing.B) {
-		f, err := os.Open(path)
+		cur, err := src.Open()
 		if err != nil {
 			b.Fatal(err)
 		}
-		tr, err := trace.Decode(f)
-		f.Close()
-		if err != nil {
-			b.Fatal(err)
+		evs := make([]trace.Event, 0, events)
+		for {
+			ev, ok, err := cur.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			evs = append(evs, ev)
 		}
+		cur.Close()
 		pass := func() *trace.State {
 			st := trace.NewState(0, 0)
-			for _, ev := range tr.Events {
+			for _, ev := range evs {
 				if err := st.Apply(ev); err != nil {
 					b.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/stats"
@@ -62,78 +63,44 @@ func GenerateStream(cfg Config, emit func(trace.Event) error) (trace.Meta, error
 // replays through trace.OpenTrace. On error the partial file is
 // removed.
 func GenerateToFile(cfg Config, path string) (trace.Meta, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return trace.Meta{}, err
-	}
-	meta, err := generateToEncoder(cfg, f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-		return trace.Meta{}, err
-	}
-	return meta, nil
+	return generateTo(cfg, path, trace.NewEncoder)
 }
 
 // GenerateToSegFile is GenerateToFile writing the compressed segmented
 // container instead of the flat format: frames of flate-compressed
-// day-runs with an embedded day index (trace.SegEncoder). The written
+// day-runs with an embedded day index (trace.NewSegEncoder). The written
 // file replays through trace.OpenTrace, like a flat one, and
 // is typically well under half the flat encoding's size. Segmented files
 // are immutable once finalized — they cannot be extended with
 // AppendToFile — so this is the archival/serving form, not the
 // append-workflow form. On error the partial file is removed.
 func GenerateToSegFile(cfg Config, path string) (trace.Meta, error) {
+	return generateTo(cfg, path, trace.NewSegEncoder)
+}
+
+// generateTo is the one generate-to-file body: it streams cfg's trace
+// through the encoder newEnc returns for a fresh file at path.
+func generateTo(cfg Config, path string, newEnc func(io.WriteSeeker) (*trace.Encoder, error)) (trace.Meta, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return trace.Meta{}, err
 	}
-	meta, err := generateToSegEncoder(cfg, f)
+	var meta trace.Meta
+	enc, err := newEnc(f)
+	if err == nil {
+		enc.SetSeed(cfg.Seed)
+		if cfg.Merge != nil {
+			enc.SetMergeDay(cfg.Merge.Day)
+		}
+		if meta, err = GenerateStream(cfg, enc.Write); err == nil {
+			err = enc.Close()
+		}
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		os.Remove(path)
-		return trace.Meta{}, err
-	}
-	return meta, nil
-}
-
-func generateToSegEncoder(cfg Config, f *os.File) (trace.Meta, error) {
-	enc, err := trace.NewSegEncoder(f)
-	if err != nil {
-		return trace.Meta{}, err
-	}
-	enc.SetSeed(cfg.Seed)
-	if cfg.Merge != nil {
-		enc.SetMergeDay(cfg.Merge.Day)
-	}
-	meta, err := GenerateStream(cfg, enc.Write)
-	if err != nil {
-		return trace.Meta{}, err
-	}
-	if err := enc.Close(); err != nil {
-		return trace.Meta{}, err
-	}
-	return meta, nil
-}
-
-func generateToEncoder(cfg Config, f *os.File) (trace.Meta, error) {
-	enc, err := trace.NewEncoder(f)
-	if err != nil {
-		return trace.Meta{}, err
-	}
-	enc.SetSeed(cfg.Seed)
-	if cfg.Merge != nil {
-		enc.SetMergeDay(cfg.Merge.Day)
-	}
-	meta, err := GenerateStream(cfg, enc.Write)
-	if err != nil {
-		return trace.Meta{}, err
-	}
-	if err := enc.Close(); err != nil {
 		return trace.Meta{}, err
 	}
 	return meta, nil

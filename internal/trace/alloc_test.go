@@ -1,29 +1,21 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
 	"path/filepath"
 	"testing"
 )
 
 // TestDecodeAllocsPerEvent pins the decoder hot loop to zero allocations
-// per event: over a 20k-event stream the whole run — decoder construction
-// included — must stay within a small fixed budget, which is only possible
-// if Next itself never allocates. A regression that adds even one
-// allocation per event blows the bound by four orders of magnitude. The
-// same budget holds through the FileSource seam — a flat and a segmented
-// file (one frame per day, frame cache warm) each opened and drained — so
-// the reader layer under the decoder can allocate neither per event nor
-// per frame.
+// per event: a pass over a 20k-event stream through the FileSource seam —
+// a flat and a segmented file (one frame per day, frame cache warm) each
+// opened and drained, cursor construction included — must stay within a
+// small fixed budget, which is only possible if neither the decoder's
+// Next nor the reader layer under it allocates per event or per frame. A
+// regression that adds even one allocation per event blows the bound by
+// four orders of magnitude.
 func TestDecodeAllocsPerEvent(t *testing.T) {
 	resetFrameCache(t, DefaultFrameCacheBytes)
 	tr := synthTrace(10000)
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
 	nEvents := len(tr.Events)
 	dir := t.TempDir()
 	flat, seg := filepath.Join(dir, "flat.trace"), filepath.Join(dir, "seg.rrs")
@@ -39,18 +31,10 @@ func TestDecodeAllocsPerEvent(t *testing.T) {
 	}
 	drain(t, segSrc) // warm the frame cache
 
-	rd := bytes.NewReader(data)
-	br := bufio.NewReader(rd)
 	for _, in := range []struct {
 		name string
 		open func() (Cursor, error)
 	}{
-		{"decoder", func() (Cursor, error) {
-			rd.Reset(data)
-			br.Reset(rd)
-			d, err := NewDecoder(br)
-			return decoderCursor{d}, err
-		}},
 		{"flat file", flatSrc.Open},
 		{"segmented file", segSrc.Open},
 	} {
@@ -75,9 +59,9 @@ func TestDecodeAllocsPerEvent(t *testing.T) {
 				t.Fatalf("%s: decoded %d events, want %d", in.name, n, nEvents)
 			}
 		})
-		// Construction allocates the meta buffer, the parsed Meta, and the
-		// Decoder itself (for a file, also the handle, buffer and cursor);
-		// the per-event loop must contribute nothing.
+		// Construction allocates the blob handle, the read buffer, the
+		// Decoder and the cursor; the per-event loop must contribute
+		// nothing.
 		const setupBudget = 16
 		if allocs > setupBudget {
 			t.Fatalf("%s: decode pass allocated %.0f times for %d events (budget %d): the pass is allocating per event", in.name, allocs, nEvents, setupBudget)
@@ -85,11 +69,6 @@ func TestDecodeAllocsPerEvent(t *testing.T) {
 		t.Logf("%s: %.0f allocations per pass", in.name, allocs)
 	}
 }
-
-// decoderCursor adapts a bare Decoder to Cursor.
-type decoderCursor struct{ *Decoder }
-
-func (decoderCursor) Close() error { return nil }
 
 // TestApplyAllocsPerEvent pins State.Apply to amortized near-zero
 // allocations: growth must come from capacity-doubling reservations

@@ -9,12 +9,12 @@ import (
 )
 
 // ErrNotAppendable is returned by OpenAppend for files that cannot be
-// extended in place: one-shot Encode output (variable-width header, no
-// room to back-patch) or files whose writer never reached Close (the
-// poisoned count slot means the event stream's extent is unknown).
+// extended in place: a segmented file, a header not in the fixed-width
+// layout, or a file whose writer never reached Close (the poisoned count
+// slot means the event stream's extent is unknown).
 var ErrNotAppendable = errors.New("trace: file is not appendable")
 
-// OpenAppend reopens a finalized streaming-Encoder file for in-place
+// OpenAppend reopens a finalized flat trace file for in-place
 // extension and returns an Encoder positioned after its last event: the
 // index footer is truncated away, the day index and meta counters are
 // restored, and subsequent Write/Close calls behave exactly as if the
@@ -70,7 +70,7 @@ func OpenAppend(f *os.File) (*Encoder, error) {
 		}
 		cr := &countingReader{r: f}
 		br := bufio.NewReader(cr)
-		dec := resumeDecoder(br, meta, count, 0)
+		dec := resumeDecoder(br, count, 0)
 		off := int64(fixedHeaderLen)
 		var n uint64
 		for {
@@ -101,12 +101,14 @@ func OpenAppend(f *os.File) (*Encoder, error) {
 		return nil, err
 	}
 	return &Encoder{
-		ws:      f,
-		bw:      bufio.NewWriterSize(f, 1<<16),
-		meta:    meta,
-		count:   count,
-		prevDay: prevDay,
-		offset:  eventsEnd,
-		index:   idx,
+		ws:       f,
+		magic:    magic,
+		meta:     meta,
+		count:    count,
+		prevDay:  prevDay,
+		started:  true,
+		rawStart: eventsEnd,
+		maxRaw:   flatMaxRaw,
+		index:    idx,
 	}, nil
 }

@@ -155,24 +155,11 @@ func TestOpenAppendWithoutFooter(t *testing.T) {
 	}
 }
 
-// TestOpenAppendRefusals: one-shot Encode output (variable-width header)
-// and a writer that never reached Close (poisoned count) are both
-// rejected with ErrNotAppendable, untouched.
+// TestOpenAppendRefusals: a writer that never reached Close (poisoned
+// count) is rejected with ErrNotAppendable, untouched.
 func TestOpenAppendRefusals(t *testing.T) {
 	tr := synthTrace(40)
 	dir := t.TempDir()
-
-	oneShot := filepath.Join(dir, "oneshot.trace")
-	f, err := os.Create(oneShot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Encode(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	unclosed := filepath.Join(dir, "unclosed.trace")
 	g, err := os.Create(unclosed)
@@ -195,7 +182,7 @@ func TestOpenAppendRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, path := range []string{oneShot, unclosed} {
+	for _, path := range []string{unclosed} {
 		before := readAll(t, path)
 		h, err := os.OpenFile(path, os.O_RDWR, 0)
 		if err != nil {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -12,21 +13,21 @@ import (
 	"math"
 )
 
-// File format:
+// Flat file format, magic "RRT1":
 //
 //	magic "RRT1" (4 bytes)
-//	uvarint meta length, JSON-encoded Meta
-//	uvarint event count
+//	uvarint(encMetaPad), JSON-encoded Meta space-padded to encMetaPad bytes
+//	event count as a uvarint padded to encCountPad bytes
 //	per event: kind (1 byte), uvarint day delta from previous event,
 //	           then AddNode: uvarint node id, origin (1 byte)
 //	                AddEdge: uvarint u, uvarint v
+//	day-index footer and trailer (see appendDayIndex)
 //
 // Day deltas and dense ids keep typical traces around 5–8 bytes/event.
-//
-// The streaming Encoder emits the same format with a fixed-width header
-// (space-padded meta slot, padded-uvarint count) so Close can back-patch
-// the final counters in place; Decoder and Decode read both layouts
-// transparently.
+// The header is fixed-width so the Encoder's Close can back-patch the
+// final counters in place. The event encoding (appendEvent) is the raw
+// stream both containers share: a segmented file (segment.go) keeps the
+// same header layout and cuts the same raw bytes into compressed frames.
 
 var magic = [4]byte{'R', 'R', 'T', '1'}
 
@@ -34,29 +35,23 @@ var magic = [4]byte{'R', 'R', 'T', '1'}
 // resource-exhaustion headers before any allocation; the overflow errors
 // reject events whose uvarint fields cannot fit the int32 id/day space.
 const (
-	// maxMetaLen bounds the header's JSON meta blob.
-	maxMetaLen = 1 << 20
 	// maxEventCount bounds the declared event count (~8.6G events).
 	maxEventCount = 1 << 33
-	// decodePrealloc caps how much capacity Decode trusts the header's
-	// count for; a larger (possibly lying) count grows by append instead
-	// of one huge up-front allocation.
-	decodePrealloc = 1 << 20
-	// encMetaPad is the fixed, space-padded meta slot the streaming
-	// Encoder reserves so Close can rewrite the header in place.
+	// encMetaPad is the fixed, space-padded meta slot the Encoder
+	// reserves so Close can rewrite the header in place.
 	encMetaPad = 256
 	// encCountPad is the fixed width of the Encoder's padded-uvarint
 	// event count.
 	encCountPad = binary.MaxVarintLen64
+	// flatMaxRaw is how many pending raw bytes a flat Encoder holds
+	// before it writes them out.
+	flatMaxRaw = 1 << 16
 )
 
 var (
 	// ErrBadMagic is returned when decoding a stream that is not a trace
 	// file.
 	ErrBadMagic = errors.New("trace: bad magic")
-	// ErrMetaTooLarge is returned when the header declares a meta blob
-	// beyond maxMetaLen.
-	ErrMetaTooLarge = errors.New("trace: meta length exceeds limit")
 	// ErrCountTooLarge is returned when the header declares more than
 	// maxEventCount events.
 	ErrCountTooLarge = errors.New("trace: event count exceeds limit")
@@ -94,114 +89,27 @@ func appendEvent(dst []byte, ev Event, prevDay int32) ([]byte, error) {
 	return dst, nil
 }
 
-// Encode writes tr to w in the binary trace format.
-func Encode(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	metaJSON, err := json.Marshal(tr.Meta)
-	if err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(x uint64) error {
-		n := binary.PutUvarint(buf[:], x)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := putUvarint(uint64(len(metaJSON))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(metaJSON); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(tr.Events))); err != nil {
-		return err
-	}
-	prevDay := int32(0)
-	var scratch []byte
-	for i, ev := range tr.Events {
-		scratch, err = appendEvent(scratch[:0], ev, prevDay)
-		if err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
-		}
-		if _, err := bw.Write(scratch); err != nil {
-			return err
-		}
-		prevDay = ev.Day
-	}
-	return bw.Flush()
-}
-
-// Decoder incrementally decodes a trace stream: the header is read at
-// construction, events one at a time through Next, so a pass over an
-// arbitrarily long trace holds O(1) memory. FileSource builds its cursors
-// on it.
+// Decoder incrementally decodes the raw event stream, one event at a
+// time through Next, so a pass over an arbitrarily long trace holds O(1)
+// memory. Every FileSource cursor, the tail probe and OpenAppend's index
+// rebuild decode through one.
 type Decoder struct {
 	br    *bufio.Reader
-	meta  Meta
-	count uint64 // events the header promises
+	count uint64 // events to decode before the clean end
 	read  uint64 // events decoded so far
 	day   int32
 	err   error // sticky first failure
 }
 
-// NewDecoder reads and validates the stream's header (magic, meta, event
-// count) and returns a decoder positioned at the first event.
-func NewDecoder(r io.Reader) (*Decoder, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, err
-	}
-	if m != magic {
-		return nil, ErrBadMagic
-	}
-	metaLen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: meta length: %w", err)
-	}
-	if metaLen > maxMetaLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMetaTooLarge, metaLen)
-	}
-	metaJSON := make([]byte, metaLen)
-	if _, err := io.ReadFull(br, metaJSON); err != nil {
-		return nil, fmt.Errorf("trace: meta: %w", err)
-	}
-	d := &Decoder{br: br}
-	if err := json.Unmarshal(metaJSON, &d.meta); err != nil {
-		return nil, fmt.Errorf("trace: bad meta: %w", err)
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: event count: %w", err)
-	}
-	if count > maxEventCount {
-		return nil, fmt.Errorf("%w: %d events", ErrCountTooLarge, count)
-	}
-	d.count = count
-	return d, nil
-}
-
-// resumeDecoder returns a decoder positioned mid-stream: br must be
-// positioned at the first byte of an event boundary, remaining is the
+// resumeDecoder returns a decoder positioned at an event boundary: br
+// must be positioned at the first byte of an event, remaining is the
 // number of events from there to the end of the stream, and day the
 // day-delta watermark in force at that boundary. Every FileSource cursor
 // is one: Open's at the first event, OpenAt's at a day index entry, with
 // remaining taken from the count bound fixed at open.
-func resumeDecoder(br *bufio.Reader, meta Meta, remaining uint64, day int32) *Decoder {
-	return &Decoder{br: br, meta: meta, count: remaining, day: day}
+func resumeDecoder(br *bufio.Reader, remaining uint64, day int32) *Decoder {
+	return &Decoder{br: br, count: remaining, day: day}
 }
-
-// Meta returns the header's metadata.
-func (d *Decoder) Meta() Meta { return d.meta }
-
-// Events returns the event count the header declares.
-func (d *Decoder) Events() uint64 { return d.count }
 
 // Next decodes one event. ok=false signals the clean end of the declared
 // stream; errors (corruption, truncation, overflow) are sticky.
@@ -278,29 +186,6 @@ func (d *Decoder) decodeEvent() (Event, error) {
 	return ev, nil
 }
 
-// Decode reads a full trace in the binary format from r.
-func Decode(r io.Reader) (*Trace, error) {
-	d, err := NewDecoder(r)
-	if err != nil {
-		return nil, err
-	}
-	hint := d.count
-	if hint > decodePrealloc {
-		hint = decodePrealloc
-	}
-	tr := &Trace{Meta: d.meta, Events: make([]Event, 0, hint)}
-	for {
-		ev, ok, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return tr, nil
-		}
-		tr.Events = append(tr.Events, ev)
-	}
-}
-
 // putUvarint10 writes x as a fixed-width (MaxVarintLen64-byte) varint by
 // padding with zero continuation groups; binary.ReadUvarint accepts the
 // non-canonical form, which is what lets the Encoder reserve the count
@@ -327,10 +212,10 @@ type DayIndexEntry struct {
 	PrevDay int32
 }
 
-// Day-index footer layout, appended by the streaming Encoder after the
-// event stream and tolerated-if-absent by every decode path (the decoder
-// stops after the header's event count, so trailing bytes are invisible
-// to it):
+// Day-index footer layout, appended by the flat Encoder's Close after
+// the event stream and tolerated-if-absent by every decode path (the
+// decoder stops after the header's event count, so trailing bytes are
+// invisible to it):
 //
 //	magic "RRX1" (4 bytes)
 //	uvarint index version (1)
@@ -342,8 +227,8 @@ type DayIndexEntry struct {
 //	trailer: uint64 LE footer length (magic through CRC), magic "RRXE"
 //
 // The fixed-width trailer lets a reader find the footer by seeking to the
-// end of the file; files written before the index existed (or by the
-// one-shot Encode) simply have no trailer and decode as before. The CRC
+// end of the file; a file without one (an appender holding the file, or
+// a footer lost to damage) decodes as before, without seeking. The CRC
 // exists because a damaged index must read as *absent*, never as a wrong
 // seek target: OpenAt trusts an entry's event ordinal for the resumed
 // decoder's remaining-count, so silent corruption there would truncate a
@@ -361,8 +246,8 @@ const (
 	maxIndexEntries = 1 << 24
 )
 
-// appendTrailer appends the fixed trailer both streaming encoders end
-// their footer with: the footer's length, then the end magic.
+// appendTrailer appends the fixed trailer both containers end their
+// footer with: the footer's length, then the end magic.
 func appendTrailer(footer []byte) []byte {
 	footer = binary.LittleEndian.AppendUint64(footer, uint64(len(footer)))
 	return append(footer, indexEndMagic[:]...)
@@ -460,43 +345,54 @@ func parseDayIndex(b []byte) ([]DayIndexEntry, error) {
 	return idx, nil
 }
 
-// Encoder is the incremental trace sink: events are appended one at a
-// time (e.g. straight from gen.GenerateStream) and the header — meta
-// counters accumulated from the events plus the event count — is
-// back-patched on Close. A trace therefore streams to disk without the
-// event slice or the encoded bytes ever being resident. The writer must
-// be seekable (a file); the output decodes with the same Decoder/Decode
-// as Encode's. Close also appends the per-day byte-offset index footer
-// that lets FileSource.OpenAt start a cursor mid-trace.
+// Encoder is the incremental trace sink for both containers: events are
+// appended one at a time (e.g. straight from gen.GenerateStream) and the
+// header — meta counters accumulated from the events plus the event
+// count — is back-patched on Close. A trace therefore streams to disk
+// without the event slice or the encoded bytes ever being resident. The
+// writer must be seekable (a file). Close also appends the footer that
+// lets FileSource.OpenAt start a cursor mid-trace: a flat file's day
+// index, a segmented file's segment table with its day index.
+//
+// The two containers share everything but where the pending raw bytes
+// go (drain): a flat file takes them as they are, after its header; a
+// segmented file cuts them into compressed frames (cutFrame). This
+// mirrors the reader, one source over two mappers (FileSource.rawReader).
 type Encoder struct {
 	ws      io.WriteSeeker
-	bw      *bufio.Writer
+	magic   [4]byte
 	meta    Meta
 	count   uint64
 	prevDay int32
 	closed  bool
+	started bool // the poisoned header is on disk
 
-	offset  int64 // absolute byte offset of the next event's encoding
-	index   []DayIndexEntry
-	scratch []byte
+	raw      []byte          // pending raw event bytes, not yet written
+	rawStart int64           // raw-stream offset of raw[0]
+	maxRaw   int             // pending bytes that force a write mid-day
+	index    []DayIndexEntry // Offset fields are raw-stream offsets
+	scratch  []byte
+
+	// A segmented container's frame writer (nil for a flat one) and the
+	// frames written so far.
+	comp    *flate.Writer
+	compBuf bytes.Buffer
+	segs    []segEntry
 }
 
-// NewEncoder writes a placeholder header to ws and returns a ready sink.
-// The placeholder is deliberately invalid (its count slot cannot decode),
-// so a file whose writer crashed before Close fails loudly instead of
-// passing as an empty trace. MergeDay defaults to -1 (no merge); use
-// SetMergeDay/SetSeed to record generator knowledge before Close.
+// NewEncoder returns a flat-trace sink writing to ws. It writes the
+// header at once, as a placeholder that is deliberately invalid (its
+// count slot cannot decode), so a file whose writer crashed before Close
+// fails loudly instead of passing as an empty trace. A flat file's raw
+// offsets are file offsets: its events start right after the header.
+// MergeDay defaults to -1 (no merge); use SetMergeDay/SetSeed to record
+// generator knowledge before Close.
 func NewEncoder(ws io.WriteSeeker) (*Encoder, error) {
-	e := &Encoder{ws: ws, bw: bufio.NewWriterSize(ws, 1<<16)}
+	e := &Encoder{ws: ws, magic: magic, maxRaw: flatMaxRaw, rawStart: int64(fixedHeaderLen)}
 	e.meta.MergeDay = -1
-	hdr, err := e.header(false)
-	if err != nil {
+	if err := e.writeHeader(); err != nil {
 		return nil, err
 	}
-	if _, err := e.bw.Write(hdr); err != nil {
-		return nil, err
-	}
-	e.offset = int64(len(hdr))
 	return e, nil
 }
 
@@ -506,19 +402,30 @@ func (e *Encoder) SetSeed(seed int64) { e.meta.Seed = seed }
 // SetMergeDay records the merge day in the header meta (-1 for none).
 func (e *Encoder) SetMergeDay(day int32) { e.meta.MergeDay = day }
 
-// header renders the fixed-width rewritable header. When final is false
-// the count slot is filled with continuation bytes that no uvarint reader
-// accepts, poisoning the file until Close back-patches the real count.
-func (e *Encoder) header(final bool) ([]byte, error) {
-	return renderFixedHeader(magic, e.meta, e.count, !final)
+// writeHeader writes the poisoned header once. A flat encoder writes it
+// at construction, a segmented one before its first frame (or the footer
+// of an event-free trace).
+func (e *Encoder) writeHeader() error {
+	if e.started {
+		return nil
+	}
+	hdr, err := renderFixedHeader(e.magic, e.meta, 0, true)
+	if err != nil {
+		return err
+	}
+	if _, err := e.ws.Write(hdr); err != nil {
+		return err
+	}
+	e.started = true
+	return nil
 }
 
-// renderFixedHeader renders the fixed-width rewritable header layout the
-// streaming encoders (flat and segmented) share: magic, a space-padded
-// meta slot, and a padded-uvarint count slot. With poison set the count
-// slot is filled with continuation bytes no uvarint reader accepts, so a
-// file whose writer crashed before Close fails loudly instead of passing
-// as an empty trace.
+// renderFixedHeader renders the fixed-width rewritable header both
+// containers share: magic, a space-padded meta slot, and a
+// padded-uvarint count slot. With poison set the count slot is filled
+// with continuation bytes no uvarint reader accepts, so a file whose
+// writer crashed before Close fails loudly instead of passing as an
+// empty trace.
 func renderFixedHeader(mag [4]byte, meta Meta, count uint64, poison bool) ([]byte, error) {
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
@@ -554,9 +461,9 @@ func renderFixedHeader(mag [4]byte, meta Meta, count uint64, poison bool) ([]byt
 const fixedHeaderLen = len(magic) + 2 + encMetaPad + encCountPad
 
 // errNotFixedHeader marks a header too short for, or not in, the
-// fixed-width layout renderFixedHeader writes (the one-shot Encode
-// layout's meta length is the JSON's exact size, not encMetaPad).
-var errNotFixedHeader = errors.New("trace: not a fixed-width header")
+// fixed-width layout renderFixedHeader writes. The variable-width header
+// of the one-shot layout earlier versions could write is one such.
+var errNotFixedHeader = errors.New("trace: unsupported header layout (not the fixed-width header; one-shot files do not open)")
 
 // parseFixedHeader decodes the fixed-width header renderFixedHeader
 // writes under mag. finalized=false (with nil err) means the count slot
@@ -580,13 +487,8 @@ func parseFixedHeader(hdr []byte, mag [4]byte) (meta Meta, count uint64, finaliz
 		return meta, 0, false, fmt.Errorf("trace: bad meta: %w", err)
 	}
 	count, cn := binary.Uvarint(hdr[metaStart+encMetaPad : fixedHeaderLen])
-	switch {
-	case cn <= 0:
+	if cn <= 0 {
 		return meta, 0, false, nil
-	case cn != encCountPad:
-		// A canonical count: one-shot Encode output whose meta happens
-		// to fill the slot.
-		return meta, 0, false, fmt.Errorf("%w: count is not padded", errNotFixedHeader)
 	}
 	if count > maxEventCount {
 		return meta, 0, false, fmt.Errorf("%w: %d events", ErrCountTooLarge, count)
@@ -596,7 +498,8 @@ func parseFixedHeader(hdr []byte, mag [4]byte) (meta Meta, count uint64, finaliz
 
 // Write appends one event. Events must arrive in non-decreasing day
 // order, exactly as a replay or generator emits them. The first event of
-// every new day is recorded in the day index that Close appends.
+// every new day is recorded in the day index that Close appends. A
+// rejected event leaves the encoder as it was.
 func (e *Encoder) Write(ev Event) error {
 	if e.closed {
 		return errors.New("trace: encoder is closed")
@@ -607,17 +510,48 @@ func (e *Encoder) Write(ev Event) error {
 	}
 	e.scratch = scratch
 	if e.count == 0 || ev.Day > e.prevDay {
+		// Day boundary: a segmented file's preferred frame cut point (a
+		// flat encoder never holds segTargetRaw pending bytes), and a
+		// day-index entry either way.
+		if len(e.raw) >= segTargetRaw {
+			if err := e.drain(); err != nil {
+				return err
+			}
+		}
 		e.index = append(e.index, DayIndexEntry{
-			Day: ev.Day, Offset: e.offset, Event: e.count, PrevDay: e.prevDay,
+			Day: ev.Day, Offset: e.rawStart + int64(len(e.raw)), Event: e.count, PrevDay: e.prevDay,
 		})
 	}
-	if _, err := e.bw.Write(scratch); err != nil {
-		return err
-	}
-	e.offset += int64(len(scratch))
+	e.raw = append(e.raw, scratch...)
 	e.prevDay = ev.Day
 	e.meta.Accumulate(ev)
 	e.count++
+	if len(e.raw) >= e.maxRaw {
+		return e.drain()
+	}
+	return nil
+}
+
+// drain writes the pending raw bytes: a flat file takes them as they
+// are, a segmented one as one frame.
+func (e *Encoder) drain() error {
+	if len(e.raw) == 0 {
+		return nil
+	}
+	if err := e.writeHeader(); err != nil {
+		return err
+	}
+	var err error
+	if e.comp != nil {
+		err = e.cutFrame()
+	} else {
+		_, err = e.ws.Write(e.raw)
+	}
+	if err != nil {
+		return err
+	}
+	e.rawStart += int64(len(e.raw))
+	e.raw = e.raw[:0]
 	return nil
 }
 
@@ -629,7 +563,8 @@ func (e *Encoder) Meta() Meta { return e.meta }
 // encoder, including the events the file already held).
 func (e *Encoder) Events() uint64 { return e.count }
 
-// Flush forces buffered event bytes down to the underlying writer. An
+// Flush writes the pending events down to the underlying writer; a
+// segmented encoder seals them into a frame, mid-day if necessary. An
 // appender tailing readers follow calls it at day boundaries: once the
 // first event of day D+1 is on disk, a TailProbe can prove day D is
 // sealed — without flushes, completed days sit invisible in the buffer
@@ -638,28 +573,36 @@ func (e *Encoder) Flush() error {
 	if e.closed {
 		return errors.New("trace: encoder is closed")
 	}
-	return e.bw.Flush()
+	return e.drain()
 }
 
-// Close flushes the event stream, appends the day-index footer, and
-// back-patches the header with the final meta and count. The encoder is
-// unusable afterwards; closing the underlying file stays the caller's job.
+// Close writes the pending events, appends the footer, and back-patches
+// the header with the final meta and count. The encoder is unusable
+// afterwards; closing the underlying file stays the caller's job.
 func (e *Encoder) Close() error {
 	if e.closed {
 		return nil
 	}
 	e.closed = true
-	footer := appendTrailer(appendDayIndex(nil, e.index))
-	if _, err := e.bw.Write(footer); err != nil {
+	if err := e.drain(); err != nil {
 		return err
 	}
-	if err := e.bw.Flush(); err != nil {
+	if err := e.writeHeader(); err != nil {
+		return err
+	}
+	var footer []byte
+	if e.comp != nil {
+		footer = appendSegFooter(nil, e.segs, e.index)
+	} else {
+		footer = appendDayIndex(nil, e.index)
+	}
+	if _, err := e.ws.Write(appendTrailer(footer)); err != nil {
 		return err
 	}
 	if _, err := e.ws.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	hdr, err := e.header(true)
+	hdr, err := renderFixedHeader(e.magic, e.meta, e.count, false)
 	if err != nil {
 		return err
 	}

@@ -180,7 +180,7 @@ func TestSegRepeatOpenAtInflatesLess(t *testing.T) {
 func TestSegBackendBlobUncached(t *testing.T) {
 	resetFrameCache(t, DefaultFrameCacheBytes)
 	tr := synthTrace(500)
-	src, err := openSegBytes(encodeSegBytes(t, tr, true))
+	src, err := openBytes(encodeSegBytes(t, tr, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestTailProbeFrameLoadsCountAsMisses(t *testing.T) {
 	dir := t.TempDir()
 	final, footerless := filepath.Join(dir, "final.rrs"), filepath.Join(dir, "footerless.rrs")
 	encodeSegToFile(t, synthTrace(257), final, true)
-	writeFile(t, footerless, stripSegFooter(t, final))
+	writeFile(t, footerless, stripFooter(t, final))
 
 	before := ReadFrameCacheStats()
 	snap, err := NewTailProbe(footerless).Probe()

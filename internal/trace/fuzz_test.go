@@ -1,28 +1,22 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/binary"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzDecode hardens the codec against corrupt and truncated input: Decode
-// must never panic or over-allocate, and anything it accepts must survive
-// an Encode/Decode round trip unchanged (the decoder only admits
+// FuzzDecode hardens the flat container the way FuzzSegDecode hardens
+// the segmented one: openContainer over a bytes blob, then a drain of
+// its one cursor, must never panic or over-allocate, and anything
+// accepted must re-encode through NewEncoder and read back to the same
+// events, with the meta the encoder wrote (the decoder only admits
 // well-formed streams: known kinds, non-decreasing days, in-range ids).
-// The seed corpus is Encode output for representative traces, including
-// the incremental Encoder's fixed-width header layout.
 func FuzzDecode(f *testing.F) {
-	seed := func(tr *Trace) {
-		var buf bytes.Buffer
-		if err := Encode(&buf, tr); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
-	}
-	seed(&Trace{Meta: Meta{MergeDay: -1}})
-	seed(&Trace{
+	full := encodeBytes(f, synthTrace(41))
+	f.Add(full)
+	f.Add(withoutFooter(full))
+	f.Add(encodeBytes(f, &Trace{Meta: Meta{MergeDay: -1}}))
+	f.Add(encodeBytes(f, &Trace{
 		Meta: Meta{Days: 4, MergeDay: 2, Nodes: 3, Edges: 3, Xiaonei: 2, FiveQ: 1, Seed: 7},
 		Events: []Event{
 			{Kind: AddNode, Day: 0, U: 0, Origin: OriginXiaonei},
@@ -32,42 +26,38 @@ func FuzzDecode(f *testing.F) {
 			{Kind: AddEdge, Day: 2, U: 1, V: 2},
 			{Kind: AddEdge, Day: 3, U: 0, V: 2},
 		},
-	})
-	seed(synthTrace(41))
-	// The streaming Encoder's padded header is format-equivalent input.
-	var ws seekBuffer
-	enc, err := NewEncoder(&ws)
-	if err != nil {
-		f.Fatal(err)
-	}
-	enc.SetSeed(3)
-	for _, ev := range synthTrace(17).Events {
-		if err := enc.Write(ev); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte{}, ws.buf...))
+	}))
 	// A header that lies about its count must fail, not pre-allocate.
-	f.Add(append(append([]byte{}, magic[:]...), 0x02, '{', '}', 0xff, 0xff, 0xff, 0x0f))
+	lying := append([]byte{}, withoutFooter(full)...)
+	putUvarint10(lying[fixedHeaderLen-encCountPad:fixedHeaderLen], 1<<32)
+	f.Add(lying)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := Decode(bytes.NewReader(data))
+		tr, err := decodeBytes(data)
 		if err != nil {
 			return // rejected input is fine; panics and hangs are not
 		}
-		var buf bytes.Buffer
-		if err := Encode(&buf, tr); err != nil {
+		var ws seekBuffer
+		enc, err := NewEncoder(&ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc.SetSeed(tr.Meta.Seed)
+		enc.SetMergeDay(tr.Meta.MergeDay)
+		for i, ev := range tr.Events {
+			if err := enc.Write(ev); err != nil {
+				t.Fatalf("accepted event %d does not re-encode: %v", i, err)
+			}
+		}
+		if err := enc.Close(); err != nil {
 			t.Fatalf("decoded trace does not re-encode: %v", err)
 		}
-		tr2, err := Decode(&buf)
+		tr2, err := decodeBytes(ws.buf)
 		if err != nil {
 			t.Fatalf("re-encoded trace does not decode: %v", err)
 		}
-		if tr2.Meta != tr.Meta {
-			t.Fatalf("meta round trip: %+v -> %+v", tr.Meta, tr2.Meta)
+		if tr2.Meta != enc.Meta() {
+			t.Fatalf("meta round trip: wrote %+v, read %+v", enc.Meta(), tr2.Meta)
 		}
 		if len(tr2.Events) != len(tr.Events) {
 			t.Fatalf("event count round trip: %d -> %d", len(tr.Events), len(tr2.Events))
@@ -91,27 +81,12 @@ func FuzzDecode(f *testing.F) {
 // one that succeeds still yields exactly the sealed count.
 func FuzzTailProbe(f *testing.F) {
 	tr := synthTrace(129)
-	var ws seekBuffer
-	enc, err := NewEncoder(&ws)
-	if err != nil {
-		f.Fatal(err)
-	}
-	enc.SetSeed(tr.Meta.Seed)
-	for _, ev := range tr.Events {
-		if err := enc.Write(ev); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		f.Fatal(err)
-	}
 	seg := encodeSegBytes(f, tr, true)
-	for _, full := range [][]byte{ws.buf, seg} {
+	for _, full := range [][]byte{encodeBytes(f, tr), seg} {
 		f.Add(full)
 		f.Add(full[:len(full)*2/3]) // cut mid-event or mid-frame
 	}
-	footLen := int(binary.LittleEndian.Uint64(seg[len(seg)-indexTrailerLen:]))
-	f.Add(seg[:len(seg)-indexTrailerLen-footLen])
+	f.Add(withoutFooter(seg))
 
 	path := filepath.Join(f.TempDir(), "trace")
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -146,22 +146,14 @@ func TestFileSourceCountBoundAtOpen(t *testing.T) {
 	}
 }
 
-// TestOpenAtIndexless covers the tolerated-if-absent contract: a file
-// written by the one-shot Encode has no index footer, still decodes, and
-// OpenAt falls back to decode-and-discard with identical results.
+// TestOpenAtIndexless covers the tolerated-if-absent contract: a flat
+// file without its index footer still decodes, and OpenAt falls back to
+// decode-and-discard with identical results.
 func TestOpenAtIndexless(t *testing.T) {
 	tr := synthTrace(120)
-	path := filepath.Join(t.TempDir(), "old.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Encode(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "indexless.trace")
+	encodeToFile(t, tr, path)
+	writeFile(t, path, stripFooter(t, path))
 	fs, err := OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +246,7 @@ func TestEmptyIndexReadsAsAbsent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			writeFile(t, path, append(stripSegFooter(t, path), appendTrailer(c.footer(s))...))
+			writeFile(t, path, append(stripFooter(t, path), appendTrailer(c.footer(s))...))
 
 			s, err = OpenTrace(path)
 			if err != nil {

@@ -13,10 +13,10 @@ import (
 
 // Segmented (compressed) trace format, magic "RRS1":
 //
-//	fixed header — identical layout to the flat streaming Encoder's
-//	(magic, uvarint(encMetaPad), space-padded meta slot, padded-uvarint
-//	count), so the same back-patch-on-Close discipline applies and a
-//	crashed writer's file fails loudly instead of passing as empty.
+//	fixed header — identical layout to the flat file's (magic,
+//	uvarint(encMetaPad), space-padded meta slot, padded-uvarint count),
+//	so the same back-patch-on-Close discipline applies and a crashed
+//	writer's file fails loudly instead of passing as empty.
 //
 //	then a run of frames, each:
 //	  magic "RRSG" (4 bytes)
@@ -118,112 +118,20 @@ func (s segEntry) plausible(prevLast int32) bool {
 		s.prevDay == prevLast && s.firstDay >= s.prevDay && s.lastDay >= s.firstDay
 }
 
-// SegEncoder is the segmented counterpart of Encoder: the same
-// incremental Write/Flush/Close surface, producing the compressed
-// container. The header is written lazily on the first frame so
-// SetSeed/SetMergeDay calls made before any event (the generator's
-// pattern) are visible to a concurrent TailProbe from the start.
-type SegEncoder struct {
-	ws      io.WriteSeeker
-	meta    Meta
-	count   uint64
-	prevDay int32
-	closed  bool
-	started bool // header written
-
-	raw             []byte // pending uncompressed frame
-	rawStart        int64  // raw-stream offset of raw[0]
-	frameFirstEvent uint64
-	frameFirstDay   int32
-	framePrevDay    int32
-
-	fileOff int64 // file offset where the next frame goes
-	segs    []segEntry
-	index   []DayIndexEntry // Offset fields are raw-stream offsets
-	comp    *flate.Writer
-	compBuf bytes.Buffer
-	scratch []byte
-}
-
 // NewSegEncoder returns a segmented-trace sink writing to ws. Like
-// NewEncoder, the header's count slot stays poisoned until Close, and
-// closing the underlying file is the caller's job.
-func NewSegEncoder(ws io.WriteSeeker) (*SegEncoder, error) {
+// NewEncoder's, the header's count slot stays poisoned until Close, and
+// closing the underlying file is the caller's job. The header is written
+// lazily, before the first frame, so SetSeed/SetMergeDay calls made
+// before any event (the generator's pattern) are visible to a concurrent
+// TailProbe from the start. A segmented file's raw offsets start at 0.
+func NewSegEncoder(ws io.WriteSeeker) (*Encoder, error) {
 	cw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
 	if err != nil {
 		return nil, err
 	}
-	e := &SegEncoder{ws: ws, comp: cw}
+	e := &Encoder{ws: ws, magic: segMagic, maxRaw: segMaxRaw, comp: cw}
 	e.meta.MergeDay = -1
 	return e, nil
-}
-
-// SetSeed records the generator seed in the header meta.
-func (e *SegEncoder) SetSeed(seed int64) { e.meta.Seed = seed }
-
-// SetMergeDay records the merge day in the header meta (-1 for none).
-func (e *SegEncoder) SetMergeDay(day int32) { e.meta.MergeDay = day }
-
-// Meta returns the counters accumulated so far.
-func (e *SegEncoder) Meta() Meta { return e.meta }
-
-// Events returns how many events have been written.
-func (e *SegEncoder) Events() uint64 { return e.count }
-
-// ensureHeader writes the poisoned fixed header once, before the first
-// frame (or the footer of an event-free trace).
-func (e *SegEncoder) ensureHeader() error {
-	if e.started {
-		return nil
-	}
-	hdr, err := renderFixedHeader(segMagic, e.meta, 0, true)
-	if err != nil {
-		return err
-	}
-	if _, err := e.ws.Write(hdr); err != nil {
-		return err
-	}
-	e.started = true
-	e.fileOff = int64(len(hdr))
-	return nil
-}
-
-// Write appends one event; events must arrive in non-decreasing day
-// order, exactly as for the flat Encoder.
-func (e *SegEncoder) Write(ev Event) error {
-	if e.closed {
-		return errors.New("trace: encoder is closed")
-	}
-	scratch, err := appendEvent(e.scratch[:0], ev, e.prevDay)
-	if err != nil {
-		return fmt.Errorf("trace: event %d: %w", e.count, err)
-	}
-	e.scratch = scratch
-	if e.count == 0 || ev.Day > e.prevDay {
-		// Day boundary: preferred frame cut point, and a day-index entry
-		// (in raw-stream coordinates) either way.
-		if int64(len(e.raw)) >= segTargetRaw {
-			if err := e.cutFrame(); err != nil {
-				return err
-			}
-		}
-		e.index = append(e.index, DayIndexEntry{
-			Day: ev.Day, Offset: e.rawStart + int64(len(e.raw)), Event: e.count, PrevDay: e.prevDay,
-		})
-	}
-	if len(e.raw) == 0 {
-		e.frameFirstEvent = e.count
-		e.framePrevDay = e.prevDay
-		e.frameFirstDay = ev.Day
-	}
-	e.raw = append(e.raw, scratch...)
-	e.prevDay = ev.Day
-	e.meta.Accumulate(ev)
-	e.count++
-	if int64(len(e.raw)) >= segMaxRaw {
-		return e.cutFrame()
-	}
-	return nil
 }
 
 // transposeFrame re-encodes one frame's raw appendEvent byte run into
@@ -456,16 +364,11 @@ func inflateFrame(payload []byte, seg segEntry) ([]byte, error) {
 	return untransposeFrame(buf.Bytes(), seg.prevDay, seg.rawLen, seg.events)
 }
 
-// cutFrame compresses and writes the pending raw bytes as one frame.
-// The frame (header plus payload) goes down in a single Write so a
-// concurrent tail prober never observes half a frame header.
-func (e *SegEncoder) cutFrame() error {
-	if len(e.raw) == 0 {
-		return nil
-	}
-	if err := e.ensureHeader(); err != nil {
-		return err
-	}
+// cutFrame compresses and writes the pending raw bytes as the frame that
+// follows the last one written. The frame (header plus payload) goes
+// down in a single Write so a concurrent tail prober never observes half
+// a frame header.
+func (e *Encoder) cutFrame() error {
 	tp, err := transposeFrame(e.raw)
 	if err != nil {
 		// Unreachable in practice: e.raw is appendEvent's own output.
@@ -483,17 +386,13 @@ func (e *SegEncoder) cutFrame() error {
 	}
 	frame := e.compBuf.Bytes()
 	payload := frame[segFrameHdrLen:]
-	seg := segEntry{
-		fileOff:    e.fileOff,
-		compLen:    int64(len(payload)),
-		rawLen:     int64(len(e.raw)),
-		rawStart:   e.rawStart,
-		events:     e.count - e.frameFirstEvent,
-		firstEvent: e.frameFirstEvent,
-		firstDay:   e.frameFirstDay,
-		lastDay:    e.prevDay,
-		prevDay:    e.framePrevDay,
-	}
+	// The frame's first day is its first event's day delta (after the
+	// kind byte) over the watermark the previous frame leaves.
+	seg := frameEnd(e.segs)
+	delta, _ := binary.Uvarint(e.raw[1:])
+	seg.compLen, seg.rawLen = int64(len(payload)), int64(len(e.raw))
+	seg.events = e.count - seg.firstEvent
+	seg.firstDay, seg.lastDay = seg.prevDay+int32(delta), e.prevDay
 	copy(frame[:4], segFrameMagic[:])
 	binary.LittleEndian.PutUint32(frame[4:], uint32(seg.compLen))
 	binary.LittleEndian.PutUint32(frame[8:], uint32(seg.rawLen))
@@ -506,52 +405,7 @@ func (e *SegEncoder) cutFrame() error {
 		return err
 	}
 	e.segs = append(e.segs, seg)
-	e.fileOff += int64(len(frame))
-	e.rawStart += int64(len(e.raw))
-	e.raw = e.raw[:0]
 	return nil
-}
-
-// Flush seals the pending events into a frame (mid-day if necessary) and
-// writes it, making them visible to tail probers — the segmented
-// equivalent of the flat Encoder's day-boundary Flush.
-func (e *SegEncoder) Flush() error {
-	if e.closed {
-		return errors.New("trace: encoder is closed")
-	}
-	return e.cutFrame()
-}
-
-// Close writes the last frame, appends the footer (segment table plus
-// embedded day index), and back-patches the header with the final meta
-// and count.
-func (e *SegEncoder) Close() error {
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	if err := e.cutFrame(); err != nil {
-		return err
-	}
-	if err := e.ensureHeader(); err != nil {
-		return err
-	}
-	footer := appendTrailer(appendSegFooter(nil, e.segs, e.index))
-	if _, err := e.ws.Write(footer); err != nil {
-		return err
-	}
-	if _, err := e.ws.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	hdr, err := renderFixedHeader(segMagic, e.meta, e.count, false)
-	if err != nil {
-		return err
-	}
-	if _, err := e.ws.Write(hdr); err != nil {
-		return err
-	}
-	_, err = e.ws.Seek(0, io.SeekEnd)
-	return err
 }
 
 // Segment footer layout (magic through CRC; the caller appends the

@@ -11,74 +11,27 @@ import (
 	"testing"
 )
 
-// encodeSegToFile streams a trace through the SegEncoder into a file.
-// flushEveryDay forces a frame cut at each day boundary, producing a
-// multi-frame file from a small trace.
+// encodeSegToFile writes a trace as a segmented file. flushEveryDay
+// forces a frame cut at each day boundary, producing a multi-frame file
+// from a small trace.
 func encodeSegToFile(t *testing.T, tr *Trace, path string, flushEveryDay bool) {
 	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	enc, err := NewSegEncoder(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.SetSeed(tr.Meta.Seed)
-	enc.SetMergeDay(tr.Meta.MergeDay)
-	prev := int32(-1)
-	for _, ev := range tr.Events {
-		if flushEveryDay && prev >= 0 && ev.Day > prev {
-			if err := enc.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := enc.Write(ev); err != nil {
-			t.Fatal(err)
-		}
-		prev = ev.Day
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	encodeFile(t, path, NewSegEncoder, tr, flushEveryDay)
 }
 
 // encodeSegBytes renders a trace as an in-memory segmented container.
 func encodeSegBytes(t testing.TB, tr *Trace, flushEveryDay bool) []byte {
 	t.Helper()
 	var ws seekBuffer
-	enc, err := NewSegEncoder(&ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.SetSeed(tr.Meta.Seed)
-	enc.SetMergeDay(tr.Meta.MergeDay)
-	prev := int32(-1)
-	for _, ev := range tr.Events {
-		if flushEveryDay && prev >= 0 && ev.Day > prev {
-			if err := enc.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := enc.Write(ev); err != nil {
-			t.Fatal(err)
-		}
-		prev = ev.Day
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTrace(t, &ws, NewSegEncoder, tr, flushEveryDay)
 	return ws.buf
 }
 
-// openSegBytes opens a container held in memory, served uncached: a
-// memory blob has no process-stable identity for the frame cache.
-func openSegBytes(data []byte) (*FileSource, error) {
-	s, err := openContainer(&blobHandle{ra: bytes.NewReader(data)}, int64(len(data)), "segmented bytes")
+// openBytes opens a container of either format held in memory, served
+// uncached: a memory blob has no process-stable identity for the frame
+// cache.
+func openBytes(data []byte) (*FileSource, error) {
+	s, err := openContainer(&blobHandle{ra: bytes.NewReader(data)}, int64(len(data)), "in-memory trace")
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +188,7 @@ func TestSegOpenAtMidFrameDay(t *testing.T) {
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := openSegBytes(ws.buf)
+	s, err := openBytes(ws.buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +302,7 @@ func TestSegFooterStrippedRebuild(t *testing.T) {
 	tr := synthTrace(129)
 	path := filepath.Join(t.TempDir(), "seg.trace")
 	encodeSegToFile(t, tr, path, true)
-	writeFile(t, path, stripSegFooter(t, path))
+	writeFile(t, path, stripFooter(t, path))
 
 	s, err := OpenTrace(path)
 	if err != nil {
@@ -376,16 +329,11 @@ func TestSegFooterStrippedRebuild(t *testing.T) {
 	}
 }
 
-// stripSegFooter returns the bytes of the trace at path without its
-// footer and trailer (both containers end in the same trailer).
-func stripSegFooter(t *testing.T, path string) []byte {
+// stripFooter returns the bytes of the trace at path without its footer
+// and trailer.
+func stripFooter(t *testing.T, path string) []byte {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	footLen := int64(binary.LittleEndian.Uint64(data[len(data)-indexTrailerLen:]))
-	return data[:int64(len(data))-indexTrailerLen-footLen]
+	return withoutFooter(readAll(t, path))
 }
 
 func writeFile(t *testing.T, path string, data []byte) {
@@ -403,7 +351,7 @@ func writeFile(t *testing.T, path string, data []byte) {
 func TestSegFooterStrippedImplausibleFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg.trace")
 	encodeSegToFile(t, synthTrace(129), path, true)
-	data := stripSegFooter(t, path)
+	data := stripFooter(t, path)
 	binary.LittleEndian.PutUint32(data[fixedHeaderLen+8:], 0xF0000000) // the first frame's rawLen
 	writeFile(t, path, data)
 
@@ -426,7 +374,7 @@ func TestSegFooterStrippedImplausibleFrame(t *testing.T) {
 func TestSegFrameLongerThanItsEvents(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg.trace")
 	encodeSegToFile(t, synthTrace(129), path, true)
-	data := stripSegFooter(t, path)
+	data := stripFooter(t, path)
 	binary.LittleEndian.PutUint32(data[fixedHeaderLen+8:], maxSegFrameLen) // the first frame's rawLen
 	writeFile(t, path, data)
 
@@ -471,7 +419,7 @@ func TestSegNotFinalized(t *testing.T) {
 // TestSegEmptyTrace: zero events still produce a well-formed container.
 func TestSegEmptyTrace(t *testing.T) {
 	blob := encodeSegBytes(t, &Trace{Meta: Meta{MergeDay: -1}}, false)
-	s, err := openSegBytes(blob)
+	s, err := openBytes(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +483,7 @@ func TestSegAppendRejected(t *testing.T) {
 func TestSegEventsThrough(t *testing.T) {
 	tr := synthTrace(257)
 	blob := encodeSegBytes(t, tr, true)
-	s, err := openSegBytes(blob)
+	s, err := openBytes(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +508,7 @@ func TestSegEventsThrough(t *testing.T) {
 func TestSegPrefetchWraps(t *testing.T) {
 	tr := synthTrace(257)
 	blob := encodeSegBytes(t, tr, true)
-	s, err := openSegBytes(blob)
+	s, err := openBytes(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +536,7 @@ func FuzzSegDecode(f *testing.F) {
 	f.Add(append([]byte{}, multi[:int64(len(multi))-indexTrailerLen-footLen]...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := openSegBytes(data)
+		s, err := openBytes(data)
 		if err != nil {
 			return // rejected input is fine; panics and hangs are not
 		}
@@ -628,7 +576,7 @@ func FuzzSegDecode(f *testing.F) {
 		if err := enc.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s2, err := openSegBytes(ws.buf)
+		s2, err := openBytes(ws.buf)
 		if err != nil {
 			t.Fatalf("re-encoded container does not open: %v", err)
 		}

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -157,7 +156,7 @@ func (s TraceSource) Meta() Meta { return s.Trace.Meta }
 func (tr *Trace) Source() MetaSource { return TraceSource{Trace: tr} }
 
 // FileSource replays a trace container straight off its bytes: every
-// Open decodes the stream incrementally through a Decoder, so a pass
+// Open decodes the raw stream incrementally through a Decoder, so a pass
 // holds O(1) memory regardless of event count — the out-of-core data
 // plane. One type reads every container (DESIGN.md §10): a flat (RRT1)
 // and a segmented (RRS1) trace decode to the same raw event stream, the
@@ -270,12 +269,17 @@ func readHead(h *blobHandle, size int64) (containerHead, error) {
 	if err := h.readFull(hdr, 0); err != nil {
 		return hd, err
 	}
+	mag := magic
+	if hd.framed = len(hdr) >= len(segMagic) && [4]byte(hdr[:4]) == segMagic; hd.framed {
+		mag = segMagic // start 0: frames address the raw stream
+	} else {
+		hd.start = int64(fixedHeaderLen)
+	}
 	var err error
-	if len(hdr) >= len(segMagic) && [4]byte(hdr[:4]) == segMagic {
-		hd.framed = true // start 0: frames address the raw stream
-		if hd.meta, hd.count, hd.final, err = parseFixedHeader(hdr, segMagic); err != nil {
-			return hd, err
-		}
+	if hd.meta, hd.count, hd.final, err = parseFixedHeader(hdr, mag); err != nil {
+		return hd, err
+	}
+	if hd.framed {
 		buf, off, ok := readFooter(h, size, int64(fixedHeaderLen))
 		if !ok {
 			return hd, nil
@@ -287,22 +291,6 @@ func readHead(h *blobHandle, size int64) (containerHead, error) {
 		}
 		hd.footer, hd.end, hd.segs, hd.index = off, at.rawStart, segs, idx
 	} else {
-		hd.start = int64(fixedHeaderLen)
-		hd.meta, hd.count, hd.final, err = parseFixedHeader(hdr, magic)
-		if errors.Is(err, errNotFixedHeader) {
-			// One-shot Encode output: a variable-width header.
-			n0 := h.n
-			br := bufio.NewReader(io.NewSectionReader(h, 0, size))
-			dec, derr := NewDecoder(br)
-			if derr != nil {
-				return hd, derr
-			}
-			hd.meta, hd.count, hd.final, err = dec.Meta(), dec.Events(), true, nil
-			hd.start = h.n - n0 - int64(br.Buffered())
-		}
-		if err != nil {
-			return hd, err
-		}
 		hd.index, hd.footer = readDayIndex(h, size, hd.start)
 		hd.end = hd.footer
 	}
@@ -428,7 +416,7 @@ func (s *FileSource) openAt(off int64, skipped uint64, prevDay int32) (Cursor, e
 		h.Close()
 		return nil, err
 	}
-	dec := resumeDecoder(bufio.NewReader(r), s.meta, s.events-skipped, prevDay)
+	dec := resumeDecoder(bufio.NewReader(r), s.events-skipped, prevDay)
 	return &fileCursor{h: h, dec: dec}, nil
 }
 

@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,30 +29,93 @@ func synthTrace(n int) *Trace {
 	return tr
 }
 
-// encodeToFile streams a trace through the incremental Encoder.
-func encodeToFile(t *testing.T, tr *Trace, path string) {
+// writeTrace streams a trace through the encoder newEnc returns for ws:
+// NewEncoder for a flat container, NewSegEncoder for a segmented one.
+// flushEveryDay flushes at each day boundary, which cuts a segmented
+// file's frames there and produces a multi-frame file from a small
+// trace.
+func writeTrace(t testing.TB, ws io.WriteSeeker, newEnc func(io.WriteSeeker) (*Encoder, error), tr *Trace, flushEveryDay bool) {
+	t.Helper()
+	enc, err := newEnc(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.SetSeed(tr.Meta.Seed)
+	enc.SetMergeDay(tr.Meta.MergeDay)
+	prev := int32(-1)
+	for _, ev := range tr.Events {
+		if flushEveryDay && prev >= 0 && ev.Day > prev {
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Write(ev); err != nil {
+			t.Fatal(err)
+		}
+		prev = ev.Day
+	}
+	if err := enc.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// encodeFile is writeTrace into a new file at path.
+func encodeFile(t testing.TB, path string, newEnc func(io.WriteSeeker) (*Encoder, error), tr *Trace, flushEveryDay bool) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	enc, err := NewEncoder(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc.SetSeed(tr.Meta.Seed)
-	enc.SetMergeDay(tr.Meta.MergeDay)
-	for _, ev := range tr.Events {
-		if err := enc.Write(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTrace(t, f, newEnc, tr, flushEveryDay)
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// encodeToFile writes a trace as a flat file.
+func encodeToFile(t *testing.T, tr *Trace, path string) {
+	t.Helper()
+	encodeFile(t, path, NewEncoder, tr, false)
+}
+
+// encodeBytes renders a trace as an in-memory flat container.
+func encodeBytes(t testing.TB, tr *Trace) []byte {
+	t.Helper()
+	var ws seekBuffer
+	writeTrace(t, &ws, NewEncoder, tr, false)
+	return ws.buf
+}
+
+// withoutFooter returns a container's bytes without its footer and
+// trailer (both containers end in the same trailer): what a writer that
+// crashed between its last event and its footer leaves, header restored.
+func withoutFooter(data []byte) []byte {
+	footLen := int64(binary.LittleEndian.Uint64(data[len(data)-indexTrailerLen:]))
+	return data[:int64(len(data))-indexTrailerLen-footLen]
+}
+
+// decodeBytes opens an in-memory container and collects its events.
+func decodeBytes(data []byte) (*Trace, error) {
+	s, err := openBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	cur, err := s.Open()
+	if err != nil {
+		return nil, err
+	}
+	defer cur.Close()
+	tr := &Trace{Meta: s.Meta()}
+	for {
+		ev, ok, err := cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return tr, nil
+		}
+		tr.Events = append(tr.Events, ev)
 	}
 }
 
@@ -127,43 +190,6 @@ func TestSliceFileCursorEquivalence(t *testing.T) {
 	}
 }
 
-// TestEncoderMatchesEncode: the incremental Encoder and the one-shot
-// Encode produce streams that decode to the same trace.
-func TestEncoderMatchesEncode(t *testing.T) {
-	tr := synthTrace(64)
-	var buf bytes.Buffer
-	if err := Encode(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	fromEncode, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "enc.trace")
-	encodeToFile(t, tr, path)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromEncoder, err := Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if fromEncode.Meta != fromEncoder.Meta {
-		t.Fatalf("meta: %+v vs %+v", fromEncode.Meta, fromEncoder.Meta)
-	}
-	if len(fromEncode.Events) != len(fromEncoder.Events) {
-		t.Fatalf("events: %d vs %d", len(fromEncode.Events), len(fromEncoder.Events))
-	}
-	for i := range fromEncode.Events {
-		if fromEncode.Events[i] != fromEncoder.Events[i] {
-			t.Fatalf("event %d: %+v vs %+v", i, fromEncode.Events[i], fromEncoder.Events[i])
-		}
-	}
-}
-
 func TestEncoderMetaAccumulates(t *testing.T) {
 	tr := synthTrace(32)
 	path := filepath.Join(t.TempDir(), "meta.trace")
@@ -224,31 +250,17 @@ func TestEncoderUnclosedFileIsInvalid(t *testing.T) {
 	if _, err := OpenTrace(path); err == nil {
 		t.Fatal("unclosed encoder file opened as a valid trace")
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
-		t.Fatal("unclosed encoder file decoded as a valid trace")
-	}
 }
 
 func TestFileSourceTruncated(t *testing.T) {
 	tr := synthTrace(64)
 	path := filepath.Join(t.TempDir(), "trunc.trace")
 	encodeToFile(t, tr, path)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The file ends with the day-index footer; find its length from the
-	// trailer so the cut lands inside the event stream, not the index.
-	footer := int(int64(len(raw)) - indexTrailerLen -
-		int64(binary.LittleEndian.Uint64(raw[len(raw)-indexTrailerLen:])))
+	// The file ends with the day-index footer; cut inside the event
+	// stream before it, not inside the index.
+	events := stripFooter(t, path)
 	cut := filepath.Join(t.TempDir(), "cut.trace")
-	if err := os.WriteFile(cut, raw[:footer-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, cut, events[:len(events)-7])
 	fs, err := OpenTrace(cut) // header is intact
 	if err != nil {
 		t.Fatal(err)
@@ -276,57 +288,37 @@ func TestFileSourceTruncated(t *testing.T) {
 }
 
 func TestDecodeTypedErrors(t *testing.T) {
-	// Each case hand-assembles a stream around a valid header.
-	header := func(metaLen uint64) []byte {
-		b := append([]byte{}, magic[:]...)
-		var tmp [10]byte
-		n := putUvarint(tmp[:], metaLen)
-		return append(b, tmp[:n]...)
-	}
-	body := func(parts ...[]byte) []byte {
-		out := header(2)
-		out = append(out, '{', '}')
+	// Each case hand-assembles a finalized flat file without a footer: a
+	// header declaring count events, then the event bytes.
+	file := func(count uint64, parts ...[]byte) []byte {
+		out, err := renderFixedHeader(magic, Meta{MergeDay: -1}, count, false)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, p := range parts {
 			out = append(out, p...)
 		}
 		return out
 	}
-	uv := func(x uint64) []byte {
-		var tmp [10]byte
-		n := putUvarint(tmp[:], x)
-		return tmp[:n:n]
-	}
+	uv := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
 
 	cases := []struct {
 		name string
 		data []byte
 		want error
 	}{
-		{"meta too large", header(maxMetaLen + 1), ErrMetaTooLarge},
-		{"count too large", body(uv(maxEventCount + 1)), ErrCountTooLarge},
-		{"bad kind", body(uv(1), []byte{7}, uv(0)), ErrBadKind},
-		{"day overflow", body(uv(1), []byte{byte(AddNode)}, uv(uint64(1)<<32), uv(0), []byte{0}), ErrDayOverflow},
-		{"id overflow", body(uv(1), []byte{byte(AddNode)}, uv(0), uv(uint64(1)<<40), []byte{0}), ErrIDOverflow},
-		{"truncated event", body(uv(3), []byte{byte(AddNode)}, uv(0), uv(0), []byte{0}), ErrTruncated},
+		{"count too large", file(maxEventCount + 1), ErrCountTooLarge},
+		{"bad kind", file(1, []byte{7}, uv(0)), ErrBadKind},
+		{"day overflow", file(1, []byte{byte(AddNode)}, uv(uint64(1)<<32), uv(0), []byte{0}), ErrDayOverflow},
+		{"id overflow", file(1, []byte{byte(AddNode)}, uv(0), uv(uint64(1)<<40), []byte{0}), ErrIDOverflow},
+		{"truncated event", file(3, []byte{byte(AddNode)}, uv(0), uv(0), []byte{0}), ErrTruncated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Decode(bytes.NewReader(tc.data))
+			_, err := decodeBytes(tc.data)
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
 			}
 		})
 	}
-}
-
-// putUvarint is a test-local canonical uvarint writer.
-func putUvarint(buf []byte, x uint64) int {
-	i := 0
-	for x >= 0x80 {
-		buf[i] = byte(x) | 0x80
-		x >>= 7
-		i++
-	}
-	buf[i] = byte(x)
-	return i + 1
 }

@@ -119,9 +119,9 @@ func (p *TailProbe) Probe() (*TailSnapshot, error) {
 		return nil, err
 	}
 	if !hd.final && !hd.framed {
-		// The flat Encoder writes its header before the seed and merge
-		// day are set (SegEncoder holds its header back until the first
-		// frame), so a poisoned flat header vouches for nothing yet.
+		// A flat file's header is written at construction, before the
+		// seed and merge day are set (a segmented file's waits for the
+		// first frame), so a poisoned flat header vouches for nothing yet.
 		return nil, fmt.Errorf("%w: %s: count slot not back-patched", ErrNotFinalized, p.path)
 	}
 	// The footer, when present, bounds the event stream. Its count is
@@ -195,7 +195,7 @@ func (p *TailProbe) decode(h *blobHandle, end int64, footer bool) (anomaly error
 	base := p.cur.off
 	cr := &countingReader{r: r}
 	br := bufio.NewReader(cr)
-	dec := resumeDecoder(br, p.headerMeta, maxEventCount, p.curDay)
+	dec := resumeDecoder(br, maxEventCount, p.curDay)
 	for {
 		ev, ok, err := dec.Next()
 		switch {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -254,7 +253,7 @@ func eventLayout(t *testing.T, path string) (evs []Event, ends []int64) {
 	start := hd.start
 	cr := &countingReader{r: io.NewSectionReader(f, start, 1<<62)}
 	br := bufio.NewReader(cr)
-	dec := resumeDecoder(br, hd.meta, hd.count, 0)
+	dec := resumeDecoder(br, hd.count, 0)
 	for {
 		ev, ok, err := dec.Next()
 		if err != nil {
@@ -360,23 +359,13 @@ func TestTailSourceMatchesFileSource(t *testing.T) {
 	}{
 		{"flat", func(t *testing.T, path string) { encodeToFile(t, tr, path) }, true, true},
 		{"flat-indexless", func(t *testing.T, path string) {
-			f, err := os.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			if err := Encode(f, tr); err != nil {
-				t.Fatal(err)
-			}
+			encodeToFile(t, tr, path)
+			writeFile(t, path, stripFooter(t, path))
 		}, false, false},
 		{"segmented", func(t *testing.T, path string) { encodeSegToFile(t, tr, path, true) }, true, true},
 		{"segmented-footerless", func(t *testing.T, path string) {
 			encodeSegToFile(t, tr, path, true)
-			data := readAll(t, path)
-			footLen := int64(binary.LittleEndian.Uint64(data[len(data)-indexTrailerLen:]))
-			if err := os.WriteFile(path, data[:int64(len(data))-indexTrailerLen-footLen], 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writeFile(t, path, stripFooter(t, path))
 		}, false, false},
 	}
 	for _, c := range containers {

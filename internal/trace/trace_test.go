@@ -2,7 +2,6 @@ package trace
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -104,25 +103,7 @@ func TestValidateUnknownKind(t *testing.T) {
 func writeTraceFile(t *testing.T, events []Event) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "v.trace")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc, err := NewEncoder(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range events {
-		if err := enc.Write(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	encodeToFile(t, &Trace{Meta: Meta{MergeDay: -1}, Events: events}, path)
 	return path
 }
 
