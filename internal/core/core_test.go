@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -254,6 +255,31 @@ func checkHeadlineShapes(t *testing.T, res *Result) {
 	}
 	if late <= early {
 		t.Errorf("avg degree did not grow pre-merge: %v -> %v", early, late)
+	}
+
+	// Fig 1e: clustering falls as the network grows. From the first
+	// sample at or past day 120, past the tiny early graph's noise, to the
+	// last: 0.31–0.33 → 0.18–0.21 at seeds 1–8, a fall of at least 30%.
+	clustering, err := res.Figure("fig1e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := clustering.Rows
+	mid := rows[sort.Search(len(rows), func(i int) bool { return rows[i][0] >= 120 })]
+	if end := rows[len(rows)-1]; !(end[1] < 0.8*mid[1]) {
+		t.Errorf("fig1e: clustering did not fall: %.3f on day %v, %.3f on day %v", mid[1], mid[0], end[1], end[0])
+	}
+
+	// Fig 5b: the top-5 communities cover a growing share of the
+	// network, from the first snapshot to the last (0.15–0.58 → 0.60–0.71
+	// at seeds 1–8).
+	top5, err := res.Figure("fig5b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := top5.Rows[0], top5.Rows[len(top5.Rows)-1]
+	if total := len(from) - 1; !(to[total] > from[total]) {
+		t.Errorf("fig5b: top-5 coverage did not grow: %.3f on day %v, %.3f on day %v", from[total], from[0], to[total], to[0])
 	}
 
 	// Fig 3c: the higher rule dominates.
