@@ -156,7 +156,7 @@ func (s TraceSource) Meta() Meta { return s.Trace.Meta }
 func (tr *Trace) Source() MetaSource { return TraceSource{Trace: tr} }
 
 // FileSource replays a trace container straight off its bytes: every
-// Open decodes the raw stream incrementally through a Decoder, so a pass
+// Open decodes the stream incrementally through a Decoder, so a pass
 // holds O(1) memory regardless of event count — the out-of-core data
 // plane. One type reads every container (DESIGN.md §10): a flat (RRT1)
 // and a segmented (RRS1) trace decode to the same raw event stream, the
@@ -269,17 +269,12 @@ func readHead(h *blobHandle, size int64) (containerHead, error) {
 	if err := h.readFull(hdr, 0); err != nil {
 		return hd, err
 	}
-	mag := magic
-	if hd.framed = len(hdr) >= len(segMagic) && [4]byte(hdr[:4]) == segMagic; hd.framed {
-		mag = segMagic // start 0: frames address the raw stream
-	} else {
-		hd.start = int64(fixedHeaderLen)
-	}
 	var err error
-	if hd.meta, hd.count, hd.final, err = parseFixedHeader(hdr, mag); err != nil {
-		return hd, err
-	}
-	if hd.framed {
+	if len(hdr) >= len(segMagic) && [4]byte(hdr[:4]) == segMagic {
+		hd.framed = true // start 0: frames address the raw stream
+		if hd.meta, hd.count, hd.final, err = parseFixedHeader(hdr, segMagic); err != nil {
+			return hd, err
+		}
 		buf, off, ok := readFooter(h, size, int64(fixedHeaderLen))
 		if !ok {
 			return hd, nil
@@ -291,6 +286,10 @@ func readHead(h *blobHandle, size int64) (containerHead, error) {
 		}
 		hd.footer, hd.end, hd.segs, hd.index = off, at.rawStart, segs, idx
 	} else {
+		hd.start = int64(fixedHeaderLen)
+		if hd.meta, hd.count, hd.final, err = parseFixedHeader(hdr, magic); err != nil {
+			return hd, err
+		}
 		hd.index, hd.footer = readDayIndex(h, size, hd.start)
 		hd.end = hd.footer
 	}
