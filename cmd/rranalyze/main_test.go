@@ -50,17 +50,11 @@ func writeTrace(t *testing.T, path string, events []trace.Event, segmented bool)
 		t.Fatal(err)
 	}
 	defer f.Close()
-	type sink interface {
-		Write(trace.Event) error
-		Flush() error
-		Close() error
-	}
-	var enc sink
+	newEnc := trace.NewEncoder
 	if segmented {
-		enc, err = trace.NewSegEncoder(f)
-	} else {
-		enc, err = trace.NewEncoder(f)
+		newEnc = trace.NewSegEncoder
 	}
+	enc, err := newEnc(f)
 	if err != nil {
 		t.Fatal(err)
 	}
